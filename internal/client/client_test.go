@@ -208,7 +208,7 @@ func TestMetricsSnapshotAndHitRatioDelta(t *testing.T) {
 	if !ok || ratio != 1 {
 		t.Errorf("hit ratio delta = %g, %v", ratio, ok)
 	}
-	if ratio, ok := after.CacheHitRatio(); !ok || ratio != 0.75 {
+	if ratio, ok := CacheHitRatioDelta(MetricsSnapshot{}, after); !ok || ratio != 0.75 {
 		t.Errorf("cumulative hit ratio = %g, %v", ratio, ok)
 	}
 	if _, ok := CacheHitRatioDelta(after, after); ok {

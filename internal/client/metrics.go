@@ -1,11 +1,10 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"regexp"
 	"strconv"
+
+	"fpsping/internal/metrics"
 )
 
 // ModelEndpoints are the daemon endpoints whose answers the engine cache
@@ -47,105 +46,71 @@ type CacheMetrics struct {
 type MetricsSnapshot struct {
 	UptimeSeconds float64
 	// Global aggregates every instrumented request, whatever the endpoint
-	// (the daemon's unlabeled tracker).
+	// (the daemon's unlabeled series); a router keeps none, so it is zero.
 	Global    EndpointMetrics
 	Endpoints map[string]EndpointMetrics
 	Cache     CacheMetrics
 }
 
-// metricLine matches one sample line: name, optional {labels}, value.
-var metricLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{([^}]*)\})?\s+(\S+)$`)
-
-// labelPair matches one key="value" inside a label set.
-var labelPair = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"`)
-
-// ParseMetrics parses the daemon's Prometheus text exposition. Unknown
-// metric families are ignored, so the parser survives the daemon growing
-// new gauges.
+// ParseMetrics parses a daemon's or a router's /metrics page through the
+// metrics family table; other families are ignored.
 func ParseMetrics(data []byte) (MetricsSnapshot, error) {
 	snap := MetricsSnapshot{Endpoints: make(map[string]EndpointMetrics)}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		m := metricLine.FindSubmatch(line)
-		if m == nil {
-			return snap, fmt.Errorf("client: unparsable metrics line %q", line)
-		}
-		name, rawLabels, rawValue := string(m[1]), m[2], string(m[3])
-		value, err := strconv.ParseFloat(rawValue, 64)
-		if err != nil {
-			return snap, fmt.Errorf("client: metric %s value %q: %w", name, rawValue, err)
-		}
-		labels := make(map[string]string)
-		for _, kv := range labelPair.FindAllSubmatch(rawLabels, -1) {
-			labels[string(kv[1])] = string(kv[2])
-		}
-		switch name {
-		case "fpsping_uptime_seconds":
-			snap.UptimeSeconds = value
-			continue
-		case "fpsping_cache_shards":
-			snap.Cache.Shards = int(value)
-			continue
-		case "fpsping_cache_entries":
-			snap.Cache.Entries = uint64(value)
-			continue
-		case "fpsping_cache_lookup_hits_total":
-			snap.Cache.LookupHits = uint64(value)
-			continue
-		case "fpsping_cache_lookup_misses_total":
-			snap.Cache.LookupMisses = uint64(value)
-			continue
-		case "fpsping_cache_evictions_total":
-			snap.Cache.Evictions = uint64(value)
-			continue
-		case "fpsping_cache_shard_entries":
-			shard, err := strconv.Atoi(labels["shard"])
+	samples, err := metrics.Parse(data)
+	if err != nil {
+		return snap, fmt.Errorf("client: %w", err)
+	}
+	c := &snap.Cache
+	for _, s := range samples {
+		n := uint64(s.Value)
+		switch s.Family {
+		case metrics.Uptime:
+			snap.UptimeSeconds = s.Value
+		case metrics.CacheShards:
+			c.Shards = int(s.Value)
+		case metrics.CacheEntries:
+			c.Entries = n
+		case metrics.CacheLookupHits:
+			c.LookupHits = n
+		case metrics.CacheLookupMisses:
+			c.LookupMisses = n
+		case metrics.CacheEvictions:
+			c.Evictions = n
+		case metrics.CacheShardEntries:
+			shard, err := strconv.Atoi(s.Label)
 			if err != nil {
-				return snap, fmt.Errorf("client: shard label %q: %w", labels["shard"], err)
+				return snap, fmt.Errorf("client: shard label %q: %w", s.Label, err)
 			}
-			if snap.Cache.ShardEntries == nil {
-				snap.Cache.ShardEntries = make(map[int]uint64)
+			if c.ShardEntries == nil {
+				c.ShardEntries = make(map[int]uint64)
 			}
-			snap.Cache.ShardEntries[shard] = uint64(value)
-			continue
-		}
-		endpoint, labeled := labels["endpoint"]
-		// Request metrics without an endpoint label are the daemon's global
-		// aggregate over all instrumented endpoints.
-		es := snap.Endpoints[endpoint]
-		if !labeled {
-			es = snap.Global
-		}
-		switch name {
-		case "fpsping_requests_total":
-			es.Requests = uint64(value)
-		case "fpsping_request_errors_total":
-			es.Errors = uint64(value)
-		case "fpsping_cache_hits_total":
-			es.CacheHits = uint64(value)
-		case "fpsping_request_latency_seconds_sum":
-			es.LatencySumSeconds = value
-		case "fpsping_request_latency_seconds_count":
-			es.LatencyCount = uint64(value)
-		case "fpsping_request_latency_seconds":
-			if es.Quantiles == nil {
-				es.Quantiles = make(map[string]float64)
+			c.ShardEntries[shard] = n
+		case metrics.Requests, metrics.RequestErrors, metrics.CacheHits, metrics.RequestLatency:
+			// Unlabeled request samples are the daemon's global aggregate;
+			// they file under "" until the end.
+			es := snap.Endpoints[s.Label]
+			switch {
+			case s.Family == metrics.Requests:
+				es.Requests = n
+			case s.Family == metrics.RequestErrors:
+				es.Errors = n
+			case s.Family == metrics.CacheHits:
+				es.CacheHits = n
+			case s.Suffix == "_sum":
+				es.LatencySumSeconds = s.Value
+			case s.Suffix == "_count":
+				es.LatencyCount = n
+			default:
+				if es.Quantiles == nil {
+					es.Quantiles = make(map[string]float64)
+				}
+				es.Quantiles[s.Quantile] = s.Value
 			}
-			es.Quantiles[labels["quantile"]] = value
-		}
-		if labeled {
-			snap.Endpoints[endpoint] = es
-		} else {
-			snap.Global = es
+			snap.Endpoints[s.Label] = es
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return snap, err
-	}
+	snap.Global = snap.Endpoints[""]
+	delete(snap.Endpoints, "")
 	return snap, nil
 }
 
@@ -164,26 +129,28 @@ func (s MetricsSnapshot) Totals(endpoints ...string) (requests, errors, hits uin
 	return requests, errors, hits
 }
 
-// CacheHitRatio returns cumulative hits/requests over the named endpoints
-// (ModelEndpoints when none are given); ok is false when nothing was
-// requested yet.
-func (s MetricsSnapshot) CacheHitRatio(endpoints ...string) (ratio float64, ok bool) {
-	requests, _, hits := s.Totals(endpoints...)
-	if requests == 0 {
-		return 0, false
-	}
-	return float64(hits) / float64(requests), true
-}
-
 // CacheHitRatioDelta returns the cache hit ratio of only the requests made
 // between two snapshots — the marginal ratio a load phase achieved,
-// regardless of what warmed the cache before it. ok is false when no
-// requests landed in between.
+// regardless of what warmed the cache before it (against a zero
+// MetricsSnapshot, the cumulative ratio). ok is false when no requests
+// landed in between, or when the target restarted in between.
 func CacheHitRatioDelta(before, after MetricsSnapshot, endpoints ...string) (ratio float64, ok bool) {
 	reqB, _, hitB := before.Totals(endpoints...)
 	reqA, _, hitA := after.Totals(endpoints...)
-	if reqA <= reqB {
+	if Restarted(before, after) || reqA <= reqB {
 		return 0, false
 	}
 	return float64(hitA-hitB) / float64(reqA-reqB), true
+}
+
+// Restarted reports whether after was scraped from a later process than
+// before: its uptime or an endpoint's counter went down. Counters restart
+// at zero with the process, so a delta across a restart would wrap around.
+func Restarted(before, after MetricsSnapshot) bool {
+	for ep, b := range before.Endpoints {
+		if a := after.Endpoints[ep]; a.Requests < b.Requests || a.Errors < b.Errors || a.CacheHits < b.CacheHits {
+			return true
+		}
+	}
+	return after.UptimeSeconds < before.UptimeSeconds
 }

@@ -7,15 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"fpsping/internal/metrics"
 	"fpsping/internal/scenario"
 	"fpsping/internal/service"
 )
@@ -815,70 +817,32 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, h)
 }
 
+// handleMetrics renders the daemon's per-endpoint request counters, so a
+// load generator measures the cluster as it measures one daemon, then the
+// router's own families.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
+	var p metrics.Page
+	p.Add(metrics.Uptime, "", now.Sub(rt.started))
+	for _, ep := range slices.Sorted(maps.Keys(rt.endpoints)) {
+		c := rt.endpoints[ep]
+		p.Add(metrics.Requests, ep, c.requests.Load())
+		p.Add(metrics.RequestErrors, ep, c.errors.Load())
+		p.Add(metrics.CacheHits, ep, c.hits.Load())
+	}
+	p.Add(metrics.RouterReplicas, "", len(rt.replicas))
+	p.Add(metrics.RouterRetries, "", rt.retries.Load())
+	p.Add(metrics.RouterSpills, "", rt.spills.Load())
+	p.Add(metrics.RouterBatchSplits, "", rt.splits.Load())
+	p.Add(metrics.RouterNoReplica, "", rt.noHome.Load())
+	for _, st := range rt.replicas {
+		p.Add(metrics.ReplicaUp, st.name, st.alive.Load())
+		p.Add(metrics.ReplicaReady, st.name, st.ready.Load())
+		p.Add(metrics.ReplicaRequests, st.name, st.requests.Load())
+		p.Add(metrics.ReplicaErrors, st.name, st.errors.Load())
+		p.Add(metrics.ReplicaInflight, st.name, st.inflight.Load())
+		p.Add(metrics.BreakerOpen, st.name, st.breaker.State(now) != "closed")
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE fpsping_uptime_seconds gauge\nfpsping_uptime_seconds %.3f\n", time.Since(rt.started).Seconds())
-	// Daemon-compatible per-endpoint counters: a load generator pointed at
-	// the router computes the cluster's aggregate hit ratio with the same
-	// scrape it uses against one daemon.
-	eps := make([]string, 0, len(rt.endpoints))
-	for ep := range rt.endpoints {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	b.WriteString("# TYPE fpsping_requests_total counter\n")
-	for _, ep := range eps {
-		fmt.Fprintf(&b, "fpsping_requests_total{endpoint=%q} %d\n", ep, rt.endpoints[ep].requests.Load())
-	}
-	b.WriteString("# TYPE fpsping_request_errors_total counter\n")
-	for _, ep := range eps {
-		fmt.Fprintf(&b, "fpsping_request_errors_total{endpoint=%q} %d\n", ep, rt.endpoints[ep].errors.Load())
-	}
-	b.WriteString("# TYPE fpsping_cache_hits_total counter\n")
-	for _, ep := range eps {
-		fmt.Fprintf(&b, "fpsping_cache_hits_total{endpoint=%q} %d\n", ep, rt.endpoints[ep].hits.Load())
-	}
-	// Router-native gauges and counters. Per-replica families render in
-	// per-family loops (not one loop over replicas) so each family is a
-	// single contiguous block under its TYPE line, as strict Prometheus
-	// parsers require.
-	fmt.Fprintf(&b, "# TYPE fpsrouter_replicas gauge\nfpsrouter_replicas %d\n", len(rt.replicas))
-	fmt.Fprintf(&b, "# TYPE fpsrouter_retries_total counter\nfpsrouter_retries_total %d\n", rt.retries.Load())
-	fmt.Fprintf(&b, "# TYPE fpsrouter_spills_total counter\nfpsrouter_spills_total %d\n", rt.spills.Load())
-	fmt.Fprintf(&b, "# TYPE fpsrouter_batch_splits_total counter\nfpsrouter_batch_splits_total %d\n", rt.splits.Load())
-	fmt.Fprintf(&b, "# TYPE fpsrouter_no_replica_total counter\nfpsrouter_no_replica_total %d\n", rt.noHome.Load())
-	b.WriteString("# TYPE fpsrouter_replica_up gauge\n")
-	for _, st := range rt.replicas {
-		fmt.Fprintf(&b, "fpsrouter_replica_up{replica=%q} %d\n", st.name, boolGauge(st.alive.Load()))
-	}
-	b.WriteString("# TYPE fpsrouter_replica_ready gauge\n")
-	for _, st := range rt.replicas {
-		fmt.Fprintf(&b, "fpsrouter_replica_ready{replica=%q} %d\n", st.name, boolGauge(st.ready.Load()))
-	}
-	b.WriteString("# TYPE fpsrouter_replica_requests_total counter\n")
-	for _, st := range rt.replicas {
-		fmt.Fprintf(&b, "fpsrouter_replica_requests_total{replica=%q} %d\n", st.name, st.requests.Load())
-	}
-	b.WriteString("# TYPE fpsrouter_replica_errors_total counter\n")
-	for _, st := range rt.replicas {
-		fmt.Fprintf(&b, "fpsrouter_replica_errors_total{replica=%q} %d\n", st.name, st.errors.Load())
-	}
-	b.WriteString("# TYPE fpsrouter_replica_inflight gauge\n")
-	for _, st := range rt.replicas {
-		fmt.Fprintf(&b, "fpsrouter_replica_inflight{replica=%q} %d\n", st.name, st.inflight.Load())
-	}
-	b.WriteString("# TYPE fpsrouter_breaker_open gauge\n")
-	for _, st := range rt.replicas {
-		fmt.Fprintf(&b, "fpsrouter_breaker_open{replica=%q} %d\n", st.name, boolGauge(st.breaker.State(now) != "closed"))
-	}
-	io.WriteString(w, b.String())
-}
-
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	io.WriteString(w, p.String())
 }

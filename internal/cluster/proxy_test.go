@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fpsping/internal/client"
 	"fpsping/internal/scenario"
 	"fpsping/internal/service"
 )
@@ -384,6 +386,20 @@ func TestRouterMetricsDaemonCompatible(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+	// The daemon's parser reads the router page: every routed endpoint's
+	// counters, and no global aggregate, latency summary or cache.
+	snap, err := client.ParseMetrics([]byte(metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]client.EndpointMetrics{
+		"/v1/rtt":       {Requests: n, CacheHits: uint64(hits)},
+		"/v1/rtt:batch": {}, "/v1/sweep": {}, "/v1/dimension": {}, "/v1/models": {},
+	}
+	if !reflect.DeepEqual(snap.Endpoints, want) || !reflect.DeepEqual(snap.Global, client.EndpointMetrics{}) ||
+		!reflect.DeepEqual(snap.Cache, client.CacheMetrics{}) || snap.UptimeSeconds <= 0 {
+		t.Errorf("parsed router page = %+v", snap)
 	}
 }
 

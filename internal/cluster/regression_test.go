@@ -98,51 +98,3 @@ func TestRouterFailsOverOnTruncatedReplicaBody(t *testing.T) {
 		t.Error("failover did not count a retry")
 	}
 }
-
-// TestRouterMetricsStrictFormat pins the TYPE-declaration fix on the
-// router's /metrics: every exposed family must carry a # TYPE line, and
-// every family's samples must form one contiguous block — the two
-// properties strict Prometheus parsers enforce by dropping violators.
-func TestRouterMetricsStrictFormat(t *testing.T) {
-	_, _, front := newTestCluster(t, 3, nil)
-	resp, body := get(t, front.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	typed := make(map[string]bool)
-	lastFamily := ""
-	closed := make(map[string]bool) // families whose block has ended
-	for ln, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				t.Errorf("line %d: malformed TYPE line %q", ln+1, line)
-				continue
-			}
-			if typed[fields[2]] {
-				t.Errorf("line %d: duplicate TYPE for %s", ln+1, fields[2])
-			}
-			typed[fields[2]] = true
-			continue
-		}
-		if strings.HasPrefix(line, "#") || line == "" {
-			continue
-		}
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		if !typed[name] {
-			t.Errorf("line %d: sample %q has no TYPE declaration", ln+1, name)
-		}
-		if name != lastFamily {
-			if closed[name] {
-				t.Errorf("line %d: family %s reappears outside its block", ln+1, name)
-			}
-			if lastFamily != "" {
-				closed[lastFamily] = true
-			}
-			lastFamily = name
-		}
-	}
-}

@@ -190,7 +190,7 @@ func TestSoakMixedEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, ok := snap.CacheHitRatio()
+		r, ok := client.CacheHitRatioDelta(client.MetricsSnapshot{}, snap)
 		if !ok {
 			t.Fatal("no traffic in metrics")
 		}

@@ -83,6 +83,16 @@ func (p *replicaProbe) delta(ctx context.Context) (ReplicaReport, error) {
 	if err := p.scrape(ctx); err != nil {
 		return ReplicaReport{}, err
 	}
+	return p.since(pre)
+}
+
+// since reports what the replica did between the scrape held in pre and its
+// latest one. A restart in between resets the replica's counters, so it is
+// reported as an error rather than as a wrapped-around delta.
+func (p *replicaProbe) since(pre replicaProbe) (ReplicaReport, error) {
+	if client.Restarted(pre.metrics, p.metrics) || p.health.Computations < pre.health.Computations {
+		return ReplicaReport{}, fmt.Errorf("load: replica %s restarted between scrapes", p.addr)
+	}
 	reqB, _, hitB := pre.metrics.Totals()
 	reqA, _, hitA := p.metrics.Totals()
 	return ReplicaReport{

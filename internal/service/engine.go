@@ -19,6 +19,7 @@ import (
 
 	"fpsping/internal/core"
 	"fpsping/internal/memo"
+	"fpsping/internal/metrics"
 	"fpsping/internal/runner"
 	"fpsping/internal/scenario"
 )
@@ -38,7 +39,7 @@ const DefaultCacheSize = 4096
 type Engine struct {
 	jobs    int
 	cache   *memo.Cache[any]
-	metrics *Metrics
+	metrics *metrics.Recorder
 	// computes counts core model evaluations actually run (one per cold RTT,
 	// one per cold sweep point, one per cold dimensioning bisection point):
 	// the observable proof that the cache and singleflight are doing their
@@ -73,15 +74,15 @@ func NewEngine(jobs, cacheSize int, opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return &Engine{jobs: jobs, cache: memo.New[any](cacheSize, cfg.shards), metrics: NewMetrics()}
+	return &Engine{jobs: jobs, cache: memo.New[any](cacheSize, cfg.shards), metrics: metrics.NewRecorder()}
 }
 
 // Jobs returns the engine's worker budget.
 func (e *Engine) Jobs() int { return e.jobs }
 
-// Metrics returns the engine's metrics registry (shared with the HTTP
+// Metrics returns the engine's request recorder (shared with the HTTP
 // layer).
-func (e *Engine) Metrics() *Metrics { return e.metrics }
+func (e *Engine) Metrics() *metrics.Recorder { return e.metrics }
 
 // CacheStats returns the memo cache's entry count and cumulative hit/miss
 // counters (aggregated over shards; see CacheDetail for the breakdown).

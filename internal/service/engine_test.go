@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fpsping/internal/metrics"
 	"fpsping/internal/scenario"
 )
 
@@ -270,15 +271,13 @@ func TestShardedCacheKeepsEngineSemantics(t *testing.T) {
 }
 
 func TestMetricsRender(t *testing.T) {
-	m := NewMetrics()
+	m := metrics.NewRecorder()
 	m.Observe("/v1/rtt", 10*time.Millisecond, false, false)
 	m.Observe("/v1/rtt", time.Millisecond, true, false)
 	m.Observe("/v1/rtt", time.Millisecond, false, true)
-	var sb strings.Builder
-	if _, err := m.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	var p metrics.Page
+	m.Collect(&p)
+	out := p.String()
 	for _, want := range []string{
 		`fpsping_requests_total{endpoint="/v1/rtt"} 3`,
 		`fpsping_request_errors_total{endpoint="/v1/rtt"} 1`,
@@ -294,12 +293,6 @@ func TestMetricsRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}
-	}
-	if req, errs, hits := m.Snapshot("/v1/rtt"); req != 3 || errs != 1 || hits != 1 {
-		t.Errorf("snapshot = %d/%d/%d", req, errs, hits)
-	}
-	if req, _, _ := m.Snapshot("/nope"); req != 0 {
-		t.Error("unknown endpoint should snapshot zeros")
 	}
 }
 

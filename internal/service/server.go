@@ -16,6 +16,7 @@ import (
 
 	"fpsping/internal/core"
 	"fpsping/internal/memo"
+	"fpsping/internal/metrics"
 	"fpsping/internal/scenario"
 	"fpsping/internal/traffic"
 )
@@ -549,28 +550,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleMetrics renders the request families and the engine cache's. Cache
+// lookup hits and misses count probes (joiners of an in-flight computation
+// count as misses); fpsping_cache_hits_total counts requests answered
+// without computing.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.engine.Metrics().WriteTo(w)
-	s.writeCacheMetrics(w)
-}
-
-// writeCacheMetrics renders the engine cache gauges: shard count, total and
-// per-shard occupancy, and the aggregated lookup/eviction counters. Lookup
-// hits and misses count cache probes (joiners of an in-flight computation
-// count as misses), unlike fpsping_cache_hits_total, which counts requests
-// answered without computing.
-func (s *Server) writeCacheMetrics(w io.Writer) {
+	var p metrics.Page
+	s.engine.Metrics().Collect(&p)
 	st := s.engine.CacheDetail()
-	fmt.Fprintf(w, "# TYPE fpsping_cache_shards gauge\nfpsping_cache_shards %d\n", len(st.Shards))
-	fmt.Fprintf(w, "# TYPE fpsping_cache_entries gauge\nfpsping_cache_entries %d\n", st.Entries)
-	fmt.Fprintf(w, "# TYPE fpsping_cache_lookup_hits_total counter\nfpsping_cache_lookup_hits_total %d\n", st.Hits)
-	fmt.Fprintf(w, "# TYPE fpsping_cache_lookup_misses_total counter\nfpsping_cache_lookup_misses_total %d\n", st.Misses)
-	fmt.Fprintf(w, "# TYPE fpsping_cache_evictions_total counter\nfpsping_cache_evictions_total %d\n", st.Evictions)
-	fmt.Fprintf(w, "# TYPE fpsping_cache_shard_entries gauge\n")
+	p.Add(metrics.CacheShards, "", len(st.Shards))
+	p.Add(metrics.CacheEntries, "", st.Entries)
+	p.Add(metrics.CacheLookupHits, "", st.Hits)
+	p.Add(metrics.CacheLookupMisses, "", st.Misses)
+	p.Add(metrics.CacheEvictions, "", st.Evictions)
 	for i, sh := range st.Shards {
-		fmt.Fprintf(w, "fpsping_cache_shard_entries{shard=\"%d\"} %d\n", i, sh.Entries)
+		p.Add(metrics.CacheShardEntries, strconv.Itoa(i), sh.Entries)
 	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	io.WriteString(w, p.String())
 }
 
 func hitOrMiss(cached bool) string {

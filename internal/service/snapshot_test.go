@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"net/http"
-	"strings"
 	"testing"
 
 	"fpsping/internal/scenario"
@@ -218,80 +217,6 @@ func TestScenarioKeyOf(t *testing.T) {
 		got, ok := ScenarioKeyOf(tc.key)
 		if got != tc.want || ok != tc.wantOK {
 			t.Errorf("ScenarioKeyOf(%q) = %q, %v; want %q, %v", tc.key, got, ok, tc.want, tc.wantOK)
-		}
-	}
-}
-
-// TestCacheMetricsFormat pins the Prometheus text-format fix: every cache
-// family carries a # TYPE declaration of the right kind, with its samples
-// directly (and contiguously) after it, so strict parsers keep them.
-func TestCacheMetricsFormat(t *testing.T) {
-	_, ts := newTestServer(t, 1)
-	fill(t, ts.URL)
-	resp, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	assertCacheMetricTypes(t, string(body), "fpsping")
-}
-
-// assertCacheMetricTypes validates the cache family block of a daemon-
-// dialect metrics page with the given prefix ("fpsping" on the daemon; the
-// router re-exports the same dialect).
-func assertCacheMetricTypes(t *testing.T, text, prefix string) {
-	t.Helper()
-	families := map[string]string{
-		prefix + "_cache_shards":              "gauge",
-		prefix + "_cache_entries":             "gauge",
-		prefix + "_cache_lookup_hits_total":   "counter",
-		prefix + "_cache_lookup_misses_total": "counter",
-		prefix + "_cache_evictions_total":     "counter",
-		prefix + "_cache_shard_entries":       "gauge",
-	}
-	lines := strings.Split(text, "\n")
-	seen := make(map[string]bool)
-	for i, line := range lines {
-		if !strings.HasPrefix(line, "# TYPE ") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			t.Errorf("malformed TYPE line %q", line)
-			continue
-		}
-		name, kind := fields[2], fields[3]
-		wantKind, ours := families[name]
-		if !ours {
-			continue
-		}
-		seen[name] = true
-		if kind != wantKind {
-			t.Errorf("family %s declared %s, want %s", name, kind, wantKind)
-		}
-		// Samples must follow the TYPE line contiguously.
-		n := 0
-		for j := i + 1; j < len(lines); j++ {
-			rest := strings.TrimPrefix(lines[j], name)
-			if rest == lines[j] || (rest != "" && rest[0] != ' ' && rest[0] != '{') {
-				break
-			}
-			n++
-		}
-		if n == 0 {
-			t.Errorf("family %s has no samples after its TYPE line", name)
-		}
-		// And never reappear later in the page (Prometheus requires one
-		// contiguous block per family).
-		for j := i + 1 + n; j < len(lines); j++ {
-			rest := strings.TrimPrefix(lines[j], name)
-			if rest != lines[j] && rest != "" && (rest[0] == ' ' || rest[0] == '{') {
-				t.Errorf("family %s has samples outside its block (line %d)", name, j+1)
-			}
-		}
-	}
-	for name := range families {
-		if !seen[name] {
-			t.Errorf("family %s has no TYPE declaration", name)
 		}
 	}
 }
