@@ -190,12 +190,13 @@ func cmdSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !(*step > 0) || !(*from > 0) || *to < *from {
-		return fmt.Errorf("bad sweep range [%g, %g] step %g", *from, *to, *step)
+	loads, err := core.CheckLoadGrid(*from, *to, *step)
+	if err != nil {
+		return err
 	}
 	return prof.run(func() error {
 		m := sc.Model()
-		pts, err := m.SweepLoadsParallel(core.LoadGrid(*from, *to, *step), *jobs)
+		pts, err := m.SweepLoads(loads, *jobs)
 		if err != nil {
 			return err
 		}

@@ -129,3 +129,40 @@ func TestProfileRunErrors(t *testing.T) {
 		t.Error("body ran despite profile setup failure")
 	}
 }
+
+// TestSweepRangeBounded pins the CLI's sweep range check, shared with the
+// daemon through core.CheckLoadGrid: an infinite bound and a step that
+// would need a million points fail fast with core.ErrBadModel, and the
+// 1000-point edge prints every point.
+func TestSweepRangeBounded(t *testing.T) {
+	for _, args := range [][]string{
+		{"-to", "Inf"},
+		{"-step", "1e-6"},
+		{"-from", "0.05", "-to", "0.55", "-step", "0.0005"}, // 1000 points plus one
+		{"-from", "NaN"},
+	} {
+		if err := cmdSweep(args); !errors.Is(err, core.ErrBadModel) {
+			t.Errorf("sweep %v: err %v, want core.ErrBadModel", args, err)
+		}
+	}
+	out := filepath.Join(t.TempDir(), "sweep.csv")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = cmdSweep([]string{"-from", "0.05", "-to", "0.5495", "-step", "0.0005", "-jobs", "2"})
+	os.Stdout = stdout
+	f.Close()
+	if err != nil {
+		t.Fatalf("1000-point sweep: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != 1001 {
+		t.Errorf("1000-point sweep printed %d lines, want a header and 1000 points", lines)
+	}
+}

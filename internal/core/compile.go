@@ -17,10 +17,12 @@ import (
 //	CompiledModel   factors + combined law, built by Compile
 //	evaluations     Quantile/Tail/Mean over the compiled law
 //
-// Front ends cache CompiledModels (the daemon keeps them in its point memo),
-// and monotone walks (load sweeps, dimensioning bisections) additionally
-// thread an mgf.TailHint through successive quantile inversions so each
-// point's bracket search starts from its neighbour's answer.
+// Every evaluation has two forms: a one-shot method (Compile, RTTQuantile,
+// Quantile), and the same step taken through a LoadPath, the one handle that
+// carries state from point to point. Front ends cache CompiledModels (the
+// daemon keeps them in its point memo); monotone walks (load sweeps,
+// dimensioning bisections) drive a LoadPath so each point's root solve and
+// quantile inversion start from its neighbour's.
 
 // CompiledLaw pairs a delay law with a per-level cache of solved quantiles.
 // It is safe for concurrent use: the underlying laws are immutable and the
@@ -32,8 +34,8 @@ type CompiledLaw struct {
 	solved map[float64]float64 // quantile level -> queueing-delay quantile
 }
 
-// NewCompiledLaw wraps a delay law for repeated evaluation.
-func NewCompiledLaw(l mgf.Law) *CompiledLaw {
+// newCompiledLaw wraps a delay law for repeated evaluation.
+func newCompiledLaw(l mgf.Law) *CompiledLaw {
 	return &CompiledLaw{law: l, solved: make(map[float64]float64)}
 }
 
@@ -46,42 +48,28 @@ func (c *CompiledLaw) Tail(x float64) float64 { return c.law.Tail(x) }
 // Mean returns E[D].
 func (c *CompiledLaw) Mean() float64 { return c.law.Mean() }
 
-// Quantile returns the queueing-delay quantile at level p: a cold
-// QuantileWarm.
-func (c *CompiledLaw) Quantile(p float64) (float64, error) {
-	return c.QuantileWarm(p, nil)
-}
+// Quantile returns the queueing-delay quantile at level p, inverted cold.
+func (c *CompiledLaw) Quantile(p float64) (float64, error) { return c.quantile(p, nil) }
 
-// QuantileWarm is Quantile with an optional warm-start hint threaded through
-// the inversion (see mgf.TailHint). Solved levels are cached; a cache hit
-// still updates the hint, so a sweep that re-visits a memoized point keeps
-// warm-starting the next one. Warm and cold inversions are bit-identical, so
-// the cache and the hint change only the cost of an answer, never its value.
-func (c *CompiledLaw) QuantileWarm(p float64, hint *mgf.TailHint) (float64, error) {
-	return c.QuantileWarmWS(p, hint, nil)
-}
-
-// QuantileWarmWS is QuantileWarm with the quadrature workspace supplied by
-// the caller (nil borrows a pooled one per inversion); a load-axis walk
-// holds one workspace so consecutive points reuse warm Simpson grids.
-func (c *CompiledLaw) QuantileWarmWS(p float64, hint *mgf.TailHint, ws *mgf.Workspace) (float64, error) {
+// quantile is Quantile with the inversion's walk state in ws (nil borrows a
+// pooled, cold workspace; see mgf.Quantile). Solved levels are cached, so a
+// level is inverted at most once per law. Warm and cold inversions are
+// bit-identical, so the cache and the workspace change only the cost of an
+// answer, never its value.
+func (c *CompiledLaw) quantile(p float64, ws *mgf.Workspace) (float64, error) {
 	c.mu.Lock()
 	q, ok := c.solved[p]
 	c.mu.Unlock()
-	if !ok {
-		var err error
-		q, err = lawQuantileHintWS(c.law, p, hint, ws)
-		if err != nil {
-			return 0, err
-		}
-		c.mu.Lock()
-		c.solved[p] = q
-		c.mu.Unlock()
+	if ok {
 		return q, nil
 	}
-	if hint != nil && q > 0 {
-		hint.Set(q)
+	q, err := mgf.Quantile(c.law, p, ws)
+	if err != nil {
+		return 0, err
 	}
+	c.mu.Lock()
+	c.solved[p] = q
+	c.mu.Unlock()
 	return q, nil
 }
 
@@ -104,20 +92,19 @@ type CompiledModel struct {
 
 // Compile runs the expensive stages of the pipeline once: validates the
 // scenario, builds the upstream M/D/1 and downstream D/E_K/1 factor mixes
-// (factorMixes) and combines them into the total queueing-delay law
+// (factorMixesFrom) and combines them into the total queueing-delay law
 // (combineLaw). Everything after this is cheap arithmetic over the result.
 func (m Model) Compile() (*CompiledModel, error) {
-	return m.CompileFrom(nil)
+	return m.compileFrom(nil)
 }
 
-// CompileFrom is Compile with the downstream root solve warm-started from a
-// neighbouring load's solution (nil means a cold solve). The continuation
-// seeds only the Newton iteration; its result is validated and falls back to
-// the cold factorization on any doubt, so a warm compile returns exactly the
-// bits of Compile() — cheaper, never different. LoadPath threads solutions
-// through consecutive loads so sweeps and bisections compile each point from
-// its neighbour.
-func (m Model) CompileFrom(prev *queueing.DEK1Solution) (*CompiledModel, error) {
+// compileFrom is Compile with the downstream root solve warm-started from a
+// neighbouring load's solution (nil means a cold solve); LoadPath is its
+// one caller. The continuation seeds only the Newton iteration; its result
+// is validated and falls back to the cold factorization on any doubt, so a
+// warm compile returns exactly the bits of Compile() — cheaper, never
+// different.
+func (m Model) compileFrom(prev *queueing.DEK1Solution) (*CompiledModel, error) {
 	du, w, p, sol, err := m.factorMixesFrom(prev)
 	if err != nil {
 		return nil, err
@@ -126,32 +113,17 @@ func (m Model) CompileFrom(prev *queueing.DEK1Solution) (*CompiledModel, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledModel{Model: m, du: du, w: w, p: p, law: NewCompiledLaw(law), sol: sol}, nil
+	return &CompiledModel{Model: m, du: du, w: w, p: p, law: newCompiledLaw(law), sol: sol}, nil
 }
-
-// DownstreamSolution returns the D/E_K/1 root solution behind the compiled
-// factors: the continuation seed for a neighbouring load's CompileFrom.
-func (cm *CompiledModel) DownstreamSolution() *queueing.DEK1Solution { return cm.sol }
 
 // Law returns the compiled total-delay law.
 func (cm *CompiledModel) Law() *CompiledLaw { return cm.law }
 
 // RTTQuantile returns the RTT quantile (seconds): the queueing-delay
 // quantile plus the deterministic part, exactly as Model.RTTQuantile.
+// LoadPath.Quantile is the same evaluation with a walk's state.
 func (cm *CompiledModel) RTTQuantile() (float64, error) {
-	return cm.RTTQuantileWarm(nil)
-}
-
-// RTTQuantileWarm is RTTQuantile with a warm-start hint for the quantile
-// inversion; sweeps thread one hint through consecutive loads.
-func (cm *CompiledModel) RTTQuantileWarm(hint *mgf.TailHint) (float64, error) {
-	return cm.rttQuantileWarmWS(hint, nil)
-}
-
-// rttQuantileWarmWS is RTTQuantileWarm with the quadrature workspace
-// supplied by the caller; LoadPath holds one per walk.
-func (cm *CompiledModel) rttQuantileWarmWS(hint *mgf.TailHint, ws *mgf.Workspace) (float64, error) {
-	q, err := cm.law.QuantileWarmWS(cm.Model.quantile(), hint, ws)
+	q, err := cm.law.Quantile(cm.Model.quantile())
 	if err != nil {
 		return 0, err
 	}

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"fpsping/internal/mgf"
 )
 
 // TestCompiledMatchesModel pins that every compiled evaluator returns
@@ -65,12 +63,13 @@ func TestCompiledMatchesModel(t *testing.T) {
 	}
 }
 
-// TestWarmStartBitIdentical is the warm-start property test: walking a load
-// grid with one mgf.TailHint threaded through consecutive quantile
-// inversions (the SweepLoads discipline) must return exactly the bits of
-// independent per-point inversions — across the paper's grid, seeded random
-// grids, and a deliberately unsorted grid (the hint is verified by a probe,
-// so correctness never depends on the walk being monotone).
+// TestWarmStartBitIdentical is the warm-start property test: inverting
+// independently compiled models through one LoadPath, whose workspace
+// carries the tail hint from each quantile inversion to the next, must
+// return exactly the bits of independent per-point inversions — across the
+// paper's grid, seeded random grids, and a deliberately unsorted grid (the
+// hint is verified by a probe, so correctness never depends on the walk
+// being monotone).
 func TestWarmStartBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grids := [][]float64{PaperLoadGrid()}
@@ -86,14 +85,14 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	for _, k := range []int{9, 20} {
 		m := figure3Model(k)
 		for gi, grid := range grids {
-			var hint mgf.TailHint
+			path := m.NewLoadPath()
 			for _, rho := range grid {
 				at := m.WithDownlinkLoad(rho)
 				cm, err := at.Compile()
 				if err != nil {
 					t.Fatalf("K=%d grid %d rho=%v: %v", k, gi, rho, err)
 				}
-				warm, err := cm.RTTQuantileWarm(&hint)
+				warm, err := path.Quantile(cm)
 				if err != nil {
 					t.Fatalf("K=%d grid %d rho=%v: warm: %v", k, gi, rho, err)
 				}
@@ -110,17 +109,17 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepLoadsWarmMatchesParallel pins the same property end to end:
-// the serial sweep (hint threaded) and the parallel sweep (independent
-// points) must produce identical series.
+// TestSweepLoadsWarmMatchesParallel pins the same property end to end: the
+// one-worker sweep (one LoadPath through every point) and the four-worker
+// sweep (four chains, each starting cold) must produce identical series.
 func TestSweepLoadsWarmMatchesParallel(t *testing.T) {
 	m := figure3Model(9)
 	loads := PaperLoadGrid()
-	serial, err := m.SweepLoads(loads)
+	serial, err := m.SweepLoads(loads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := m.SweepLoadsParallel(loads, 4)
+	parallel, err := m.SweepLoads(loads, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func BenchmarkModelCompiledVsCold(b *testing.B) {
 }
 
 // BenchmarkSweepPaperGridCold measures a cold paper-figure sweep: warm is
-// the serial walk (SweepLoads, one LoadPath through every point), continued
+// the one-worker SweepLoads (one LoadPath through every point), continued
 // is the same walk driven explicitly through a LoadPath, and independent
 // recompiles and re-inverts every point from scratch. The warm/independent
 // gap is the continuation's worth — identical values, different cost.
@@ -194,7 +193,7 @@ func BenchmarkSweepPaperGridCold(b *testing.B) {
 	loads := PaperLoadGrid()
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SweepLoads(loads); err != nil {
+			if _, err := m.SweepLoads(loads, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

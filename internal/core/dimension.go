@@ -75,11 +75,8 @@ func (m Model) MaxLoadWith(rttBound float64, rttAt PointEval) (DimensioningResul
 		// direct evaluation (the LoadPath contract).
 		path := m.NewLoadPath()
 		rttAt = func(rho float64) (float64, error) {
-			cm, err := path.Compile(rho)
-			if err != nil {
-				return 0, err
-			}
-			return path.Quantile(cm)
+			pt, err := path.Point(rho)
+			return pt.RTT, err
 		}
 	}
 

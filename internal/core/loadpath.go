@@ -11,16 +11,18 @@ import (
 //   - the downstream D/E_K/1 root solution, seeding the next compile's
 //     Newton polish instead of a cold fixed-point iteration
 //     (queueing.DEK1.SolveFrom);
-//   - the tail hint, warm-starting the next quantile inversion's bracket
-//     search from the previous answer (mgf.TailHint);
-//   - one quadrature workspace, so consecutive inversions reuse warm
-//     Simpson grids instead of a pool round-trip per point.
+//   - one mgf.Workspace, which holds the previous quantile as the tail hint
+//     that warm-starts the next inversion's bracket search, and the
+//     quadrature grids and ladder consecutive inversions reuse instead of a
+//     pool round-trip per point.
 //
-// All three carriers are bit-exact: a point evaluated through a path is
-// byte-identical to WithDownlinkLoad(rho).RTTQuantile() evaluated cold, so
-// a path changes only the cost of a walk, never its values. Sweeps
-// (SweepLoads, SweepGridWith chunks), dimensioning bisections (MaxLoadWith)
-// and the daemon's memoized grids all drive their points through one.
+// LoadPath is the only warm handle in the package: every other evaluation
+// is a one-shot form that starts cold. Both carriers are bit-exact: a point
+// evaluated through a path is byte-identical to
+// WithDownlinkLoad(rho).RTTQuantile() evaluated cold, so a path changes only
+// the cost of a walk, never its values. Sweeps (SweepGridWith chunks),
+// dimensioning bisections (MaxLoadWith) and the daemon's memoized grids all
+// drive their points through one.
 //
 // Continuation does not require monotone loads — any neighbouring parameter
 // is a good Newton seed, and validation falls back to the cold solve on any
@@ -30,7 +32,6 @@ import (
 type LoadPath struct {
 	m    Model
 	prev *queueing.DEK1Solution
-	hint mgf.TailHint
 	ws   mgf.Workspace
 }
 
@@ -42,11 +43,11 @@ func (m Model) NewLoadPath() *LoadPath { return &LoadPath{m: m} }
 // downstream root solve from the previous point on the path, and adopts the
 // resulting solution as the seed for the next point.
 func (p *LoadPath) Compile(rho float64) (*CompiledModel, error) {
-	cm, err := p.m.WithDownlinkLoad(rho).CompileFrom(p.prev)
+	cm, err := p.m.WithDownlinkLoad(rho).compileFrom(p.prev)
 	if err != nil {
 		return nil, err
 	}
-	p.prev = cm.DownstreamSolution()
+	p.prev = cm.sol
 	return cm, nil
 }
 
@@ -54,17 +55,22 @@ func (p *LoadPath) Compile(rho float64) (*CompiledModel, error) {
 // hit that skipped this path's Compile — as the continuation seed for the
 // next point, so a walk over partially cached loads keeps warm-starting.
 func (p *LoadPath) Reseed(cm *CompiledModel) {
-	if cm != nil && cm.DownstreamSolution() != nil {
-		p.prev = cm.DownstreamSolution()
+	if cm != nil && cm.sol != nil {
+		p.prev = cm.sol
 	}
 }
 
-// Quantile evaluates cm's RTT quantile (seconds) through the path's tail
-// hint and workspace. cm need not have come from this path's Compile: a
-// memoized compiled model works too (and a solved-level cache hit still
-// updates the hint for the next point).
+// Quantile evaluates cm's RTT quantile (seconds), exactly as
+// cm.RTTQuantile(), through the path's workspace. cm need not have come
+// from this path's Compile: a memoized compiled model works too (a level it
+// has already solved is answered from its cache and leaves the hint as it
+// was).
 func (p *LoadPath) Quantile(cm *CompiledModel) (float64, error) {
-	return cm.rttQuantileWarmWS(&p.hint, &p.ws)
+	q, err := cm.law.quantile(cm.Model.quantile(), &p.ws)
+	if err != nil {
+		return 0, err
+	}
+	return q + cm.Model.FixedPart(), nil
 }
 
 // Point evaluates one sweep point at downlink load rho: a Compile plus a

@@ -61,10 +61,10 @@ func TestLoadPathBitIdenticalToCold(t *testing.T) {
 	}
 }
 
-// TestCompileFromBitIdentical pins the layer below: the factors and the
-// downstream root solution of a warm compile must be exactly those of a
-// cold compile, point by point along a walk.
-func TestCompileFromBitIdentical(t *testing.T) {
+// TestLoadPathCompileBitIdentical pins the layer below: the downstream root
+// solution of a warm compile must be exactly that of a cold compile, point
+// by point along a walk.
+func TestLoadPathCompileBitIdentical(t *testing.T) {
 	for _, k := range []int{9, 20} {
 		m := figure3Model(k)
 		for gi, grid := range loadPathGrids() {
@@ -78,8 +78,8 @@ func TestCompileFromBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("K=%d grid %d rho=%v: cold: %v", k, gi, rho, err)
 				}
-				wz := warm.DownstreamSolution().Zetas()
-				cz := cold.DownstreamSolution().Zetas()
+				wz := warm.sol.Zetas()
+				cz := cold.sol.Zetas()
 				if len(wz) != len(cz) {
 					t.Fatalf("K=%d grid %d rho=%v: %d warm roots, %d cold", k, gi, rho, len(wz), len(cz))
 				}
@@ -143,26 +143,99 @@ func TestMaxLoadWithDefaultEvaluator(t *testing.T) {
 	}
 }
 
-// TestSweepGridWithChunkedChains pins the chunked grid walker against the
-// serial walk at several worker counts, including more workers than points.
+// TestSweepGridWithChunkedChains pins the chunked grid walker against
+// independent cold evaluation at several worker counts, including more
+// workers than points.
 func TestSweepGridWithChunkedChains(t *testing.T) {
 	m := figure3Model(9)
 	loads := PaperLoadGrid()
-	serial, err := m.SweepLoads(loads)
+	want, err := coldSweep(m, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 5, len(loads), len(loads) + 7} {
-		got, err := m.SweepLoadsParallel(loads, workers)
+		got, err := m.SweepGridWith(loads, workers, func() func(rho float64) (SweepPoint, error) {
+			return m.NewLoadPath().Point
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(serial))
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != serial[i] {
-				t.Errorf("workers=%d point %d: %+v != serial %+v", workers, i, got[i], serial[i])
+			if got[i] != want[i] {
+				t.Errorf("workers=%d point %d: %+v != cold %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestLoadPathWalksMatchCold is the handle's contract as a table: for each
+// Erlang order, the paper grid walked forward, walked in reverse, and
+// walked over memoized models (every other point compiled elsewhere, half
+// of them already solved, adopted by Reseed and inverted through the path)
+// returns at every point the bits of a cold
+// WithDownlinkLoad(rho).RTTQuantile().
+func TestLoadPathWalksMatchCold(t *testing.T) {
+	for _, k := range []int{2, 9, 20, 30} {
+		m := figure3Model(k)
+		grid := PaperLoadGrid()
+		cold := make(map[float64]float64, len(grid))
+		memo := make(map[float64]*CompiledModel)
+		for i, rho := range grid {
+			at := m.WithDownlinkLoad(rho)
+			q, err := at.RTTQuantile()
+			if err != nil {
+				t.Fatalf("K=%d rho=%v: cold: %v", k, rho, err)
+			}
+			cold[rho] = q
+			if i%2 == 1 {
+				cm, err := at.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%4 == 1 {
+					if _, err := cm.RTTQuantile(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				memo[rho] = cm
+			}
+		}
+		rev := make([]float64, len(grid))
+		for i, rho := range grid {
+			rev[len(grid)-1-i] = rho
+		}
+		for _, walk := range []struct {
+			name     string
+			loads    []float64
+			memoized bool
+		}{
+			{"forward", grid, false},
+			{"reverse", rev, false},
+			{"reseeded", grid, true},
+			{"reseeded-reverse", rev, true},
+		} {
+			path := m.NewLoadPath()
+			for _, rho := range walk.loads {
+				var got float64
+				var err error
+				if cm, ok := memo[rho]; ok && walk.memoized {
+					path.Reseed(cm)
+					got, err = path.Quantile(cm)
+				} else {
+					var pt SweepPoint
+					pt, err = path.Point(rho)
+					got = pt.RTT
+				}
+				if err != nil {
+					t.Fatalf("K=%d %s rho=%v: %v", k, walk.name, rho, err)
+				}
+				if got != cold[rho] {
+					t.Errorf("K=%d %s rho=%v: path %v != cold %v (diff %g)",
+						k, walk.name, rho, got, cold[rho], got-cold[rho])
+				}
 			}
 		}
 	}

@@ -162,15 +162,9 @@ func (m Model) Downstream() (queueing.DEK1, error) {
 	return queueing.NewDEK1(m.ErlangOrder, 8*m.Gamers*m.ServerPacketBytes/m.AggregateRate, m.BurstInterval)
 }
 
-// factorMixes builds the three independent queueing-delay factors of
+// factorMixesFrom builds the three independent queueing-delay factors of
 // eq. (35): Du (upstream M/D/1, eq. 14), W (D/E_K/1 burst wait, eq. 18) and
-// P (in-burst position, eq. 34). A cold factorMixesFrom.
-func (m Model) factorMixes() (du, w, p mgf.Mix, err error) {
-	du, w, p, _, err = m.factorMixesFrom(nil)
-	return du, w, p, err
-}
-
-// factorMixesFrom is factorMixes with the downstream D/E_K/1 root solve
+// P (in-burst position, eq. 34). The downstream D/E_K/1 root solve is
 // warm-started from a neighbouring load's solution (nil means cold; see
 // queueing.DEK1.SolveFrom). It also returns the solution it produced, so a
 // load-axis walk (LoadPath) can seed the next point with it. Warm and cold
@@ -231,37 +225,11 @@ func combineLaw(du, w, p mgf.Mix) (mgf.Law, error) {
 // DelayLaw returns the law of the total queueing delay Du+W+P (eq. 35,
 // excluding the deterministic part).
 func (m Model) DelayLaw() (mgf.Law, error) {
-	du, w, p, err := m.factorMixes()
+	du, w, p, _, err := m.factorMixesFrom(nil)
 	if err != nil {
 		return nil, err
 	}
 	return combineLaw(du, w, p)
-}
-
-// lawQuantile inverts a Law's tail (both Mix and Sum provide Quantile; this
-// helper keeps the call sites uniform): a cold lawQuantileHint.
-func lawQuantile(l mgf.Law, p float64) (float64, error) {
-	return lawQuantileHint(l, p, nil)
-}
-
-// lawQuantileHint is lawQuantile with an optional warm-start hint (see
-// mgf.TailHint).
-func lawQuantileHint(l mgf.Law, p float64, hint *mgf.TailHint) (float64, error) {
-	return lawQuantileHintWS(l, p, hint, nil)
-}
-
-// lawQuantileHintWS is lawQuantileHint with the quadrature workspace
-// supplied by the caller (nil borrows a pooled one). Only the Sum inversion
-// touches a workspace; the closed-form Mix inversion ignores it.
-func lawQuantileHintWS(l mgf.Law, p float64, hint *mgf.TailHint, ws *mgf.Workspace) (float64, error) {
-	switch v := l.(type) {
-	case mgf.Mix:
-		return v.QuantileHint(p, hint)
-	case mgf.Sum:
-		return v.QuantileHintWS(p, hint, ws)
-	default:
-		return 0, fmt.Errorf("core: unknown law type %T", l)
-	}
 }
 
 // RTTQuantile returns the RTT quantile (seconds): the queueing-delay quantile
@@ -338,7 +306,7 @@ func quantileOrZero(mix mgf.Mix, p float64) (float64, error) {
 // alpha_1 = beta(1-zeta_1) < beta always, the dominant pole is the simple
 // pole min(gamma, alpha_1).
 func (m Model) RTTQuantileDominantPole() (float64, error) {
-	du, w, p, err := m.factorMixes()
+	du, w, p, _, err := m.factorMixesFrom(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -397,7 +365,7 @@ func (m Model) RTTQuantileDominantPole() (float64, error) {
 // target level. The bound is evaluated on real s strictly below the smallest
 // pole real part, where all three MGFs are finite.
 func (m Model) RTTQuantileChernoff() (float64, error) {
-	du, w, p, err := m.factorMixes()
+	du, w, p, _, err := m.factorMixesFrom(nil)
 	if err != nil {
 		return 0, err
 	}

@@ -141,7 +141,7 @@ func TestFigure3ShapeContracts(t *testing.T) {
 	// The three curves of Figure 3: K=2, 9, 20 at PS=125B, T=60ms.
 	curves := map[int][]SweepPoint{}
 	for _, k := range []int{2, 9, 20} {
-		pts, err := figure3Model(k).SweepLoads(PaperLoadGrid())
+		pts, err := figure3Model(k).SweepLoads(PaperLoadGrid(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,10 +406,10 @@ func TestAblationApproximations(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	m := figure3Model(9)
-	if _, err := m.SweepLoads(nil); err == nil {
+	if _, err := m.SweepLoads(nil, 1); err == nil {
 		t.Error("accepted empty sweep")
 	}
-	if _, err := m.SweepLoads([]float64{-0.1}); err == nil {
+	if _, err := m.SweepLoads([]float64{-0.1}, 1); err == nil {
 		t.Error("accepted negative load")
 	}
 	grid := PaperLoadGrid()
@@ -440,7 +440,7 @@ func BenchmarkFullFigure3Curve(b *testing.B) {
 	m := figure3Model(9)
 	loads := PaperLoadGrid()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.SweepLoads(loads); err != nil {
+		if _, err := m.SweepLoads(loads, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

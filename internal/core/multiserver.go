@@ -107,7 +107,7 @@ func (ms MultiServer) Compile() (*CompiledLaw, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewCompiledLaw(law), nil
+	return newCompiledLaw(law), nil
 }
 
 // RTTQuantile returns the RTT quantile including the deterministic part.

@@ -21,38 +21,22 @@ type SweepPoint struct {
 // producing the series behind the paper's figures. Loads at or beyond a
 // stability limit are skipped (the curves' vertical asymptote).
 //
-// The walk drives one LoadPath through consecutive points: each point's
+// The grid is split into contiguous chunks over workers (<= 0 means one per
+// CPU; see SweepGridWith), each walked by its own LoadPath: every point's
 // downstream root solve continues from the previous point's roots and its
-// quantile inversion warm-starts from the previous answer. Both carriers
-// are bit-exact (see LoadPath), so the points are identical to independent
-// per-point evaluation — SweepLoadsParallel relies on exactly that.
-func (m Model) SweepLoads(loads []float64) ([]SweepPoint, error) {
-	if len(loads) == 0 {
-		return nil, fmt.Errorf("%w: empty load list", ErrBadModel)
-	}
-	out := make([]SweepPoint, 0, len(loads))
-	path := m.NewLoadPath()
-	for _, rho := range loads {
-		if !(rho > 0) {
-			return nil, fmt.Errorf("%w: load %g", ErrBadModel, rho)
-		}
-		pt, err := path.Point(rho)
-		if err != nil {
-			// Stop at the first unstable point: the asymptote.
-			break
-		}
-		out = append(out, pt)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: no stable points in sweep of %s: %w", m, ErrUnstable)
-	}
-	return out, nil
+// quantile inversion warm-starts from the previous answer. Both carriers are
+// bit-exact, so the points are identical to independent per-point
+// evaluation at any worker count. One worker walks the whole grid inline.
+func (m Model) SweepLoads(loads []float64, workers int) ([]SweepPoint, error) {
+	return m.SweepGridWith(loads, workers, func() func(rho float64) (SweepPoint, error) {
+		return m.NewLoadPath().Point
+	})
 }
 
 // SweepGridWith evaluates the curve with caller-supplied point evaluators
 // fanned out over a worker pool — the one owner of the serial sweep
-// semantics every front end shares (SweepLoadsParallel plugs in a LoadPath
-// walk; the daemon's /v1/sweep plugs in its memoized one). chain is called
+// semantics every front end shares (SweepLoads plugs in a LoadPath walk;
+// the daemon's /v1/sweep plugs in its memoized one). chain is called
 // once per worker and returns that worker's point evaluator, so each worker
 // can carry per-chain continuation state (a LoadPath) without
 // synchronization: the grid is split into contiguous chunks, one chain per
@@ -126,25 +110,31 @@ func (m Model) SweepGridWith(loads []float64, workers int,
 	return out, nil
 }
 
-// SweepLoadsParallel evaluates the same curve as SweepLoads with the grid
-// split into per-worker chunks, each walked by its own LoadPath chain,
-// byte-identical to SweepLoads' points at any worker count.
-func (m Model) SweepLoadsParallel(loads []float64, workers int) ([]SweepPoint, error) {
-	return m.SweepGridWith(loads, workers, func() func(rho float64) (SweepPoint, error) {
-		return m.NewLoadPath().Point
-	})
-}
+// maxSweepPoints caps the length of a load grid: far beyond the paper's
+// 18-point figure axis, and small enough that no single request can run a
+// process out of memory or time.
+const maxSweepPoints = 1000
 
 // LoadGrid returns the closed load range [from, to] in step increments
-// (with an epsilon so the endpoint survives rounding). It is the one grid
-// builder behind both the CLI's sweep command and the daemon's /v1/sweep,
-// so the two can never disagree about a grid's endpoints. Points are built
-// by index — from + i*step, one rounding per point — rather than by
-// accumulation, so a grid value does not depend on how many points precede
-// it and drift does not grow with the grid's length.
+// (with an epsilon so the endpoint survives rounding), or nil when
+// CheckLoadGrid refuses the range. Points are built by index —
+// from + i*step, one rounding per point — rather than by accumulation, so a
+// grid value does not depend on how many points precede it and drift does
+// not grow with the grid's length.
 func LoadGrid(from, to, step float64) []float64 {
-	if !(step > 0) || math.IsNaN(from) || math.IsNaN(to) {
-		return nil
+	loads, _ := CheckLoadGrid(from, to, step)
+	return loads
+}
+
+// CheckLoadGrid is LoadGrid with the reason for a refusal: from, to and
+// step must be finite, from and step positive, to >= from, and the grid at
+// most maxSweepPoints long; anything else is ErrBadModel. It is the one
+// range check behind both the CLI's sweep command and the daemon's
+// /v1/sweep, so the two can never disagree about a grid.
+func CheckLoadGrid(from, to, step float64) ([]float64, error) {
+	if math.IsInf(from, 0) || math.IsInf(to, 0) || math.IsInf(step, 0) ||
+		!(step > 0) || !(from > 0) || !(to >= from) {
+		return nil, fmt.Errorf("%w: bad sweep range [%g, %g] step %g", ErrBadModel, from, to, step)
 	}
 	var loads []float64
 	for i := 0; ; i++ {
@@ -152,9 +142,13 @@ func LoadGrid(from, to, step float64) []float64 {
 		if r > to+1e-12 {
 			break
 		}
+		if i == maxSweepPoints {
+			return nil, fmt.Errorf("%w: sweep range [%g, %g] step %g exceeds %d points",
+				ErrBadModel, from, to, step, maxSweepPoints)
+		}
 		loads = append(loads, r)
 	}
-	return loads
+	return loads, nil
 }
 
 // PaperLoadGrid returns the load axis used by Figures 3-4: 5% to 90% in 5%

@@ -154,7 +154,7 @@ func Figure3(jobs int) (FigureRTTResult, error) {
 			m.ServerPacketBytes = 125
 			m.BurstInterval = 0.060
 			m.ErlangOrder = k
-			pts, err := m.SweepLoadsParallel(loads, jobs)
+			pts, err := m.SweepLoads(loads, jobs)
 			if err != nil {
 				return Series{}, err
 			}
@@ -191,7 +191,7 @@ func Figure4(jobs int) (FigureRTTResult, error) {
 			m.ServerPacketBytes = 125
 			m.BurstInterval = tms / 1000
 			m.ErlangOrder = 9
-			pts, err := m.SweepLoadsParallel(loads, jobs)
+			pts, err := m.SweepLoads(loads, jobs)
 			if err != nil {
 				return curve{}, err
 			}

@@ -93,7 +93,7 @@ func (s Sum) Tail(x float64) float64 { return s.TailWS(x, nil) }
 
 // sharpestDecay returns the largest pole magnitude of A: the sharpest decay
 // rate, which sets the quadrature resolution. It depends only on the law, so
-// batch evaluation hoists it out of the per-abscissa loop.
+// an inversion hoists it out of its per-probe loop.
 func (s Sum) sharpestDecay() float64 {
 	sharp := 0.0
 	for _, t := range s.A.Terms {
@@ -126,27 +126,8 @@ func (s Sum) TailWS(x float64, ws *Workspace) float64 {
 	return s.tailAt(x, ws, s.sharpestDecay())
 }
 
-// TailBatchWS evaluates the tail at every abscissa in xs, writing
-// P(X+Y > xs[i]) into out[i] (len(out) must be >= len(xs)). Each result is
-// bit-identical to a standalone TailWS call: every value the ladder (or the
-// per-abscissa fallback) produces is a pure function of the law and the
-// abscissa, never of the visit order. What the batch amortizes is the
-// per-probe overhead — one workspace borrow, one decay-rate scan, one
-// ladder-tag check per probe instead of a pool round-trip — on top of the
-// ladder's own prefix sharing across the batch's abscissae.
-func (s Sum) TailBatchWS(xs []float64, out []float64, ws *Workspace) {
-	ws, pooled := borrowWS(ws)
-	if pooled {
-		defer releaseWS(ws)
-	}
-	sharp := s.sharpestDecay()
-	for i, x := range xs {
-		out[i] = s.tailAt(x, ws, sharp)
-	}
-}
-
 // tailAt is TailWS with the decay-rate scan hoisted: sharp must be
-// s.sharpestDecay(). Batch callers compute it once per law.
+// s.sharpestDecay(). Quantile computes it once per inversion.
 func (s Sum) tailAt(x float64, ws *Workspace, sharp float64) float64 {
 	if x < 0 {
 		return s.TotalMass()
@@ -518,28 +499,5 @@ func gridTailReal(t Term, x, h float64, n int, g []float64) {
 // CDF returns TotalMass - Tail(x).
 func (s Sum) CDF(x float64) float64 { return s.TotalMass() - s.Tail(x) }
 
-// Quantile inverts the tail (see invertTail): a cold QuantileHint.
-func (s Sum) Quantile(p float64) (float64, error) { return s.QuantileHint(p, nil) }
-
-// QuantileHint is Quantile with an optional warm start carried in hint (see
-// TailHint): a QuantileHintWS drawing its workspace from the pool.
-func (s Sum) QuantileHint(p float64, hint *TailHint) (float64, error) {
-	return s.QuantileHintWS(p, hint, nil)
-}
-
-// QuantileHintWS is QuantileHint with the quadrature workspace supplied by
-// the caller (nil borrows a pooled one). One workspace backs every tail
-// evaluation of the inversion, so the Simpson grids are allocated once per
-// call, not once per bracket probe — and a caller walking many inversions
-// (a load sweep, a dimensioning bisection) keeps the grids warm across
-// points by holding one workspace for the whole walk.
-func (s Sum) QuantileHintWS(p float64, hint *TailHint, ws *Workspace) (float64, error) {
-	ws, pooled := borrowWS(ws)
-	if pooled {
-		defer releaseWS(ws)
-	}
-	sharp := s.sharpestDecay()
-	tail := func(x float64) float64 { return s.tailAt(x, ws, sharp) }
-	batch := func(xs, out []float64) { s.TailBatchWS(xs, out, ws) }
-	return invertTail(tail, batch, s.Mean(), p, 1e-10, hint)
-}
+// Quantile inverts the tail cold: Quantile(s, p, nil).
+func (s Sum) Quantile(p float64) (float64, error) { return s.quantile(p, nil) }

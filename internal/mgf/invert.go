@@ -23,44 +23,64 @@ import (
 //     inverse-quadratic steps converge in a handful of evaluations where
 //     blind bisection needed dozens.
 //
-// A TailHint from a previous inversion only moves the stage-1 walk's
-// starting rung: a cold inversion scans k upward from 0, a warm one starts
-// at the hint's rung and walks up or down to the same canonical k. Either
-// way stage 2 sees the same bracket and the same endpoint values, so a warm
-// start changes how much work is done, never what is computed.
-
-// TailHint carries warm-start state between successive quantile inversions
-// on related laws — e.g. a load sweep, where consecutive grid points' laws
-// have nearby quantiles, so the previous answer points at the right rung of
-// the next bracket search. The zero value is an empty hint. A TailHint must
-// not be shared between concurrent inversions.
-type TailHint struct {
-	x  float64
-	ok bool
-}
-
-// Set records x (a solved quantile) as the hint for the next inversion.
-func (h *TailHint) Set(x float64) { h.x, h.ok = x, true }
-
-// Clear empties the hint.
-func (h *TailHint) Clear() { h.ok = false }
+// A workspace carries the previous inversion's answer as a tail hint, which
+// only moves the stage-1 walk's starting rung: a cold inversion scans k
+// upward from 0, a warm one starts at the hint's rung and walks up or down
+// to the same canonical k. Either way stage 2 sees the same bracket and the
+// same endpoint values, so a warm start changes how much work is done, never
+// what is computed.
 
 // maxDoubling caps the dyadic bracket search: 2^200 means away from the
 // mean, far beyond any law with a finite tail.
 const maxDoubling = 200
 
+// Quantile returns the smallest x >= 0 with l.Tail(x) <= 1-p for a Mix or a
+// Sum. ws carries one walk's state between inversions: the quadrature
+// scratch and ladder of Sum tails, and the previous answer as the tail hint
+// that warm-starts the next bracket search. A load sweep or a dimensioning
+// bisection holds one workspace for the whole walk; nil borrows a pooled
+// workspace, which always starts cold. Warm and cold inversions return the
+// same bits.
+func Quantile(l Law, p float64, ws *Workspace) (float64, error) {
+	switch v := l.(type) {
+	case Mix:
+		return v.quantile(p, ws)
+	case Sum:
+		return v.quantile(p, ws)
+	default:
+		return 0, fmt.Errorf("%w: no inversion for law type %T", ErrInvalid, l)
+	}
+}
+
+// quantile is Quantile for a Mix. Its closed-form tail needs no scratch,
+// so ws only carries the hint and nil means a cold inversion.
+func (m Mix) quantile(p float64, ws *Workspace) (float64, error) {
+	var hint *float64
+	if ws != nil {
+		hint = &ws.hint
+	}
+	return invertTail(m.Tail, m.Mean(), p, 1e-12, hint)
+}
+
+// quantile is Quantile for a Sum: every tail evaluation of the inversion
+// draws on one workspace.
+func (s Sum) quantile(p float64, ws *Workspace) (float64, error) {
+	ws, pooled := borrowWS(ws)
+	if pooled {
+		defer releaseWS(ws)
+	}
+	sharp := s.sharpestDecay()
+	tail := func(x float64) float64 { return s.tailAt(x, ws, sharp) }
+	return invertTail(tail, s.Mean(), p, 1e-10, &ws.hint)
+}
+
 // invertTail returns the smallest x >= 0 with Tail(x) <= 1-p, for a
 // monotone nonincreasing tail function. mean seeds the dyadic bracket
 // (non-positive values fall back to 1, matching the historical behavior),
-// tol is the absolute-plus-relative convergence tolerance, and hint may
-// carry a warm start (nil means cold). tailBatch, when non-nil, evaluates
-// the tail at several abscissae sharing per-law setup (Sum.TailBatchWS);
-// the stage-1 walk uses it to probe bracket rungs in pairs. Every batched
-// value equals the corresponding tail(x) bit for bit, and an overshot
-// second probe is discarded, so batching changes only cost — the canonical
-// bracket and the root are unchanged. On success the hint is updated with
-// the solved abscissa.
-func invertTail(tail func(float64) float64, tailBatch func(xs, out []float64), mean, p, tol float64, hint *TailHint) (float64, error) {
+// tol is the absolute-plus-relative convergence tolerance, and hint, when
+// non-nil, holds the previous solved abscissa (0 means none) and receives
+// this one.
+func invertTail(tail func(float64) float64, mean, p, tol float64, hint *float64) (float64, error) {
 	if !(p > 0 && p < 1) {
 		return 0, fmt.Errorf("%w: quantile level %g", ErrInvalid, p)
 	}
@@ -75,56 +95,21 @@ func invertTail(tail func(float64) float64, tailBatch func(xs, out []float64), m
 	rung := func(j int) float64 { return math.Ldexp(step, j) } // step·2^j, exact
 
 	// Stage 1: find the canonical k — the smallest j >= 0 with
-	// Tail(rung(j)) <= target — walking from j0: 0 when cold, the hint's
-	// rung when warm. Rung values the walk evaluates next to k are kept so
-	// stage 2 does not re-evaluate its endpoints.
+	// Tail(rung(j)) <= target — walking one rung at a time from j0: 0 when
+	// cold, the hint's rung when warm. Rung values the walk evaluates next
+	// to k are kept so stage 2 does not re-evaluate its endpoints.
 	j0 := 0
-	if hint != nil && hint.ok && hint.x > step {
-		j0 = int(math.Floor(math.Log2(hint.x / step)))
-		if j0 < 0 {
-			j0 = 0
-		}
-		if j0 > maxDoubling {
-			j0 = maxDoubling
-		}
+	if hint != nil && *hint > step {
+		j0 = max(0, min(int(math.Floor(math.Log2(*hint/step))), maxDoubling))
 	}
 	k := -1
 	var vlo, vhi float64 // tail at rung(k-1) (or 0), rung(k)
 	vloOK := false
 	v0 := tail(rung(j0))
 	if v0 > target {
-		// Walk up to the first rung at or under the target. On a warm walk
-		// the first probe past j0 is single (the hint usually lands one rung
-		// under the answer, so the walk stops there); a cold walk has no such
-		// expectation and batches from its first step. From then on a batch
-		// evaluator probes two rungs per call — a long walk pays the
-		// per-probe setup half as often, a pair straddling the canonical k
-		// supplies both bracket endpoints in one call, and under a shared
-		// quadrature ladder the pair extends the grid prefix once for both
-		// rungs. Batched values equal single-probe values bit for bit, so
-		// pairing changes only cost.
-		cold := hint == nil || !hint.ok
+		// Walk up to the first rung at or under the target.
 		prev := v0
-		j := j0 + 1
-		for j <= maxDoubling {
-			if tailBatch != nil && (j > j0+1 || cold) && j < maxDoubling {
-				var xs, vs [2]float64
-				xs[0], xs[1] = rung(j), rung(j+1)
-				tailBatch(xs[:], vs[:])
-				if vs[0] <= target {
-					k, vhi = j, vs[0]
-					vlo, vloOK = prev, true
-					break
-				}
-				if vs[1] <= target {
-					k, vhi = j+1, vs[1]
-					vlo, vloOK = vs[0], true
-					break
-				}
-				prev = vs[1]
-				j += 2
-				continue
-			}
+		for j := j0 + 1; j <= maxDoubling; j++ {
 			v := tail(rung(j))
 			if v <= target {
 				k, vhi = j, v
@@ -132,7 +117,6 @@ func invertTail(tail func(float64) float64, tailBatch func(xs, out []float64), m
 				break
 			}
 			prev = v
-			j++
 		}
 		if k < 0 {
 			return 0, fmt.Errorf("%w: tail does not reach %g", ErrInvalid, target)
@@ -178,7 +162,7 @@ func invertTail(tail func(float64) float64, tailBatch func(xs, out []float64), m
 		return 0, fmt.Errorf("%w: tail not monotone near %g", ErrInvalid, lo)
 	}
 	if hint != nil && x > 0 {
-		hint.Set(x)
+		*hint = x
 	}
 	return x, nil
 }

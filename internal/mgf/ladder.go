@@ -249,7 +249,7 @@ func (ld *ladder) build(a, b Mix, sharp float64, fp uint64, ws *Workspace) {
 		for i, ta := range a.Terms {
 			if pairMulError(ta, tb) < cfPairBudget {
 				// Closed form: Tail_{ta⊗tb}(x) - mass(tb)·Tail_ta(x).
-				pair := MulWS(Mix{Terms: []Term{ta}}, Mix{Terms: []Term{tb}}, ws)
+				pair := mulWS(Mix{Terms: []Term{ta}}, Mix{Terms: []Term{tb}}, ws)
 				for _, t := range pair.Terms {
 					ld.closed.AddTerm(t.Pole, t.Coef)
 				}

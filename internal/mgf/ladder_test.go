@@ -277,19 +277,20 @@ func BenchmarkTailLadder(b *testing.B) {
 }
 
 // BenchmarkQuantileBracketWalk measures one cold quantile inversion — the
-// dyadic bracket walk plus Brent refinement — with a caller-held workspace,
-// the unit of work the load sweep's warm-started chain repeats per grid
-// point.
+// dyadic bracket walk plus Brent refinement — with a caller-held workspace
+// whose tail hint is cleared before every run, the unit of work the load
+// sweep's warm-started chain repeats per grid point.
 func BenchmarkQuantileBracketWalk(b *testing.B) {
 	s := Sum{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, 0.25)}
 	ws := new(Workspace)
-	if _, err := s.QuantileHintWS(0.99999, nil, ws); err != nil {
+	if _, err := Quantile(s, 0.99999, ws); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QuantileHintWS(0.99999, nil, ws); err != nil {
+		ws.hint = 0
+		if _, err := Quantile(s, 0.99999, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

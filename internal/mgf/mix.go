@@ -212,16 +212,8 @@ func (m Mix) PDF(x float64) float64 {
 }
 
 // Quantile returns the smallest x >= 0 with P(X <= x) >= p, assuming the mix
-// is a normalized probability law: a cold QuantileHint.
-func (m Mix) Quantile(p float64) (float64, error) { return m.QuantileHint(p, nil) }
-
-// QuantileHint is Quantile with an optional warm start carried in hint (see
-// TailHint): the bracket search skips tail evaluations the hint's verified
-// probe already settles, and the refinement inside the bracket is identical
-// either way, so a warm inversion returns the same bits as a cold one.
-func (m Mix) QuantileHint(p float64, hint *TailHint) (float64, error) {
-	return invertTail(m.Tail, nil, m.Mean(), p, 1e-12, hint)
-}
+// is a normalized probability law: a cold Quantile(m, p, nil).
+func (m Mix) Quantile(p float64) (float64, error) { return m.quantile(p, nil) }
 
 // DominantPole returns the pole with the smallest real part (the slowest
 // exponential decay) and its total coefficient ladder, or ok=false for a
@@ -269,16 +261,16 @@ func (m Mix) DominantOnly() Mix {
 // Mul returns the MGF product of a and b: the law of the sum of independent
 // X ~ a and Y ~ b. This is the Appendix A machinery: cross products of
 // Erlang terms are re-expanded by partial fractions around each pole; equal
-// poles merge exactly (Erlang orders add). One-shot convenience form of
-// MulWS (scratch comes from the package pool).
-func Mul(a, b Mix) Mix { return MulWS(a, b, nil) }
+// poles merge exactly (Erlang orders add). One-shot form of mulWS (scratch
+// comes from the package pool).
+func Mul(a, b Mix) Mix { return mulWS(a, b, nil) }
 
-// MulWS is Mul with the inner loops' scratch (coefficient ladders, Taylor
+// mulWS is Mul with the inner loops' scratch (coefficient ladders, Taylor
 // coefficients, pole powers) drawn from ws instead of allocated per cross
 // term, so a pipeline multiplying many factor pairs reuses one set of
 // buffers. nil borrows a pooled workspace. The returned Mix owns its memory;
 // only intermediates live in ws.
-func MulWS(a, b Mix, ws *Workspace) Mix {
+func mulWS(a, b Mix, ws *Workspace) Mix {
 	ws, pooled := borrowWS(ws)
 	if pooled {
 		defer releaseWS(ws)

@@ -1,6 +1,7 @@
 package mgf
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -23,7 +24,7 @@ func testMixes() []Mix {
 	}
 }
 
-// TestMulWSMatchesMul pins that the workspace-reusing product is the same
+// TestMulWSMatchesMul pins that the workspace-reusing product mulWS is the same
 // arithmetic as the allocating one: every pairing, with ONE workspace
 // carried across all products (so stale scratch from a previous product
 // must never leak into the next), is bit-identical to Mul.
@@ -33,7 +34,7 @@ func TestMulWSMatchesMul(t *testing.T) {
 	for i, a := range mixes {
 		for j, b := range mixes {
 			want := Mul(a, b)
-			got := MulWS(a, b, ws)
+			got := mulWS(a, b, ws)
 			if got.Atom != want.Atom {
 				t.Errorf("(%d,%d): atom %v != %v", i, j, got.Atom, want.Atom)
 			}
@@ -100,21 +101,25 @@ func TestSumTailWSAllocs(t *testing.T) {
 	}
 }
 
-// TestQuantileHintBitIdentical is the warm-start contract at the law level:
-// inverting a ladder of laws with one hint threaded through (in order and
-// out of order) returns exactly the bits of independent cold inversions.
-func TestQuantileHintBitIdentical(t *testing.T) {
+// TestQuantileWorkspaceBitIdentical is the warm-start contract at the law
+// level: inverting a ladder of laws with one workspace threaded through (in
+// order and out of order, so its tail hint points both below and above the
+// next answer) returns exactly the bits of independent cold inversions.
+func TestQuantileWorkspaceBitIdentical(t *testing.T) {
 	// A ladder of stochastically growing laws, like a load sweep's.
 	var sums []Sum
 	for _, rate := range []float64{0.40, 0.32, 0.25, 0.18, 0.12, 0.32, 0.45} {
 		sums = append(sums, Sum{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, rate)})
 	}
 	for _, p := range []float64{0.99, 0.99999} {
-		var hint TailHint
+		var ws Workspace
 		for i, s := range sums {
-			warm, err := s.QuantileHint(p, &hint)
+			warm, err := Quantile(s, p, &ws)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ws.hint != warm {
+				t.Errorf("sum %d p=%v: workspace hint %v, want the answer %v", i, p, ws.hint, warm)
 			}
 			cold, err := s.Quantile(p)
 			if err != nil {
@@ -124,10 +129,10 @@ func TestQuantileHintBitIdentical(t *testing.T) {
 				t.Errorf("sum %d p=%v: warm %v != cold %v", i, p, warm, cold)
 			}
 		}
-		var mixHint TailHint
+		var mixWS Workspace
 		for i, r := range []float64{3, 2, 1.2, 0.8, 2.5} {
 			m := NewErlang(1, 4, r)
-			warm, err := m.QuantileHint(p, &mixHint)
+			warm, err := Quantile(m, p, &mixWS)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,49 +147,36 @@ func TestQuantileHintBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSumTailBatchWSBitIdentical pins the batch evaluator's contract: every
-// entry equals the standalone TailWS bits exactly — the batch amortizes the
-// per-probe setup (workspace borrow, decay-rate scan), never the grid.
-func TestSumTailBatchWSBitIdentical(t *testing.T) {
-	sums := []Sum{
-		{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, 0.25)},
-		{A: NewErlang(1, 9, 0.3), B: testMixes()[4]},
+// TestQuantileWorkspaceStartsCold pins the one-shot form: a pooled
+// workspace drops its previous borrower's tail hint, and a law type without
+// an inversion is an error, not a panic.
+func TestQuantileWorkspaceStartsCold(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		ws, pooled := borrowWS(nil)
+		if !pooled {
+			t.Fatal("nil workspace was not borrowed from the pool")
+		}
+		if ws.hint != 0 {
+			t.Errorf("borrow %d: pooled workspace carries hint %v", i, ws.hint)
+		}
+		ws.hint = 123 // a dirty workspace goes back to the pool
+		releaseWS(ws)
 	}
-	xs := []float64{0, 0.5, 5, 50, 200, 2000, 37.5, 5} // repeats and out-of-order on purpose
-	for si, s := range sums {
-		out := make([]float64, len(xs))
-		ws := new(Workspace)
-		s.TailBatchWS(xs, out, ws)
-		for i, x := range xs {
-			if want := s.Tail(x); out[i] != want {
-				t.Errorf("sum %d tail(%v): batch %v != standalone %v", si, x, out[i], want)
-			}
-		}
-		// nil workspace borrows from the pool; same bits.
-		out2 := make([]float64, len(xs))
-		s.TailBatchWS(xs, out2, nil)
-		for i := range xs {
-			if out2[i] != out[i] {
-				t.Errorf("sum %d probe %d: pooled-ws batch %v != explicit-ws %v", si, i, out2[i], out[i])
-			}
-		}
+	if _, err := Quantile(lawOnly{NewExponential(1, 2)}, 0.99, nil); !errors.Is(err, ErrInvalid) {
+		t.Errorf("Quantile of an opaque law: err %v, want ErrInvalid", err)
 	}
 }
 
-// BenchmarkSumTailBatch measures the batched tail evaluation the quantile
-// inversion's bracket walk uses, against the same probes evaluated one
-// TailWS call at a time.
+// BenchmarkSumTailBatch measures the probes of one bracket walk evaluated
+// one TailWS call at a time over a warm workspace.
 func BenchmarkSumTailBatch(b *testing.B) {
 	s := Sum{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, 0.25)}
 	xs := []float64{12.5, 25, 50, 100, 200, 400}
 	out := make([]float64, len(xs))
 	ws := new(Workspace)
-	s.TailBatchWS(xs, out, ws) // warm the grids
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.TailBatchWS(xs, out, ws)
-		}
-	})
+	for _, x := range xs {
+		s.TailWS(x, ws) // warm the grids
+	}
 	b.Run("pointwise", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j, x := range xs {

@@ -246,17 +246,18 @@ type SweepResult struct {
 // overlapping grids — and sweeps crossing scenarios /v1/rtt already
 // answered — reuse point evaluations instead of recomputing them. The curve
 // stops at the first unstable load (the asymptote), exactly like
-// core.SweepLoads.
+// core.SweepLoads. The range goes through core.CheckLoadGrid, so a
+// non-finite or over-long grid is core.ErrBadModel before any work starts.
 func (e *Engine) Sweep(sc scenario.Scenario, from, to, step float64) (SweepResult, bool, error) {
-	if !(step > 0) || !(from > 0) || to < from {
-		return SweepResult{}, false, fmt.Errorf("%w: bad sweep range [%g, %g] step %g",
-			core.ErrBadModel, from, to, step)
+	loads, err := core.CheckLoadGrid(from, to, step)
+	if err != nil {
+		return SweepResult{}, false, err
 	}
 	if err := sc.Validate(); err != nil {
 		return SweepResult{}, false, err
 	}
 	key := fmt.Sprintf("sweep|%s|%g|%g|%g", sc.Canonical(), from, to, step)
-	v, shared, err := e.memo(key, func() (any, error) { return e.computeSweep(sc, from, to, step) })
+	v, shared, err := e.memo(key, func() (any, error) { return e.computeSweep(sc, loads, from, to, step) })
 	if err != nil {
 		return SweepResult{}, false, err
 	}
@@ -338,8 +339,8 @@ func (e *Engine) pointAt(path *core.LoadPath, sc scenario.Scenario, rho float64)
 // core.SweepGridWith, which owns the serial semantics (error on an invalid
 // load before the asymptote, stop at the first unstable point) for the CLI
 // and the daemon alike.
-func (e *Engine) computeSweep(sc scenario.Scenario, from, to, step float64) (SweepResult, error) {
-	pts, err := sc.Model().SweepGridWith(core.LoadGrid(from, to, step), e.jobs,
+func (e *Engine) computeSweep(sc scenario.Scenario, loads []float64, from, to, step float64) (SweepResult, error) {
+	pts, err := sc.Model().SweepGridWith(loads, e.jobs,
 		func() func(rho float64) (core.SweepPoint, error) {
 			path := sc.Model().NewLoadPath()
 			return func(rho float64) (core.SweepPoint, error) {

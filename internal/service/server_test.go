@@ -179,6 +179,43 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepRangeBounded pins the daemon's sweep range check: an infinite
+// bound and a step that would need a million points are 400s answered
+// before any work, and the 1000-point edge is served.
+func TestSweepRangeBounded(t *testing.T) {
+	srv, ts := newTestServer(t, 2)
+	for _, q := range []string{
+		"from=0.05&to=Inf&step=0.05",
+		"from=0.05&to=0.9&step=1e-6",
+		"from=0.05&to=0.55&step=0.0005", // 1000 points plus one
+		"from=NaN",
+		"step=-Inf",
+	} {
+		resp, body := do(t, http.MethodGet, ts.URL+"/v1/sweep?"+q, "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET /v1/sweep?%s: status %d, want 400: %.200s", q, resp.StatusCode, body)
+		}
+	}
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/sweep", `{"from": 0.05, "to": 0.9, "step": 1e-6}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST fine-step sweep: status %d, want 400: %.200s", resp.StatusCode, body)
+	}
+	if n := srv.engine.Computes(); n != 0 {
+		t.Errorf("refused sweeps computed %d points", n)
+	}
+	resp, body = do(t, http.MethodGet, ts.URL+"/v1/sweep?from=0.05&to=0.5495&step=0.0005", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("1000-point sweep: status %d: %.200s", resp.StatusCode, body)
+	}
+	var res SweepResult
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 1000 {
+		t.Errorf("1000-point sweep returned %d points", len(res.Points))
+	}
+}
+
 func TestDimensionEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, 2)
 	respQ, bodyQ := do(t, http.MethodGet, ts.URL+"/v1/dimension?ps=125&t=60&k=9&bound=50", "")

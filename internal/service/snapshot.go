@@ -23,9 +23,13 @@ const cacheSchemaVersion = 1
 
 // SchemaKey returns the build-stamped schema string every snapshot this
 // binary writes is keyed by, and the only schema it accepts back. It folds
-// in the snapshot codec version, the Go toolchain and the VCS revision
-// (plus a dirty marker), so a binary with changed model code rejects stale
-// snapshots instead of serving answers the current code would not compute.
+// in the snapshot codec version, the Go toolchain, the target architecture
+// and the VCS revision (plus a dirty marker), so a binary with changed model
+// code rejects stale snapshots instead of serving answers the current code
+// would not compute. The architecture is part of the key because the Go
+// spec lets the compiler fuse multiply-adds, and it does so on some
+// architectures (arm64) but not others (amd64): a replica must not serve
+// bytes computed under another architecture's rounding.
 // Builds without VCS stamping (go test, go run from a plain directory)
 // share the "dev" stamp — fine for tests, which compare within one build.
 func SchemaKey() string { return schemaKey() }
@@ -50,7 +54,7 @@ var schemaKey = sync.OnceValue(func() string {
 			rev = bi.Main.Sum
 		}
 	}
-	return fmt.Sprintf("fpsping-cache|v%d|%s|%s", cacheSchemaVersion, runtime.Version(), rev)
+	return fmt.Sprintf("fpsping-cache|v%d|%s|%s|%s", cacheSchemaVersion, runtime.Version(), runtime.GOARCH, rev)
 })
 
 // pointSnapshot is pointMemo's wire form: the compiled pipeline is dropped

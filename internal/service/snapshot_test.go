@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"net/http"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"fpsping/internal/scenario"
@@ -185,6 +188,43 @@ func TestCacheWarmRejectsBadSnapshots(t *testing.T) {
 				t.Errorf("cache header %q after rejected warm, want miss", h)
 			}
 		})
+	}
+}
+
+// TestSchemaKeyCarriesArch pins the architecture stamp: the key names the
+// GOARCH this binary was built for.
+func TestSchemaKeyCarriesArch(t *testing.T) {
+	fields := strings.Split(SchemaKey(), "|")
+	if !slices.Contains(fields, runtime.GOARCH) {
+		t.Errorf("schema key %q lacks GOARCH %q", SchemaKey(), runtime.GOARCH)
+	}
+}
+
+// TestCacheWarmRejectsOtherArch: a snapshot whose schema key differs from
+// this binary's only in the architecture is refused with the cache
+// untouched, so an amd64 dump never warms an arm64 replica.
+func TestCacheWarmRejectsOtherArch(t *testing.T) {
+	donorSrv, donor := newTestServer(t, 1)
+	fill(t, donor.URL)
+	other := "arm64"
+	if runtime.GOARCH == other {
+		other = "amd64"
+	}
+	key := strings.Replace(SchemaKey(), "|"+runtime.GOARCH+"|", "|"+other+"|", 1)
+	if key == SchemaKey() {
+		t.Fatalf("schema key %q has no |%s| field to swap", key, runtime.GOARCH)
+	}
+	var snap bytes.Buffer
+	if _, err := donorSrv.engine.cache.Dump(&snap, key, engineCodec{}); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, 1)
+	resp, body := warmCache(t, ts.URL, snap.Bytes())
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if n := srv.engine.CacheDetail().Entries; n != 0 {
+		t.Errorf("other-arch snapshot left %d cache entries", n)
 	}
 }
 
