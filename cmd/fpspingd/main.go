@@ -2,8 +2,8 @@
 // daemon: the operational counterpart of the fpsping CLI. An ISP or game
 // operator can ask "what ping will gamers see at this load, and how many
 // fit under 50 ms?" millions of times without re-running a computation —
-// repeated scenarios are answered from a lock-striped LRU memo cache
-// (internal/memo; -cache total entries, -shards stripes).
+// repeated scenarios are answered from an exact LRU memo cache
+// (internal/memo; -cache entries).
 //
 // Endpoints (scenario parameters are the CLI flags, as JSON keys or query
 // parameters — see internal/scenario):
@@ -46,7 +46,6 @@ type config struct {
 	addr          string
 	jobs          int
 	cacheSize     int
-	shards        int
 	drain         time.Duration
 	pprofAddr     string
 	snapshot      string
@@ -64,9 +63,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:7900", "listen address (host:port; port 0 picks a free port)")
 	fs.IntVar(&cfg.jobs, "jobs", runner.DefaultWorkers(),
 		"worker pool size for batch and sweep fan-out (responses are identical at any value)")
-	fs.IntVar(&cfg.cacheSize, "cache", service.DefaultCacheSize, "memo cache capacity in entries (total across shards)")
-	fs.IntVar(&cfg.shards, "shards", 0,
-		"memo cache shard count, rounded up to a power of two (0 = GOMAXPROCS-rounded)")
+	fs.IntVar(&cfg.cacheSize, "cache", service.DefaultCacheSize, "memo cache capacity in entries")
 	fs.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "",
 		"serve net/http/pprof on this address (host:port; empty = disabled). Keep it loopback-only: the profiler is unauthenticated.")
@@ -92,7 +89,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	for _, f := range []struct {
 		name  string
 		value int
-	}{{"jobs", cfg.jobs}, {"cache", cfg.cacheSize}, {"shards", cfg.shards}} {
+	}{{"jobs", cfg.jobs}, {"cache", cfg.cacheSize}} {
 		if f.value < 0 {
 			err := fmt.Errorf("fpspingd: -%s %d is negative (0 means the default)", f.name, f.value)
 			fmt.Fprintln(stderr, err)
@@ -120,7 +117,7 @@ func run(cfg config) error {
 	// One process-wide budget: nested fan-outs (a batch of sweeps) share
 	// -jobs instead of multiplying it.
 	runner.SetMaxParallel(cfg.jobs)
-	engine := service.NewEngine(cfg.jobs, cfg.cacheSize, service.WithShards(cfg.shards))
+	engine := service.NewEngine(cfg.jobs, cfg.cacheSize)
 	if cfg.snapshot != "" {
 		loadSnapshot(engine, cfg.snapshot)
 	}
@@ -128,8 +125,8 @@ func run(cfg config) error {
 	if err := srv.Listen(); err != nil {
 		return err
 	}
-	log.Printf("fpspingd: listening on http://%s (jobs=%d cache=%d shards=%d)",
-		srv.Addr(), cfg.jobs, cfg.cacheSize, engine.Shards())
+	log.Printf("fpspingd: listening on http://%s (jobs=%d cache=%d)",
+		srv.Addr(), cfg.jobs, cfg.cacheSize)
 
 	// The profiler gets its own listener and mux, never the service port: it
 	// is off by default, unauthenticated when on, and must not change the
@@ -157,7 +154,7 @@ func run(cfg config) error {
 
 	// Periodic snapshots bound what a hard kill (OOM, SIGKILL, power loss)
 	// can cost: without them the cache only persists on graceful shutdown
-	// and a killed daemon reboots cold. Dump holds each shard lock only
+	// and a killed daemon reboots cold. Dump holds the cache lock only
 	// while copying entries out, so a snapshot under load does not stall
 	// serving (see the dump-cost note on snapshotLoop).
 	snapDone := make(chan struct{})
@@ -206,8 +203,8 @@ func run(cfg config) error {
 // logged and retried at the next tick — transient disk pressure must not
 // kill a serving daemon. Measured dump cost (TestSnapshotDumpCost: full
 // writeSnapshot including fsync, 256 entries / ~100 KB): ~7 ms, with the
-// shard locks held only for the in-memory copy-out — serving sees at most
-// a brief per-shard pause per tick, never the disk.
+// cache lock held only for the in-memory copy-out — serving sees at most a
+// brief pause per tick, never the disk.
 func snapshotLoop(ctx context.Context, engine *service.Engine, path string, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()

@@ -14,7 +14,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("defaults rejected: %v (%s)", err, errOut.String())
 	}
-	if cfg.addr != "127.0.0.1:7900" || cfg.shards != 0 || cfg.drain != 10*time.Second {
+	if cfg.addr != "127.0.0.1:7900" || cfg.drain != 10*time.Second {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if cfg.pprofAddr != "" {
@@ -22,16 +22,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	}
 	if cfg.jobs < 1 || cfg.cacheSize < 1 {
 		t.Errorf("defaults = %+v", cfg)
-	}
-}
-
-func TestParseFlagsShards(t *testing.T) {
-	cfg, err := parseFlags([]string{"-shards", "16", "-cache", "1024", "-jobs", "4"}, &strings.Builder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.shards != 16 || cfg.cacheSize != 1024 || cfg.jobs != 4 {
-		t.Errorf("parsed = %+v", cfg)
 	}
 }
 
@@ -46,13 +36,12 @@ func TestParseFlagsPprof(t *testing.T) {
 }
 
 // TestParseFlagsRejectsNegatives pins the startup contract: a negative
-// -cache, -jobs or -shards is a usage error, not a value to silently coerce
-// into a default.
+// -cache or -jobs is a usage error, not a value to silently coerce into a
+// default.
 func TestParseFlagsRejectsNegatives(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cache", "-1"},
 		{"-jobs", "-4"},
-		{"-shards", "-8"},
 	} {
 		var errOut strings.Builder
 		if _, err := parseFlags(args, &errOut); err == nil {
@@ -60,12 +49,12 @@ func TestParseFlagsRejectsNegatives(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "negative") {
 			t.Errorf("args %v: error %v does not name the problem", args, err)
 		}
-		if !strings.Contains(errOut.String(), "Usage") && !strings.Contains(errOut.String(), "-shards") {
+		if !strings.Contains(errOut.String(), "Usage") {
 			t.Errorf("args %v: usage not printed:\n%s", args, errOut.String())
 		}
 	}
 	// Zero still means "use the default" everywhere.
-	if _, err := parseFlags([]string{"-cache", "0", "-jobs", "0", "-shards", "0"}, &strings.Builder{}); err != nil {
+	if _, err := parseFlags([]string{"-cache", "0", "-jobs", "0"}, &strings.Builder{}); err != nil {
 		t.Errorf("zero values rejected: %v", err)
 	}
 }
@@ -78,7 +67,19 @@ func TestParseFlagsHelpIsNotAnError(t *testing.T) {
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h returned %v, want flag.ErrHelp", err)
 	}
-	if !strings.Contains(out.String(), "-shards") {
+	if !strings.Contains(out.String(), "-snapshot-interval") {
 		t.Errorf("usage text missing flags:\n%s", out.String())
+	}
+}
+
+// TestParseFlagsRejectsRetiredShards pins that the memo cache has no stripe
+// knob any more: an old -shards is an unknown flag, not silently ignored.
+func TestParseFlagsRejectsRetiredShards(t *testing.T) {
+	var errOut strings.Builder
+	if _, err := parseFlags([]string{"-shards", "8"}, &errOut); err == nil {
+		t.Fatal("-shards accepted")
+	}
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -shards") {
+		t.Errorf("-shards not reported as an unknown flag:\n%s", errOut.String())
 	}
 }

@@ -118,7 +118,7 @@ func TestSnapshotDumpCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	entries, _, _ := eng.CacheStats()
+	entries := eng.CacheStats().Entries
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestLoadSnapshotToleratesBadFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadSnapshot(eng, garbage)
-	if entries, _, _ := eng.CacheStats(); entries != 0 {
+	if entries := eng.CacheStats().Entries; entries != 0 {
 		t.Errorf("bad snapshot left %d entries", entries)
 	}
 	// The engine still works after both failures.

@@ -83,7 +83,7 @@ func TestRunBootstrapLive(t *testing.T) {
 	if report.Restored == 0 {
 		t.Fatalf("bootstrap moved nothing (donor kept %d): %+v", report.Donors[0].Kept, report)
 	}
-	if entries, _, _ := targetEng.CacheStats(); entries != report.CacheEntries {
+	if entries := targetEng.CacheStats().Entries; entries != report.CacheEntries {
 		t.Errorf("target cache has %d entries, report says %d", entries, report.CacheEntries)
 	}
 	if n := targetEng.Computes(); n != 0 {

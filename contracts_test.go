@@ -1,0 +1,207 @@
+package fpsping_test
+
+import (
+	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// contract is one named behaviour contract of the system: the tests that
+// pin it (package directory and top-level Test or Fuzz function) and the
+// CI jobs in .github/workflows/ci.yml that gate it. A change that deletes
+// or renames code states "contracts unchanged" when this table and its
+// check still pass, or edits the table and says why.
+type contract struct {
+	id    string
+	what  string
+	tests []string // "dir:TestName", dir relative to the module root
+	jobs  []string // job ids under jobs: in ci.yml
+}
+
+var contracts = []contract{
+	{
+		id:   "golden-report",
+		what: "fpsping all reproduces testdata/golden/report.txt byte for byte at any -jobs",
+		tests: []string{
+			"internal/experiments:TestReportDeterministicAcrossWorkerCounts",
+		},
+		jobs: []string{"golden-report"},
+	},
+	{
+		id:   "cluster-sim-golden",
+		what: "fpsrouter -sim reproduces testdata/golden/cluster-sim.txt byte for byte at any -sim-jobs",
+		tests: []string{
+			"cmd/fpsrouter:TestSimGolden",
+			"internal/cluster:TestSimDeterministicAcrossJobs",
+		},
+		jobs: []string{"verify", "golden-report"},
+	},
+	{
+		id:   "warm-equals-cold",
+		what: "continued, workspace-reusing and cached evaluations are bit-identical to a cold evaluation",
+		tests: []string{
+			"internal/queueing:TestDEK1SolveFromBitIdenticalToSolve",
+			"internal/mgf:TestQuantileWorkspaceBitIdentical",
+			"internal/core:TestWarmStartBitIdentical",
+			"internal/core:TestLoadPathBitIdenticalToCold",
+			"internal/core:TestLoadPathWalksMatchCold",
+			"internal/service:TestRTTCacheHitIsByteIdentical",
+		},
+		jobs: []string{"verify"},
+	},
+	{
+		id:   "warm-replay",
+		what: "a daemon restored from a cache snapshot answers byte-identically, as hits, without recomputing",
+		tests: []string{
+			"internal/service:TestWarmRestartByteIdentical",
+			"internal/client:TestCacheDumpWarmRoundTrip",
+		},
+		jobs: []string{"verify", "warm-restart"},
+	},
+	{
+		id:   "computes-once",
+		what: "concurrent identical cold requests run one computation; errors are never cached",
+		tests: []string{
+			"internal/memo:TestDoComputesOncePerKey",
+			"internal/memo:TestPropertyConcurrentDoComputesOnce",
+			"internal/service:TestSingleflightComputesOnce",
+			"internal/service:TestEngineContentionStress",
+		},
+		jobs: []string{"verify", "race", "warm-restart"},
+	},
+	{
+		id:   "affinity-beats-random",
+		what: "scenario-affinity routing yields a higher cache hit ratio than random routing",
+		tests: []string{
+			"internal/cluster:TestSimAffinityBeatsRandom",
+			"internal/cluster:TestClusterAffinityBeatsRandomLive",
+		},
+		jobs: []string{"verify", "cluster-loadtest"},
+	},
+	{
+		id:   "finite-or-typed-error",
+		what: "any input the scenario vocabulary accepts yields a finite answer or a typed 400/422, never a panic or an unbounded run",
+		tests: []string{
+			"internal/scenario:FuzzFromQuery",
+			"internal/scenario:FuzzFromJSON",
+			"internal/service:TestRTTEndpointErrors",
+			"internal/service:TestSweepRangeBounded",
+			"cmd/fpsping:TestSweepRangeBounded",
+		},
+		jobs: []string{"verify", "fuzz"},
+	},
+	{
+		id:   "exact-lru",
+		what: "the memo cache holds exactly its capacity, evicts the cache-wide least recently used entry, and a snapshot restores whole in the same eviction order",
+		tests: []string{
+			"internal/memo:TestPropertyLRUMatchesReference",
+			"internal/memo:TestExactCapacityIgnoresShards",
+			"internal/memo:TestSnapshotAcrossShardCounts",
+			"internal/memo:TestSnapshotRestoresEvictionOrder",
+			"internal/service:TestLRUEviction",
+		},
+		jobs: []string{"verify", "race"},
+	},
+}
+
+// TestContractRegister checks that every registered test still exists as a
+// top-level Test or Fuzz function in its package's _test.go files, and that
+// every registered CI job is defined in the workflow.
+func TestContractRegister(t *testing.T) {
+	jobs := ciJobs(t, filepath.Join(".github", "workflows", "ci.yml"))
+	funcs := make(map[string]map[string]bool) // dir -> test function names
+	seen := make(map[string]bool)
+	for _, c := range contracts {
+		if c.id == "" || c.what == "" || len(c.tests) == 0 || len(c.jobs) == 0 {
+			t.Errorf("contract %q: needs an id, a description, tests and jobs", c.id)
+		}
+		if seen[c.id] {
+			t.Errorf("contract %q registered twice", c.id)
+		}
+		seen[c.id] = true
+		for _, ref := range c.tests {
+			dir, name, ok := strings.Cut(ref, ":")
+			if !ok {
+				t.Errorf("contract %q: test %q is not dir:TestName", c.id, ref)
+				continue
+			}
+			if funcs[dir] == nil {
+				funcs[dir] = testFuncs(t, dir)
+			}
+			if !funcs[dir][name] {
+				t.Errorf("contract %q: %s has no test %s", c.id, dir, name)
+			}
+		}
+		for _, job := range c.jobs {
+			if !jobs[job] {
+				t.Errorf("contract %q: ci.yml has no job %q", c.id, job)
+			}
+		}
+	}
+}
+
+// testFuncs returns the top-level Test and Fuzz functions declared in dir's
+// _test.go files.
+func testFuncs(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%s: no test files (%v)", dir, err)
+	}
+	out := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				out[fn.Name.Name] = true
+			}
+		}
+	}
+	return out
+}
+
+// ciJobs returns the job ids declared under the workflow's top-level jobs:
+// key: the two-space-indented keys that follow it.
+func ciJobs(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	key := regexp.MustCompile(`^  ([A-Za-z0-9_-]+):\s*$`)
+	out := make(map[string]bool)
+	inJobs := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "jobs:":
+			inJobs = true
+		case inJobs && line != "" && line[0] != ' ' && line[0] != '#':
+			inJobs = false
+		case inJobs:
+			if m := key.FindStringSubmatch(line); m != nil {
+				out[m[1]] = true
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: no jobs found", path)
+	}
+	return out
+}

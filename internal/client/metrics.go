@@ -2,7 +2,6 @@ package client
 
 import (
 	"fmt"
-	"strconv"
 
 	"fpsping/internal/metrics"
 )
@@ -26,19 +25,16 @@ type EndpointMetrics struct {
 	Quantiles         map[string]float64
 }
 
-// CacheMetrics is the engine cache's slice of a /metrics scrape: the shard
-// layout and occupancy gauges plus the aggregated lookup and eviction
-// counters. LookupHits/LookupMisses count cache probes (singleflight joiners
-// probe too), unlike the per-endpoint CacheHits, which count requests
-// answered without computing.
+// CacheMetrics is the engine cache's slice of a /metrics scrape: the
+// occupancy gauge plus the lookup and eviction counters.
+// LookupHits/LookupMisses count cache probes (singleflight joiners probe
+// too), unlike the per-endpoint CacheHits, which count requests answered
+// without computing.
 type CacheMetrics struct {
-	Shards       int
 	Entries      uint64
 	LookupHits   uint64
 	LookupMisses uint64
 	Evictions    uint64
-	// ShardEntries maps shard index to its occupancy.
-	ShardEntries map[int]uint64
 }
 
 // MetricsSnapshot is one parsed /metrics scrape. Two snapshots bracket a
@@ -66,8 +62,6 @@ func ParseMetrics(data []byte) (MetricsSnapshot, error) {
 		switch s.Family {
 		case metrics.Uptime:
 			snap.UptimeSeconds = s.Value
-		case metrics.CacheShards:
-			c.Shards = int(s.Value)
 		case metrics.CacheEntries:
 			c.Entries = n
 		case metrics.CacheLookupHits:
@@ -76,15 +70,6 @@ func ParseMetrics(data []byte) (MetricsSnapshot, error) {
 			c.LookupMisses = n
 		case metrics.CacheEvictions:
 			c.Evictions = n
-		case metrics.CacheShardEntries:
-			shard, err := strconv.Atoi(s.Label)
-			if err != nil {
-				return snap, fmt.Errorf("client: shard label %q: %w", s.Label, err)
-			}
-			if c.ShardEntries == nil {
-				c.ShardEntries = make(map[int]uint64)
-			}
-			c.ShardEntries[shard] = n
 		case metrics.Requests, metrics.RequestErrors, metrics.CacheHits, metrics.RequestLatency:
 			// Unlabeled request samples are the daemon's global aggregate;
 			// they file under "" until the end.

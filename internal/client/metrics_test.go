@@ -40,13 +40,10 @@ func TestParseMetricsRoundTrip(t *testing.T) {
 	rec.Observe("/v1/sweep", 40*time.Millisecond, false, true)
 	var daemon metrics.Page
 	rec.Collect(&daemon)
-	daemon.Add(metrics.CacheShards, "", 2)
 	daemon.Add(metrics.CacheEntries, "", 5)
 	daemon.Add(metrics.CacheLookupHits, "", uint64(1))
 	daemon.Add(metrics.CacheLookupMisses, "", uint64(2))
 	daemon.Add(metrics.CacheEvictions, "", uint64(0))
-	daemon.Add(metrics.CacheShardEntries, "0", 3)
-	daemon.Add(metrics.CacheShardEntries, "1", 2)
 
 	global, rtt, sweep := latencyOf(0.002, 0.003, 0.04), latencyOf(0.002, 0.003), latencyOf(0.04)
 	global.Requests, global.Errors, global.CacheHits = 3, 1, 1
@@ -55,8 +52,7 @@ func TestParseMetricsRoundTrip(t *testing.T) {
 	wantDaemon := MetricsSnapshot{
 		Global:    global,
 		Endpoints: map[string]EndpointMetrics{"/v1/rtt": rtt, "/v1/sweep": sweep},
-		Cache: CacheMetrics{Shards: 2, Entries: 5, LookupHits: 1, LookupMisses: 2,
-			ShardEntries: map[int]uint64{0: 3, 1: 2}},
+		Cache:     CacheMetrics{Entries: 5, LookupHits: 1, LookupMisses: 2},
 	}
 	got, err := ParseMetrics([]byte(daemon.String()))
 	if err != nil {
@@ -98,7 +94,8 @@ func TestParseMetricsRoundTrip(t *testing.T) {
 // TestParseMetricsUntypedPage pins version skew: a daemon page from the
 // release before the metrics registry (request families without # TYPE
 // lines, one block per endpoint) still parses to the snapshot that
-// release's own parser produced from it.
+// release's own parser produced from it. The page also carries the retired
+// cache shard families, which the parser skips.
 func TestParseMetricsUntypedPage(t *testing.T) {
 	page, err := os.ReadFile("testdata/daemon-page-untyped.txt")
 	if err != nil {

@@ -59,8 +59,8 @@ func (c *Client) CacheDump(ctx context.Context) ([]byte, error) {
 
 // CacheWarm uploads a snapshot into the daemon's memo cache (POST
 // /v1/cache:warm). Restoration never clobbers newer state: entries the
-// daemon already computed win, full shards skip archived entries rather
-// than evict live ones. A corrupt or schema-mismatched snapshot is an
+// daemon already computed win, and a full cache skips archived entries
+// rather than evicting live ones. A corrupt or schema-mismatched snapshot is an
 // *APIError with HTTP 400 and leaves the cache untouched.
 func (c *Client) CacheWarm(ctx context.Context, snapshot []byte) (service.WarmResult, error) {
 	data, _, err := c.rawBytes(ctx, http.MethodPost, "/v1/cache:warm", "application/octet-stream", bytes.NewReader(snapshot))

@@ -66,7 +66,7 @@ func TestCacheWarmBadSnapshotIsAPIError(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("want APIError 400, got %v", err)
 	}
-	if entries, _, _ := eng.CacheStats(); entries != 0 {
+	if entries := eng.CacheStats().Entries; entries != 0 {
 		t.Errorf("rejected snapshot left %d entries", entries)
 	}
 }

@@ -108,7 +108,7 @@ func TestClusterAffinityBeatsRandomLive(t *testing.T) {
 			// One RTT compute stores two cache entries (the result plus its
 			// continuation point), so "holds perReplica scenarios" means
 			// capacity 2*perReplica.
-			eng := service.NewEngine(2, 2*perReplica, service.WithShards(1))
+			eng := service.NewEngine(2, 2*perReplica)
 			srv := httptest.NewServer(service.NewServer("127.0.0.1:0", eng).Handler())
 			t.Cleanup(srv.Close)
 			names[i] = srv.URL

@@ -368,7 +368,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	rep.Cache = CacheReport{
 		RequestsBefore: reqB, HitsBefore: hitB,
 		RequestsAfter: reqA, HitsAfter: hitA,
-		Shards:         after.Cache.Shards,
 		EntriesAfter:   after.Cache.Entries,
 		EvictionsAfter: after.Cache.Evictions,
 	}

@@ -42,10 +42,8 @@ type CacheReport struct {
 	// Valid is false when no model-endpoint requests landed between the
 	// snapshots (e.g. a models-only mix).
 	Valid bool `json:"valid"`
-	// Shards, EntriesAfter and EvictionsAfter mirror the daemon's sharded
-	// memo-cache gauges at the closing scrape (zero against a daemon that
-	// predates them).
-	Shards         int    `json:"shards,omitempty"`
+	// EntriesAfter and EvictionsAfter mirror the daemon's memo-cache gauges
+	// at the closing scrape (zero against a router, which has no cache).
 	EntriesAfter   uint64 `json:"entries_after,omitempty"`
 	EvictionsAfter uint64 `json:"evictions_after,omitempty"`
 }
@@ -100,10 +98,6 @@ func (r *Report) Text() string {
 			r.Cache.RequestsBefore, r.Cache.RequestsAfter)
 	} else {
 		b.WriteString("cache        no model-endpoint traffic measured\n")
-	}
-	if r.Cache.Shards > 0 {
-		fmt.Fprintf(&b, "cache        %d shards, %d entries, %d evictions\n",
-			r.Cache.Shards, r.Cache.EntriesAfter, r.Cache.EvictionsAfter)
 	}
 	for _, rep := range r.Replicas {
 		state := "ready"

@@ -6,34 +6,29 @@ import (
 	"testing"
 )
 
-// BenchmarkMemoGetPut is the striping case in miniature: every goroutine
-// works a 90% hot-hit / 10% churn-put mix. Run with -cpu 1,4,8 the sharded
-// default should scale with cores where a single stripe serializes — the
-// shards=1 sub-benchmark is that old single-mutex behavior, kept as the
-// in-repo control.
+// BenchmarkMemoGetPut is lock contention in miniature: every goroutine works
+// a 90% hot-hit / 10% churn-put mix on one cache. Run with -cpu 1,4,8 it
+// shows what the single mutex costs as cores rise, so a lock regression
+// fails the paired gate at high -cpu even if -cpu 1 looks fine.
 func BenchmarkMemoGetPut(b *testing.B) {
 	const keys = 256
-	bench := func(b *testing.B, shards int) {
-		c := New[int](4096, shards)
-		hot := make([]string, keys)
-		for i := range hot {
-			hot[i] = fmt.Sprintf("key-%d", i)
-			c.Put(hot[i], i)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := rand.New(rand.NewSource(1))
-			i := 0
-			for pb.Next() {
-				i++
-				if i%10 == 0 {
-					c.Put(fmt.Sprintf("churn-%d", rng.Intn(keys)), i)
-				} else {
-					c.Get(hot[rng.Intn(keys)])
-				}
-			}
-		})
+	c := New[int](4096, 0)
+	hot := make([]string, keys)
+	for i := range hot {
+		hot[i] = fmt.Sprintf("key-%d", i)
+		c.Put(hot[i], i)
 	}
-	b.Run("shards=1", func(b *testing.B) { bench(b, 1) })
-	b.Run("sharded", func(b *testing.B) { bench(b, 0) })
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(1))
+		i := 0
+		for pb.Next() {
+			i++
+			if i%10 == 0 {
+				c.Put(fmt.Sprintf("churn-%d", rng.Intn(keys)), i)
+			} else {
+				c.Get(hot[rng.Intn(keys)])
+			}
+		}
+	})
 }

@@ -1,17 +1,16 @@
 // Package memo is the daemon's memoization core: a generic, fixed-capacity,
-// lock-striped LRU cache with per-shard singleflight coalescing. It is the
-// shared machinery behind internal/service's Engine (where repeated
-// Erlang/Mixture quantile bisections are the hot path) and usable by any
-// other layer that wants "compute once, share forever" semantics without a
-// global lock.
+// exact LRU cache with singleflight miss coalescing. It is the shared
+// machinery behind internal/service's Engine (where repeated Erlang/Mixture
+// quantile bisections are the hot path) and usable by any other layer that
+// wants "compute once, share forever" semantics.
 //
-// Keys are strings, hashed with FNV-1a onto a power-of-two shard count, so
-// independent keys contend only on their shard's mutex: N cores hammering a
-// warm cache scale with the shard count instead of serializing on one lock.
-// Each shard owns an LRU list, a hash map, hit/miss/eviction counters and a
-// singleflight table, all guarded by the shard mutex; computations themselves
-// run outside every lock, so a slow compute on one key never blocks lookups
-// on any other — not even in the same shard.
+// One mutex guards one LRU list, one hash map, the hit/miss/eviction
+// counters and the singleflight table, so the cache holds exactly its
+// capacity and always evicts the cache-wide least recently used entry.
+// Computations run outside the lock, so a slow compute on one key never
+// blocks lookups on any other. A hit holds the lock for well under a
+// microsecond, which is small next to everything else a cached request
+// costs; lock striping measured no gain at that ratio.
 //
 // Values must be treated as immutable once stored: every hit hands out the
 // same stored value.
@@ -20,39 +19,12 @@ package memo
 import (
 	"container/list"
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
 )
 
-// DefaultShards returns the default shard count: runtime.GOMAXPROCS rounded
-// up to a power of two, so at full parallelism each core maps to roughly one
-// shard and same-shard collisions are the exception.
-func DefaultShards() int {
-	return ceilPow2(runtime.GOMAXPROCS(0))
-}
-
-// ceilPow2 rounds n up to the next power of two (minimum 1), saturating at
-// the largest power of two an int holds rather than overflowing — New's
-// capacity clamp brings an absurd request back down from there.
-func ceilPow2(n int) int {
-	p := 1
-	for p < n && p <= math.MaxInt/2 {
-		p <<= 1
-	}
-	return p
-}
-
-// Cache is a sharded LRU memo cache with singleflight miss coalescing. All
+// Cache is an exact LRU memo cache with singleflight miss coalescing. All
 // methods are safe for concurrent use.
 type Cache[V any] struct {
-	shards []shard[V]
-	mask   uint32
-}
-
-// shard is one stripe: an independent LRU with its own lock, counters and
-// in-flight computation table.
-type shard[V any] struct {
 	mu     sync.Mutex
 	cap    int
 	order  *list.List // front = most recently used
@@ -62,7 +34,7 @@ type shard[V any] struct {
 	hits, misses, evictions uint64
 }
 
-// entry is one cached key/value pair, owned by its shard's LRU list.
+// entry is one cached key/value pair, owned by the LRU list.
 type entry[V any] struct {
 	key string
 	val V
@@ -75,71 +47,34 @@ type call[V any] struct {
 	err  error
 }
 
-// New returns a cache holding at most capacity entries in total, striped
-// over the given shard count. capacity < 1 is treated as 1. shards <= 0
-// means DefaultShards(); any other value is rounded up to a power of two and
-// clamped so every shard holds at least one entry (a tiny cache cannot be
-// spread thinner than its capacity). The capacity is split across shards
-// with the remainder going to the first shards, so the total stays exactly
-// what the caller asked for.
+// New returns a cache holding at most capacity entries. capacity < 1 is
+// treated as 1. shards is ignored: it remains in the signature so existing
+// callers keep compiling, and the cache is one exact LRU whatever it says.
 func New[V any](capacity, shards int) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if shards <= 0 {
-		shards = DefaultShards()
+	return &Cache[V]{
+		cap:    capacity,
+		order:  list.New(),
+		items:  make(map[string]*list.Element, capacity),
+		flight: make(map[string]*call[V]),
 	}
-	shards = ceilPow2(shards)
-	for shards > capacity {
-		shards >>= 1
-	}
-	c := &Cache[V]{shards: make([]shard[V], shards), mask: uint32(shards - 1)}
-	base, extra := capacity/shards, capacity%shards
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.cap = base
-		if i < extra {
-			s.cap++
-		}
-		s.order = list.New()
-		s.items = make(map[string]*list.Element, s.cap)
-		s.flight = make(map[string]*call[V])
-	}
-	return c
 }
-
-// shardFor picks the stripe for a key by FNV-1a (inlined: the standard
-// hash/fnv forces an allocation per Sum through its interface).
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &c.shards[h&c.mask]
-}
-
-// Shards returns the shard count the cache resolved to.
-func (c *Cache[V]) Shards() int { return len(c.shards) }
 
 // Get returns the cached value and marks it most recently used, counting a
-// hit or a miss on the key's shard.
+// hit or a miss.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
-		s.misses++
+		c.misses++
 		var zero V
 		return zero, false
 	}
-	s.hits++
-	s.order.MoveToFront(el)
+	c.hits++
+	c.order.MoveToFront(el)
 	return el.Value.(*entry[V]).val, true
 }
 
@@ -148,10 +83,9 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // value may carry (a compiled pipeline, a derived table) where a plain Get
 // would distort the client-visible cache statistics.
 func (c *Cache[V]) Peek(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
 		var zero V
 		return zero, false
@@ -159,40 +93,34 @@ func (c *Cache[V]) Peek(key string) (V, bool) {
 	return el.Value.(*entry[V]).val, true
 }
 
-// Put stores a value, evicting the shard's least recently used entries when
-// its slice of the capacity is full.
+// Put stores a value, evicting the least recently used entry when the cache
+// is full.
 func (c *Cache[V]) Put(key string, val V) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.putLocked(key, val)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, val)
 }
 
-func (s *shard[V]) putLocked(key string, val V) {
-	if el, ok := s.items[key]; ok {
+func (c *Cache[V]) putLocked(key string, val V) {
+	if el, ok := c.items[key]; ok {
 		el.Value.(*entry[V]).val = val
-		s.order.MoveToFront(el)
+		c.order.MoveToFront(el)
 		return
 	}
-	for s.order.Len() >= s.cap {
-		back := s.order.Back()
-		s.order.Remove(back)
-		delete(s.items, back.Value.(*entry[V]).key)
-		s.evictions++
+	if c.order.Len() >= c.cap {
+		back := c.order.Back()
+		c.order.Remove(back)
+		delete(c.items, back.Value.(*entry[V]).key)
+		c.evictions++
 	}
-	s.items[key] = s.order.PushFront(&entry[V]{key: key, val: val})
+	c.items[key] = c.order.PushFront(&entry[V]{key: key, val: val})
 }
 
-// Len returns the total number of cached entries across all shards.
+// Len returns the number of cached entries.
 func (c *Cache[V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // Do answers key from the cache, joining an identical in-flight computation
@@ -201,35 +129,34 @@ func (c *Cache[V]) Len() int {
 // computing here: a cache hit or a joined flight. Failed computations are
 // handed to their joiners but never cached, so the next request retries.
 //
-// The shard mutex guards the LRU and the flight table together, which makes
-// the exactly-once guarantee a one-lock argument: a goroutine that misses
-// either finds the leader's flight entry (and joins it) or runs after the
-// leader published-and-retired under that same lock, in which case its
-// lookup is a hit. There is no window for a second leader. The computation
-// itself runs outside the lock, so one slow key never blocks its shard.
+// The mutex guards the LRU and the flight table together, which makes the
+// exactly-once guarantee a one-lock argument: a goroutine that misses either
+// finds the leader's flight entry (and joins it) or runs after the leader
+// published-and-retired under that same lock, in which case its lookup is a
+// hit. There is no window for a second leader. The computation itself runs
+// outside the lock, so one slow key never blocks the cache.
 //
 // Hit/miss counters record one miss per goroutine that missed the cache,
 // joiners included; coalescing is visible to callers that count their own
 // compute invocations (service.Engine.Computes), not in the miss counter.
 func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, shared bool, err error) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.hits++
-		s.order.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.hits++
+		c.order.MoveToFront(el)
 		v = el.Value.(*entry[V]).val
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return v, true, nil
 	}
-	s.misses++
-	if cl, ok := s.flight[key]; ok {
-		s.mu.Unlock()
+	c.misses++
+	if cl, ok := c.flight[key]; ok {
+		c.mu.Unlock()
 		<-cl.done
 		return cl.val, true, cl.err
 	}
 	cl := &call[V]{done: make(chan struct{})}
-	s.flight[key] = cl
-	s.mu.Unlock()
+	c.flight[key] = cl
+	c.mu.Unlock()
 
 	// Publish and retire in a defer so a panicking compute cannot wedge the
 	// key: the flight entry is removed and done is closed whatever happens
@@ -240,12 +167,12 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, shared bool, 
 		if !completed {
 			cl.err = fmt.Errorf("memo: computing %q panicked", key)
 		}
-		s.mu.Lock()
+		c.mu.Lock()
 		if completed && cl.err == nil {
-			s.putLocked(key, cl.val)
+			c.putLocked(key, cl.val)
 		}
-		delete(s.flight, key)
-		s.mu.Unlock()
+		delete(c.flight, key)
+		c.mu.Unlock()
 		close(cl.done)
 	}()
 	cl.val, cl.err = compute()
@@ -253,49 +180,18 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, shared bool, 
 	return cl.val, false, cl.err
 }
 
-// ShardStats is one shard's slice of the cache state.
-type ShardStats struct {
-	// Entries and Capacity are the shard's current occupancy and its slice
-	// of the total capacity.
-	Entries  int
-	Capacity int
-	// Hits, Misses and Evictions are cumulative.
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-// Stats is an aggregated snapshot: per-shard detail plus totals. The shards
-// are snapshotted one at a time, so totals are consistent per shard but not
-// across a concurrent writer — fine for monitoring, which is their job.
+// Stats is a consistent snapshot of the cache's occupancy and cumulative
+// counters.
 type Stats struct {
-	Shards []ShardStats
-	// Entries, Hits, Misses and Evictions sum the per-shard values.
 	Entries   int
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 }
 
-// Stats snapshots every shard's occupancy and counters.
+// Stats snapshots the cache's occupancy and counters under one lock.
 func (c *Cache[V]) Stats() Stats {
-	st := Stats{Shards: make([]ShardStats, len(c.shards))}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		ss := ShardStats{
-			Entries:   s.order.Len(),
-			Capacity:  s.cap,
-			Hits:      s.hits,
-			Misses:    s.misses,
-			Evictions: s.evictions,
-		}
-		s.mu.Unlock()
-		st.Shards[i] = ss
-		st.Entries += ss.Entries
-		st.Hits += ss.Hits
-		st.Misses += ss.Misses
-		st.Evictions += ss.Evictions
-	}
-	return st
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{Entries: c.order.Len(), Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
 }

@@ -3,66 +3,14 @@ package memo
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"testing"
 )
 
-func TestShardCountResolution(t *testing.T) {
-	cases := []struct {
-		capacity, shards, want int
-	}{
-		{1024, 1, 1},
-		{1024, 2, 2},
-		{1024, 3, 4}, // rounded up to a power of two
-		{1024, 5, 8},
-		{4, 8, 4}, // clamped: every shard must hold >= 1 entry
-		{3, 8, 2}, // clamp keeps the power of two
-		{1, 64, 1},
-		{0, 16, 1}, // capacity floor of 1 clamps shards to 1 too
-	}
-	for _, c := range cases {
-		got := New[int](c.capacity, c.shards).Shards()
-		if got != c.want {
-			t.Errorf("New(cap=%d, shards=%d).Shards() = %d, want %d",
-				c.capacity, c.shards, got, c.want)
-		}
-	}
-	if def := New[int](1<<20, 0).Shards(); def != DefaultShards() {
-		t.Errorf("shards<=0 resolved to %d, want DefaultShards()=%d", def, DefaultShards())
-	}
-	// An absurd shard request must neither loop nor overflow: ceilPow2
-	// saturates and the capacity clamp brings it back down.
-	if got := New[int](64, math.MaxInt).Shards(); got != 64 {
-		t.Errorf("New(64, MaxInt).Shards() = %d, want 64", got)
-	}
-	if d := DefaultShards(); d&(d-1) != 0 || d < 1 {
-		t.Errorf("DefaultShards() = %d is not a power of two", d)
-	}
-}
-
-func TestCapacitySplitPreservesTotal(t *testing.T) {
-	for _, capacity := range []int{1, 2, 7, 64, 100, 4096} {
-		for _, shards := range []int{1, 2, 8, 16} {
-			c := New[int](capacity, shards)
-			total := 0
-			for _, s := range c.Stats().Shards {
-				if s.Capacity < 1 {
-					t.Fatalf("cap=%d shards=%d: shard capacity %d < 1", capacity, shards, s.Capacity)
-				}
-				total += s.Capacity
-			}
-			if total != capacity {
-				t.Errorf("cap=%d shards=%d: shard capacities sum to %d", capacity, shards, total)
-			}
-		}
-	}
-}
-
 func TestSingleShardLRUSemantics(t *testing.T) {
-	// With one shard the cache is a plain LRU: the old engine cache's
-	// eviction-order contract must hold exactly.
+	// The cache is a plain LRU: the engine cache's eviction-order contract
+	// must hold exactly.
 	c := New[int](2, 1)
 	c.Put("a", 1)
 	c.Put("b", 2)
@@ -97,32 +45,34 @@ func TestGetTouchesRecency(t *testing.T) {
 	}
 }
 
-func TestStatsAggregateAcrossShards(t *testing.T) {
-	c := New[string](64, 8)
-	if c.Shards() != 8 {
-		t.Fatalf("Shards() = %d", c.Shards())
+// TestExactCapacityIgnoresShards pins the exact-LRU contract at the size
+// the daemon runs: whatever the legacy shard argument says, a 4096-entry
+// cache holds 4096 distinct keys without evicting, and the next insert
+// evicts the cache-wide least recently used key, not a per-stripe one.
+func TestExactCapacityIgnoresShards(t *testing.T) {
+	const capacity = 4096
+	c := New[int](capacity, 8)
+	for i := 0; i < capacity; i++ {
+		c.Put(fmt.Sprintf("key-%d", i), i)
 	}
-	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), "v")
+	if st := c.Stats(); st.Entries != capacity || st.Evictions != 0 {
+		t.Fatalf("after %d distinct puts: %d entries, %d evictions; want %d and 0",
+			capacity, st.Entries, st.Evictions, capacity)
 	}
-	st := c.Stats()
-	if st.Entries != 32 || c.Len() != 32 {
-		t.Errorf("entries = %d, Len = %d, want 32", st.Entries, c.Len())
+	// key-0 is the oldest; touching it makes key-1 the global LRU entry.
+	c.Get("key-0")
+	c.Put("overflow", -1)
+	if _, ok := c.Peek("key-1"); ok {
+		t.Error("key-1, the least recently used entry, survived the overflow put")
 	}
-	sum := 0
-	for _, s := range st.Shards {
-		sum += s.Entries
+	for _, key := range []string{"key-0", "key-2", fmt.Sprintf("key-%d", capacity-1), "overflow"} {
+		if _, ok := c.Peek(key); !ok {
+			t.Errorf("%s was evicted in place of key-1", key)
+		}
 	}
-	if sum != st.Entries {
-		t.Errorf("per-shard entries sum %d != total %d", sum, st.Entries)
-	}
-	for i := 0; i < 32; i++ {
-		c.Get(fmt.Sprintf("key-%d", i))
-	}
-	c.Get("absent")
-	st = c.Stats()
-	if st.Hits != 32 || st.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 32/1", st.Hits, st.Misses)
+	if st := c.Stats(); st.Entries != capacity || st.Evictions != 1 {
+		t.Errorf("after the overflow put: %d entries, %d evictions; want %d and 1",
+			st.Entries, st.Evictions, capacity)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // refLRU is the obviously-correct reference model: a map plus an explicit
-// recency slice, no locks, no shards. The property tests compare the cache
-// against it op for op.
+// recency slice, no locks. The property tests compare the cache against it
+// op for op.
 type refLRU struct {
 	cap    int
 	order  []string // front = most recently used
@@ -62,55 +62,54 @@ func (r *refLRU) put(key string, val int) {
 	r.items[key] = val
 }
 
-// TestPropertySingleShardMatchesReference drives a single-shard cache and
-// the reference model through the same random op sequence: every get result,
-// every counter and the final occupancy must match exactly. With one shard
-// the cache must BE an LRU, not merely resemble one — this is the contract
-// the engine's eviction tests stand on.
-func TestPropertySingleShardMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		capacity := 1 + rng.Intn(12)
-		c := New[int](capacity, 1)
-		ref := newRefLRU(capacity)
-		keys := make([]string, 3+rng.Intn(20))
-		for i := range keys {
-			keys[i] = fmt.Sprintf("k%d", i)
-		}
-		for op := 0; op < 500; op++ {
-			key := keys[rng.Intn(len(keys))]
-			if rng.Intn(2) == 0 {
-				val := rng.Intn(1000)
-				c.Put(key, val)
-				ref.put(key, val)
-			} else {
-				got, gotOK := c.Get(key)
-				want, wantOK := ref.get(key)
-				if gotOK != wantOK || got != want {
-					t.Fatalf("seed %d op %d: Get(%s) = (%d, %v), reference (%d, %v)",
-						seed, op, key, got, gotOK, want, wantOK)
+// TestPropertyLRUMatchesReference drives the cache and the reference model
+// through the same random op sequence: every get result, every counter and
+// the final occupancy must match exactly. The cache must BE an LRU, not
+// merely resemble one — this is the contract the engine's eviction tests
+// stand on — whatever the legacy shard argument says.
+func TestPropertyLRUMatchesReference(t *testing.T) {
+	for _, shards := range []int{0, 1, 8} {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			capacity := rng.Intn(13) // 0 exercises the clamp to 1
+			c := New[int](capacity, shards)
+			ref := newRefLRU(capacity)
+			keys := make([]string, 3+rng.Intn(20))
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%d", i)
+			}
+			for op := 0; op < 500; op++ {
+				key := keys[rng.Intn(len(keys))]
+				if rng.Intn(2) == 0 {
+					val := rng.Intn(1000)
+					c.Put(key, val)
+					ref.put(key, val)
+				} else {
+					got, gotOK := c.Get(key)
+					want, wantOK := ref.get(key)
+					if gotOK != wantOK || got != want {
+						t.Fatalf("shards=%d seed %d op %d: Get(%s) = (%d, %v), reference (%d, %v)",
+							shards, seed, op, key, got, gotOK, want, wantOK)
+					}
 				}
 			}
-		}
-		st := c.Stats()
-		if st.Entries != len(ref.items) {
-			t.Errorf("seed %d: entries %d, reference %d", seed, st.Entries, len(ref.items))
-		}
-		if st.Hits != ref.hits || st.Misses != ref.misses || st.Evictions != ref.evicts {
-			t.Errorf("seed %d: counters %d/%d/%d, reference %d/%d/%d", seed,
-				st.Hits, st.Misses, st.Evictions, ref.hits, ref.misses, ref.evicts)
+			st := c.Stats()
+			if st.Entries != len(ref.items) {
+				t.Errorf("shards=%d seed %d: entries %d, reference %d", shards, seed, st.Entries, len(ref.items))
+			}
+			if st.Hits != ref.hits || st.Misses != ref.misses || st.Evictions != ref.evicts {
+				t.Errorf("shards=%d seed %d: counters %d/%d/%d, reference %d/%d/%d", shards, seed,
+					st.Hits, st.Misses, st.Evictions, ref.hits, ref.misses, ref.evicts)
+			}
 		}
 	}
 }
 
-// TestPropertyShardedMatchesSingleShardAnswers pins the striping contract:
-// for any interleaving of Do calls, a sharded cache and a single-shard cache
-// return identical answers. The values are a pure function of the key, so
-// answers must be correct whatever shard the key lands on and however the
-// goroutines race; with capacity covering the key space, the two layouts
-// also agree on total misses (one per distinct key, plus joiners) and total
-// computes (exactly one per distinct key).
-func TestPropertyShardedMatchesSingleShardAnswers(t *testing.T) {
+// TestPropertyConcurrentDoComputesOnce pins Do under racing goroutines: for
+// any interleaving, every answer equals the pure function of its key, each
+// distinct key is computed exactly once, and with capacity covering the key
+// space every computed key stays cached with no evictions.
+func TestPropertyConcurrentDoComputesOnce(t *testing.T) {
 	value := func(key string) int {
 		h := 17
 		for i := 0; i < len(key); i++ {
@@ -123,65 +122,62 @@ func TestPropertyShardedMatchesSingleShardAnswers(t *testing.T) {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("scenario-%d-%d", seed, i)
 		}
-		for _, shards := range []int{1, 8} {
-			c := New[int](1024, shards)
-			var computes sync.Map
-			var wg sync.WaitGroup
-			workers := 8
-			perWorker := 200
-			results := make([][]int, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
-					results[w] = make([]int, perWorker)
-					for i := 0; i < perWorker; i++ {
-						key := keys[rng.Intn(len(keys))]
-						v, _, err := c.Do(key, func() (int, error) {
-							n, _ := computes.LoadOrStore(key, new(int))
-							// Concurrent increments on the same key would be a
-							// singleflight violation; detected below via count.
-							*(n.(*int))++
-							return value(key), nil
-						})
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						results[w][i] = v
-					}
-				}(w)
-			}
-			wg.Wait()
-			// Every answer equals the pure function of its key, whatever the
-			// interleaving — identical between sharded and single-shard runs
-			// by transitivity.
-			for w := 0; w < workers; w++ {
+		c := New[int](1024, 0)
+		var computes sync.Map
+		var wg sync.WaitGroup
+		workers := 8
+		perWorker := 200
+		results := make([][]int, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
+				results[w] = make([]int, perWorker)
 				for i := 0; i < perWorker; i++ {
 					key := keys[rng.Intn(len(keys))]
-					if results[w][i] != value(key) {
-						t.Fatalf("shards=%d seed=%d: worker %d op %d on %s got %d, want %d",
-							shards, seed, w, i, key, results[w][i], value(key))
+					v, _, err := c.Do(key, func() (int, error) {
+						n, _ := computes.LoadOrStore(key, new(int))
+						// Concurrent increments on the same key would be a
+						// singleflight violation; detected below via count.
+						*(n.(*int))++
+						return value(key), nil
+					})
+					if err != nil {
+						t.Error(err)
+						return
 					}
+					results[w][i] = v
+				}
+			}(w)
+		}
+		wg.Wait()
+		// Every answer equals the pure function of its key, whatever the
+		// interleaving.
+		for w := 0; w < workers; w++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
+			for i := 0; i < perWorker; i++ {
+				key := keys[rng.Intn(len(keys))]
+				if results[w][i] != value(key) {
+					t.Fatalf("seed=%d: worker %d op %d on %s got %d, want %d",
+						seed, w, i, key, results[w][i], value(key))
 				}
 			}
-			distinct := 0
-			computes.Range(func(_, n any) bool {
-				distinct++
-				if got := *(n.(*int)); got != 1 {
-					t.Errorf("shards=%d seed=%d: a key computed %d times, want 1", shards, seed, got)
-				}
-				return true
-			})
-			st := c.Stats()
-			if st.Entries != distinct {
-				t.Errorf("shards=%d seed=%d: %d entries for %d distinct keys", shards, seed, st.Entries, distinct)
+		}
+		distinct := 0
+		computes.Range(func(_, n any) bool {
+			distinct++
+			if got := *(n.(*int)); got != 1 {
+				t.Errorf("seed=%d: a key computed %d times, want 1", seed, got)
 			}
-			if st.Evictions != 0 {
-				t.Errorf("shards=%d seed=%d: %d evictions with capacity >> keys", shards, seed, st.Evictions)
-			}
+			return true
+		})
+		st := c.Stats()
+		if st.Entries != distinct {
+			t.Errorf("seed=%d: %d entries for %d distinct keys", seed, st.Entries, distinct)
+		}
+		if st.Evictions != 0 {
+			t.Errorf("seed=%d: %d evictions with capacity >> keys", seed, st.Evictions)
 		}
 	}
 }

@@ -26,13 +26,12 @@ func (stringCodec) Decode(key string, data []byte) (string, error) {
 	return string(data), nil
 }
 
-// recencyOrder lists one shard's keys front (most recently used) to back.
-func recencyOrder(c *Cache[string], shard int) []string {
-	s := &c.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// recencyOrder lists the cache's keys front (most recently used) to back.
+func recencyOrder(c *Cache[string]) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []string
-	for el := s.order.Front(); el != nil; el = el.Next() {
+	for el := c.order.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(*entry[string]).key)
 	}
 	return out
@@ -53,9 +52,10 @@ func dump(t *testing.T, c *Cache[string], schema string) []byte {
 }
 
 // TestSnapshotRoundTrip is the headline property: Dump then Restore into an
-// identically configured empty cache reproduces every entry, every shard's
-// recency order, and leaves the lookup counters of both caches untouched.
-// Runs over several shapes including single-shard and eviction-churned.
+// identically configured empty cache reproduces every entry and the recency
+// order, and leaves the lookup counters of both caches untouched. Runs over
+// several shapes, including eviction-churned ones and legacy shard
+// arguments, which the cache ignores.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -94,20 +94,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if dst.Len() != src.Len() {
 				t.Fatalf("restored %d entries, want %d", dst.Len(), src.Len())
 			}
-			for sh := 0; sh < len(src.shards); sh++ {
-				srcOrder := recencyOrder(src, sh)
-				dstOrder := recencyOrder(dst, sh)
-				if fmt.Sprint(srcOrder) != fmt.Sprint(dstOrder) {
-					t.Fatalf("shard %d recency differs:\n src %v\n dst %v", sh, srcOrder, dstOrder)
-				}
+			srcOrder := recencyOrder(src)
+			if dstOrder := recencyOrder(dst); fmt.Sprint(srcOrder) != fmt.Sprint(dstOrder) {
+				t.Fatalf("recency differs:\n src %v\n dst %v", srcOrder, dstOrder)
 			}
-			for sh := range src.shards {
-				for _, key := range recencyOrder(src, sh) {
-					want, _ := src.Peek(key)
-					got, ok := dst.Peek(key)
-					if !ok || got != want {
-						t.Fatalf("key %q: restored %q (present %v), want %q", key, got, ok, want)
-					}
+			for _, key := range srcOrder {
+				want, _ := src.Peek(key)
+				got, ok := dst.Peek(key)
+				if !ok || got != want {
+					t.Fatalf("key %q: restored %q (present %v), want %q", key, got, ok, want)
 				}
 			}
 			// Restore must not have counted hits, misses or evictions.
@@ -156,7 +151,7 @@ func TestSnapshotSkipsUncodableEntries(t *testing.T) {
 
 // TestRestoreNeverClobbers pins the warm-endpoint semantics: a key already
 // live keeps its (newer) value, restored entries rank behind every live
-// entry in recency, and a full shard skips archived entries instead of
+// entry in recency, and a full cache skips archived entries instead of
 // evicting live ones.
 func TestRestoreNeverClobbers(t *testing.T) {
 	src := New[string](8, 1)
@@ -179,7 +174,7 @@ func TestRestoreNeverClobbers(t *testing.T) {
 	}
 	// Live "a" must outrank both archived entries; archived order (c newest,
 	// b older) must be preserved behind it.
-	if got := fmt.Sprint(recencyOrder(dst, 0)); got != "[a c b]" {
+	if got := fmt.Sprint(recencyOrder(dst)); got != "[a c b]" {
 		t.Fatalf("recency after mixed restore: %v", got)
 	}
 
@@ -278,17 +273,16 @@ func TestRestoreRejectsCorruptionBeforeApplying(t *testing.T) {
 	}
 }
 
-// TestSnapshotAcrossShardCounts: a snapshot restores into a cache with a
-// different shard count — keys rehash to their new shards, all entries land.
+// TestSnapshotAcrossShardCounts: a snapshot restores whole whatever shard
+// argument either cache was built with. In particular a full 4096-entry
+// dump restores all 4096 entries into a 4096-entry cache: nothing is
+// skipped as full.
 func TestSnapshotAcrossShardCounts(t *testing.T) {
 	src := New[string](128, 8)
 	for i := 0; i < 100; i++ {
 		src.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("v%d", i))
 	}
 	snap := dump(t, src, "s")
-	// Destination capacity is doubled: a different shard count redistributes
-	// keys, and a shard whose slice of the capacity overflows would (by
-	// design) skip the excess rather than evict.
 	for _, shards := range []int{1, 2, 16} {
 		dst := New[string](256, shards)
 		st, err := dst.Restore(bytes.NewReader(snap), "s", stringCodec{})
@@ -297,6 +291,54 @@ func TestSnapshotAcrossShardCounts(t *testing.T) {
 		}
 		if st.Restored != 100 || dst.Len() != 100 {
 			t.Fatalf("shards=%d: restored %d/%d", shards, st.Restored, dst.Len())
+		}
+	}
+
+	const capacity = 4096
+	full := New[string](capacity, 1)
+	for i := 0; i < capacity; i++ {
+		full.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("v%d", i))
+	}
+	dst := New[string](capacity, 8)
+	st, err := dst.Restore(bytes.NewReader(dump(t, full, "s")), "s", stringCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Restored != capacity || st.SkippedFull != 0 || dst.Len() != capacity {
+		t.Fatalf("full dump into an equal-capacity cache: %+v, len %d; want all %d restored",
+			st, dst.Len(), capacity)
+	}
+}
+
+// TestSnapshotRestoresEvictionOrder pins the stream order end to end: after
+// Dump and Restore into an empty cache, fresh inserts evict the restored
+// entries in exactly the order the source cache would have evicted them,
+// least recently used first across the whole cache.
+func TestSnapshotRestoresEvictionOrder(t *testing.T) {
+	const capacity = 64
+	src := New[string](capacity, 8)
+	for i := 0; i < capacity; i++ {
+		src.Put(fmt.Sprintf("key-%02d", i), "v")
+	}
+	// Touch every key once in a shuffled order: perm[0] ends least recently
+	// used, perm[capacity-1] most.
+	perm := rand.New(rand.NewSource(3)).Perm(capacity)
+	for _, i := range perm {
+		src.Get(fmt.Sprintf("key-%02d", i))
+	}
+	dst := New[string](capacity, 8)
+	if _, err := dst.Restore(bytes.NewReader(dump(t, src, "s")), "s", stringCodec{}); err != nil {
+		t.Fatal(err)
+	}
+	for n, i := range perm {
+		dst.Put(fmt.Sprintf("fresh-%02d", n), "v")
+		if _, ok := dst.Peek(fmt.Sprintf("key-%02d", i)); ok {
+			t.Fatalf("fresh insert %d did not evict key-%02d, the least recently used entry", n, i)
+		}
+		if n+1 < capacity {
+			if _, ok := dst.Peek(fmt.Sprintf("key-%02d", perm[n+1])); !ok {
+				t.Fatalf("fresh insert %d evicted key-%02d out of order", n, perm[n+1])
+			}
 		}
 	}
 }

@@ -92,8 +92,8 @@ func family(name string) (metrics.Family, bool) {
 var (
 	requestFamilies = []metrics.Family{metrics.Uptime, metrics.Requests, metrics.RequestErrors, metrics.CacheHits}
 	daemonFamilies  = append(requestFamilies, metrics.RequestLatency,
-		metrics.CacheShards, metrics.CacheEntries, metrics.CacheLookupHits,
-		metrics.CacheLookupMisses, metrics.CacheEvictions, metrics.CacheShardEntries)
+		metrics.CacheEntries, metrics.CacheLookupHits, metrics.CacheLookupMisses,
+		metrics.CacheEvictions)
 	routerFamilies = append(requestFamilies,
 		metrics.RouterReplicas, metrics.RouterRetries, metrics.RouterSpills,
 		metrics.RouterBatchSplits, metrics.RouterNoReplica, metrics.ReplicaUp, metrics.ReplicaReady,

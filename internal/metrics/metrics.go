@@ -44,12 +44,10 @@ var (
 	RequestErrors     = declare("fpsping_request_errors_total", "counter", "endpoint")
 	CacheHits         = declare("fpsping_cache_hits_total", "counter", "endpoint")
 	RequestLatency    = declare("fpsping_request_latency_seconds", "summary", "endpoint")
-	CacheShards       = declare("fpsping_cache_shards", "gauge", "")
 	CacheEntries      = declare("fpsping_cache_entries", "gauge", "")
 	CacheLookupHits   = declare("fpsping_cache_lookup_hits_total", "counter", "")
 	CacheLookupMisses = declare("fpsping_cache_lookup_misses_total", "counter", "")
 	CacheEvictions    = declare("fpsping_cache_evictions_total", "counter", "")
-	CacheShardEntries = declare("fpsping_cache_shard_entries", "gauge", "shard")
 	RouterReplicas    = declare("fpsrouter_replicas", "gauge", "")
 	RouterRetries     = declare("fpsrouter_retries_total", "counter", "")
 	RouterSpills      = declare("fpsrouter_spills_total", "counter", "")

@@ -15,21 +15,21 @@ import (
 func TestPageGroupsFamilies(t *testing.T) {
 	var p Page
 	p.Add(ReplicaUp, "http://a", true)
-	p.Add(CacheShardEntries, "0", 3)
+	p.Add(CacheHits, "/v1/rtt", uint64(3))
 	p.Add(Requests, "/v1/rtt", uint64(7))
 	p.Add(ReplicaUp, "http://b", false)
 	p.Add(Uptime, "", 1234567*time.Microsecond)
 	p.Add(Requests, "", uint64(9))
-	p.Add(CacheShardEntries, "1", 4)
+	p.Add(CacheHits, "/v1/sweep", uint64(4))
 	p.Add(ReplicaInflight, "http://a", int64(2))
 	want := `# TYPE fpsping_uptime_seconds gauge
 fpsping_uptime_seconds 1.235
 # TYPE fpsping_requests_total counter
 fpsping_requests_total{endpoint="/v1/rtt"} 7
 fpsping_requests_total 9
-# TYPE fpsping_cache_shard_entries gauge
-fpsping_cache_shard_entries{shard="0"} 3
-fpsping_cache_shard_entries{shard="1"} 4
+# TYPE fpsping_cache_hits_total counter
+fpsping_cache_hits_total{endpoint="/v1/rtt"} 3
+fpsping_cache_hits_total{endpoint="/v1/sweep"} 4
 # TYPE fpsrouter_replica_up gauge
 fpsrouter_replica_up{replica="http://a"} 1
 fpsrouter_replica_up{replica="http://b"} 0
@@ -99,7 +99,7 @@ fpsping_request_latency_seconds_count{endpoint="/v1/rtt"} 4
 fpsping_request_latency_seconds{endpoint="/v1/rtt",quantile="0.99"} 0.125
 some_future_family{endpoint="/v1/rtt"} 3
 fpsping_requests_total_sum 1
-  fpsping_cache_shard_entries{shard="2"} 6
+  fpsping_cache_entries 6
 fpsrouter_breaker_open{replica="http://h:1"} 1
 `
 	got, err := Parse([]byte(page))
@@ -111,7 +111,7 @@ fpsrouter_breaker_open{replica="http://h:1"} 1
 		{Family: RequestLatency, Suffix: "_sum", Label: "/v1/rtt", Value: 0.25},
 		{Family: RequestLatency, Suffix: "_count", Label: "/v1/rtt", Value: 4},
 		{Family: RequestLatency, Label: "/v1/rtt", Quantile: "0.99", Value: 0.125},
-		{Family: CacheShardEntries, Label: "2", Value: 6},
+		{Family: CacheEntries, Value: 6},
 		{Family: BreakerOpen, Label: "http://h:1", Value: 1},
 	}
 	if !slices.Equal(got, want) {

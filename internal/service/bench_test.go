@@ -71,13 +71,11 @@ func BenchmarkServiceBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineRTTParallelHit is the contention case the sharded memo
-// cache exists for: every goroutine hammers the warm cache with hits spread
-// over a pool of scenarios, so the only cost is the lookup itself — and, on
-// a single-stripe cache, the queue in front of its mutex. Run with
-// -cpu 1,4,8 the sharded default should hold its per-op cost as cores rise
-// where one global lock degrades; CI's paired benchgate run watches exactly
-// that.
+// BenchmarkEngineRTTParallelHit is the engine's contention case: every
+// goroutine hammers the warm cache with hits spread over a pool of
+// scenarios, so the only cost is the lookup itself and the queue in front
+// of the memo mutex. Run with -cpu 1,4,8 in CI's paired benchgate run, a
+// lock regression shows as a per-op cost that climbs with the core count.
 func BenchmarkEngineRTTParallelHit(b *testing.B) {
 	scs := make([]scenario.Scenario, 16)
 	for i := range scs {
@@ -85,26 +83,22 @@ func BenchmarkEngineRTTParallelHit(b *testing.B) {
 		sc.Load = 0.05 + 0.05*float64(i)
 		scs[i] = sc
 	}
-	bench := func(b *testing.B, opts ...Option) {
-		e := NewEngine(4, 0, opts...)
-		for _, sc := range scs {
-			if _, _, err := e.RTT(sc); err != nil {
-				b.Fatal(err)
+	e := NewEngine(4, 0)
+	for _, sc := range scs {
+		if _, _, err := e.RTT(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			i++
+			if _, cached, err := e.RTT(scs[i%len(scs)]); err != nil || !cached {
+				b.Fatalf("cached=%v err=%v", cached, err)
 			}
 		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if _, cached, err := e.RTT(scs[i%len(scs)]); err != nil || !cached {
-					b.Fatalf("cached=%v err=%v", cached, err)
-				}
-			}
-		})
-	}
-	b.Run("sharded", func(b *testing.B) { bench(b) })
-	b.Run("shards=1", func(b *testing.B) { bench(b, WithShards(1)) })
+	})
 }
 
 // BenchmarkServiceSweep measures a cached-vs-cold /v1/sweep over the

@@ -1,10 +1,10 @@
 // Package service puts the paper's ping model behind a long-lived daemon:
-// a concurrency-safe Engine layered over internal/core with a sharded LRU
+// a concurrency-safe Engine layered over internal/core with an exact LRU
 // memo cache (internal/memo) keyed by canonical scenario (the Erlang/Mixture
 // quantile bisections and sweep grids are the hot path, so repeated queries
-// must not recompute them — nor serialize on one lock while not recomputing
-// them), batch fan-out over internal/runner, and an HTTP/JSON front end
-// (cmd/fpspingd) with counters and latency histograms via internal/stats.
+// must not recompute them), batch fan-out over internal/runner, and an
+// HTTP/JSON front end (cmd/fpspingd) with counters and latency histograms
+// via internal/stats.
 //
 // Determinism contract: like every layer below, responses are byte-identical
 // at any worker count and identical between cold and cached evaluation, so
@@ -32,10 +32,10 @@ const DefaultCacheSize = 4096
 
 // Engine evaluates scenarios concurrently with memoization and singleflight
 // miss coalescing: concurrent identical cache misses compute once and share
-// the result. The memo cache is lock-striped (internal/memo), so concurrent
-// hits on independent keys never contend on a shared mutex. All methods are
-// safe for concurrent use; results handed out on cache hits are shared, so
-// callers must treat them as immutable.
+// the result. Computations run outside the memo cache's lock, so a cold
+// scenario never blocks hits on others. All methods are safe for concurrent
+// use; results handed out on cache hits are shared, so callers must treat
+// them as immutable.
 type Engine struct {
 	jobs    int
 	cache   *memo.Cache[any]
@@ -47,34 +47,17 @@ type Engine struct {
 	computes atomic.Uint64
 }
 
-// Option configures an Engine at construction.
-type Option func(*engineConfig)
-
-type engineConfig struct {
-	shards int
-}
-
-// WithShards sets the memo cache's shard count (rounded up to a power of
-// two, clamped so every shard holds at least one entry). The default,
-// 0, resolves to memo.DefaultShards(): GOMAXPROCS rounded up to a power of
-// two. One shard reproduces the single-mutex cache of earlier versions.
-func WithShards(n int) Option { return func(c *engineConfig) { c.shards = n } }
-
 // NewEngine returns an engine fanning batch work over at most jobs workers
 // (<= 0 means one per CPU) and memoizing up to cacheSize results (<= 0
-// means DefaultCacheSize) in a cache striped per WithShards.
-func NewEngine(jobs, cacheSize int, opts ...Option) *Engine {
+// means DefaultCacheSize).
+func NewEngine(jobs, cacheSize int) *Engine {
 	if jobs <= 0 {
 		jobs = runner.DefaultWorkers()
 	}
 	if cacheSize <= 0 {
 		cacheSize = DefaultCacheSize
 	}
-	var cfg engineConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return &Engine{jobs: jobs, cache: memo.New[any](cacheSize, cfg.shards), metrics: metrics.NewRecorder()}
+	return &Engine{jobs: jobs, cache: memo.New[any](cacheSize, 0), metrics: metrics.NewRecorder()}
 }
 
 // Jobs returns the engine's worker budget.
@@ -84,19 +67,9 @@ func (e *Engine) Jobs() int { return e.jobs }
 // layer).
 func (e *Engine) Metrics() *metrics.Recorder { return e.metrics }
 
-// CacheStats returns the memo cache's entry count and cumulative hit/miss
-// counters (aggregated over shards; see CacheDetail for the breakdown).
-func (e *Engine) CacheStats() (entries int, hits, misses uint64) {
-	st := e.cache.Stats()
-	return st.Entries, st.Hits, st.Misses
-}
-
-// CacheDetail returns the full per-shard cache snapshot: occupancy,
-// capacity, hit/miss/eviction counters per stripe plus totals.
-func (e *Engine) CacheDetail() memo.Stats { return e.cache.Stats() }
-
-// Shards returns the memo cache's shard count.
-func (e *Engine) Shards() int { return e.cache.Shards() }
+// CacheStats returns the memo cache's entry count and cumulative
+// hit/miss/eviction counters.
+func (e *Engine) CacheStats() memo.Stats { return e.cache.Stats() }
 
 // Computes returns the cumulative number of core model evaluations the
 // engine has actually run: one per cold RTT, one per cold sweep or
@@ -105,7 +78,7 @@ func (e *Engine) Shards() int { return e.cache.Shards() }
 // cold requests move it exactly as far as one would.
 func (e *Engine) Computes() uint64 { return e.computes.Load() }
 
-// memo answers key from the sharded cache with singleflight coalescing (see
+// memo answers key from the cache with singleflight coalescing (see
 // memo.Cache.Do). shared reports a hit or a joined in-flight computation.
 func (e *Engine) memo(key string, compute func() (any, error)) (any, bool, error) {
 	return e.cache.Do(key, compute)

@@ -42,8 +42,8 @@ func TestRTTCacheHitIsByteIdentical(t *testing.T) {
 	}
 	// A cold RTT stores two entries: the full result and its sweep-point
 	// slice (shared with /v1/sweep grids).
-	if entries, hits, misses := e.CacheStats(); entries != 2 || hits != 1 || misses != 1 {
-		t.Errorf("cache stats = %d entries, %d hits, %d misses", entries, hits, misses)
+	if st := e.CacheStats(); st.Entries != 2 || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache stats = %d entries, %d hits, %d misses", st.Entries, st.Hits, st.Misses)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestRTTErrors(t *testing.T) {
 	if _, _, err := e.RTT(unstable); err == nil {
 		t.Error("unstable scenario accepted")
 	}
-	if entries, _, _ := e.CacheStats(); entries != 0 {
+	if entries := e.CacheStats().Entries; entries != 0 {
 		t.Errorf("errors must not be cached, got %d entries", entries)
 	}
 }
@@ -205,16 +205,15 @@ func TestEngineDeterministicAcrossJobs(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	// Each RTT stores two entries (full result + sweep-point slice), so a
-	// capacity of 4 holds exactly two scenarios. One shard pins the exact
-	// global LRU order; striped layouts spread the same budget per shard.
-	e := NewEngine(1, 4, WithShards(1))
+	// capacity of 4 holds exactly two scenarios.
+	e := NewEngine(1, 4)
 	a, b, c := testScenario(0.2), testScenario(0.3), testScenario(0.4)
 	for _, sc := range []scenario.Scenario{a, b, c} {
 		if _, _, err := e.RTT(sc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if entries, _, _ := e.CacheStats(); entries != 4 {
+	if entries := e.CacheStats().Entries; entries != 4 {
 		t.Fatalf("cache holds %d entries, want 4", entries)
 	}
 	// a was least recently used: evicted, so it recomputes.
@@ -224,49 +223,6 @@ func TestLRUEviction(t *testing.T) {
 	// c is fresh.
 	if _, cached, _ := e.RTT(c); !cached {
 		t.Error("recent entry missed")
-	}
-}
-
-// TestShardedCacheKeepsEngineSemantics pins that striping is invisible to
-// the engine contract: at any shard count the same requests produce the same
-// answers and the same compute count, and the per-shard occupancies reported
-// by CacheDetail sum to the total entry count. (The LRU order itself is
-// exercised exhaustively in internal/memo's property tests.)
-func TestShardedCacheKeepsEngineSemantics(t *testing.T) {
-	var ref []byte
-	var refComputes uint64
-	for _, shards := range []int{1, 4, 0} {
-		e := NewEngine(2, 0, WithShards(shards))
-		var got []byte
-		for _, load := range []float64{0.2, 0.4, 0.2, 0.6} {
-			res, _, err := e.RTT(testScenario(load))
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, _ := json.Marshal(res)
-			got = append(got, data...)
-		}
-		if ref == nil {
-			ref, refComputes = got, e.Computes()
-		} else {
-			if string(got) != string(ref) {
-				t.Errorf("shards=%d answers differ from shards=1", shards)
-			}
-			if e.Computes() != refComputes {
-				t.Errorf("shards=%d ran %d computes, shards=1 ran %d", shards, e.Computes(), refComputes)
-			}
-		}
-		st := e.CacheDetail()
-		if e.Shards() != len(st.Shards) {
-			t.Errorf("Shards() = %d but CacheDetail holds %d", e.Shards(), len(st.Shards))
-		}
-		sum := 0
-		for _, s := range st.Shards {
-			sum += s.Entries
-		}
-		if sum != st.Entries {
-			t.Errorf("shards=%d: per-shard entries sum %d != total %d", shards, sum, st.Entries)
-		}
 	}
 }
 

@@ -480,7 +480,7 @@ type WarmResult struct {
 }
 
 // handleCacheWarm restores an uploaded snapshot under never-clobber
-// semantics: live entries win, full shards skip rather than evict, and a
+// semantics: live entries win, a full cache skips rather than evicts, and a
 // corrupt or schema-mismatched snapshot is rejected whole (400) with the
 // cache untouched.
 func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
@@ -499,7 +499,7 @@ func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
 		Restored:        st.Restored,
 		SkippedExisting: st.SkippedExisting,
 		SkippedFull:     st.SkippedFull,
-		CacheEntries:    s.engine.CacheDetail().Entries,
+		CacheEntries:    s.engine.CacheStats().Entries,
 	})
 }
 
@@ -516,12 +516,10 @@ type Health struct {
 	// generation move knows the flip is fresh, not a stale cached answer.
 	ReadyGeneration uint64 `json:"ready_generation"`
 	Jobs            int    `json:"jobs"`
-	CacheShards     int    `json:"cache_shards"`
 	CacheEntries    int    `json:"cache_entries"`
 	CacheHits       uint64 `json:"cache_hits"`
 	CacheMisses     uint64 `json:"cache_misses"`
-	// CacheEvictions counts entries dropped to capacity pressure, summed
-	// over shards.
+	// CacheEvictions counts entries dropped to capacity pressure.
 	CacheEvictions uint64 `json:"cache_evictions"`
 	// Computations counts core model evaluations actually run: one per cold
 	// RTT, one per cold sweep or dimensioning bisection point. Singleflight
@@ -531,7 +529,7 @@ type Health struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.engine.CacheDetail()
+	st := s.engine.CacheStats()
 	status, ready := "ok", true
 	if s.draining.Load() {
 		status, ready = "draining", false
@@ -541,7 +539,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Ready:           ready,
 		ReadyGeneration: s.readyGen.Load(),
 		Jobs:            s.engine.Jobs(),
-		CacheShards:     len(st.Shards),
 		CacheEntries:    st.Entries,
 		CacheHits:       st.Hits,
 		CacheMisses:     st.Misses,
@@ -557,15 +554,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var p metrics.Page
 	s.engine.Metrics().Collect(&p)
-	st := s.engine.CacheDetail()
-	p.Add(metrics.CacheShards, "", len(st.Shards))
+	st := s.engine.CacheStats()
 	p.Add(metrics.CacheEntries, "", st.Entries)
 	p.Add(metrics.CacheLookupHits, "", st.Hits)
 	p.Add(metrics.CacheLookupMisses, "", st.Misses)
 	p.Add(metrics.CacheEvictions, "", st.Evictions)
-	for i, sh := range st.Shards {
-		p.Add(metrics.CacheShardEntries, strconv.Itoa(i), sh.Entries)
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, p.String())
 }

@@ -299,11 +299,9 @@ func TestModelsHealthzMetrics(t *testing.T) {
 		`fpsping_requests_total{endpoint="/v1/rtt"} 2`,
 		`fpsping_cache_hits_total{endpoint="/v1/rtt"} 1`,
 		`fpsping_requests_total{endpoint="/v1/models"} 1`,
-		// The sharded-cache gauges: the two rtt entries (full result +
-		// sweep point) live somewhere across the shards.
-		"fpsping_cache_shards ",
+		// The cache gauges: the two rtt entries are the full result and
+		// its sweep point.
 		"fpsping_cache_entries 2",
-		`fpsping_cache_shard_entries{shard="0"}`,
 		"fpsping_cache_lookup_hits_total 1",
 		"fpsping_cache_lookup_misses_total 1",
 		"fpsping_cache_evictions_total 0",
@@ -312,13 +310,16 @@ func TestModelsHealthzMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
 	}
-	// healthz reports the same shard layout.
+	if strings.Contains(out, "shard") {
+		t.Errorf("metrics still carry a retired shard family:\n%s", out)
+	}
+	// healthz reports the same cache state.
 	var h Health
 	_, data = do(t, http.MethodGet, ts.URL+"/healthz", "")
 	if err := json.Unmarshal(data, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.CacheShards < 1 || h.CacheEntries != 2 || h.CacheEvictions != 0 {
+	if h.CacheEntries != 2 || h.CacheEvictions != 0 || strings.Contains(string(data), "shard") {
 		t.Errorf("healthz cache fields: %+v", h)
 	}
 }

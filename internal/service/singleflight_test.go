@@ -74,7 +74,7 @@ func TestSingleflightErrorsNotCached(t *testing.T) {
 	if got := e.Computes(); got != 2 {
 		t.Errorf("sequential failing requests ran %d computations, want 2 (errors must not be cached)", got)
 	}
-	if entries, _, _ := e.CacheStats(); entries != 0 {
+	if entries := e.CacheStats().Entries; entries != 0 {
 		t.Errorf("failed computations left %d cache entries", entries)
 	}
 }
@@ -209,8 +209,8 @@ func TestDimensionReusesPointMemo(t *testing.T) {
 // goroutines with a mixed hot/cold scenario workload. Whatever the
 // interleaving, the compute counter must land exactly on the number of
 // distinct scenarios (memoization plus singleflight: no duplicate work, no
-// lost work) and the sharded cache's per-stripe accounting must add up. Run
-// under -race this doubles as the engine's contention-safety proof.
+// lost work) and the cache's accounting must add up. Run under -race this
+// doubles as the engine's contention-safety proof.
 func TestEngineContentionStress(t *testing.T) {
 	e := NewEngine(4, 0)
 	workers := 4 * runtime.GOMAXPROCS(0)
@@ -250,9 +250,9 @@ func TestEngineContentionStress(t *testing.T) {
 	if got := e.Computes(); got != distinct {
 		t.Errorf("Computes() = %d, want %d (one per distinct scenario)", got, distinct)
 	}
-	st := e.CacheDetail()
+	st := e.CacheStats()
 	// Each RTT compute inserts two entries (rtt| and pt|); nothing may be
-	// lost or double-counted across shards.
+	// lost or double-counted.
 	if uint64(st.Entries)+st.Evictions != 2*distinct {
 		t.Errorf("entries %d + evictions %d != %d inserts", st.Entries, st.Evictions, 2*distinct)
 	}

@@ -137,7 +137,7 @@ func (e *Engine) DumpCache(w io.Writer) (memo.DumpStats, error) {
 
 // WarmCache restores a snapshot into the engine's memo cache under
 // never-clobber semantics: entries already live (newer) win, and a full
-// shard skips archived entries rather than evicting live ones. A snapshot
+// cache skips archived entries rather than evicting live ones. A snapshot
 // from a different schema (changed model code) is rejected whole with
 // memo.ErrSchemaMismatch; a corrupt one with memo.ErrSnapshot. Either way
 // the cache is untouched on error.

@@ -176,7 +176,7 @@ func TestCacheWarmRejectsBadSnapshots(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 			}
-			if n := srv.engine.CacheDetail().Entries; n != 0 {
+			if n := srv.engine.CacheStats().Entries; n != 0 {
 				t.Errorf("rejected snapshot left %d cache entries", n)
 			}
 			// Still serves, cold.
@@ -223,7 +223,7 @@ func TestCacheWarmRejectsOtherArch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 	}
-	if n := srv.engine.CacheDetail().Entries; n != 0 {
+	if n := srv.engine.CacheStats().Entries; n != 0 {
 		t.Errorf("other-arch snapshot left %d cache entries", n)
 	}
 }
