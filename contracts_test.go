@@ -48,6 +48,7 @@ var contracts = []contract{
 		tests: []string{
 			"internal/queueing:TestDEK1SolveFromBitIdenticalToSolve",
 			"internal/mgf:TestQuantileWorkspaceBitIdentical",
+			"internal/mgf:TestSeededWalkStaysInBracket",
 			"internal/core:TestWarmStartBitIdentical",
 			"internal/core:TestLoadPathBitIdenticalToCold",
 			"internal/core:TestLoadPathWalksMatchCold",

@@ -21,8 +21,9 @@ import (
 // Quantile), and the same step taken through a LoadPath, the one handle that
 // carries state from point to point. Front ends cache CompiledModels (the
 // daemon keeps them in its point memo); monotone walks (load sweeps,
-// dimensioning bisections) drive a LoadPath so each point's root solve and
-// quantile inversion start from its neighbour's.
+// dimensioning bisections) drive a LoadPath so each point's root solve
+// starts from its neighbour's and its quantile inversion reuses the path's
+// quadrature buffers.
 
 // CompiledLaw pairs a delay law with a per-level cache of solved quantiles.
 // It is safe for concurrent use: the underlying laws are immutable and the
@@ -48,14 +49,13 @@ func (c *CompiledLaw) Tail(x float64) float64 { return c.law.Tail(x) }
 // Mean returns E[D].
 func (c *CompiledLaw) Mean() float64 { return c.law.Mean() }
 
-// Quantile returns the queueing-delay quantile at level p, inverted cold.
+// Quantile returns the queueing-delay quantile at level p.
 func (c *CompiledLaw) Quantile(p float64) (float64, error) { return c.quantile(p, nil) }
 
-// quantile is Quantile with the inversion's walk state in ws (nil borrows a
-// pooled, cold workspace; see mgf.Quantile). Solved levels are cached, so a
-// level is inverted at most once per law. Warm and cold inversions are
-// bit-identical, so the cache and the workspace change only the cost of an
-// answer, never its value.
+// quantile is Quantile with the inversion's quadrature scratch in ws (nil
+// borrows a pooled workspace; see mgf.Quantile). Solved levels are cached,
+// so a level is inverted at most once per law. The cache and the workspace
+// change only the cost of an answer, never its value.
 func (c *CompiledLaw) quantile(p float64, ws *mgf.Workspace) (float64, error) {
 	c.mu.Lock()
 	q, ok := c.solved[p]

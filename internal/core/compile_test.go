@@ -65,11 +65,11 @@ func TestCompiledMatchesModel(t *testing.T) {
 
 // TestWarmStartBitIdentical is the warm-start property test: inverting
 // independently compiled models through one LoadPath, whose workspace
-// carries the tail hint from each quantile inversion to the next, must
-// return exactly the bits of independent per-point inversions — across the
-// paper's grid, seeded random grids, and a deliberately unsorted grid (the
-// hint is verified by a probe, so correctness never depends on the walk
-// being monotone).
+// carries quadrature buffers and a ladder from each quantile inversion to
+// the next, must return exactly the bits of independent per-point
+// inversions — across the paper's grid, seeded random grids, and a
+// deliberately unsorted grid (each inversion seeds its own walk from its
+// law, so correctness never depends on the walk being monotone).
 func TestWarmStartBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grids := [][]float64{PaperLoadGrid()}

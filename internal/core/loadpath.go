@@ -5,24 +5,25 @@ import (
 	"fpsping/internal/queueing"
 )
 
-// LoadPath walks one scenario along the load axis, carrying everything a
-// point's evaluation can reuse from its neighbour:
+// LoadPath walks one scenario along the load axis, carrying what a point's
+// evaluation can reuse from its neighbour:
 //
 //   - the downstream D/E_K/1 root solution, seeding the next compile's
 //     Newton polish instead of a cold fixed-point iteration
 //     (queueing.DEK1.SolveFrom);
-//   - one mgf.Workspace, which holds the previous quantile as the tail hint
-//     that warm-starts the next inversion's bracket search, and the
-//     quadrature grids and ladder consecutive inversions reuse instead of a
-//     pool round-trip per point.
+//   - one mgf.Workspace, whose quadrature grids and ladder buffers
+//     consecutive inversions reuse instead of a pool round-trip per point.
+//
+// The quantile inversion itself carries nothing from point to point: each
+// one seeds its bracket walk from its own law's factors (see mgf.Quantile).
 //
 // LoadPath is the only warm handle in the package: every other evaluation
-// is a one-shot form that starts cold. Both carriers are bit-exact: a point
-// evaluated through a path is byte-identical to
-// WithDownlinkLoad(rho).RTTQuantile() evaluated cold, so a path changes only
-// the cost of a walk, never its values. Sweeps (SweepGridWith chunks),
-// dimensioning bisections (MaxLoadWith) and the daemon's memoized grids all
-// drive their points through one.
+// is a one-shot form. Both carriers are bit-exact: a point evaluated
+// through a path is byte-identical to WithDownlinkLoad(rho).RTTQuantile()
+// evaluated cold, so a path changes only the cost of a walk, never its
+// values. Sweeps (SweepGridWith chunks), dimensioning bisections
+// (MaxLoadWith) and the daemon's memoized grids all drive their points
+// through one.
 //
 // Continuation does not require monotone loads — any neighbouring parameter
 // is a good Newton seed, and validation falls back to the cold solve on any
@@ -63,8 +64,7 @@ func (p *LoadPath) Reseed(cm *CompiledModel) {
 // Quantile evaluates cm's RTT quantile (seconds), exactly as
 // cm.RTTQuantile(), through the path's workspace. cm need not have come
 // from this path's Compile: a memoized compiled model works too (a level it
-// has already solved is answered from its cache and leaves the hint as it
-// was).
+// has already solved is answered from its cache).
 func (p *LoadPath) Quantile(cm *CompiledModel) (float64, error) {
 	q, err := cm.law.quantile(cm.Model.quantile(), &p.ws)
 	if err != nil {
@@ -73,8 +73,8 @@ func (p *LoadPath) Quantile(cm *CompiledModel) (float64, error) {
 	return q + cm.Model.FixedPart(), nil
 }
 
-// Point evaluates one sweep point at downlink load rho: a Compile plus a
-// Quantile, both warm-started from the path's previous point.
+// Point evaluates one sweep point at downlink load rho: a Compile
+// warm-started from the path's previous point, plus a Quantile.
 func (p *LoadPath) Point(rho float64) (SweepPoint, error) {
 	cm, err := p.Compile(rho)
 	if err != nil {

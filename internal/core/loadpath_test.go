@@ -30,7 +30,7 @@ func loadPathGrids() [][]float64 {
 }
 
 // TestLoadPathBitIdenticalToCold is the continuation contract end to end: a
-// LoadPath walk — warm-started root solves, threaded tail hint, shared
+// LoadPath walk — warm-started root solves, seeded inversions, shared
 // workspace — must return exactly the bits of independent cold evaluation
 // at every point of every grid.
 func TestLoadPathBitIdenticalToCold(t *testing.T) {

@@ -24,7 +24,7 @@ type SweepPoint struct {
 // The grid is split into contiguous chunks over workers (<= 0 means one per
 // CPU; see SweepGridWith), each walked by its own LoadPath: every point's
 // downstream root solve continues from the previous point's roots and its
-// quantile inversion warm-starts from the previous answer. Both carriers are
+// quantile inversion reuses the chain's quadrature buffers. Both are
 // bit-exact, so the points are identical to independent per-point
 // evaluation at any worker count. One worker walks the whole grid inline.
 func (m Model) SweepLoads(loads []float64, workers int) ([]SweepPoint, error) {

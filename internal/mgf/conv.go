@@ -499,5 +499,5 @@ func gridTailReal(t Term, x, h float64, n int, g []float64) {
 // CDF returns TotalMass - Tail(x).
 func (s Sum) CDF(x float64) float64 { return s.TotalMass() - s.Tail(x) }
 
-// Quantile inverts the tail cold: Quantile(s, p, nil).
+// Quantile inverts the tail with a pooled workspace: Quantile(s, p, nil).
 func (s Sum) Quantile(p float64) (float64, error) { return s.quantile(p, nil) }

@@ -8,43 +8,45 @@ import (
 )
 
 // This file owns quantile inversion for every law in the package: Mix and
-// Sum both delegate here, so bracketing, warm starts and convergence live in
+// Sum both delegate here, so bracketing, seeding and convergence live in
 // exactly one place. The solver splits the work into two stages with very
 // different reuse properties:
 //
 //  1. a bracket stage that locates the law's CANONICAL dyadic bracket: with
 //     step = mean, the smallest k >= 0 with Tail(step·2^k) <= target, giving
 //     [step·2^(k-1), step·2^k] (k = 0 means [0, step]). The bracket is a
-//     function of the law and the target alone — not of how the walk that
-//     found k started — which is what makes warm starts exact;
+//     function of the law and the target alone — not of the rung the walk
+//     that found k started from — which is what makes seeding exact;
 //  2. a refinement stage that runs Brent's method on log(Tail(x)/target)
 //     inside the bracket. The tail of every law here is asymptotically
 //     exponential, so the log-ratio is near-linear and Brent's secant and
 //     inverse-quadratic steps converge in a handful of evaluations where
 //     blind bisection needed dozens.
 //
-// A workspace carries the previous inversion's answer as a tail hint, which
-// only moves the stage-1 walk's starting rung: a cold inversion scans k
-// upward from 0, a warm one starts at the hint's rung and walks up or down
-// to the same canonical k. Either way stage 2 sees the same bracket and the
-// same endpoint values, so a warm start changes how much work is done, never
-// what is computed.
+// A Sum's inversion seeds the stage-1 walk from its own factors. The
+// factors are independent and non-negative, so P(A+B > x) >=
+// max(P(A > x), P(B > x)) and the largest factor quantile is a lower bound
+// on the answer. Each factor quantile is a closed-form Mix inversion, cheap
+// next to one quadrature tail, and the walk starts at the seed's rung
+// instead of rung 0. A Mix starts at rung 0: its tail is closed form. The
+// seed is a function of the law and the level alone, so an inversion
+// carries no state from the previous one. Whatever rung the walk starts at,
+// stage 2 sees the same bracket and the same endpoint values: a seed
+// changes how much work is done, never what is computed.
 
 // maxDoubling caps the dyadic bracket search: 2^200 means away from the
 // mean, far beyond any law with a finite tail.
 const maxDoubling = 200
 
 // Quantile returns the smallest x >= 0 with l.Tail(x) <= 1-p for a Mix or a
-// Sum. ws carries one walk's state between inversions: the quadrature
-// scratch and ladder of Sum tails, and the previous answer as the tail hint
-// that warm-starts the next bracket search. A load sweep or a dimensioning
-// bisection holds one workspace for the whole walk; nil borrows a pooled
-// workspace, which always starts cold. Warm and cold inversions return the
-// same bits.
+// Sum. ws holds the quadrature scratch and ladder of Sum tails, which
+// consecutive inversions of neighbouring laws reuse: a load sweep or a
+// dimensioning bisection holds one workspace for the whole walk, and nil
+// borrows a pooled one. The answer does not depend on ws.
 func Quantile(l Law, p float64, ws *Workspace) (float64, error) {
 	switch v := l.(type) {
 	case Mix:
-		return v.quantile(p, ws)
+		return v.Quantile(p)
 	case Sum:
 		return v.quantile(p, ws)
 	default:
@@ -52,18 +54,8 @@ func Quantile(l Law, p float64, ws *Workspace) (float64, error) {
 	}
 }
 
-// quantile is Quantile for a Mix. Its closed-form tail needs no scratch,
-// so ws only carries the hint and nil means a cold inversion.
-func (m Mix) quantile(p float64, ws *Workspace) (float64, error) {
-	var hint *float64
-	if ws != nil {
-		hint = &ws.hint
-	}
-	return invertTail(m.Tail, m.Mean(), p, 1e-12, hint)
-}
-
 // quantile is Quantile for a Sum: every tail evaluation of the inversion
-// draws on one workspace.
+// draws on one workspace, and the walk starts at the factors' seed.
 func (s Sum) quantile(p float64, ws *Workspace) (float64, error) {
 	ws, pooled := borrowWS(ws)
 	if pooled {
@@ -71,16 +63,32 @@ func (s Sum) quantile(p float64, ws *Workspace) (float64, error) {
 	}
 	sharp := s.sharpestDecay()
 	tail := func(x float64) float64 { return s.tailAt(x, ws, sharp) }
-	return invertTail(tail, s.Mean(), p, 1e-10, &ws.hint)
+	return invertTail(tail, s.Mean(), p, 1e-10, s.seed(p))
+}
+
+// seed returns the largest p-quantile of the Sum's Mix factors, recursing
+// into a nested Sum: a lower bound on the Sum's own p-quantile. A failed
+// factor inversion returns 0, and a factor that is neither a Mix nor a Sum
+// contributes nothing.
+func (s Sum) seed(p float64) float64 {
+	x, _ := s.A.Quantile(p)
+	switch b := s.B.(type) {
+	case Mix:
+		q, _ := b.Quantile(p)
+		x = max(x, q)
+	case Sum:
+		x = max(x, b.seed(p))
+	}
+	return x
 }
 
 // invertTail returns the smallest x >= 0 with Tail(x) <= 1-p, for a
 // monotone nonincreasing tail function. mean seeds the dyadic bracket
 // (non-positive values fall back to 1, matching the historical behavior),
-// tol is the absolute-plus-relative convergence tolerance, and hint, when
-// non-nil, holds the previous solved abscissa (0 means none) and receives
-// this one.
-func invertTail(tail func(float64) float64, mean, p, tol float64, hint *float64) (float64, error) {
+// tol is the absolute-plus-relative convergence tolerance, and seed, when
+// positive, is a lower bound on the answer that sets the walk's first rung
+// (non-positive means rung 0).
+func invertTail(tail func(float64) float64, mean, p, tol, seed float64) (float64, error) {
 	if !(p > 0 && p < 1) {
 		return 0, fmt.Errorf("%w: quantile level %g", ErrInvalid, p)
 	}
@@ -95,12 +103,13 @@ func invertTail(tail func(float64) float64, mean, p, tol float64, hint *float64)
 	rung := func(j int) float64 { return math.Ldexp(step, j) } // step·2^j, exact
 
 	// Stage 1: find the canonical k — the smallest j >= 0 with
-	// Tail(rung(j)) <= target — walking one rung at a time from j0: 0 when
-	// cold, the hint's rung when warm. Rung values the walk evaluates next
-	// to k are kept so stage 2 does not re-evaluate its endpoints.
+	// Tail(rung(j)) <= target — walking one rung at a time from j0, the
+	// seed's rung (0 without a seed above step). Rung values the walk
+	// evaluates next to k are kept so stage 2 does not re-evaluate its
+	// endpoints.
 	j0 := 0
-	if hint != nil && *hint > step {
-		j0 = max(0, min(int(math.Floor(math.Log2(*hint/step))), maxDoubling))
+	if seed > step {
+		j0 = int(min(math.Floor(math.Log2(seed/step)), maxDoubling))
 	}
 	k := -1
 	var vlo, vhi float64 // tail at rung(k-1) (or 0), rung(k)
@@ -144,7 +153,7 @@ func invertTail(tail func(float64) float64, mean, p, tol float64, hint *float64)
 
 	// Stage 2: Brent on the log-ratio inside [lo, hi]. The bracket and its
 	// endpoint values are the canonical ones whatever j0 was, so the
-	// iterates — and the root — are bit-identical cold or warm.
+	// iterates — and the root — are bit-identical with or without a seed.
 	logRatio := func(v float64) float64 {
 		if v > 0 {
 			return math.Log(v / target)
@@ -160,9 +169,6 @@ func invertTail(tail func(float64) float64, mean, p, tol float64, hint *float64)
 		// vlo <= target can only mean the tail is not monotone at the
 		// bracket scale; surface it rather than guessing.
 		return 0, fmt.Errorf("%w: tail not monotone near %g", ErrInvalid, lo)
-	}
-	if hint != nil && x > 0 {
-		*hint = x
 	}
 	return x, nil
 }

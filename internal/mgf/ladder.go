@@ -63,8 +63,10 @@ const (
 	// multiplies at most stride rounding errors onto an exact anchor.
 	ladderCkStride = expResetStride
 	// ladderMaxLevels caps the Erlang order of a B term the moment
-	// recurrence carries; higher orders (none exist in the model space)
-	// fall back to the per-abscissa path.
+	// recurrence carries; a law with a higher order takes the per-abscissa
+	// path. The model's B = Mul(Du, P) keeps P's pole at beta with order
+	// K-1, so a Sum RTT law with K >= 18 lands there whenever W's poles
+	// crowd beta (TestTailPathByErlangOrder pins K = 2..30 at rho = 0.5).
 	ladderMaxLevels = 16
 	// ladderMaxPartners caps the A terms of one crowded channel (stack
 	// arrays in the hot walk).

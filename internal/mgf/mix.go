@@ -212,8 +212,11 @@ func (m Mix) PDF(x float64) float64 {
 }
 
 // Quantile returns the smallest x >= 0 with P(X <= x) >= p, assuming the mix
-// is a normalized probability law: a cold Quantile(m, p, nil).
-func (m Mix) Quantile(p float64) (float64, error) { return m.quantile(p, nil) }
+// is a normalized probability law. The closed-form tail needs no workspace,
+// and the bracket walk starts at rung 0 (see invert.go).
+func (m Mix) Quantile(p float64) (float64, error) {
+	return invertTail(m.Tail, m.Mean(), p, 1e-12, 0)
+}
 
 // DominantPole returns the pole with the smallest real part (the slowest
 // exponential decay) and its total coefficient ladder, or ok=false for a

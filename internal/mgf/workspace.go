@@ -2,17 +2,14 @@ package mgf
 
 import "sync"
 
-// Workspace is the state one walk of evaluations carries from call to call:
-// the reusable scratch buffers behind the package's two allocation-heavy
-// paths (the Appendix-A product's inner loops and the convolution
-// quadrature's Simpson grids and ladder) and the tail hint of the previous
-// quantile inversion (see Quantile). A zero Workspace is ready to use and
-// cold; buffers grow to the largest size seen and are reused across calls.
-// A Workspace must not be used concurrently.
+// Workspace holds the reusable scratch buffers behind the package's two
+// allocation-heavy paths: the Appendix-A product's inner loops and the
+// convolution quadrature's Simpson grids and ladder. It carries no answer
+// from call to call, so it changes the cost of an evaluation, never its
+// value. A zero Workspace is ready to use; buffers grow to the largest size
+// seen and are reused across calls. A Workspace must not be used
+// concurrently.
 type Workspace struct {
-	// hint is the previous inversion's answer (0: none), the warm start of
-	// the next bracket search.
-	hint float64
 	// Mul scratch: coefficient ladder, Taylor coefficients, pole powers.
 	coef, taylor, powers []complex128
 	// Quadrature scratch: per-grid-point density of A and tail of B. The
@@ -59,15 +56,12 @@ func fbuf(buf *[]float64, n int) []float64 {
 var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
 
 // borrowWS resolves an optional caller workspace to a usable one, reporting
-// whether it must be returned to the pool afterwards. A pooled workspace
-// keeps its buffers but not the tail hint of its previous borrower.
+// whether it must be returned to the pool afterwards.
 func borrowWS(ws *Workspace) (*Workspace, bool) {
 	if ws != nil {
 		return ws, false
 	}
-	ws = wsPool.Get().(*Workspace)
-	ws.hint = 0
-	return ws, true
+	return wsPool.Get().(*Workspace), true
 }
 
 func releaseWS(ws *Workspace) { wsPool.Put(ws) }

@@ -101,10 +101,11 @@ func TestSumTailWSAllocs(t *testing.T) {
 	}
 }
 
-// TestQuantileWorkspaceBitIdentical is the warm-start contract at the law
+// TestQuantileWorkspaceBitIdentical is the workspace contract at the law
 // level: inverting a ladder of laws with one workspace threaded through (in
-// order and out of order, so its tail hint points both below and above the
-// next answer) returns exactly the bits of independent cold inversions.
+// order and out of order, so the laws before each one lie both below and
+// above it) returns exactly the bits of independent inversions on fresh
+// pooled workspaces.
 func TestQuantileWorkspaceBitIdentical(t *testing.T) {
 	// A ladder of stochastically growing laws, like a load sweep's.
 	var sums []Sum
@@ -117,9 +118,6 @@ func TestQuantileWorkspaceBitIdentical(t *testing.T) {
 			warm, err := Quantile(s, p, &ws)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if ws.hint != warm {
-				t.Errorf("sum %d p=%v: workspace hint %v, want the answer %v", i, p, ws.hint, warm)
 			}
 			cold, err := s.Quantile(p)
 			if err != nil {
@@ -148,19 +146,32 @@ func TestQuantileWorkspaceBitIdentical(t *testing.T) {
 }
 
 // TestQuantileWorkspaceStartsCold pins the one-shot form: a pooled
-// workspace drops its previous borrower's tail hint, and a law type without
-// an inversion is an error, not a panic.
+// workspace that a previous borrower left dirty (its ladder built for
+// another law) answers exactly like a fresh workspace, and a law type
+// without an inversion is an error, not a panic.
 func TestQuantileWorkspaceStartsCold(t *testing.T) {
+	other := Sum{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, 0.12)}
+	s := Sum{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, 0.4)}
+	want, err := Quantile(s, 0.99999, new(Workspace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		ws, pooled := borrowWS(nil)
 		if !pooled {
 			t.Fatal("nil workspace was not borrowed from the pool")
 		}
-		if ws.hint != 0 {
-			t.Errorf("borrow %d: pooled workspace carries hint %v", i, ws.hint)
+		if _, err := Quantile(other, 0.99, ws); err != nil {
+			t.Fatal(err)
 		}
-		ws.hint = 123 // a dirty workspace goes back to the pool
-		releaseWS(ws)
+		releaseWS(ws) // a dirty workspace goes back to the pool
+		got, err := Quantile(s, 0.99999, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("borrow %d: pooled answer %v != fresh-workspace answer %v", i, got, want)
+		}
 	}
 	if _, err := Quantile(lawOnly{NewExponential(1, 2)}, 0.99, nil); !errors.Is(err, ErrInvalid) {
 		t.Errorf("Quantile of an opaque law: err %v, want ErrInvalid", err)
