@@ -57,6 +57,24 @@ var contracts = []contract{
 		jobs: []string{"verify"},
 	},
 	{
+		id:   "dimension-bracket",
+		what: "a dimensioning answer is a probed feasible load with a probed infeasible one less than 1e-6 above it, within 1e-6 of bisection's, after at most 24 evaluations",
+		tests: []string{
+			"internal/core:TestMaxLoadITPContract",
+			"internal/core:TestMaxLoadITPSyntheticEvaluators",
+			"internal/core:TestMaxLoadWithMatchesMaxLoad",
+		},
+		jobs: []string{"verify"},
+	},
+	{
+		id:   "dimension-agrees-with-rtt",
+		what: "/v1/dimension's rtt_at_max_ms is /v1/rtt at max_downlink_load bit for bit and within the bound, and /v1/rtt 1e-6 above that load exceeds the bound unless it is the stability ceiling",
+		tests: []string{
+			"internal/service:TestDimensionAgreesWithRTT",
+		},
+		jobs: []string{"verify"},
+	},
+	{
 		id:   "warm-replay",
 		what: "a daemon restored from a cache snapshot answers byte-identically, as hits, without recomputing",
 		tests: []string{

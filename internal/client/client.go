@@ -29,8 +29,8 @@ import (
 )
 
 // DefaultTimeout bounds one request (dial + send + full response) unless
-// WithTimeout or WithHTTPClient overrides it. Cold dimensioning bisections
-// run hundreds of quantile inversions, so the default is generous.
+// WithTimeout or WithHTTPClient overrides it. Cold dimensioning searches
+// run many quantile inversions, so the default is generous.
 const DefaultTimeout = 60 * time.Second
 
 // maxResponseBytes bounds response bodies read into memory; the largest

@@ -379,6 +379,10 @@ func TestRouterMetricsDaemonCompatible(t *testing.T) {
 		}
 		get(t, fmt.Sprintf("%s/v1/rtt?gamers=64", front.URL))
 	}
+	// The uptime gauge renders whole milliseconds, and six loopback
+	// requests can finish within half of one; age the router past a
+	// millisecond so the gauge reads above zero.
+	time.Sleep(2 * time.Millisecond)
 	_, metrics := get(t, front.URL+"/metrics")
 	wantReq := `fpsping_requests_total{endpoint="/v1/rtt"} 6`
 	wantHits := fmt.Sprintf(`fpsping_cache_hits_total{endpoint="/v1/rtt"} %d`, hits)

@@ -21,7 +21,7 @@ import (
 // Quantile), and the same step taken through a LoadPath, the one handle that
 // carries state from point to point. Front ends cache CompiledModels (the
 // daemon keeps them in its point memo); monotone walks (load sweeps,
-// dimensioning bisections) drive a LoadPath so each point's root solve
+// dimensioning searches) drive a LoadPath so each point's root solve
 // starts from its neighbour's and its quantile inversion reuses the path's
 // quadrature buffers.
 

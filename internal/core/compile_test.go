@@ -219,11 +219,24 @@ func BenchmarkSweepPaperGridCold(b *testing.B) {
 	})
 }
 
-// BenchmarkDimensionCold measures a cold §4 dimensioning run: the bisection
-// probes a few dozen neighbouring loads, each continued from the previous
-// probe through the default LoadPath evaluator.
+// BenchmarkDimensionCold measures a cold §4 dimensioning run at K=9, where
+// Sum tails run on the quadrature ladder: the ITP search probes about ten
+// loads, each continued from the previous probe through the default
+// LoadPath evaluator.
 func BenchmarkDimensionCold(b *testing.B) {
 	m := figure3Model(9)
+	for i := 0; i < b.N; i++ {
+		if _, err := m.MaxLoad(0.060); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDimensionColdK20 is BenchmarkDimensionCold at K=20, where B's
+// Erlang order is above the ladder's and every Sum tail takes the
+// per-abscissa Simpson path.
+func BenchmarkDimensionColdK20(b *testing.B) {
+	m := figure3Model(20)
 	for i := 0; i < b.N; i++ {
 		if _, err := m.MaxLoad(0.060); err != nil {
 			b.Fatal(err)

@@ -21,7 +21,7 @@ import (
 // is a one-shot form. Both carriers are bit-exact: a point evaluated
 // through a path is byte-identical to WithDownlinkLoad(rho).RTTQuantile()
 // evaluated cold, so a path changes only the cost of a walk, never its
-// values. Sweeps (SweepGridWith chunks), dimensioning bisections
+// values. Sweeps (SweepGridWith chunks), dimensioning searches
 // (MaxLoadWith) and the daemon's memoized grids all drive their points
 // through one.
 //

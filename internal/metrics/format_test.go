@@ -144,6 +144,34 @@ func TestStrictFormatDaemonPage(t *testing.T) {
 	}
 }
 
+// TestStrictFormatDimensionProbes pins the dimensioning probe summary on
+// the daemon page: absent before any dimensioning, then one strict-format
+// block whose _count is the computed answers and whose _sum their quantile
+// evaluations. A cached repeat computes nothing and folds nothing in.
+func TestStrictFormatDimensionProbes(t *testing.T) {
+	base := newDaemon(t)
+	if page := scrape(t, base); strings.Contains(page, metrics.DimensionProbes.Name()) {
+		t.Errorf("probe summary on a page with no dimensioning:\n%s", page)
+	}
+	page := scrape(t, base, "/v1/dimension?bound_ms=50", "/v1/dimension?bound_ms=50")
+	if err := checkStrict(page, append(daemonFamilies[:len(daemonFamilies):len(daemonFamilies)], metrics.DimensionProbes)...); err != nil {
+		t.Errorf("daemon /metrics breaks the strict format:\n%v\n%s", err, page)
+	}
+	samples, err := metrics.Parse([]byte(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	for _, s := range samples {
+		if s.Family == metrics.DimensionProbes {
+			got[s.Suffix] = s.Value
+		}
+	}
+	if got["_count"] != 1 || !(got["_sum"] >= 3 && got["_sum"] <= 24) {
+		t.Errorf("probe summary sum %v count %v, want one answer of 3-24 evaluations:\n%s", got["_sum"], got["_count"], page)
+	}
+}
+
 func TestStrictFormatRouterPage(t *testing.T) {
 	rt, err := cluster.NewRouter(cluster.RouterConfig{Replicas: []string{newDaemon(t), newDaemon(t)}})
 	if err != nil {

@@ -48,6 +48,7 @@ var (
 	CacheLookupHits   = declare("fpsping_cache_lookup_hits_total", "counter", "")
 	CacheLookupMisses = declare("fpsping_cache_lookup_misses_total", "counter", "")
 	CacheEvictions    = declare("fpsping_cache_evictions_total", "counter", "")
+	DimensionProbes   = declare("fpsping_dimension_probes", "summary", "")
 	RouterReplicas    = declare("fpsrouter_replicas", "gauge", "")
 	RouterRetries     = declare("fpsrouter_retries_total", "counter", "")
 	RouterSpills      = declare("fpsrouter_spills_total", "counter", "")

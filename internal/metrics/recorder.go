@@ -39,6 +39,9 @@ type Recorder struct {
 	start  time.Time
 	global *series
 	series map[string]*series
+	// probes and dimensionings are the quantile evaluations made by
+	// computed dimensioning answers, and how many answers made them.
+	probes, dimensionings uint64
 }
 
 // NewRecorder returns a recorder with no requests; its uptime starts now.
@@ -62,6 +65,16 @@ func (r *Recorder) Observe(endpoint string, elapsed time.Duration, cached, faile
 	r.global.observe(elapsed.Seconds(), cached, failed)
 }
 
+// ObserveDimension records one computed dimensioning answer and the
+// quantile evaluations (PointEval calls) its search made, cache hits
+// included.
+func (r *Recorder) ObserveDimension(probes int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.probes += uint64(probes)
+	r.dimensionings++
+}
+
 func (s *series) observe(sec float64, cached, failed bool) {
 	s.requests++
 	if failed {
@@ -77,7 +90,8 @@ func (s *series) observe(sec float64, cached, failed bool) {
 }
 
 // Collect adds the uptime and the request families to p: the global series
-// first, then every endpoint by name.
+// first, then every endpoint by name. The dimensioning probe summary joins
+// them once a dimensioning answer has been computed.
 func (r *Recorder) Collect(p *Page) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -96,5 +110,9 @@ func (r *Recorder) Collect(p *Page) {
 		for i, q := range s.quantiles {
 			p.add(RequestLatency, "", labels(RequestLatency, name, fmt.Sprintf(`quantile="%g"`, levels[i])), q.Value())
 		}
+	}
+	if r.dimensionings > 0 {
+		p.add(DimensionProbes, "_sum", "", r.probes)
+		p.add(DimensionProbes, "_count", "", r.dimensionings)
 	}
 }

@@ -41,7 +41,7 @@ const maxDoubling = 200
 // Quantile returns the smallest x >= 0 with l.Tail(x) <= 1-p for a Mix or a
 // Sum. ws holds the quadrature scratch and ladder of Sum tails, which
 // consecutive inversions of neighbouring laws reuse: a load sweep or a
-// dimensioning bisection holds one workspace for the whole walk, and nil
+// dimensioning search holds one workspace for the whole walk, and nil
 // borrows a pooled one. The answer does not depend on ws.
 func Quantile(l Law, p float64, ws *Workspace) (float64, error) {
 	switch v := l.(type) {

@@ -29,6 +29,35 @@ func countedWalk(s mgf.Sum, p, seed float64, ws *mgf.Workspace) (x float64, eval
 	return x, evals, maxX, err
 }
 
+// bisectionProbes drives rttAt through the probe sequence of a §4
+// dimensioning bisection under bound: the vanishing load 1e-6, the
+// stability ceiling ceil, the midpoints of [1e-6, ceil] down to a bracket
+// narrower than 1e-6, then the accepted load once more. Every probe but the
+// opening two and the last lands on a fresh dyadic load, so the sequence
+// visits a wide spread of laws in a fixed order.
+func bisectionProbes(rttAt func(rho float64) (float64, error), bound, ceil float64) error {
+	lo, hi := 1e-6, ceil
+	for _, rho := range []float64{lo, hi} {
+		if _, err := rttAt(rho); err != nil {
+			return err
+		}
+	}
+	for hi-lo >= 1e-6 {
+		mid := lo + (hi-lo)/2
+		v, err := rttAt(mid)
+		if err != nil {
+			return err
+		}
+		if v <= bound {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	_, err := rttAt(lo)
+	return err
+}
+
 // TestSeededWalkStaysInBracket pins the seeded bracket walk against a walk
 // from rung 0 on every Sum law of the paper grid (K 2, 9, 20, 30) and on
 // every probe of a §4 dimensioning bisection (K=9, 60 ms bound), in probe
@@ -65,7 +94,9 @@ func TestSeededWalkStaysInBracket(t *testing.T) {
 		points = append(points, point{fmt.Sprintf("K=9 probe %d rho=%.6f", probe, rho), cm.Law().Law(), m.QuantileLevel()})
 		return cm.RTTQuantile()
 	}
-	if _, err := m.MaxLoadWith(0.060, rttAt); err != nil {
+	// The paper model's ceiling is the downlink's (the uplink saturates at
+	// rho_d = PS/PC > 1).
+	if err := bisectionProbes(rttAt, 0.060, 1-1e-6); err != nil {
 		t.Fatal(err)
 	}
 	if probe < 20 {

@@ -19,7 +19,7 @@ type Workspace struct {
 	pdf, tail []float64
 	// lad is the shared-grid quadrature ladder, tagged by a per-law
 	// fingerprint: a workspace reused across laws (a load sweep, a
-	// dimensioning bisection) rebuilds it exactly when the law changes
+	// dimensioning search) rebuilds it exactly when the law changes
 	// (see ladder.go).
 	lad ladder
 }

@@ -41,7 +41,7 @@ type Engine struct {
 	cache   *memo.Cache[any]
 	metrics *metrics.Recorder
 	// computes counts core model evaluations actually run (one per cold RTT,
-	// one per cold sweep point, one per cold dimensioning bisection point):
+	// one per cold sweep point, one per cold dimensioning probe):
 	// the observable proof that the cache and singleflight are doing their
 	// jobs.
 	computes atomic.Uint64
@@ -73,7 +73,7 @@ func (e *Engine) CacheStats() memo.Stats { return e.cache.Stats() }
 
 // Computes returns the cumulative number of core model evaluations the
 // engine has actually run: one per cold RTT, one per cold sweep or
-// dimensioning bisection point (a cold /v1/dimension therefore moves it by
+// dimensioning probe (a cold /v1/dimension therefore moves it by
 // its probe count, not by one). Under singleflight, K concurrent identical
 // cold requests move it exactly as far as one would.
 func (e *Engine) Computes() uint64 { return e.computes.Load() }
@@ -291,7 +291,7 @@ func (e *Engine) point(path *core.LoadPath, psc scenario.Scenario, rho float64) 
 // pointAt resolves the scenario at downlink load rho through the shared
 // per-scenario point memo, mapping a memoized unstable marker back to
 // core.ErrUnstable. It is the one evaluator behind both sweep grids and
-// dimensioning bisections, which is what makes their point reuse bit-exact;
+// dimensioning searches, which is what makes their point reuse bit-exact;
 // each walk passes its own LoadPath so cold points continue from their
 // neighbours. Scenario load shorthand and core.WithDownlinkLoad resolve N
 // identically, so the memo key and the path's model always agree.
@@ -346,14 +346,16 @@ type DimensionResult struct {
 }
 
 // Dimension finds the maximum load and whole-gamer count whose RTT quantile
-// stays within boundMs, memoized on (scenario, bound). The bisection behind
-// it evaluates dozens of quantile inversions, making this the endpoint that
-// profits most from the cache — so every inversion resolves through the
-// shared "pt|" point memo (core.Model.MaxLoadWith) instead of bypassing it:
-// a dimension call reuses points a sweep or an earlier dimensioning of the
-// same scenario already computed (the bisections at different bounds share
-// their opening probes and the midpoint prefix up to the first diverging
-// comparison), and conversely warms the memo for them.
+// stays within boundMs, memoized on (scenario, bound). The search behind it
+// (core.Model.MaxLoadWith) evaluates about ten quantile inversions, and
+// every one resolves through the shared "pt|" point memo instead of
+// bypassing it: a dimensioning reuses points a sweep or an earlier
+// dimensioning of the same scenario already computed (searches at
+// different bounds share their two opening probes, the vanishing load and
+// the stability ceiling), its closing evaluation at the answer is a hit on
+// its own probe, and conversely it warms the memo for later sweeps. A
+// computed answer folds its probe count into the recorder's dimensioning
+// summary once, after the search.
 func (e *Engine) Dimension(sc scenario.Scenario, boundMs float64) (DimensionResult, bool, error) {
 	if err := sc.Validate(); err != nil {
 		return DimensionResult{}, false, err
@@ -361,7 +363,9 @@ func (e *Engine) Dimension(sc scenario.Scenario, boundMs float64) (DimensionResu
 	key := fmt.Sprintf("dim|%s|%g", sc.Canonical(), boundMs)
 	v, shared, err := e.memo(key, func() (any, error) {
 		path := sc.Model().NewLoadPath()
+		probes := 0
 		res, err := sc.Model().MaxLoadWith(boundMs/1000, func(rho float64) (float64, error) {
+			probes++
 			pm, err := e.pointAt(path, sc, rho)
 			if err != nil {
 				return 0, err
@@ -371,6 +375,7 @@ func (e *Engine) Dimension(sc scenario.Scenario, boundMs float64) (DimensionResu
 		if err != nil {
 			return nil, err
 		}
+		e.metrics.ObserveDimension(probes)
 		return DimensionResult{
 			Scenario:        sc,
 			BoundMs:         boundMs,

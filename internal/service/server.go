@@ -522,7 +522,7 @@ type Health struct {
 	// CacheEvictions counts entries dropped to capacity pressure.
 	CacheEvictions uint64 `json:"cache_evictions"`
 	// Computations counts core model evaluations actually run: one per cold
-	// RTT, one per cold sweep or dimensioning bisection point. Singleflight
+	// RTT, one per cold sweep or dimensioning probe. Singleflight
 	// keeps it independent of how many clients race for the same cold
 	// question — K identical concurrent requests add what one would.
 	Computations uint64 `json:"computations"`

@@ -140,18 +140,18 @@ func TestSweepSharesRTTPointMemo(t *testing.T) {
 }
 
 // TestDimensionReusesPointMemo pins cache-aware dimensioning: every
-// quantile inversion inside the MaxLoad bisection resolves through the
+// quantile evaluation inside the MaxLoad search resolves through the
 // shared "pt|" point memo instead of bypassing it. Three consequences are
-// asserted via the computes counter: the final quantile evaluation at the
-// accepted load is a hit (it was probed during the bisection), a sweep that
-// crossed a probe load pre-pays that probe, and a second dimensioning at a
-// different bound shares the opening probes and the common midpoint prefix.
+// asserted via the computes counter: the closing evaluation at the accepted
+// load is a hit (it was probed during the search), a sweep that crossed a
+// probe load pre-pays that probe, and a second dimensioning at a different
+// bound shares the two opening probes (the vanishing load and the
+// stability ceiling); the ITP probes in between depend on the bound.
 func TestDimensionReusesPointMemo(t *testing.T) {
 	sc := scenario.Default()
 
-	// Cold reference: every bisection point is one compute; the closing
-	// evaluation at the accepted load re-asks a probed point, so it adds
-	// nothing.
+	// Cold reference: every probe is one compute; the closing evaluation at
+	// the accepted load re-asks a probed point, so it adds nothing.
 	cold := NewEngine(2, 0)
 	ref, cached, err := cold.Dimension(sc, 50)
 	if err != nil || cached {
@@ -159,12 +159,12 @@ func TestDimensionReusesPointMemo(t *testing.T) {
 	}
 	coldComputes := cold.Computes()
 	if coldComputes < 3 {
-		t.Fatalf("cold dimension ran %d computes; the bisection should probe many points", coldComputes)
+		t.Fatalf("cold dimension ran %d computes; the search should probe many points", coldComputes)
 	}
 
-	// A sweep that crossed the bisection's opening probe (the vanishing
-	// load 1e-6) pre-pays it: dimension after that sweep computes exactly
-	// one point fewer, and lands on the identical answer.
+	// A sweep that crossed the search's opening probe (the vanishing load
+	// 1e-6) pre-pays it: dimension after that sweep computes exactly one
+	// point fewer, and lands on the identical answer.
 	warmed := NewEngine(2, 0)
 	if _, _, err := warmed.Sweep(sc, 1e-6, 1e-6, 1); err != nil {
 		t.Fatal(err)
@@ -184,8 +184,13 @@ func TestDimensionReusesPointMemo(t *testing.T) {
 			got, coldComputes)
 	}
 
-	// A second bound on the cold engine shares the opening probes and the
-	// midpoint prefix up to the first diverging comparison.
+	// A second bound on the cold engine shares the opening probes: it
+	// computes fewer points than a cold run of either bound, and at least
+	// the two opening probes fewer than its own cold run.
+	second := NewEngine(2, 0)
+	if _, _, err := second.Dimension(sc, 60); err != nil {
+		t.Fatal(err)
+	}
 	if _, cached, err := cold.Dimension(sc, 60); err != nil || cached {
 		t.Fatalf("second bound: cached=%v err=%v", cached, err)
 	}
@@ -193,6 +198,10 @@ func TestDimensionReusesPointMemo(t *testing.T) {
 	if added >= coldComputes {
 		t.Errorf("dimensioning a second bound added %d computes, want fewer than the %d of a cold run",
 			added, coldComputes)
+	}
+	if added+2 > second.Computes() {
+		t.Errorf("dimensioning a second bound added %d computes, want at most %d (its cold run's %d less the 2 opening probes)",
+			added, second.Computes()-2, second.Computes())
 	}
 
 	// The identical question is one lookup.
