@@ -44,10 +44,9 @@ var contracts = []contract{
 	},
 	{
 		id:   "warm-equals-cold",
-		what: "continued, workspace-reusing and cached evaluations are bit-identical to a cold evaluation",
+		what: "continued and cached evaluations are bit-identical to a cold evaluation",
 		tests: []string{
 			"internal/queueing:TestDEK1SolveFromBitIdenticalToSolve",
-			"internal/mgf:TestQuantileWorkspaceBitIdentical",
 			"internal/mgf:TestSeededWalkStaysInBracket",
 			"internal/core:TestWarmStartBitIdentical",
 			"internal/core:TestLoadPathBitIdenticalToCold",
@@ -55,6 +54,14 @@ var contracts = []contract{
 			"internal/service:TestRTTCacheHitIsByteIdentical",
 		},
 		jobs: []string{"verify"},
+	},
+	{
+		id:   "tail-matches-oracle",
+		what: "the served delay-law tail is within 1e-12 relative of a math/big Appendix-A expansion over K 2-30 x rho 0.02-0.95, the multi-server law and the PS=75 uplink corner, and the served quantile brackets the oracle's root to 1e-9",
+		tests: []string{
+			"internal/mgf:TestSumTailMatchesOracle",
+		},
+		jobs: []string{"verify", "race"},
 	},
 	{
 		id:   "dimension-bracket",
@@ -110,6 +117,10 @@ var contracts = []contract{
 			"internal/scenario:FuzzFromQuery",
 			"internal/scenario:FuzzFromJSON",
 			"internal/service:TestRTTEndpointErrors",
+			"internal/service:FuzzRTT",
+			"internal/service:TestRTTAtErlangOrderCap",
+			"internal/service:TestRTTAboveErlangOrderCap",
+			"internal/service:TestRTTLargeErlangOrderFinishes",
 			"internal/service:TestSweepRangeBounded",
 			"cmd/fpsping:TestSweepRangeBounded",
 		},

@@ -9,21 +9,19 @@ import (
 
 // This file is the staged evaluation pipeline: everything expensive about a
 // scenario — queue construction, M/E_K/1 and D/E_K/1 root solving, the
-// Appendix-A convolution of the three delay factors — happens once, in
-// Compile, and the result is a value cheap to evaluate many times. The
-// pipeline has three stages with distinct lifetimes:
+// factoring of the three delay laws — happens once, in Compile, and the
+// result is a value cheap to evaluate many times. The pipeline has three
+// stages with distinct lifetimes:
 //
 //	Model           parameters only; free to copy and mutate
 //	CompiledModel   factors + combined law, built by Compile
 //	evaluations     Quantile/Tail/Mean over the compiled law
 //
-// Every evaluation has two forms: a one-shot method (Compile, RTTQuantile,
-// Quantile), and the same step taken through a LoadPath, the one handle that
-// carries state from point to point. Front ends cache CompiledModels (the
-// daemon keeps them in its point memo); monotone walks (load sweeps,
-// dimensioning searches) drive a LoadPath so each point's root solve
-// starts from its neighbour's and its quantile inversion reuses the path's
-// quadrature buffers.
+// Compile has two forms: the one-shot Model.Compile, and LoadPath.Compile,
+// which carries the downstream root solution from point to point. Front ends
+// cache CompiledModels (the daemon keeps them in its point memo); monotone
+// walks (load sweeps, dimensioning searches) drive a LoadPath so each
+// point's root solve starts from its neighbour's.
 
 // CompiledLaw pairs a delay law with a per-level cache of solved quantiles.
 // It is safe for concurrent use: the underlying laws are immutable and the
@@ -49,21 +47,17 @@ func (c *CompiledLaw) Tail(x float64) float64 { return c.law.Tail(x) }
 // Mean returns E[D].
 func (c *CompiledLaw) Mean() float64 { return c.law.Mean() }
 
-// Quantile returns the queueing-delay quantile at level p.
-func (c *CompiledLaw) Quantile(p float64) (float64, error) { return c.quantile(p, nil) }
-
-// quantile is Quantile with the inversion's quadrature scratch in ws (nil
-// borrows a pooled workspace; see mgf.Quantile). Solved levels are cached,
-// so a level is inverted at most once per law. The cache and the workspace
-// change only the cost of an answer, never its value.
-func (c *CompiledLaw) quantile(p float64, ws *mgf.Workspace) (float64, error) {
+// Quantile returns the queueing-delay quantile at level p. Solved levels are
+// cached, so a level is inverted at most once per law; the cache changes
+// only the cost of an answer, never its value.
+func (c *CompiledLaw) Quantile(p float64) (float64, error) {
 	c.mu.Lock()
 	q, ok := c.solved[p]
 	c.mu.Unlock()
 	if ok {
 		return q, nil
 	}
-	q, err := mgf.Quantile(c.law, p, ws)
+	q, err := mgf.Quantile(c.law, p)
 	if err != nil {
 		return 0, err
 	}
@@ -121,7 +115,6 @@ func (cm *CompiledModel) Law() *CompiledLaw { return cm.law }
 
 // RTTQuantile returns the RTT quantile (seconds): the queueing-delay
 // quantile plus the deterministic part, exactly as Model.RTTQuantile.
-// LoadPath.Quantile is the same evaluation with a walk's state.
 func (cm *CompiledModel) RTTQuantile() (float64, error) {
 	q, err := cm.law.Quantile(cm.Model.quantile())
 	if err != nil {

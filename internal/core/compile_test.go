@@ -63,13 +63,13 @@ func TestCompiledMatchesModel(t *testing.T) {
 	}
 }
 
-// TestWarmStartBitIdentical is the warm-start property test: inverting
-// independently compiled models through one LoadPath, whose workspace
-// carries quadrature buffers and a ladder from each quantile inversion to
-// the next, must return exactly the bits of independent per-point
-// inversions — across the paper's grid, seeded random grids, and a
-// deliberately unsorted grid (each inversion seeds its own walk from its
-// law, so correctness never depends on the walk being monotone).
+// TestWarmStartBitIdentical is the warm-start property test: compiling
+// every point through one LoadPath, whose root solves continue from the
+// previous point's, must return exactly the bits of independent per-point
+// evaluations — across the paper's grid, seeded random grids, and a
+// deliberately unsorted grid (the continuation only seeds Newton, and each
+// inversion seeds its own walk from its law, so correctness never depends
+// on the walk being monotone).
 func TestWarmStartBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grids := [][]float64{PaperLoadGrid()}
@@ -88,11 +88,11 @@ func TestWarmStartBitIdentical(t *testing.T) {
 			path := m.NewLoadPath()
 			for _, rho := range grid {
 				at := m.WithDownlinkLoad(rho)
-				cm, err := at.Compile()
+				cm, err := path.Compile(rho)
 				if err != nil {
 					t.Fatalf("K=%d grid %d rho=%v: %v", k, gi, rho, err)
 				}
-				warm, err := path.Quantile(cm)
+				warm, err := cm.RTTQuantile()
 				if err != nil {
 					t.Fatalf("K=%d grid %d rho=%v: warm: %v", k, gi, rho, err)
 				}
@@ -219,10 +219,9 @@ func BenchmarkSweepPaperGridCold(b *testing.B) {
 	})
 }
 
-// BenchmarkDimensionCold measures a cold §4 dimensioning run at K=9, where
-// Sum tails run on the quadrature ladder: the ITP search probes about ten
-// loads, each continued from the previous probe through the default
-// LoadPath evaluator.
+// BenchmarkDimensionCold measures a cold §4 dimensioning run at K=9: the
+// ITP search probes about ten loads, each continued from the previous probe
+// through the default LoadPath evaluator.
 func BenchmarkDimensionCold(b *testing.B) {
 	m := figure3Model(9)
 	for i := 0; i < b.N; i++ {
@@ -232,9 +231,8 @@ func BenchmarkDimensionCold(b *testing.B) {
 	}
 }
 
-// BenchmarkDimensionColdK20 is BenchmarkDimensionCold at K=20, where B's
-// Erlang order is above the ladder's and every Sum tail takes the
-// per-abscissa Simpson path.
+// BenchmarkDimensionColdK20 is BenchmarkDimensionCold at K=20, where every
+// tail evaluation carries a ladder of 19 orders.
 func BenchmarkDimensionColdK20(b *testing.B) {
 	m := figure3Model(20)
 	for i := 0; i < b.N; i++ {

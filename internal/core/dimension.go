@@ -100,8 +100,8 @@ func (m Model) MaxLoadWith(rttBound float64, rttAt PointEval) (DimensioningResul
 	if rttAt == nil {
 		// The search's probes are neighbours on the load axis, so drive
 		// them through one LoadPath: each probe's root solve continues from
-		// the previous probe and its inversion reuses the path's workspace,
-		// bit-identical to the direct evaluation (the LoadPath contract).
+		// the previous probe, bit-identical to the direct evaluation (the
+		// LoadPath contract).
 		path := m.NewLoadPath()
 		rttAt = func(rho float64) (float64, error) {
 			pt, err := path.Point(rho)

@@ -1,24 +1,15 @@
 package core
 
-import (
-	"fpsping/internal/mgf"
-	"fpsping/internal/queueing"
-)
+import "fpsping/internal/queueing"
 
-// LoadPath walks one scenario along the load axis, carrying what a point's
-// evaluation can reuse from its neighbour:
-//
-//   - the downstream D/E_K/1 root solution, seeding the next compile's
-//     Newton polish instead of a cold fixed-point iteration
-//     (queueing.DEK1.SolveFrom);
-//   - one mgf.Workspace, whose quadrature grids and ladder buffers
-//     consecutive inversions reuse instead of a pool round-trip per point.
-//
-// The quantile inversion itself carries nothing from point to point: each
+// LoadPath walks one scenario along the load axis, carrying the downstream
+// D/E_K/1 root solution from point to point: it seeds the next compile's
+// Newton polish instead of a cold fixed-point iteration
+// (queueing.DEK1.SolveFrom). The quantile inversion carries nothing: each
 // one seeds its bracket walk from its own law's factors (see mgf.Quantile).
 //
 // LoadPath is the only warm handle in the package: every other evaluation
-// is a one-shot form. Both carriers are bit-exact: a point evaluated
+// is a one-shot form. The continuation is bit-exact: a point evaluated
 // through a path is byte-identical to WithDownlinkLoad(rho).RTTQuantile()
 // evaluated cold, so a path changes only the cost of a walk, never its
 // values. Sweeps (SweepGridWith chunks), dimensioning searches
@@ -33,7 +24,6 @@ import (
 type LoadPath struct {
 	m    Model
 	prev *queueing.DEK1Solution
-	ws   mgf.Workspace
 }
 
 // NewLoadPath starts a load-axis walk over the model's scenario (Gamers is
@@ -61,26 +51,14 @@ func (p *LoadPath) Reseed(cm *CompiledModel) {
 	}
 }
 
-// Quantile evaluates cm's RTT quantile (seconds), exactly as
-// cm.RTTQuantile(), through the path's workspace. cm need not have come
-// from this path's Compile: a memoized compiled model works too (a level it
-// has already solved is answered from its cache).
-func (p *LoadPath) Quantile(cm *CompiledModel) (float64, error) {
-	q, err := cm.law.quantile(cm.Model.quantile(), &p.ws)
-	if err != nil {
-		return 0, err
-	}
-	return q + cm.Model.FixedPart(), nil
-}
-
 // Point evaluates one sweep point at downlink load rho: a Compile
-// warm-started from the path's previous point, plus a Quantile.
+// warm-started from the path's previous point, plus its RTT quantile.
 func (p *LoadPath) Point(rho float64) (SweepPoint, error) {
 	cm, err := p.Compile(rho)
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	rtt, err := p.Quantile(cm)
+	rtt, err := cm.RTTQuantile()
 	if err != nil {
 		return SweepPoint{}, err
 	}

@@ -30,8 +30,8 @@ func loadPathGrids() [][]float64 {
 }
 
 // TestLoadPathBitIdenticalToCold is the continuation contract end to end: a
-// LoadPath walk — warm-started root solves, seeded inversions, shared
-// workspace — must return exactly the bits of independent cold evaluation
+// LoadPath walk — warm-started root solves and seeded inversions — must
+// return exactly the bits of independent cold evaluation
 // at every point of every grid.
 func TestLoadPathBitIdenticalToCold(t *testing.T) {
 	for _, k := range []int{9, 20} {
@@ -174,7 +174,7 @@ func TestSweepGridWithChunkedChains(t *testing.T) {
 // TestLoadPathWalksMatchCold is the handle's contract as a table: for each
 // Erlang order, the paper grid walked forward, walked in reverse, and
 // walked over memoized models (every other point compiled elsewhere, half
-// of them already solved, adopted by Reseed and inverted through the path)
+// of them already solved, adopted by Reseed)
 // returns at every point the bits of a cold
 // WithDownlinkLoad(rho).RTTQuantile().
 func TestLoadPathWalksMatchCold(t *testing.T) {
@@ -223,7 +223,7 @@ func TestLoadPathWalksMatchCold(t *testing.T) {
 				var err error
 				if cm, ok := memo[rho]; ok && walk.memoized {
 					path.Reseed(cm)
-					got, err = path.Quantile(cm)
+					got, err = cm.RTTQuantile()
 				} else {
 					var pt SweepPoint
 					pt, err = path.Point(rho)

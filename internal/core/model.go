@@ -28,6 +28,15 @@ import (
 // §4 (in line with its references [6, 9, 19]).
 const DefaultQuantile = 0.99999
 
+// MaxErlangOrder is the largest burst-size Erlang order K a model accepts.
+// It bounds the cost of one evaluation: K sets the number of D/E_K/1 roots
+// and the length of the position ladder, so a cold RTT quantile costs
+// O(K^2) per tail evaluation on top of a K-root solve. At K = 200 one cold
+// /v1/rtt costs up to ~30 ms on a 2-vCPU VM, while K = 1000 costs ~270 ms;
+// from K ~ 180 the D/E_K/1 waiting law already fails validation at high
+// loads, and at K = 400 at most loads.
+const MaxErlangOrder = 200
+
 // ErrBadModel reports invalid model parameters.
 var ErrBadModel = errors.New("core: invalid model")
 
@@ -99,6 +108,8 @@ func (m Model) Validate() error {
 			m.UplinkAccessRate, m.DownlinkAccessRate, m.AggregateRate)
 	case m.ErlangOrder < 2:
 		return fmt.Errorf("%w: Erlang order %d (the uniform position law needs K >= 2)", ErrBadModel, m.ErlangOrder)
+	case m.ErlangOrder > MaxErlangOrder:
+		return fmt.Errorf("%w: Erlang order %d above %d", ErrBadModel, m.ErlangOrder, MaxErlangOrder)
 	case m.Quantile < 0 || m.Quantile >= 1:
 		return fmt.Errorf("%w: quantile %g", ErrBadModel, m.Quantile)
 	case m.FixedDelay < 0:
@@ -197,29 +208,10 @@ func (m Model) factorMixesFrom(prev *queueing.DEK1Solution) (du, w, p mgf.Mix, s
 	return du, w, p, sol, nil
 }
 
-// mulErrBudget is the largest estimated float64 error tolerated before the
-// explicit Appendix-A product is abandoned for convolution quadrature. Tail
-// work happens at the 1e-5 level, so 1e-9 keeps four digits of headroom.
-const mulErrBudget = 1e-9
-
-// combineLaw multiplies the three delay factors, preferring the explicit
-// Appendix-A expansion and falling back to factored convolution quadrature
-// when the partial fractions would be ill conditioned (typically at low
-// downstream load, where the burst-wait poles crowd the position-law pole
-// beta). Both representations satisfy mgf.Law.
+// combineLaw returns the law of the total queueing delay Du+W+P from its
+// three factors, kept apart and evaluated in closed form (see mgf.Sum).
 func combineLaw(du, w, p mgf.Mix) (mgf.Law, error) {
-	if mgf.EstimateMulError(du, p) < mulErrBudget {
-		rest := mgf.Mul(du, p)
-		if mgf.EstimateMulError(w, rest) < mulErrBudget {
-			full := mgf.Mul(w, rest)
-			if err := full.Validate(); err == nil {
-				return full, nil
-			}
-		}
-		return mgf.Sum{A: w, B: rest}, nil
-	}
-	// Even du*p is fragile (gamma close to beta): nest two quadratures.
-	return mgf.Sum{A: w, B: mgf.Sum{A: du, B: p}}, nil
+	return mgf.NewSum(du, w, p)
 }
 
 // DelayLaw returns the law of the total queueing delay Du+W+P (eq. 35,

@@ -23,9 +23,8 @@ type SweepPoint struct {
 //
 // The grid is split into contiguous chunks over workers (<= 0 means one per
 // CPU; see SweepGridWith), each walked by its own LoadPath: every point's
-// downstream root solve continues from the previous point's roots and its
-// quantile inversion reuses the chain's quadrature buffers. Both are
-// bit-exact, so the points are identical to independent per-point
+// downstream root solve continues from the previous point's roots. The
+// continuation is bit-exact, so the points are identical to independent per-point
 // evaluation at any worker count. One worker walks the whole grid inline.
 func (m Model) SweepLoads(loads []float64, workers int) ([]SweepPoint, error) {
 	return m.SweepGridWith(loads, workers, func() func(rho float64) (SweepPoint, error) {

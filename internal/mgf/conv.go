@@ -1,57 +1,40 @@
 package mgf
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 )
 
-// The Appendix-A product Mul is exact in exact arithmetic but becomes
-// ill-conditioned in float64 when poles of the two factors nearly coincide:
-// the Taylor coefficients it expands through grow like
-// (|p|/|p-q|)^order, amplifying coefficient rounding noise. In the paper's
-// own setting this happens at low downstream load, where the D/E_K/1 poles
-// alpha_j = beta(1-zeta_j) crowd around the packet-position pole beta as
-// zeta_j -> 0.
+// The queueing delay of eq. (35) is the sum U+W+P of three independent
+// factors: the upstream wait U and the burst wait W, each an atom plus
+// simple poles, and the in-burst position P, an atom plus one Erlang ladder
+// at the burst rate beta. Expanding the product with Mul is exact in exact
+// arithmetic but ill-conditioned in float64: at low downstream load the
+// D/E_K/1 poles alpha_j = beta(1-zeta_j) crowd beta, and the partial
+// fractions amplify rounding like (|p|/|p-q|)^order.
 //
-// Sum is the numerically robust alternative: it represents the law of X+Y
-// without expanding it, evaluating tails by direct convolution quadrature of
-// the two stable factor representations. EstimateMulError quantifies the
-// amplification so callers can pick the representation.
+// Sum keeps the three factors apart and evaluates the tail in closed form.
+// With Q_m the Poisson(beta x) tail below m, and for a pole z
+//
+//	psi_m(z) = e^{-beta x} (beta x)^m phi_m((beta - z) x),
+//	phi_m(w) = sum_k w^k/(k+m)!,
+//
+// one has P(Exp(z) + Erlang(m, beta) > x) = Q_m + psi_m(z), and for a U pole
+// a and a W pole b
+//
+//	P(Exp(a) + Exp(b) + Erlang(m, beta) > x) = Q_m + psi_m(a) - a [a,b]psi_m,
+//
+// where [a,b] is the divided difference in the pole. Both are confluent
+// divided differences of e^{-lambda x} over crowding nodes, computed
+// accurately through the phi-function recurrence phi_{m+1}(w) =
+// (phi_m(w) - 1/m!)/w (McCurdy, Ng & Parlett, Math. Comp. 1984): forward
+// where it is stable (|w| >= m, or |1 - z/beta| >= 1), otherwise backward
+// from the phi_M series. No exponential of a growing argument is ever
+// formed, so deep tails stay finite, and no grid, cache or scratch outlives
+// one evaluation.
 
-// EstimateMulError returns a rough bound on the absolute coefficient error
-// Mul(a, b) would commit in float64, driven by near-coincident cross poles.
-// A result below ~1e-9 means Mul is safe for tail work at the paper's 1e-5
-// quantile level.
-func EstimateMulError(a, b Mix) float64 {
-	const eps = 2.220446049250313e-16
-	amp := 0.0
-	for _, ta := range a.Terms {
-		for _, tb := range b.Terms {
-			if samePole(ta.Pole, tb.Pole) {
-				continue // exact merge, no amplification
-			}
-			gap := cmplx.Abs(ta.Pole - tb.Pole)
-			ra := cmplx.Abs(ta.Pole) / gap
-			rb := cmplx.Abs(tb.Pole) / gap
-			var ma, mb float64
-			for _, c := range ta.Coef {
-				ma += cmplx.Abs(c)
-			}
-			for _, c := range tb.Coef {
-				mb += cmplx.Abs(c)
-			}
-			// Principal part at ta.Pole uses Taylor coefficients of tb's
-			// term ladder: magnitude ~ rb^(orderB+orderA); and vice versa.
-			ordA, ordB := float64(len(ta.Coef)), float64(len(tb.Coef))
-			amp += ma * mb * math.Pow(math.Max(rb, 1), ordA+ordB)
-			amp += ma * mb * math.Pow(math.Max(ra, 1), ordA+ordB)
-		}
-	}
-	return eps * amp
-}
-
-// Law is the read side of a delay distribution: Mix implements it in closed
-// form and Sum implements it by quadrature, so sums can nest.
+// Law is the read side of a delay distribution: Mix and Sum implement it.
 type Law interface {
 	// Tail returns P(X > x).
 	Tail(x float64) float64
@@ -61,443 +44,298 @@ type Law interface {
 	TotalMass() float64
 }
 
-// AtomOf returns the point mass at zero of any Law.
-func AtomOf(l Law) float64 { return l.TotalMass() - l.Tail(0) }
-
-// Sum is the law of X + Y for independent X ~ A and Y ~ B, kept in factored
-// form. Tails are computed by convolution quadrature against A's density, so
-// accuracy does not depend on pole separation (unlike Mul). Both factors
-// must be normalized laws (mass 1). A should be the factor with the smaller
-// continuous mass: its density scales the quadrature error.
+// Sum is the law of U+W+P for independent U, W and P: U and W are an atom
+// plus simple poles, P is an atom plus one Erlang ladder at a real rate.
+// Build one with NewSum. Tail is closed form and allocation-free for
+// ladders of up to stackOrders orders and one U pole.
 type Sum struct {
-	A Mix
-	B Law
+	u, w, p Mix
+	beta    float64
+	// pi[0] is P's atom and pi[m] the weight of Erlang(m, beta) in P.
+	pi           []float64
+	massU, massW float64
 }
 
-// Atom returns the probability mass at zero: both factors at zero.
-func (s Sum) Atom() float64 { return s.A.Atom * AtomOf(s.B) }
-
-// Mean returns E[X+Y].
-func (s Sum) Mean() float64 { return s.A.Mean() + s.B.Mean() }
-
-// TotalMass returns the product of the factor masses.
-func (s Sum) TotalMass() float64 { return s.A.TotalMass() * s.B.TotalMass() }
-
-// Tail returns P(X+Y > x):
-//
-//	A.Atom*B.Tail(x) + A.Tail(x) + int_0^x pdfA(u) B.Tail(x-u) du,
-//
-// the last term by composite Simpson quadrature with resolution tied to the
-// sharpest decay rate of A. One-shot form of TailWS.
-func (s Sum) Tail(x float64) float64 { return s.TailWS(x, nil) }
-
-// sharpestDecay returns the largest pole magnitude of A: the sharpest decay
-// rate, which sets the quadrature resolution. It depends only on the law, so
-// an inversion hoists it out of its per-probe loop.
-func (s Sum) sharpestDecay() float64 {
-	sharp := 0.0
-	for _, t := range s.A.Terms {
-		if r := cmplx.Abs(t.Pole); r > sharp {
-			sharp = r
+// NewSum returns the law of U+W+P, or ErrInvalid when a factor has another
+// shape: a U or W term of Erlang order above 1 or with a pole off the open
+// right half plane, or a P that is not one real ladder.
+func NewSum(u, w, p Mix) (Sum, error) {
+	for _, f := range []struct {
+		name string
+		m    Mix
+	}{{"U", u}, {"W", w}} {
+		for _, t := range f.m.Terms {
+			if len(t.Coef) != 1 || !(real(t.Pole) > 0) || !finite(t.Pole) || !finite(t.Coef[0]) {
+				return Sum{}, fmt.Errorf("%w: %s term %v is not a simple pole", ErrInvalid, f.name, t)
+			}
 		}
 	}
-	return sharp
+	if len(p.Terms) != 1 {
+		return Sum{}, fmt.Errorf("%w: P has %d terms, want one Erlang ladder", ErrInvalid, len(p.Terms))
+	}
+	t := p.Terms[0]
+	beta := real(t.Pole)
+	if imag(t.Pole) != 0 || !(beta > 0) || math.IsInf(beta, 0) {
+		return Sum{}, fmt.Errorf("%w: P pole %v is not a positive rate", ErrInvalid, t.Pole)
+	}
+	pi := make([]float64, len(t.Coef)+1)
+	pi[0] = p.Atom
+	for m, c := range t.Coef {
+		if imag(c) != 0 || !finite(c) {
+			return Sum{}, fmt.Errorf("%w: P coefficient %v is not real", ErrInvalid, c)
+		}
+		pi[m+1] = real(c)
+	}
+	return Sum{u: u, w: w, p: p, beta: beta, pi: pi, massU: u.TotalMass(), massW: w.TotalMass()}, nil
 }
 
-// expResetStride is how many recurrence steps the grid evaluators take
-// between exact cmplx.Exp re-anchors: the multiplicative error grows like
-// stride*eps, so 64 keeps each grid value within ~1.5e-14 of direct
-// evaluation while paying for one transcendental per 64 panels.
-const expResetStride = 64
+func finite(z complex128) bool { return !cmplx.IsNaN(z) && !cmplx.IsInf(z) }
 
-// TailWS is Tail with all per-law quadrature state drawn from ws (nil
-// borrows a pooled workspace). When B is a closed-form Mix, evaluation
-// routes through the workspace's shared-grid quadrature ladder (see
-// ladder.go): pole pairs whose partial-fraction expansion is well-
-// conditioned go through an exact closed form, crowded pairs through moment
-// prefix sums on a grid whose panel width is a function of the law alone —
-// so consecutive abscissae of a bracket walk share all Simpson work.
-// Abscissae outside the ladder's panel clamps, and laws whose shape the
-// ladder does not carry, use the per-abscissa Simpson grids with the
-// exponential-recurrence fills (e^{-p u_{i+1}} = e^{-p u_i}·e^{-p h},
-// re-anchored by an exact cmplx.Exp every expResetStride steps). A
-// nested-Sum B walks point by point, threading ws into the inner law.
-func (s Sum) TailWS(x float64, ws *Workspace) float64 {
-	return s.tailAt(x, ws, s.sharpestDecay())
-}
+// Atom returns the probability mass at zero: every factor at zero.
+func (s Sum) Atom() float64 { return s.u.Atom * s.w.Atom * s.p.Atom }
 
-// tailAt is TailWS with the decay-rate scan hoisted: sharp must be
-// s.sharpestDecay(). Quantile computes it once per inversion.
-func (s Sum) tailAt(x float64, ws *Workspace, sharp float64) float64 {
+// Mean returns E[U+W+P].
+func (s Sum) Mean() float64 { return s.u.Mean() + s.w.Mean() + s.p.Mean() }
+
+// TotalMass returns the product of the factor masses.
+func (s Sum) TotalMass() float64 { return s.massU * s.massW * s.p.TotalMass() }
+
+// stackOrders bounds the ladder length Tail keeps on the stack.
+const stackOrders = 32
+
+// Tail returns P(U+W+P > x). Summing over which factor components are
+// present, with C and D the masses of U and W, c_i, a_i the U terms and
+// d_j, b_j the W terms:
+//
+//	sum_m pi_m [ C D Q_m + D sum_i c_i psi_m(a_i) + U.Atom sum_j d_j psi_m(b_j)
+//	             - sum_ij c_i d_j a_i [a_i,b_j]psi_m ],
+//
+// with Q_0 = 0 and psi_0(z) = e^{-zx} carrying P's atom.
+func (s Sum) Tail(x float64) float64 {
 	if x < 0 {
 		return s.TotalMass()
 	}
 	if x == 0 {
 		return s.TotalMass() - s.Atom()
 	}
-	ws, pooled := borrowWS(ws)
-	if pooled {
-		defer releaseWS(ws)
+	n := len(s.pi)
+	nu := len(s.u.Terms)
+	var fstack [2 * stackOrders]float64
+	var cstack [3 * stackOrders]complex128
+	fs, cs := fstack[:], cstack[:]
+	if 2*n > len(fs) {
+		fs = make([]float64, 2*n)
 	}
-	bmix, fast := s.B.(Mix)
-	if !fast {
-		return s.tailSlow(x, ws, sharp)
+	if (nu+1)*n > len(cs) {
+		cs = make([]complex128, (nu+1)*n)
 	}
-	if len(s.A.Terms) > 0 {
-		if ld := ws.ladderFor(s.A, bmix, sharp); ld != nil {
-			if v, ok := ld.tailAt(x); ok {
-				return v // the ladder's closed part includes the head terms
-			}
+	pw, q := fs[:n], fs[n:2*n]
+	poisson(pw, q, s.beta*x)
+
+	var base float64
+	for m, w := range s.pi {
+		base += w * q[m]
+	}
+	tail := complex(s.massU*s.massW*base, 0)
+	psiU := cs[:nu*n]
+	for i, t := range s.u.Terms {
+		pu := psiU[i*n : (i+1)*n]
+		psi(pu, t.Pole, s.beta, x, pw)
+		tail += complex(s.massW, 0) * t.Coef[0] * s.ladder(pu)
+	}
+	pb := cs[nu*n : (nu+1)*n]
+	for _, tw := range s.w.Terms {
+		psi(pb, tw.Pole, s.beta, x, pw)
+		acc := complex(s.u.Atom, 0) * s.ladder(pb)
+		for i, tu := range s.u.Terms {
+			acc -= tu.Coef[0] * tu.Pole * s.divDiff(tu.Pole, tw.Pole, psiU[i*n:(i+1)*n], pb, x, pw)
+		}
+		tail += tw.Coef[0] * acc
+	}
+	return real(tail)
+}
+
+// ladder returns sum_m pi_m v_m.
+func (s Sum) ladder(v []complex128) complex128 {
+	var re, im float64
+	for m, w := range s.pi {
+		re += w * real(v[m])
+		im += w * imag(v[m])
+	}
+	return complex(re, im)
+}
+
+// poisson fills pw[m] = e^{-bx} bx^m/m! and q[m] = sum_{r<m} pw[r]. Past
+// bx = 700 e^{-bx} underflows, so each weight is formed in log space.
+func poisson(pw, q []float64, bx float64) {
+	if bx <= 700 {
+		p := math.Exp(-bx)
+		for m := range pw {
+			pw[m] = p
+			p *= bx / float64(m+1)
+		}
+	} else {
+		lb := math.Log(bx)
+		for m := range pw {
+			lg, _ := math.Lgamma(float64(m + 1))
+			pw[m] = math.Exp(-bx + float64(m)*lb - lg)
 		}
 	}
-	return s.tailGrid(x, bmix, ws, sharp)
+	acc := 0.0
+	for m := range q {
+		q[m] = acc
+		acc += pw[m]
+	}
 }
 
-// tailGrid is the per-abscissa Simpson path: a fresh grid with panel width
-// x/n, filled by the exponential-recurrence evaluators. It serves abscissae
-// outside the ladder's panel clamps and laws the ladder rejects, and is the
-// reference scheme the ladder's equivalence gate compares against.
-func (s Sum) tailGrid(x float64, bmix Mix, ws *Workspace, sharp float64) float64 {
-	bx := bmix.Tail(x) // shared by the head and the u=0 boundary term
-	head := s.A.Atom*bx + s.A.Tail(x)
-	if len(s.A.Terms) == 0 {
-		return head
-	}
-	n := panelCount(sharp, x)
-	h := x / float64(n)
-	pdfG := fbuf(&ws.pdf, n)   // pdfG[i] = density of A at u_i = h*i, i = 1..n-1
-	tailG := fbuf(&ws.tail, n) // tailG[i] = tail of B at x - u_i
-	gridPDF(s.A, h, n, pdfG)
-	gridTail(bmix, x, h, n, tailG)
-	acc := s.A.PDF(0)*bx + s.A.PDF(x)*bmix.Tail(0)
-	for i := 1; i < n; i++ {
-		w := 2.0
-		if i%2 == 1 {
-			w = 4
-		}
-		acc += w * pdfG[i] * tailG[i]
-	}
-	return head + acc*h/3
+// abs2 returns |z|^2.
+func abs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
+
+// inv returns 1/z.
+func inv(z complex128) complex128 {
+	d := abs2(z)
+	return complex(real(z)/d, -imag(z)/d)
 }
 
-// panelCount is the per-abscissa composite-Simpson panel count: 64 panels
-// per decay length of A in [0, x], clamped to [512, 32768], rounded to even.
-func panelCount(sharp, x float64) int {
-	n := int(64 * (1 + sharp*x))
-	if n < 512 {
-		n = 512
+// scale returns z*f for a real f.
+func scale(z complex128, f float64) complex128 { return complex(real(z)*f, imag(z)*f) }
+
+// forwardTop returns the last order the phi recurrence may run forward to
+// for the node w = (beta-z)x: all of them when |1 - z/beta| >= 1, else the
+// orders up to |w|, past which the forward step loses accuracy.
+func forwardTop(w, zeta complex128, top int) int {
+	if a := math.Sqrt(abs2(w)); abs2(zeta) < 1 && a < float64(top) {
+		return int(a)
 	}
-	if n > 32768 {
-		n = 32768
-	}
-	if n%2 == 1 {
-		n++
-	}
-	return n
+	return top
 }
 
-// tailSlow handles a B that is not a closed-form Mix — in practice a nested
-// Sum, whose tail is itself a quadrature — by walking the outer Simpson grid
-// point by point. The walk draws on the caller's (or one pooled) Workspace
-// like the fast path: a nested Sum threads ws into every inner tail, so the
-// inner law's ladder and grid buffers are built once and shared across the
-// outer grid's n points instead of borrowing a fresh pool workspace per
-// point.
-func (s Sum) tailSlow(x float64, ws *Workspace, sharp float64) float64 {
-	btail := s.B.Tail
-	if bs, ok := s.B.(Sum); ok {
-		bsharp := bs.sharpestDecay()
-		btail = func(v float64) float64 { return bs.tailAt(v, ws, bsharp) }
-	}
-	bx := btail(x)
-	head := s.A.Atom*bx + s.A.Tail(x)
-	if len(s.A.Terms) == 0 {
-		return head
-	}
-	n := panelCount(sharp, x)
-	h := x / float64(n)
-	acc := s.A.PDF(0)*bx + s.A.PDF(x)*btail(0)
-	for i := 1; i < n; i++ {
-		w := 2.0
-		if i%2 == 1 {
-			w = 4
-		}
-		u := h * float64(i)
-		acc += w * s.A.PDF(u) * btail(x-u)
-	}
-	return head + acc*h/3
-}
-
-// isRealTerm reports whether every number in t is purely real (imaginary
-// parts exactly zero). Real terms — every D/E_K/1 dominant root's term, the
-// M/M/1 upstream terms and the packet-position ladder — take float64 fast
-// paths in the grid evaluators below: the complex arithmetic they replace
-// propagates exact signed-zero imaginary parts through every product, sum
-// and exponential, so the float64 mirror of the real components is
-// bit-identical, not approximately equal.
-func isRealTerm(t Term) bool {
-	if imag(t.Pole) != 0 {
-		return false
-	}
-	for _, c := range t.Coef {
-		if imag(c) != 0 {
-			return false
+// psi fills out[m] = psi_m(z) for m = 0..len(out)-1, given the Poisson
+// weights pw at beta*x. The recurrence psi_{m+1} = beta/(beta-z) (psi_m -
+// pw_m) runs forward from psi_0 = e^{-zx}; above forwardTop the orders come
+// backward, psi_m = (1 - z/beta) psi_{m+1} + pw_m, from the phi series at
+// the top order.
+func psi(out []complex128, z complex128, beta, x float64, pw []float64) {
+	top := len(out) - 1
+	d := complex(beta, 0) - z
+	w := scale(d, x)
+	zeta := scale(d, 1/beta)
+	m0 := forwardTop(w, zeta, top)
+	out[0] = cmplx.Exp(scale(-z, x))
+	if m0 > 0 {
+		r := scale(inv(d), beta)
+		for m := 0; m < m0; m++ {
+			out[m+1] = r * (out[m] - complex(pw[m], 0))
 		}
 	}
-	return true
+	if m0 == top {
+		return
+	}
+	out[top] = scale(phiSeries(w, top), pw[top])
+	for m := top - 1; m > m0; m-- {
+		out[m] = zeta*out[m+1] + complex(pw[m], 0)
+	}
 }
 
-// divRe divides z by a real divisor componentwise. For a divisor with exact
-// zero imaginary part the runtime's scaled (Smith) complex division reduces
-// to exactly this — the cross ratio is a signed zero, so both quotient
-// components round identically — making the substitution bit-identical while
-// skipping the division's magnitude tests and scaling branches.
-func divRe(z complex128, d float64) complex128 {
-	return complex(real(z)/d, imag(z)/d)
+// seriesEps is the relative size at which a series term stops mattering.
+const seriesEps = 1e-17
+
+// phiSeries returns M! phi_M(w) = sum_k w^k M!/(k+M)! for |w| < M+1.
+func phiSeries(w complex128, top int) complex128 {
+	sum, t := complex(1, 0), complex(1, 0)
+	for k := 1; k < 10000; k++ {
+		t = scale(t*w, 1/float64(k+top))
+		sum += t
+		if abs2(t) <= seriesEps*seriesEps*abs2(sum) {
+			break
+		}
+	}
+	return sum
 }
 
-// gridPDF accumulates the density of m at the interior grid points
-// u_i = h*i, i = 1..n-1, into g. Per term, e^{-p u} advances by one
-// multiplication per step with exact re-anchors (see expResetStride); the
-// Erlang ladder on top is the same arithmetic as Mix.PDF. Purely real terms
-// run in float64 (see isRealTerm); complex single-coefficient terms skip the
-// ladder entirely; the final ladder advance of every term is dead and
-// elided. All three shortcuts are bit-identical to the plain loop.
+// divDiff returns sum_m pi_m delta_m for delta_m = [a,b]psi_m, the divided
+// difference over the poles a and b, given psi(a) and psi(b) in pa and pb.
+// Differencing the psi recurrence gives the same recurrence for delta with
+// psi of the other pole as its inhomogeneous term: around the node a with
+// the larger |beta-a| (the poles swap roles when b's is larger),
 //
-// g holds only the real components: the Simpson sum never reads the
-// imaginary part of a grid value, complex accumulation is componentwise,
-// and Go's complex multiply computes its real component as exactly
-// real(a)*real(b) - imag(a)*imag(b) (no contraction), so accumulating that
-// expression alone — in the same term order — reproduces real(g[i]) bit for
-// bit while skipping the dead imaginary half of every contribution.
-func gridPDF(m Mix, h float64, n int, g []float64) {
-	g = g[:n]
-	for _, t := range m.Terms {
-		if isRealTerm(t) {
-			gridPDFReal(t, h, n, g)
-			continue
-		}
-		p := t.Pole
-		step := cmplx.Exp(-p * complex(h, 0))
-		last := len(t.Coef) - 1
-		// The anchor/recurrence cadence runs as explicit blocks of
-		// expResetStride points: an exact cmplx.Exp at the block head, one
-		// recurrence multiply per point after it — the same multiplication
-		// sequence as a per-point stride test, without the per-point modulo.
-		// An underflowed factor (e == 0) stays zero until the next anchor,
-		// so the rest of its block contributes nothing and is skipped.
-		if last == 0 {
-			// Single-coefficient term (every simple pole): no ladder, and
-			// the coefficient's components hoist out of the grid loop.
-			cr, ci := real(t.Coef[0]), imag(t.Coef[0])
-			for i := 1; i < n; {
-				e := cmplx.Exp(-p * complex(h*float64(i), 0))
-				end := i + expResetStride
-				if end > n {
-					end = n
-				}
-				for ; i < end; i++ {
-					if e == 0 {
-						i = end // deep-tail underflow: contribution is negligible
-						break
-					}
-					f := p * e // Erlang(1) density factor
-					g[i] += cr*real(f) - ci*imag(f)
-					e *= step
-				}
-			}
-			continue
-		}
-		for i := 1; i < n; {
-			e := cmplx.Exp(-p * complex(h*float64(i), 0))
-			end := i + expResetStride
-			if end > n {
-				end = n
-			}
-			for ; i < end; i++ {
-				if e == 0 {
-					i = end
-					break
-				}
-				f := p * e
-				pu := p * complex(h*float64(i), 0)
-				for k, c := range t.Coef {
-					g[i] += real(c)*real(f) - imag(c)*imag(f)
-					if k < last {
-						f *= divRe(pu, float64(k+1))
-					}
-				}
-				e *= step
-			}
+//	delta_{m+1} = beta/(beta-a) (delta_m + psi_{m+1}(b)/beta),
+//
+// forward from delta_0 = [a,b]e^{-zx} (a phi_1) up to forwardTop, and
+// backward from the series of [w_a,w_b]phi_M above it.
+func (s Sum) divDiff(a, b complex128, pa, pb []complex128, x float64, pw []float64) complex128 {
+	beta := s.beta
+	da, db := complex(beta, 0)-a, complex(beta, 0)-b
+	if abs2(db) > abs2(da) { // delta is symmetric in a and b
+		da, db, pb = db, da, pa
+	}
+	top := len(pb) - 1
+	wa := scale(da, x)
+	zeta := scale(da, 1/beta)
+	m0 := forwardTop(wa, zeta, top)
+	ib := 1 / beta
+
+	d := expDivDiff(a, b, x)
+	sum := scale(d, s.pi[0])
+	if m0 > 0 {
+		r := scale(inv(da), beta)
+		for m := 0; m < m0; m++ {
+			d = r * (d + scale(pb[m+1], ib))
+			sum += scale(d, s.pi[m+1])
 		}
 	}
+	if m0 == top {
+		return sum
+	}
+	d = scale(ddSeries(wa, scale(db, x), top), -x*pw[top])
+	sum += scale(d, s.pi[top])
+	for m := top - 1; m > m0; m-- {
+		d = zeta*d - scale(pb[m+1], ib)
+		sum += scale(d, s.pi[m])
+	}
+	return sum
 }
 
-// gridPDFReal is gridPDF's float64 mirror for purely real terms: identical
-// operations on the real components (the imaginary contributions of a real
-// term are signed zeros, which never change an accumulated sum).
-func gridPDFReal(t Term, h float64, n int, g []float64) {
-	p := real(t.Pole)
-	step := math.Exp(-p * h)
-	last := len(t.Coef) - 1
-	if last == 0 {
-		c := real(t.Coef[0])
-		for i := 1; i < n; {
-			e := math.Exp(-p * (h * float64(i)))
-			end := i + expResetStride
-			if end > n {
-				end = n
-			}
-			for ; i < end; i++ {
-				if e == 0 {
-					i = end
-					break
-				}
-				g[i] += c * (p * e)
-				e *= step
-			}
-		}
-		return
+// expDivDiff returns [a,b]e^{-zx} = (e^{-bx} - e^{-ax})/(b-a), through
+// -x e^{-ax} phi_1((a-b)x) when the poles are close on the scale 1/x.
+func expDivDiff(a, b complex128, x float64) complex128 {
+	u := scale(a-b, x)
+	if abs2(u) >= 1 {
+		return (cmplx.Exp(scale(-b, x)) - cmplx.Exp(scale(-a, x))) * inv(b-a)
 	}
-	for i := 1; i < n; {
-		e := math.Exp(-p * (h * float64(i)))
-		end := i + expResetStride
-		if end > n {
-			end = n
-		}
-		for ; i < end; i++ {
-			if e == 0 {
-				i = end
-				break
-			}
-			f := p * e
-			pu := p * (h * float64(i))
-			for k, c := range t.Coef {
-				g[i] += real(c) * f
-				if k < last {
-					f *= pu / float64(k+1)
-				}
-			}
-			e *= step
-		}
+	phi1 := complex(1, 0)
+	if u != 0 {
+		re, im := real(u), imag(u)
+		sh := math.Sin(im / 2)
+		em1 := complex(math.Expm1(re)*math.Cos(im)-2*sh*sh, math.Exp(re)*math.Sin(im))
+		phi1 = em1 * inv(u)
 	}
+	return scale(cmplx.Exp(scale(-a, x))*phi1, -x)
 }
 
-// gridTail accumulates the tail of m at v_i = x - h*i, i = 1..n-1, into g.
-// v decreases by h each step, so e^{-q v} advances by multiplying e^{q h};
-// the zero guard keeps an underflowed anchor from turning a large step
-// factor into NaN. The ladder matches termTail's arithmetic, with the same
-// bit-identical shortcuts as gridPDF (float64 real terms, single-coefficient
-// specialization, dead final ladder advance elided).
-func gridTail(m Mix, x, h float64, n int, g []float64) {
-	g = g[:n]
-	for _, t := range m.Terms {
-		if isRealTerm(t) {
-			gridTailReal(t, x, h, n, g)
-			continue
-		}
-		q := t.Pole
-		step := cmplx.Exp(q * complex(h, 0))
-		last := len(t.Coef) - 1
-		if last == 0 {
-			cr, ci := real(t.Coef[0]), imag(t.Coef[0])
-			for i := 1; i < n; {
-				e := cmplx.Exp(-q * complex(x-h*float64(i), 0))
-				end := i + expResetStride
-				if end > n {
-					end = n
-				}
-				for ; i < end; i++ {
-					if e == 0 {
-						i = end
-						break
-					}
-					g[i] += cr*real(e) - ci*imag(e)
-					e *= step
-				}
-			}
-			continue
-		}
-		for i := 1; i < n; {
-			e := cmplx.Exp(-q * complex(x-h*float64(i), 0))
-			end := i + expResetStride
-			if end > n {
-				end = n
-			}
-			for ; i < end; i++ {
-				if e == 0 {
-					i = end
-					break
-				}
-				qv := q * complex(x-h*float64(i), 0)
-				term := e
-				partial := term
-				for k, c := range t.Coef {
-					g[i] += real(c)*real(partial) - imag(c)*imag(partial)
-					if k < last {
-						term *= divRe(qv, float64(k+1))
-						partial += term
-					}
-				}
-				e *= step
-			}
+// ddSeries returns M! [w1,w2]phi_M = sum_{k>=0} h_k(w1,w2) M!/(k+1+M)!,
+// with h_k = sum_{i+j=k} w1^i w2^j, for |w2| <= |w1| < M+1. The terms are
+// carried scaled by their factorials, as h_k alone overflows for large M.
+// The stopping test bounds the remaining terms through |h_k| <= (k+1)|w1|^k,
+// so a term that cancels to zero cannot end the series early.
+func ddSeries(w1, w2 complex128, top int) complex128 {
+	c := 1 / float64(top+1)
+	h, p2 := complex(c, 0), complex(c, 0) // h_k and w2^k, times M!/(k+1+M)!
+	sum := h
+	r := math.Sqrt(abs2(w1))
+	bound := c
+	for k := 1; k < 10000; k++ {
+		f := 1 / float64(k+top+1)
+		p2 = scale(p2*w2, f)
+		h = scale(h*w1, f) + p2
+		sum += h
+		bound *= r * float64(k+1) / float64(k) * f
+		if bound <= seriesEps*math.Sqrt(abs2(sum)) {
+			break
 		}
 	}
-}
-
-// gridTailReal is gridTail's float64 mirror for purely real terms (see
-// gridPDFReal for why the mirror is bit-identical).
-func gridTailReal(t Term, x, h float64, n int, g []float64) {
-	q := real(t.Pole)
-	step := math.Exp(q * h)
-	last := len(t.Coef) - 1
-	if last == 0 {
-		c := real(t.Coef[0])
-		for i := 1; i < n; {
-			e := math.Exp(-q * (x - h*float64(i)))
-			end := i + expResetStride
-			if end > n {
-				end = n
-			}
-			for ; i < end; i++ {
-				if e == 0 {
-					i = end
-					break
-				}
-				g[i] += c * e
-				e *= step
-			}
-		}
-		return
-	}
-	for i := 1; i < n; {
-		e := math.Exp(-q * (x - h*float64(i)))
-		end := i + expResetStride
-		if end > n {
-			end = n
-		}
-		for ; i < end; i++ {
-			if e == 0 {
-				i = end
-				break
-			}
-			qv := q * (x - h*float64(i))
-			term := e
-			partial := term
-			for k, c := range t.Coef {
-				g[i] += real(c) * partial
-				if k < last {
-					term *= qv / float64(k+1)
-					partial += term
-				}
-			}
-			e *= step
-		}
-	}
+	return sum
 }
 
 // CDF returns TotalMass - Tail(x).
 func (s Sum) CDF(x float64) float64 { return s.TotalMass() - s.Tail(x) }
-
-// Quantile inverts the tail with a pooled workspace: Quantile(s, p, nil).
-func (s Sum) Quantile(p float64) (float64, error) { return s.quantile(p, nil) }

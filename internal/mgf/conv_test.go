@@ -1,27 +1,85 @@
 package mgf
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/cmplx"
 	"testing"
 )
 
+// newSum is NewSum for factors a test knows are well shaped.
+func newSum(t testing.TB, u, w, p Mix) Sum {
+	t.Helper()
+	s, err := NewSum(u, w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// estimateMulError is a rough bound on the absolute coefficient error
+// Mul(a, b) commits in float64, driven by near-coincident cross poles: the
+// Taylor coefficients it expands through grow like (|p|/|p-q|)^order.
+func estimateMulError(a, b Mix) float64 {
+	const eps = 2.220446049250313e-16
+	amp := 0.0
+	for _, ta := range a.Terms {
+		for _, tb := range b.Terms {
+			if samePole(ta.Pole, tb.Pole) {
+				continue // exact merge, no amplification
+			}
+			gap := cmplx.Abs(ta.Pole - tb.Pole)
+			ra := cmplx.Abs(ta.Pole) / gap
+			rb := cmplx.Abs(tb.Pole) / gap
+			var ma, mb float64
+			for _, c := range ta.Coef {
+				ma += cmplx.Abs(c)
+			}
+			for _, c := range tb.Coef {
+				mb += cmplx.Abs(c)
+			}
+			ordA, ordB := float64(len(ta.Coef)), float64(len(tb.Coef))
+			amp += ma * mb * math.Pow(math.Max(rb, 1), ordA+ordB)
+			amp += ma * mb * math.Pow(math.Max(ra, 1), ordA+ordB)
+		}
+	}
+	return eps * amp
+}
+
+// ladderMix returns an atom plus weights[m-1]*Erlang(m, rate), m = 1..len.
+func ladderMix(atom, rate float64, weights ...float64) Mix {
+	coef := make([]complex128, len(weights))
+	for i, w := range weights {
+		coef[i] = complex(w, 0)
+	}
+	m := Mix{Atom: atom}
+	m.AddTerm(complex(rate, 0), coef)
+	return m
+}
+
 func TestSumMatchesMulWhenWellConditioned(t *testing.T) {
-	a := NewErlang(0.3, 2, 5)
-	a.Atom = 0.7
-	b := NewErlang(1, 4, 1.2)
-	mul := Mul(a, b)
-	sum := Sum{A: a, B: b}
+	u := NewExponential(0.3, 5)
+	u.Atom = 0.7
+	var w Mix
+	w.Atom = 0.4
+	w.AddTerm(complex(2, 1.5), []complex128{complex(0.2, -0.1)})
+	w.AddTerm(complex(2, -1.5), []complex128{complex(0.2, 0.1)})
+	w.AddTerm(complex(0.8, 0), []complex128{0.2})
+	p := ladderMix(0, 1.2, 0.25, 0.25, 0.25, 0.25)
+	mul := MulAll(u, w, p)
+	sum := newSum(t, u, w, p)
 	if err := mul.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sum.TotalMass()-1) > 1e-12 {
 		t.Fatalf("sum mass = %v", sum.TotalMass())
 	}
-	for _, x := range []float64{0, 0.1, 0.5, 1, 3, 8, 15} {
+	for _, x := range []float64{0, 0.1, 0.5, 1, 3, 8, 15, 40} {
 		got := sum.Tail(x)
 		want := mul.Tail(x)
-		if math.Abs(got-want) > 1e-8 {
-			t.Errorf("tail(%v): conv %v vs mul %v", x, got, want)
+		if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+			t.Errorf("tail(%v): sum %v vs mul %v", x, got, want)
 		}
 	}
 	if math.Abs(sum.Mean()-mul.Mean()) > 1e-12 {
@@ -35,68 +93,84 @@ func TestSumMatchesMulWhenWellConditioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(q1-q2) > 1e-4*(1+q2) {
+	if math.Abs(q1-q2) > 1e-8*(1+q2) {
 		t.Errorf("quantiles differ: %v vs %v", q1, q2)
 	}
 }
 
+// TestSumNestsAsLaw pins U, W and P as three plain exponentials against
+// the closed-form hypoexponential law.
 func TestSumNestsAsLaw(t *testing.T) {
-	a := NewExponential(1, 3)
-	b := NewExponential(1, 5)
-	c := NewExponential(1, 7)
-	nested := Sum{A: a, B: Sum{A: b, B: c}}
-	direct := MulAll(a, b, c)
-	for _, x := range []float64{0.1, 0.5, 1.5} {
-		got := nested.Tail(x)
-		want := direct.Tail(x)
-		if math.Abs(got-want) > 1e-6 {
-			t.Errorf("nested tail(%v): %v vs %v", x, got, want)
+	a, b, c := 3.0, 5.0, 7.0
+	s := newSum(t, NewExponential(1, a), NewExponential(1, b), NewErlang(1, 1, c))
+	direct := MulAll(NewExponential(1, a), NewExponential(1, b), NewExponential(1, c))
+	for _, x := range []float64{0.1, 0.5, 1.5, 6} {
+		// P(Exp(a)+Exp(b)+Exp(c) > x) for distinct rates.
+		want := b*c/((b-a)*(c-a))*math.Exp(-a*x) +
+			a*c/((a-b)*(c-b))*math.Exp(-b*x) +
+			a*b/((a-c)*(b-c))*math.Exp(-c*x)
+		if got := s.Tail(x); math.Abs(got-want) > 1e-14*want {
+			t.Errorf("tail(%v): %v vs %v", x, got, want)
+		}
+		if got := direct.Tail(x); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("Mul tail(%v): %v vs %v", x, got, want)
 		}
 	}
-	if got := AtomOf(nested); math.Abs(got) > 1e-9 {
+	if got := s.Atom(); got != 0 {
 		t.Errorf("atom of continuous sum = %v", got)
+	}
+	if got, want := s.Mean(), 1/a+1/b+1/c; math.Abs(got-want) > 1e-15 {
+		t.Errorf("mean %v, want %v", got, want)
 	}
 }
 
 func TestSumSurvivesIllConditionedPoles(t *testing.T) {
-	// Two poles separated by 1e-5 relative: Mul's Taylor amplification is
-	// ~(1e5)^(orders); Sum must stay accurate. Ground truth by Monte Carlo
-	// is overkill: with rates this close the sum is essentially
-	// Erlang(2+5, rate).
+	// A W pole 1e-5 relative from P's ladder and a U pole 1e-7 from the W
+	// pole: Mul's Taylor amplification is ~(1e5)^orders. Every rate lies in
+	// [rate, fast], so the sum of the 2+5 exponentials is stochastically
+	// between Erlang(7, fast) and Erlang(7, rate).
 	rate := 100.0
-	a := NewErlang(1, 2, rate)
-	b := NewErlang(1, 5, rate*(1+1e-5))
-	if EstimateMulError(a, b) < 1e-9 {
-		t.Skip("pole-merge tolerance absorbed the near-collision")
+	fast := rate * (1 + 1e-5 + 1e-7)
+	u := NewExponential(1, fast)
+	w := NewExponential(1, rate*(1+1e-5))
+	p := NewErlang(1, 5, rate)
+	if estimateMulError(w, p) < 1e-9 {
+		t.Fatal("pole-merge tolerance absorbed the near-collision")
 	}
-	sum := Sum{A: a, B: b}
-	ref := NewErlang(1, 7, rate) // 2+5 exponentials at ~the same rate
-	for _, x := range []float64{0.01, 0.05, 0.1, 0.2} {
+	sum := newSum(t, u, w, p)
+	for _, x := range []float64{0.01, 0.05, 0.1, 0.2, 1, 5} {
 		got := sum.Tail(x)
-		want := ref.Tail(x)
-		if math.Abs(got-want) > 1e-4 {
-			t.Errorf("tail(%v): %v vs erlang-7 reference %v", x, got, want)
+		lo, hi := NewErlang(1, 7, fast).Tail(x), NewErlang(1, 7, rate).Tail(x)
+		if !(got >= lo*(1-1e-13) && got <= hi*(1+1e-13)) {
+			t.Errorf("tail(%v) = %v outside the Erlang-7 sandwich [%v, %v]", x, got, lo, hi)
 		}
 	}
 }
 
-func TestEstimateMulErrorOrdering(t *testing.T) {
-	far := EstimateMulError(NewErlang(1, 3, 1), NewErlang(1, 3, 10))
-	near := EstimateMulError(NewErlang(1, 3, 1), NewErlang(1, 3, 1.001))
-	if far >= near {
-		t.Errorf("well-separated poles (%v) should score below near poles (%v)", far, near)
+func TestNewSumRejectsOtherShapes(t *testing.T) {
+	exp := NewExponential(1, 2)
+	p := NewErlang(1, 3, 4)
+	var complexP Mix
+	complexP.AddTerm(complex(4, 1), []complex128{1})
+	for name, f := range map[string][3]Mix{
+		"Erlang U":      {NewErlang(1, 2, 2), exp, p},
+		"Erlang W":      {exp, NewErlang(1, 2, 2), p},
+		"two P terms":   {exp, exp, MulAll(NewExponential(1, 3), NewExponential(1, 5))},
+		"atom P":        {exp, exp, NewAtom(1)},
+		"complex P":     {exp, exp, complexP},
+		"negative pole": {NewExponential(1, -2), exp, p},
+	} {
+		if _, err := NewSum(f[0], f[1], f[2]); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err %v, want ErrInvalid", name, err)
+		}
 	}
-	if near < 1e-9 {
-		t.Errorf("near-coincident poles should exceed the budget: %v", near)
-	}
-	same := EstimateMulError(NewErlang(1, 3, 2), NewErlang(1, 4, 2))
-	if same != 0 {
-		t.Errorf("identical poles merge exactly; estimate should be 0, got %v", same)
+	if _, err := NewSum(NewAtom(1), NewAtom(1), p); err != nil {
+		t.Errorf("atom U and W: %v", err)
 	}
 }
 
 func TestSumQuantileErrorPaths(t *testing.T) {
-	s := Sum{A: NewAtom(1), B: NewAtom(1)}
+	s := newSum(t, NewAtom(1), NewAtom(1), ladderMix(1, 2, 0))
 	if _, err := s.Quantile(0); err == nil {
 		t.Error("accepted p=0")
 	}
@@ -104,12 +178,90 @@ func TestSumQuantileErrorPaths(t *testing.T) {
 	if err != nil || q != 0 {
 		t.Errorf("quantile of delta at 0: %v, %v", q, err)
 	}
+	if _, err := Quantile(opaque{}, 0.99); !errors.Is(err, ErrInvalid) {
+		t.Errorf("Quantile of an opaque law: err %v, want ErrInvalid", err)
+	}
 }
 
+// opaque is a Law with no inversion.
+type opaque struct{}
+
+func (opaque) Tail(float64) float64 { return 0 }
+func (opaque) Mean() float64        { return 1 }
+func (opaque) TotalMass() float64   { return 1 }
+
+// TestInvertTailRejectsNaN pins that a non-finite tail value is an error,
+// not a bracket end: a NaN compares as neither above nor under the target.
+func TestInvertTailRejectsNaN(t *testing.T) {
+	tail := func(x float64) float64 {
+		if x > 2 {
+			return math.NaN()
+		}
+		return math.Exp(-x)
+	}
+	for _, seed := range []float64{0, 8} {
+		if x, err := invertTail(tail, 1, 0.99999, 1e-10, seed); !errors.Is(err, ErrInvalid) {
+			t.Errorf("seed %v: got %v, %v; want ErrInvalid", seed, x, err)
+		}
+	}
+	// The same tail, finite everywhere, inverts to -ln(1e-5).
+	x, err := invertTail(func(x float64) float64 { return math.Exp(-x) }, 1, 0.99999, 1e-10, 8)
+	if err != nil || math.Abs(x-11.512925464970229) > 1e-8 {
+		t.Errorf("finite tail: %v, %v", x, err)
+	}
+}
+
+// sumTailLaw is a Sum shaped like an eq. (35) law at Erlang order k: an
+// upstream exponential, k W poles crowding beta and a uniform ladder.
+func sumTailLaw(t testing.TB, k int) Sum {
+	beta := float64(k) / 0.02
+	u := NewExponential(0.4, 30)
+	u.Atom = 0.6
+	var w Mix
+	mass := 0.0
+	for j := 0; j < k; j++ {
+		zeta := 0.3 * cmplx.Exp(complex(0, 2*math.Pi*float64(j)/float64(k)))
+		c := 0.5 / float64(k)
+		if j == 0 {
+			c *= 2
+		}
+		w.AddTerm(complex(beta, 0)*(1-zeta), []complex128{complex(c, 0)})
+		mass += c
+	}
+	w.Atom = 1 - mass
+	weights := make([]float64, k-1)
+	for i := range weights {
+		weights[i] = 1 / float64(k-1)
+	}
+	return newSum(t, u, w, ladderMix(0, beta, weights...))
+}
+
+// TestSumTailWSAllocs pins the allocation contract of the compiled
+// evaluator's hot loop: a tail evaluation allocates nothing for Erlang
+// orders up to 30, its scratch living on the stack.
+func TestSumTailWSAllocs(t *testing.T) {
+	for _, k := range []int{2, 9, 30} {
+		s := sumTailLaw(t, k)
+		allocs := testing.AllocsPerRun(50, func() { s.Tail(0.05) })
+		if allocs > 0 {
+			t.Errorf("K=%d: Sum.Tail allocates %v per run, want 0", k, allocs)
+		}
+	}
+}
+
+// BenchmarkSumTail measures one closed-form tail evaluation near the
+// 1e-5 quantile of an eq. (35)-shaped law.
 func BenchmarkSumTail(b *testing.B) {
-	s := Sum{A: NewErlang(1, 9, 0.3), B: NewErlang(1, 8, 0.25)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Tail(50)
+	for _, k := range []int{9, 30} {
+		s := sumTailLaw(b, k)
+		x, err := s.Quantile(0.99999)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			for b.Loop() {
+				s.Tail(x)
+			}
+		})
 	}
 }

@@ -24,60 +24,45 @@ import (
 //     blind bisection needed dozens.
 //
 // A Sum's inversion seeds the stage-1 walk from its own factors. The
-// factors are independent and non-negative, so P(A+B > x) >=
-// max(P(A > x), P(B > x)) and the largest factor quantile is a lower bound
-// on the answer. Each factor quantile is a closed-form Mix inversion, cheap
-// next to one quadrature tail, and the walk starts at the seed's rung
-// instead of rung 0. A Mix starts at rung 0: its tail is closed form. The
-// seed is a function of the law and the level alone, so an inversion
-// carries no state from the previous one. Whatever rung the walk starts at,
-// stage 2 sees the same bracket and the same endpoint values: a seed
-// changes how much work is done, never what is computed.
+// factors are independent and non-negative, so P(U+W+P > x) >=
+// max(P(U > x), P(W > x), P(P > x)) and the largest factor quantile is a
+// lower bound on the answer. Each factor quantile is a closed-form Mix
+// inversion, and the walk starts at the seed's rung instead of rung 0. A
+// Mix starts at rung 0. The seed is a function of the law and the level
+// alone, so an inversion carries no state from the previous one. Whatever
+// rung the walk starts at, stage 2 sees the same bracket and the same
+// endpoint values: a seed changes how much work is done, never what is
+// computed.
 
 // maxDoubling caps the dyadic bracket search: 2^200 means away from the
 // mean, far beyond any law with a finite tail.
 const maxDoubling = 200
 
 // Quantile returns the smallest x >= 0 with l.Tail(x) <= 1-p for a Mix or a
-// Sum. ws holds the quadrature scratch and ladder of Sum tails, which
-// consecutive inversions of neighbouring laws reuse: a load sweep or a
-// dimensioning search holds one workspace for the whole walk, and nil
-// borrows a pooled one. The answer does not depend on ws.
-func Quantile(l Law, p float64, ws *Workspace) (float64, error) {
+// Sum.
+func Quantile(l Law, p float64) (float64, error) {
 	switch v := l.(type) {
 	case Mix:
 		return v.Quantile(p)
 	case Sum:
-		return v.quantile(p, ws)
+		return v.Quantile(p)
 	default:
 		return 0, fmt.Errorf("%w: no inversion for law type %T", ErrInvalid, l)
 	}
 }
 
-// quantile is Quantile for a Sum: every tail evaluation of the inversion
-// draws on one workspace, and the walk starts at the factors' seed.
-func (s Sum) quantile(p float64, ws *Workspace) (float64, error) {
-	ws, pooled := borrowWS(ws)
-	if pooled {
-		defer releaseWS(ws)
-	}
-	sharp := s.sharpestDecay()
-	tail := func(x float64) float64 { return s.tailAt(x, ws, sharp) }
-	return invertTail(tail, s.Mean(), p, 1e-10, s.seed(p))
+// Quantile inverts the tail, starting the bracket walk at the factors' seed.
+func (s Sum) Quantile(p float64) (float64, error) {
+	return invertTail(s.Tail, s.Mean(), p, 1e-10, s.seed(p))
 }
 
-// seed returns the largest p-quantile of the Sum's Mix factors, recursing
-// into a nested Sum: a lower bound on the Sum's own p-quantile. A failed
-// factor inversion returns 0, and a factor that is neither a Mix nor a Sum
-// contributes nothing.
+// seed returns the largest p-quantile of the Sum's factors: a lower bound
+// on the Sum's own p-quantile. A failed factor inversion contributes 0.
 func (s Sum) seed(p float64) float64 {
-	x, _ := s.A.Quantile(p)
-	switch b := s.B.(type) {
-	case Mix:
-		q, _ := b.Quantile(p)
+	x := 0.0
+	for _, f := range []Mix{s.u, s.w, s.p} {
+		q, _ := f.Quantile(p)
 		x = max(x, q)
-	case Sum:
-		x = max(x, b.seed(p))
 	}
 	return x
 }
@@ -87,13 +72,25 @@ func (s Sum) seed(p float64) float64 {
 // (non-positive values fall back to 1, matching the historical behavior),
 // tol is the absolute-plus-relative convergence tolerance, and seed, when
 // positive, is a lower bound on the answer that sets the walk's first rung
-// (non-positive means rung 0).
-func invertTail(tail func(float64) float64, mean, p, tol, seed float64) (float64, error) {
+// (non-positive means rung 0). A NaN or infinite tail value is an
+// ErrInvalid: it compares as neither above nor under the target, so no
+// bracket built on it means anything.
+func invertTail(f func(float64) float64, mean, p, tol, seed float64) (float64, error) {
 	if !(p > 0 && p < 1) {
 		return 0, fmt.Errorf("%w: quantile level %g", ErrInvalid, p)
 	}
+	var bad error // the first non-finite tail value
+	tail := func(x float64) float64 {
+		v := f(x)
+		if bad == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			bad = fmt.Errorf("%w: tail %v at x=%g", ErrInvalid, v, x)
+		}
+		return v
+	}
 	target := 1 - p
-	if tail(0) <= target {
+	if v := tail(0); bad != nil {
+		return 0, bad
+	} else if v <= target {
 		return 0, nil
 	}
 	step := mean
@@ -115,11 +112,17 @@ func invertTail(tail func(float64) float64, mean, p, tol, seed float64) (float64
 	var vlo, vhi float64 // tail at rung(k-1) (or 0), rung(k)
 	vloOK := false
 	v0 := tail(rung(j0))
+	if bad != nil {
+		return 0, bad
+	}
 	if v0 > target {
 		// Walk up to the first rung at or under the target.
 		prev := v0
 		for j := j0 + 1; j <= maxDoubling; j++ {
 			v := tail(rung(j))
+			if bad != nil {
+				return 0, bad
+			}
 			if v <= target {
 				k, vhi = j, v
 				vlo, vloOK = prev, true
@@ -135,6 +138,9 @@ func invertTail(tail func(float64) float64, mean, p, tol, seed float64) (float64
 		k, vhi = j0, v0
 		for j := j0 - 1; j >= 0; j-- {
 			v := tail(rung(j))
+			if bad != nil {
+				return 0, bad
+			}
 			if v > target {
 				vlo, vloOK = v, true
 				break
@@ -150,6 +156,9 @@ func invertTail(tail func(float64) float64, mean, p, tol, seed float64) (float64
 	if !vloOK {
 		vlo = tail(lo) // tail(0) when k == 0
 	}
+	if bad != nil {
+		return 0, bad
+	}
 
 	// Stage 2: Brent on the log-ratio inside [lo, hi]. The bracket and its
 	// endpoint values are the canonical ones whatever j0 was, so the
@@ -158,13 +167,22 @@ func invertTail(tail func(float64) float64, mean, p, tol, seed float64) (float64
 		if v > 0 {
 			return math.Log(v / target)
 		}
-		// Deep-tail underflow (or quadrature noise below zero): certainly
-		// under the target; a large finite value keeps Brent's arithmetic
+		// Deep-tail underflow (or rounding below zero): certainly under
+		// the target; a large finite value keeps Brent's arithmetic
 		// NaN-free where -Inf would poison the interpolation steps.
 		return -745 - math.Log(target)
 	}
-	g := func(x float64) float64 { return logRatio(tail(x)) }
+	g := func(x float64) float64 {
+		v := tail(x)
+		if bad != nil {
+			return 0 // a zero ends Brent at once; the error is returned below
+		}
+		return logRatio(v)
+	}
 	x, err := xmath.BrentBracketed(g, lo, hi, logRatio(vlo), logRatio(vhi), tol*(1+hi))
+	if bad != nil {
+		return 0, bad
+	}
 	if err != nil {
 		// vlo <= target can only mean the tail is not monotone at the
 		// bracket scale; surface it rather than guessing.

@@ -4,11 +4,16 @@
 //	F(s) = Atom + sum_j sum_i Coef[j][i] * (p_j/(p_j - s))^(i+1)
 //
 // i.e. an atom at zero plus a weighted sum of (possibly complex) Erlang
-// terms. The class is closed under products (= convolutions of independent
-// delays), which is exactly how §3.3 combines the upstream delay Du(s), the
-// downstream burst delay W(s) and the packet-position delay P(s); and every
-// member inverts in closed form, giving the tail distribution function and
-// hence the RTT quantile.
+// terms. A Mix is one such law; its tail, and hence its quantile, is closed
+// form. The class is closed under products (= convolutions of independent
+// delays), and Mul expands a product by partial fractions.
+//
+// The RTT law of §3.3 is the product of the upstream delay Du(s), the
+// downstream burst delay W(s) and the packet-position delay P(s). Sum keeps
+// those three factors apart and evaluates the tail of their convolution in
+// closed form through divided differences of the exponential (conv.go),
+// which stays accurate where the expanded product loses every digit to
+// crowding poles. Quantile inverts either law (invert.go).
 //
 // Poles may be complex (the D/E_K/1 waiting time has K-1 complex-conjugate
 // pole pairs); coefficients come in conjugate pairs too, so tails and
@@ -187,6 +192,15 @@ func termTail(t Term, x float64) complex128 {
 	return sum
 }
 
+// divRe divides z by a real divisor componentwise. For a divisor with exact
+// zero imaginary part the runtime's scaled (Smith) complex division reduces
+// to exactly this — the cross ratio is a signed zero, so both quotient
+// components round identically — making the substitution bit-identical while
+// skipping the division's magnitude tests and scaling branches.
+func divRe(z complex128, d float64) complex128 {
+	return complex(real(z)/d, imag(z)/d)
+}
+
 // CDF returns P(X <= x) = TotalMass - Tail(x) (for a normalized mix, 1-Tail).
 func (m Mix) CDF(x float64) float64 { return m.TotalMass() - m.Tail(x) }
 
@@ -212,8 +226,8 @@ func (m Mix) PDF(x float64) float64 {
 }
 
 // Quantile returns the smallest x >= 0 with P(X <= x) >= p, assuming the mix
-// is a normalized probability law. The closed-form tail needs no workspace,
-// and the bracket walk starts at rung 0 (see invert.go).
+// is a normalized probability law. The bracket walk starts at rung 0 (see
+// invert.go).
 func (m Mix) Quantile(p float64) (float64, error) {
 	return invertTail(m.Tail, m.Mean(), p, 1e-12, 0)
 }
@@ -264,50 +278,39 @@ func (m Mix) DominantOnly() Mix {
 // Mul returns the MGF product of a and b: the law of the sum of independent
 // X ~ a and Y ~ b. This is the Appendix A machinery: cross products of
 // Erlang terms are re-expanded by partial fractions around each pole; equal
-// poles merge exactly (Erlang orders add). One-shot form of mulWS (scratch
-// comes from the package pool).
-func Mul(a, b Mix) Mix { return mulWS(a, b, nil) }
-
-// mulWS is Mul with the inner loops' scratch (coefficient ladders, Taylor
-// coefficients, pole powers) drawn from ws instead of allocated per cross
-// term, so a pipeline multiplying many factor pairs reuses one set of
-// buffers. nil borrows a pooled workspace. The returned Mix owns its memory;
-// only intermediates live in ws.
-func mulWS(a, b Mix, ws *Workspace) Mix {
-	ws, pooled := borrowWS(ws)
-	if pooled {
-		defer releaseWS(ws)
-	}
+// poles merge exactly (Erlang orders add). The expansion is exact in exact
+// arithmetic but ill-conditioned in float64 when poles of a and b nearly
+// coincide, which is why the RTT law is a Sum instead (see conv.go).
+func Mul(a, b Mix) Mix {
 	out := Mix{Atom: a.Atom * b.Atom}
 	// Atom x terms cross products.
 	for _, t := range b.Terms {
 		if a.Atom != 0 {
-			out.AddTerm(t.Pole, scaleCoef(t.Coef, complex(a.Atom, 0), ws))
+			out.AddTerm(t.Pole, scaleCoef(t.Coef, complex(a.Atom, 0)))
 		}
 	}
 	for _, t := range a.Terms {
 		if b.Atom != 0 {
-			out.AddTerm(t.Pole, scaleCoef(t.Coef, complex(b.Atom, 0), ws))
+			out.AddTerm(t.Pole, scaleCoef(t.Coef, complex(b.Atom, 0)))
 		}
 	}
 	// Term x term cross products.
 	for _, ta := range a.Terms {
 		for _, tb := range b.Terms {
 			if samePole(ta.Pole, tb.Pole) {
-				mulSamePole(&out, ta, tb, ws)
+				mulSamePole(&out, ta, tb)
 			} else {
-				mulDistinctPoles(&out, ta, tb, ws)
-				mulDistinctPoles(&out, tb, ta, ws)
+				mulDistinctPoles(&out, ta, tb)
+				mulDistinctPoles(&out, tb, ta)
 			}
 		}
 	}
 	return out
 }
 
-// scaleCoef writes coef*w into workspace scratch (valid until the next
-// workspace use; AddTerm copies what it keeps).
-func scaleCoef(coef []complex128, w complex128, ws *Workspace) []complex128 {
-	out := cbuf(&ws.coef, len(coef))
+// scaleCoef returns coef*w.
+func scaleCoef(coef []complex128, w complex128) []complex128 {
+	out := make([]complex128, len(coef))
 	for i, c := range coef {
 		out[i] = c * w
 	}
@@ -316,8 +319,8 @@ func scaleCoef(coef []complex128, w complex128, ws *Workspace) []complex128 {
 
 // mulSamePole handles (p/(p-s))^n * (p/(p-s))^m = (p/(p-s))^(n+m): the
 // convolution of Erlangs with a common rate is an Erlang.
-func mulSamePole(out *Mix, ta, tb Term, ws *Workspace) {
-	coef := cbuf(&ws.coef, len(ta.Coef)+len(tb.Coef))
+func mulSamePole(out *Mix, ta, tb Term) {
+	coef := make([]complex128, len(ta.Coef)+len(tb.Coef))
 	for i, ca := range ta.Coef {
 		if ca == 0 {
 			continue
@@ -336,17 +339,17 @@ func mulSamePole(out *Mix, ta, tb Term, ws *Workspace) {
 // F_ta(s) * G_tb(s), following Appendix A: with G's Taylor coefficients
 // g_m at the pole p, the cross term A_i (p/(p-s))^{i+1} * G(s) contributes
 // A_i (-1)^m g_m p^m to order (i+1-m) at p, for m = 0..i.
-func mulDistinctPoles(out *Mix, ta, tb Term, ws *Workspace) {
+func mulDistinctPoles(out *Mix, ta, tb Term) {
 	maxOrder := len(ta.Coef)
-	g := taylorAt(tb, ta.Pole, maxOrder, ws)
-	coef := cbuf(&ws.coef, maxOrder)
+	g := taylorAt(tb, ta.Pole, maxOrder)
+	coef := make([]complex128, maxOrder)
 	sign := func(m int) complex128 {
 		if m%2 == 1 {
 			return -1
 		}
 		return 1
 	}
-	pm := cbuf(&ws.powers, maxOrder) // pole^m
+	pm := make([]complex128, maxOrder) // pole^m
 	pw := complex(1, 0)
 	for m := 0; m < maxOrder; m++ {
 		pm[m] = pw
@@ -368,9 +371,8 @@ func mulDistinctPoles(out *Mix, ta, tb Term, ws *Workspace) {
 // taylorAt returns the first n Taylor coefficients g_m = G^{(m)}(x)/m! of the
 // term function G(s) = sum_j B_j (q/(q-s))^{j+1} around s = x:
 // g_m = sum_j B_j q^{j+1} C(j+m, m) (q-x)^{-(j+1+m)}.
-// The result lives in ws.taylor until the next workspace use.
-func taylorAt(t Term, x complex128, n int, ws *Workspace) []complex128 {
-	g := cbuf(&ws.taylor, n)
+func taylorAt(t Term, x complex128, n int) []complex128 {
+	g := make([]complex128, n)
 	q := t.Pole
 	qx := q - x
 	for j, bj := range t.Coef {

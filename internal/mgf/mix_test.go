@@ -288,7 +288,7 @@ func TestTaylorCoefficients(t *testing.T) {
 	// Analytic check: for G(s) = (q/(q-s)), g_m(x) = q (q-x)^{-(m+1)}.
 	tm := Term{Pole: complex(3, 0), Coef: []complex128{1}}
 	x := complex(1, 0)
-	g := taylorAt(tm, x, 4, new(Workspace))
+	g := taylorAt(tm, x, 4)
 	for m := 0; m < 4; m++ {
 		want := complex(3, 0) / cmplx.Pow(complex(2, 0), complex(float64(m+1), 0))
 		if cmplx.Abs(g[m]-want) > 1e-12 {

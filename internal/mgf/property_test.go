@@ -50,7 +50,7 @@ func TestMulCommutativeProperty(t *testing.T) {
 	f := func(a1 uint8, k1, r1, w1 [3]uint8, a2 uint8, k2, r2, w2 [3]uint8) bool {
 		x := randomMix(a1, k1, r1, w1)
 		y := randomMix(a2, k2, r2, w2)
-		if EstimateMulError(x, y) > 1e-10 {
+		if estimateMulError(x, y) > 1e-10 {
 			return true // ill-conditioned expansions may differ in rounding
 		}
 		xy := Mul(x, y)
@@ -71,7 +71,7 @@ func TestMulAssociativeProperty(t *testing.T) {
 		z := randomMix(a3, k3, r3, w3)
 		// Guard against fuzz-built near-coincident cross poles, where the
 		// expansions legitimately differ in rounding.
-		if EstimateMulError(x, y)+EstimateMulError(y, z)+EstimateMulError(x, z) > 1e-10 {
+		if estimateMulError(x, y)+estimateMulError(y, z)+estimateMulError(x, z) > 1e-10 {
 			return true
 		}
 		l := Mul(Mul(x, y), z)
@@ -90,7 +90,7 @@ func TestMulPreservesMassAndMeanProperty(t *testing.T) {
 		y := randomMix(a2, k2, r2, w2)
 		// Close (but unequal) cross poles amplify rounding in the expansion;
 		// that regime is Sum's job, not Mul's.
-		if EstimateMulError(x, y) > 1e-10 {
+		if estimateMulError(x, y) > 1e-10 {
 			return true
 		}
 		m := Mul(x, y)
@@ -140,17 +140,49 @@ func TestTailMonotoneProperty(t *testing.T) {
 	}
 }
 
+// simpleMix builds a normalized atom plus up to three simple real poles
+// from fuzz inputs: the shape of U and W in a Sum.
+func simpleMix(atomRaw uint8, rates, weights [3]uint8) Mix {
+	m := Mix{Atom: float64(atomRaw%64) / 255}
+	var wsum float64
+	for _, w := range weights {
+		wsum += float64(w%100) + 1
+	}
+	for i := 0; i < 3; i++ {
+		rate := 0.25 * float64(1+rates[i]%40) * (1 + float64(i))
+		weight := (float64(weights[i]%100) + 1) / wsum * (1 - m.Atom)
+		m.AddTerm(complex(rate, 0), []complex128{complex(weight, 0)})
+	}
+	return m
+}
+
 func TestSumMatchesMulProperty(t *testing.T) {
-	f := func(a1 uint8, k1, r1, w1 [3]uint8, a2 uint8, k2, r2, w2 [3]uint8) bool {
-		x := randomMix(a1, k1, r1, w1)
-		y := randomMix(a2, k2, r2, w2)
-		if EstimateMulError(x, y) > 1e-10 {
+	f := func(a1 uint8, r1, w1 [3]uint8, a2 uint8, r2, w2 [3]uint8, k, rate uint8, ladder [6]uint8) bool {
+		u := simpleMix(a1, r1, w1)
+		w := simpleMix(a2, r2, w2)
+		weights := make([]float64, 1+int(k%6))
+		var wsum float64
+		for i := range weights {
+			weights[i] = float64(ladder[i]%50) + 1
+			wsum += weights[i]
+		}
+		p := Mix{}
+		coef := make([]complex128, len(weights))
+		for i := range weights {
+			coef[i] = complex(weights[i]/wsum, 0)
+		}
+		p.AddTerm(complex(0.3*float64(1+rate%30), 0), coef)
+		up := Mul(u, p)
+		if estimateMulError(u, p)+estimateMulError(w, up) > 1e-10 {
 			return true
 		}
-		m := Mul(x, y)
-		s := Sum{A: x, B: y}
-		for _, p := range []float64{0.05, 0.5, 3} {
-			if math.Abs(m.Tail(p)-s.Tail(p)) > 1e-6 {
+		m := Mul(w, up)
+		s, err := NewSum(u, w, p)
+		if err != nil {
+			return false
+		}
+		for _, x := range []float64{0.05, 0.5, 3} {
+			if math.Abs(m.Tail(x)-s.Tail(x)) > 1e-9 {
 				return false
 			}
 		}

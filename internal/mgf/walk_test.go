@@ -19,11 +19,11 @@ func paperModel(k int) core.Model {
 
 // countedWalk inverts s at level p from the given seed with a tail that
 // counts its evaluations and records the largest abscissa it was asked for.
-func countedWalk(s mgf.Sum, p, seed float64, ws *mgf.Workspace) (x float64, evals int, maxX float64, err error) {
+func countedWalk(s mgf.Sum, p, seed float64) (x float64, evals int, maxX float64, err error) {
 	tail := func(v float64) float64 {
 		evals++
 		maxX = max(maxX, v)
-		return s.TailWS(v, ws)
+		return s.Tail(v)
 	}
 	x, err = mgf.InvertTail(tail, s.Mean(), p, 1e-10, seed)
 	return x, evals, maxX, err
@@ -60,8 +60,7 @@ func bisectionProbes(rttAt func(rho float64) (float64, error), bound, ceil float
 
 // TestSeededWalkStaysInBracket pins the seeded bracket walk against a walk
 // from rung 0 on every Sum law of the paper grid (K 2, 9, 20, 30) and on
-// every probe of a §4 dimensioning bisection (K=9, 60 ms bound), in probe
-// order and through one workspace as LoadPath drives them. A walk from
+// every probe of a §4 dimensioning bisection (K=9, 60 ms bound). A walk from
 // rung 0 evaluates exactly rungs 0..k and then stays inside the canonical
 // bracket, so its largest abscissa is the bracket's hi. The seeded walk
 // must return the same bits, never evaluate a tail above hi, and never make
@@ -103,7 +102,6 @@ func TestSeededWalkStaysInBracket(t *testing.T) {
 		t.Fatalf("bisection made %d probes, want the full walk", probe)
 	}
 
-	var ws mgf.Workspace
 	sums, seededEvals, coldEvals := 0, 0, 0
 	for _, pt := range points {
 		s, ok := pt.law.(mgf.Sum)
@@ -112,11 +110,11 @@ func TestSeededWalkStaysInBracket(t *testing.T) {
 		}
 		sums++
 		seed := mgf.SeedOf(s, pt.p)
-		want, n0, hi, err := countedWalk(s, pt.p, 0, &ws)
+		want, n0, hi, err := countedWalk(s, pt.p, 0)
 		if err != nil {
 			t.Fatalf("%s: walk from rung 0: %v", pt.name, err)
 		}
-		got, n, maxX, err := countedWalk(s, pt.p, seed, &ws)
+		got, n, maxX, err := countedWalk(s, pt.p, seed)
 		if err != nil {
 			t.Fatalf("%s: seeded walk: %v", pt.name, err)
 		}
@@ -142,45 +140,4 @@ func TestSeededWalkStaysInBracket(t *testing.T) {
 		t.Errorf("seeded walks made %d tail evaluations, rung-0 walks %d: the seed saves nothing", seededEvals, coldEvals)
 	}
 	t.Logf("%d Sum laws: %d tail evaluations seeded, %d from rung 0", sums, seededEvals, coldEvals)
-}
-
-// TestTailPathByErlangOrder pins which evaluator serves the compiled RTT
-// law at rho=0.5 for K = 2..30. Up to K=7 the Appendix-A product is well
-// conditioned and the law is one closed-form Mix. From K=8 it is a Sum
-// whose B factor Mul(Du, P) keeps P's pole at beta with order K-1, so from
-// K=18 on B carries an Erlang order above the ladder's 16 levels and every
-// tail takes the per-abscissa Simpson path.
-func TestTailPathByErlangOrder(t *testing.T) {
-	for k := 2; k <= 30; k++ {
-		want := "ladder"
-		switch {
-		case k <= 7:
-			want = "closed"
-		case k >= 18:
-			want = "simpson"
-		}
-		cm, err := paperModel(k).WithDownlinkLoad(0.5).Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		law := cm.Law().Law()
-		if got := mgf.TailPath(law); got != want {
-			t.Errorf("K=%d: tails served by %q, want %q", k, got, want)
-		}
-		s, ok := law.(mgf.Sum)
-		if !ok {
-			continue
-		}
-		b, ok := s.B.(mgf.Mix)
-		if !ok {
-			t.Fatalf("K=%d: B is %T, want a Mix", k, s.B)
-		}
-		order := 0
-		for _, term := range b.Terms {
-			order = max(order, term.MaxOrder())
-		}
-		if order != k-1 {
-			t.Errorf("K=%d: B's highest Erlang order %d, want K-1 = %d", k, order, k-1)
-		}
-	}
 }

@@ -74,6 +74,13 @@ func (q MD1) DominantPole() (float64, error) {
 	if f(lo) > 0 || f(hi) < 0 {
 		return 0, fmt.Errorf("queueing: dominant pole bracket failed (rho=%g)", rho)
 	}
+	// At low loads the analytic bound is so loose that f(hi) overflows, or
+	// grows large enough to overflow Brent's interpolation, and the solve
+	// returns NaN or the far end. The last halving step is then the
+	// tighter upper end: f(2 lo) > 0 by the loop above.
+	if f(hi) > 1e100 {
+		hi = 2 * lo
+	}
 	g, err := xmath.Brent(f, lo, hi, 1e-14*hi)
 	if err != nil {
 		return 0, err

@@ -258,8 +258,7 @@ type pointMemo struct {
 // point answers one sweep point through the shared per-scenario memo,
 // computing (and storing) it only when neither a previous sweep nor a
 // /v1/rtt evaluation has seen the scenario. A cold computation runs through
-// the caller's LoadPath, continuing the walk's root solves and quantile
-// warm starts; a cache hit reseeds the path from the memoized compiled
+// the caller's LoadPath, continuing the walk's root solves; a cache hit reseeds the path from the memoized compiled
 // model instead, so a walk over partially cached loads keeps warm-starting.
 // Either way the answer is bit-identical to an independent cold evaluation
 // (the LoadPath contract), so the cache stays invisible in values.
@@ -269,7 +268,7 @@ func (e *Engine) point(path *core.LoadPath, psc scenario.Scenario, rho float64) 
 		cm, err := path.Compile(rho)
 		if err == nil {
 			var rtt float64
-			if rtt, err = path.Quantile(cm); err == nil {
+			if rtt, err = cm.RTTQuantile(); err == nil {
 				return pointMemo{Gamers: cm.Model.Gamers, RTT: rtt, Compiled: cm}, nil
 			}
 		}

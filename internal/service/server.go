@@ -17,6 +17,7 @@ import (
 	"fpsping/internal/core"
 	"fpsping/internal/memo"
 	"fpsping/internal/metrics"
+	"fpsping/internal/mgf"
 	"fpsping/internal/scenario"
 	"fpsping/internal/traffic"
 )
@@ -154,15 +155,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // errStatus maps model errors to HTTP statuses: invalid scenarios and
-// unusable snapshots are the client's fault (400), unstable scenarios are
-// valid questions with a negative answer (422), anything else is a server
-// error.
+// unusable snapshots are the client's fault (400); unstable scenarios, and
+// scenarios whose delay law fails validation (a D/E_K/1 root solve at a
+// large Erlang order), are valid questions without an answer (422);
+// anything else is a server error.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, core.ErrBadModel), errors.Is(err, errBadRequest),
 		errors.Is(err, memo.ErrSnapshot), errors.Is(err, memo.ErrSchemaMismatch):
 		return http.StatusBadRequest
-	case errors.Is(err, core.ErrUnstable):
+	case errors.Is(err, core.ErrUnstable), errors.Is(err, mgf.ErrInvalid):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError

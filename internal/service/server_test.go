@@ -2,11 +2,16 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"fpsping/internal/core"
 )
 
 func newTestServer(t *testing.T, jobs int) (*Server, *httptest.Server) {
@@ -321,5 +326,58 @@ func TestModelsHealthzMetrics(t *testing.T) {
 	}
 	if h.CacheEntries != 2 || h.CacheEvictions != 0 || strings.Contains(string(data), "shard") {
 		t.Errorf("healthz cache fields: %+v", h)
+	}
+}
+
+// rttOK fetches /v1/rtt at query and requires a 200 with a finite quantile.
+func rttOK(t *testing.T, ts *httptest.Server, query string) RTTResult {
+	t.Helper()
+	resp, body := do(t, http.MethodGet, ts.URL+"/v1/rtt?"+query, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", query, resp.StatusCode, body)
+	}
+	var res RTTResult
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(res.QuantileMs) || math.IsInf(res.QuantileMs, 0) || !(res.QuantileMs > 0) {
+		t.Fatalf("%s: quantile %v ms", query, res.QuantileMs)
+	}
+	return res
+}
+
+// TestRTTAtErlangOrderCap pins that the largest accepted Erlang order
+// answers the default scenario.
+func TestRTTAtErlangOrderCap(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	rttOK(t, ts, fmt.Sprintf("k=%d", core.MaxErlangOrder))
+}
+
+// TestRTTAboveErlangOrderCap pins that an order past the cap is the
+// client's error, rejected before any solve.
+func TestRTTAboveErlangOrderCap(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	resp, body := do(t, http.MethodGet, ts.URL+fmt.Sprintf("/v1/rtt?k=%d", core.MaxErlangOrder+1), "")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
+// TestRTTLargeErlangOrderFinishes pins a K=100 quantile, where the position
+// ladder and the D/E_K/1 poles crowd, to a bounded run.
+func TestRTTLargeErlangOrderFinishes(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(ts.URL + "/v1/rtt?k=100")
+	if err != nil {
+		t.Fatalf("k=100: %v", err)
+	}
+	defer resp.Body.Close()
+	var res RTTResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !(res.QuantileMs > 0) || math.IsInf(res.QuantileMs, 0) {
+		t.Errorf("k=100: status %d, quantile %v ms", resp.StatusCode, res.QuantileMs)
 	}
 }
