@@ -178,6 +178,34 @@ func TestSumQuantileErrorPaths(t *testing.T) {
 	if err != nil || q != 0 {
 		t.Errorf("quantile of delta at 0: %v, %v", q, err)
 	}
+}
+
+// TestQuantileWorkspaceStartsCold pins that every inversion starts cold:
+// Quantile keeps no workspace or other state between calls, so inverting
+// other laws first never changes the bits a law's inversion returns, and a
+// law type without an inversion is an error, not a panic.
+func TestQuantileWorkspaceStartsCold(t *testing.T) {
+	s := newSum(t, NewExponential(1, 0.4), NewExponential(1, 0.9), NewErlang(1, 8, 0.3))
+	want, err := Quantile(s, 0.99999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rate := range []float64{0.12, 0.25, 0.6} {
+		other := newSum(t, NewExponential(1, rate), NewExponential(1, 0.9), NewErlang(1, 8, 0.3))
+		if _, err := Quantile(other, 0.99); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Quantile(NewErlang(1, 4, rate), 0.99); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Quantile(s, 0.99999)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("after law %d: answer %v != first answer %v", i, got, want)
+		}
+	}
 	if _, err := Quantile(opaque{}, 0.99); !errors.Is(err, ErrInvalid) {
 		t.Errorf("Quantile of an opaque law: err %v, want ErrInvalid", err)
 	}
