@@ -44,7 +44,7 @@ var contracts = []contract{
 	},
 	{
 		id:   "warm-equals-cold",
-		what: "continued and cached evaluations are bit-identical to a cold evaluation",
+		what: "walked and cached evaluations are bit-identical to a cold evaluation",
 		tests: []string{
 			"internal/queueing:TestDEK1SolveFromBitIdenticalToSolve",
 			"internal/mgf:TestSeededWalkStaysInBracket",
@@ -54,6 +54,14 @@ var contracts = []contract{
 			"internal/service:TestRTTCacheHitIsByteIdentical",
 		},
 		jobs: []string{"verify"},
+	},
+	{
+		id:   "root-solve-matches-appendix-c",
+		what: "the D/E_K/1 root solve seeded with g_k(0) returns the bits of the Appendix-C fixed-point iteration root for root, or both fail, over K 1-200 from a vanishing load to 1e-9 below saturation",
+		tests: []string{
+			"internal/queueing:TestDEK1SolveMatchesFixedPoint",
+		},
+		jobs: []string{"verify", "race"},
 	},
 	{
 		id:   "tail-matches-oracle",
@@ -78,6 +86,14 @@ var contracts = []contract{
 		what: "/v1/dimension's rtt_at_max_ms is /v1/rtt at max_downlink_load bit for bit and within the bound, and /v1/rtt 1e-6 above that load exceeds the bound unless it is the stability ceiling",
 		tests: []string{
 			"internal/service:TestDimensionAgreesWithRTT",
+		},
+		jobs: []string{"verify"},
+	},
+	{
+		id:   "sweep-agrees-with-rtt",
+		what: "each /v1/sweep point's rtt_ms is /v1/rtt's quantile_ms at the same load bit for bit, computed on separate servers, and a sweep is non-decreasing in load",
+		tests: []string{
+			"internal/service:TestSweepAgreesWithRTT",
 		},
 		jobs: []string{"verify"},
 	},

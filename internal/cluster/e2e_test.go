@@ -106,7 +106,7 @@ func TestClusterAffinityBeatsRandomLive(t *testing.T) {
 		names := make([]string, 3)
 		for i := range names {
 			// One RTT compute stores two cache entries (the result plus its
-			// continuation point), so "holds perReplica scenarios" means
+			// sweep point), so "holds perReplica scenarios" means
 			// capacity 2*perReplica.
 			eng := service.NewEngine(2, 2*perReplica)
 			srv := httptest.NewServer(service.NewServer("127.0.0.1:0", eng).Handler())

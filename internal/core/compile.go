@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"fpsping/internal/mgf"
-	"fpsping/internal/queueing"
 )
 
 // This file is the staged evaluation pipeline: everything expensive about a
@@ -17,11 +16,7 @@ import (
 //	CompiledModel   factors + combined law, built by Compile
 //	evaluations     Quantile/Tail/Mean over the compiled law
 //
-// Compile has two forms: the one-shot Model.Compile, and LoadPath.Compile,
-// which carries the downstream root solution from point to point. Front ends
-// cache CompiledModels (the daemon keeps them in its point memo); monotone
-// walks (load sweeps, dimensioning searches) drive a LoadPath so each
-// point's root solve starts from its neighbour's.
+// Front ends cache CompiledModels (the daemon keeps them in its point memo).
 
 // CompiledLaw pairs a delay law with a per-level cache of solved quantiles.
 // It is safe for concurrent use: the underlying laws are immutable and the
@@ -78,28 +73,14 @@ type CompiledModel struct {
 
 	du, w, p mgf.Mix
 	law      *CompiledLaw
-	// sol is the downstream D/E_K/1 root solution the factors were built
-	// from, kept so a load-axis walk can seed the next point's solve with it
-	// (see LoadPath). Immutable after Compile, like the rest of the struct.
-	sol *queueing.DEK1Solution
 }
 
 // Compile runs the expensive stages of the pipeline once: validates the
 // scenario, builds the upstream M/D/1 and downstream D/E_K/1 factor mixes
-// (factorMixesFrom) and combines them into the total queueing-delay law
+// (factorMixes) and combines them into the total queueing-delay law
 // (combineLaw). Everything after this is cheap arithmetic over the result.
 func (m Model) Compile() (*CompiledModel, error) {
-	return m.compileFrom(nil)
-}
-
-// compileFrom is Compile with the downstream root solve warm-started from a
-// neighbouring load's solution (nil means a cold solve); LoadPath is its
-// one caller. The continuation seeds only the Newton iteration; its result
-// is validated and falls back to the cold factorization on any doubt, so a
-// warm compile returns exactly the bits of Compile() — cheaper, never
-// different.
-func (m Model) compileFrom(prev *queueing.DEK1Solution) (*CompiledModel, error) {
-	du, w, p, sol, err := m.factorMixesFrom(prev)
+	du, w, p, err := m.factorMixes()
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +88,7 @@ func (m Model) compileFrom(prev *queueing.DEK1Solution) (*CompiledModel, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledModel{Model: m, du: du, w: w, p: p, law: newCompiledLaw(law), sol: sol}, nil
+	return &CompiledModel{Model: m, du: du, w: w, p: p, law: newCompiledLaw(law)}, nil
 }
 
 // Law returns the compiled total-delay law.

@@ -63,13 +63,10 @@ func TestCompiledMatchesModel(t *testing.T) {
 	}
 }
 
-// TestWarmStartBitIdentical is the warm-start property test: compiling
-// every point through one LoadPath, whose root solves continue from the
-// previous point's, must return exactly the bits of independent per-point
-// evaluations — across the paper's grid, seeded random grids, and a
-// deliberately unsorted grid (the continuation only seeds Newton, and each
-// inversion seeds its own walk from its law, so correctness never depends
-// on the walk being monotone).
+// TestWarmStartBitIdentical is the walked-evaluation property test:
+// evaluating every point through one LoadPath must return exactly the bits
+// of independent per-point evaluations — across the paper's grid, seeded
+// random grids, and a deliberately unsorted grid.
 func TestWarmStartBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grids := [][]float64{PaperLoadGrid()}
@@ -87,16 +84,12 @@ func TestWarmStartBitIdentical(t *testing.T) {
 		for gi, grid := range grids {
 			path := m.NewLoadPath()
 			for _, rho := range grid {
-				at := m.WithDownlinkLoad(rho)
-				cm, err := path.Compile(rho)
-				if err != nil {
-					t.Fatalf("K=%d grid %d rho=%v: %v", k, gi, rho, err)
-				}
-				warm, err := cm.RTTQuantile()
+				pt, err := path.Point(rho)
 				if err != nil {
 					t.Fatalf("K=%d grid %d rho=%v: warm: %v", k, gi, rho, err)
 				}
-				cold, err := at.RTTQuantile()
+				warm := pt.RTT
+				cold, err := m.WithDownlinkLoad(rho).RTTQuantile()
 				if err != nil {
 					t.Fatalf("K=%d grid %d rho=%v: cold: %v", k, gi, rho, err)
 				}
@@ -111,7 +104,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 
 // TestSweepLoadsWarmMatchesParallel pins the same property end to end: the
 // one-worker sweep (one LoadPath through every point) and the four-worker
-// sweep (four chains, each starting cold) must produce identical series.
+// sweep (four chains) must produce identical series.
 func TestSweepLoadsWarmMatchesParallel(t *testing.T) {
 	m := figure3Model(9)
 	loads := PaperLoadGrid()
@@ -184,10 +177,9 @@ func BenchmarkModelCompiledVsCold(b *testing.B) {
 }
 
 // BenchmarkSweepPaperGridCold measures a cold paper-figure sweep: warm is
-// the one-worker SweepLoads (one LoadPath through every point), continued
-// is the same walk driven explicitly through a LoadPath, and independent
-// recompiles and re-inverts every point from scratch. The warm/independent
-// gap is the continuation's worth — identical values, different cost.
+// the one-worker SweepLoads (one LoadPath through every point) and
+// independent the one-shot Model.RTTQuantile at every point; both compile
+// and invert every point from scratch.
 func BenchmarkSweepPaperGridCold(b *testing.B) {
 	m := figure3Model(9)
 	loads := PaperLoadGrid()
@@ -195,16 +187,6 @@ func BenchmarkSweepPaperGridCold(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := m.SweepLoads(loads, 1); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("continued", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			path := m.NewLoadPath()
-			for _, rho := range loads {
-				if _, err := path.Point(rho); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 	})
@@ -220,8 +202,8 @@ func BenchmarkSweepPaperGridCold(b *testing.B) {
 }
 
 // BenchmarkDimensionCold measures a cold §4 dimensioning run at K=9: the
-// ITP search probes about ten loads, each continued from the previous probe
-// through the default LoadPath evaluator.
+// ITP search probes about ten loads, each evaluated cold by the default
+// evaluator.
 func BenchmarkDimensionCold(b *testing.B) {
 	m := figure3Model(9)
 	for i := 0; i < b.N; i++ {

@@ -98,14 +98,8 @@ func (m Model) MaxLoadWith(rttBound float64, rttAt PointEval) (DimensioningResul
 	ceil := top - 1e-6
 
 	if rttAt == nil {
-		// The search's probes are neighbours on the load axis, so drive
-		// them through one LoadPath: each probe's root solve continues from
-		// the previous probe, bit-identical to the direct evaluation (the
-		// LoadPath contract).
-		path := m.NewLoadPath()
 		rttAt = func(rho float64) (float64, error) {
-			pt, err := path.Point(rho)
-			return pt.RTT, err
+			return m.WithDownlinkLoad(rho).RTTQuantile()
 		}
 	}
 

@@ -6,10 +6,8 @@ import (
 	"testing"
 )
 
-// loadPathGrids returns the grids the continuation contract is pinned over:
-// the paper's grid, seeded random monotone grids, and the paper grid
-// reversed (continuation seeds work in either direction; validation, not
-// monotonicity, guarantees correctness).
+// loadPathGrids returns the grids the LoadPath contract is pinned over: the
+// paper's grid, seeded random monotone grids, and the paper grid reversed.
 func loadPathGrids() [][]float64 {
 	rng := rand.New(rand.NewSource(23))
 	grids := [][]float64{PaperLoadGrid()}
@@ -29,10 +27,9 @@ func loadPathGrids() [][]float64 {
 	return grids
 }
 
-// TestLoadPathBitIdenticalToCold is the continuation contract end to end: a
-// LoadPath walk — warm-started root solves and seeded inversions — must
-// return exactly the bits of independent cold evaluation
-// at every point of every grid.
+// TestLoadPathBitIdenticalToCold is the LoadPath contract end to end: a
+// walk must return exactly the bits of independent cold evaluation at every
+// point of every grid.
 func TestLoadPathBitIdenticalToCold(t *testing.T) {
 	for _, k := range []int{9, 20} {
 		m := figure3Model(k)
@@ -61,85 +58,26 @@ func TestLoadPathBitIdenticalToCold(t *testing.T) {
 	}
 }
 
-// TestLoadPathCompileBitIdentical pins the layer below: the downstream root
-// solution of a warm compile must be exactly that of a cold compile, point
-// by point along a walk.
-func TestLoadPathCompileBitIdentical(t *testing.T) {
-	for _, k := range []int{9, 20} {
-		m := figure3Model(k)
-		for gi, grid := range loadPathGrids() {
-			path := m.NewLoadPath()
-			for _, rho := range grid {
-				warm, err := path.Compile(rho)
-				if err != nil {
-					t.Fatalf("K=%d grid %d rho=%v: warm: %v", k, gi, rho, err)
-				}
-				cold, err := m.WithDownlinkLoad(rho).Compile()
-				if err != nil {
-					t.Fatalf("K=%d grid %d rho=%v: cold: %v", k, gi, rho, err)
-				}
-				wz := warm.sol.Zetas()
-				cz := cold.sol.Zetas()
-				if len(wz) != len(cz) {
-					t.Fatalf("K=%d grid %d rho=%v: %d warm roots, %d cold", k, gi, rho, len(wz), len(cz))
-				}
-				for i := range wz {
-					if wz[i] != cz[i] {
-						t.Errorf("K=%d grid %d rho=%v root %d: warm %v != cold %v",
-							k, gi, rho, i, wz[i], cz[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLoadPathReseed pins the memo-hit path: adopting an externally
-// compiled model as the continuation seed must leave subsequent points
-// bit-identical to cold evaluation.
-func TestLoadPathReseed(t *testing.T) {
-	m := figure3Model(9)
-	path := m.NewLoadPath()
-	cm, err := m.WithDownlinkLoad(0.4).Compile() // "cache hit" computed elsewhere
-	if err != nil {
-		t.Fatal(err)
-	}
-	path.Reseed(cm)
-	pt, err := path.Point(0.45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := m.WithDownlinkLoad(0.45).RTTQuantile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.RTT != cold {
-		t.Errorf("after reseed: path %v != cold %v", pt.RTT, cold)
-	}
-	path.Reseed(nil) // must not clear the seed or panic
-	if _, err := path.Point(0.5); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMaxLoadWithDefaultEvaluator pins that the LoadPath-driven default
-// bisection evaluator returns exactly the result of an explicit
-// per-probe cold evaluator.
+// TestMaxLoadWithDefaultEvaluator pins that the default per-probe cold
+// evaluator returns exactly the result of a search whose probes are walked
+// through one LoadPath.
 func TestMaxLoadWithDefaultEvaluator(t *testing.T) {
 	m := figure3Model(9)
 	const bound = 0.060
-	viaPath, err := m.MaxLoad(bound)
+	viaCold, err := m.MaxLoad(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCold, err := m.MaxLoadWith(bound, func(rho float64) (float64, error) {
-		return m.WithDownlinkLoad(rho).RTTQuantile()
+	path := m.NewLoadPath()
+	viaPath, err := m.MaxLoadWith(bound, func(rho float64) (float64, error) {
+		pt, err := path.Point(rho)
+		return pt.RTT, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaPath != viaCold {
-		t.Errorf("default (LoadPath) %+v != cold evaluator %+v", viaPath, viaCold)
+		t.Errorf("LoadPath evaluator %+v != default %+v", viaPath, viaCold)
 	}
 }
 
@@ -174,8 +112,7 @@ func TestSweepGridWithChunkedChains(t *testing.T) {
 // TestLoadPathWalksMatchCold is the handle's contract as a table: for each
 // Erlang order, the paper grid walked forward, walked in reverse, and
 // walked over memoized models (every other point compiled elsewhere, half
-// of them already solved, adopted by Reseed)
-// returns at every point the bits of a cold
+// of them already solved) returns at every point the bits of a cold
 // WithDownlinkLoad(rho).RTTQuantile().
 func TestLoadPathWalksMatchCold(t *testing.T) {
 	for _, k := range []int{2, 9, 20, 30} {
@@ -214,15 +151,14 @@ func TestLoadPathWalksMatchCold(t *testing.T) {
 		}{
 			{"forward", grid, false},
 			{"reverse", rev, false},
-			{"reseeded", grid, true},
-			{"reseeded-reverse", rev, true},
+			{"memoized", grid, true},
+			{"memoized-reverse", rev, true},
 		} {
 			path := m.NewLoadPath()
 			for _, rho := range walk.loads {
 				var got float64
 				var err error
 				if cm, ok := memo[rho]; ok && walk.memoized {
-					path.Reseed(cm)
 					got, err = cm.RTTQuantile()
 				} else {
 					var pt SweepPoint

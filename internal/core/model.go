@@ -173,39 +173,31 @@ func (m Model) Downstream() (queueing.DEK1, error) {
 	return queueing.NewDEK1(m.ErlangOrder, 8*m.Gamers*m.ServerPacketBytes/m.AggregateRate, m.BurstInterval)
 }
 
-// factorMixesFrom builds the three independent queueing-delay factors of
+// factorMixes builds the three independent queueing-delay factors of
 // eq. (35): Du (upstream M/D/1, eq. 14), W (D/E_K/1 burst wait, eq. 18) and
-// P (in-burst position, eq. 34). The downstream D/E_K/1 root solve is
-// warm-started from a neighbouring load's solution (nil means cold; see
-// queueing.DEK1.SolveFrom). It also returns the solution it produced, so a
-// load-axis walk (LoadPath) can seed the next point with it. Warm and cold
-// solves are bit-identical — the continuation changes only cost, never the
-// factors.
-func (m Model) factorMixesFrom(prev *queueing.DEK1Solution) (du, w, p mgf.Mix, sol *queueing.DEK1Solution, err error) {
+// P (in-burst position, eq. 34).
+func (m Model) factorMixes() (du, w, p mgf.Mix, err error) {
 	if err = m.Validate(); err != nil {
-		return du, w, p, nil, err
+		return du, w, p, err
 	}
 	up, err := m.Upstream()
 	if err != nil {
-		return du, w, p, nil, fmt.Errorf("core: upstream: %w", err)
+		return du, w, p, fmt.Errorf("core: upstream: %w", err)
 	}
 	if du, err = up.WaitMixPaper(); err != nil {
-		return du, w, p, nil, err
+		return du, w, p, err
 	}
 	down, err := m.Downstream()
 	if err != nil {
-		return du, w, p, nil, fmt.Errorf("core: downstream: %w", err)
+		return du, w, p, fmt.Errorf("core: downstream: %w", err)
 	}
-	if sol, err = down.SolveFrom(prev); err != nil {
-		return du, w, p, nil, err
-	}
-	if w, err = sol.WaitMix(); err != nil {
-		return du, w, p, nil, err
+	if w, err = down.WaitMix(); err != nil {
+		return du, w, p, err
 	}
 	if p, err = down.PositionMixUniform(); err != nil {
-		return du, w, p, nil, err
+		return du, w, p, err
 	}
-	return du, w, p, sol, nil
+	return du, w, p, nil
 }
 
 // combineLaw returns the law of the total queueing delay Du+W+P from its
@@ -217,7 +209,7 @@ func combineLaw(du, w, p mgf.Mix) (mgf.Law, error) {
 // DelayLaw returns the law of the total queueing delay Du+W+P (eq. 35,
 // excluding the deterministic part).
 func (m Model) DelayLaw() (mgf.Law, error) {
-	du, w, p, _, err := m.factorMixesFrom(nil)
+	du, w, p, err := m.factorMixes()
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +290,7 @@ func quantileOrZero(mix mgf.Mix, p float64) (float64, error) {
 // alpha_1 = beta(1-zeta_1) < beta always, the dominant pole is the simple
 // pole min(gamma, alpha_1).
 func (m Model) RTTQuantileDominantPole() (float64, error) {
-	du, w, p, _, err := m.factorMixesFrom(nil)
+	du, w, p, err := m.factorMixes()
 	if err != nil {
 		return 0, err
 	}
@@ -357,7 +349,7 @@ func (m Model) RTTQuantileDominantPole() (float64, error) {
 // target level. The bound is evaluated on real s strictly below the smallest
 // pole real part, where all three MGFs are finite.
 func (m Model) RTTQuantileChernoff() (float64, error) {
-	du, w, p, _, err := m.factorMixesFrom(nil)
+	du, w, p, err := m.factorMixes()
 	if err != nil {
 		return 0, err
 	}

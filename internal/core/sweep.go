@@ -22,10 +22,9 @@ type SweepPoint struct {
 // stability limit are skipped (the curves' vertical asymptote).
 //
 // The grid is split into contiguous chunks over workers (<= 0 means one per
-// CPU; see SweepGridWith), each walked by its own LoadPath: every point's
-// downstream root solve continues from the previous point's roots. The
-// continuation is bit-exact, so the points are identical to independent per-point
-// evaluation at any worker count. One worker walks the whole grid inline.
+// CPU; see SweepGridWith). Every point compiles its own model, so the
+// points are identical at any worker count. One worker walks the whole grid
+// inline.
 func (m Model) SweepLoads(loads []float64, workers int) ([]SweepPoint, error) {
 	return m.SweepGridWith(loads, workers, func() func(rho float64) (SweepPoint, error) {
 		return m.NewLoadPath().Point
@@ -34,12 +33,12 @@ func (m Model) SweepLoads(loads []float64, workers int) ([]SweepPoint, error) {
 
 // SweepGridWith evaluates the curve with caller-supplied point evaluators
 // fanned out over a worker pool — the one owner of the serial sweep
-// semantics every front end shares (SweepLoads plugs in a LoadPath walk;
+// semantics every front end shares (SweepLoads plugs in LoadPath.Point;
 // the daemon's /v1/sweep plugs in its memoized one). chain is called
-// once per worker and returns that worker's point evaluator, so each worker
-// can carry per-chain continuation state (a LoadPath) without
-// synchronization: the grid is split into contiguous chunks, one chain per
-// chunk, and each chain walks its chunk in load order.
+// once per worker and returns that worker's point evaluator, so an
+// evaluator may keep per-chain state without synchronization: the grid is
+// split into contiguous chunks, one chain per chunk, and each chain walks
+// its chunk in load order.
 //
 // The serial semantics are reproduced exactly by an ordered post-scan of
 // the full result grid: the curve ends at the first failing evaluation (the

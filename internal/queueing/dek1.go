@@ -80,13 +80,15 @@ func (q DEK1) polishZeta(g func(complex128) complex128, z complex128) complex128
 	return z
 }
 
-// finishZeta applies the canonical final stage shared by the cold and warm
-// solvers — polish, snap the converged value to the canonical seed grid,
-// re-polish from the snapped seed — and validates the result. Both paths
-// reach the same snapped seed (their pre-snap roots agree far below the grid
-// spacing), so the returned bits do not depend on how the iteration was
-// seeded. The residual and half-plane checks hold the result to the same
-// standard as a cold solve.
+// finishZeta applies the canonical final stage of a root solve — polish
+// from the seed z, snap the converged value to the canonical seed grid,
+// re-polish from the snapped seed — and validates the result. Seeds that
+// converge to the same root reach the same snapped seed (their pre-snap
+// roots agree far below the grid spacing), so the returned bits do not
+// depend on how the iteration was seeded. Each branch has one root in
+// Re z < 1 (there |z| = e^{(Re z-1)/rho} < 1, and the K roots of eq. (26)
+// in the unit disc are one per branch), so the residual and half-plane
+// checks accept only that root and reject a seed the polish diverged from.
 func (q DEK1) finishZeta(k int, z complex128) (complex128, error) {
 	g := q.rootMap(k)
 	z = q.polishZeta(g, z)
@@ -115,9 +117,9 @@ func (q DEK1) finishZeta(k int, z complex128) (complex128, error) {
 //
 //	z = exp((z-1)/rho + 2*pi*i*(k-1)/K),  Re z < 1,
 //
-// found by the fixed-point iteration Appendix C proves convergent, polished
-// with a complex Newton step. zeta_1 is real in (0,1); the remaining roots
-// come in conjugate pairs. One-shot form of Solve(): the returned slice is
+// found by a complex Newton iteration seeded with the first step of the
+// fixed-point iteration Appendix C proves convergent (see Solve). zeta_1 is
+// real in (0,1); the remaining roots come in conjugate pairs. One-shot form of Solve(): the returned slice is
 // the caller's to keep.
 func (q DEK1) Zetas() ([]complex128, error) {
 	sol, err := q.Solve()
@@ -129,8 +131,7 @@ func (q DEK1) Zetas() ([]complex128, error) {
 
 // DEK1Solution is a solved set of eq.-(26) roots, the expensive part of the
 // D/E_K/1 waiting-time law. Root k lives at index k-1 — the index, not the
-// value, identifies which branch of eq. (26) a root solves — which is what
-// lets a neighbouring load's solution seed this one (SolveFrom) and keeps
+// value, identifies which branch of eq. (26) a root solves — which keeps
 // the downstream term order canonical. The solution is immutable once built.
 type DEK1Solution struct {
 	q  DEK1
@@ -145,63 +146,29 @@ func (sol *DEK1Solution) Zetas() []complex128 {
 	return append([]complex128(nil), sol.zs...)
 }
 
-// Solve finds the K roots cold: the Appendix-C fixed-point iteration from
-// zero, then the canonical polish stage (see finishZeta). Poles, Weights and
-// WaitMix on the solution are pure arithmetic over the stored roots.
+// Solve finds the K roots: each root's Newton polish (see finishZeta) is
+// seeded with the first Appendix-C fixed-point iterate,
+// g_k(0) = exp(-1/rho + 2*pi*i*(k-1)/K). The full fixed-point iteration
+// contracts only at rate |zeta_k|/rho, which tends to 1 as rho -> 1; the
+// snap stage returns its bits from this seed in a few Newton steps
+// (queueing:TestDEK1SolveMatchesFixedPoint keeps the iteration as the
+// reference). Poles, Weights and WaitMix on the solution are pure
+// arithmetic over the stored roots.
 func (q DEK1) Solve() (*DEK1Solution, error) {
 	zs := make([]complex128, q.K)
 	for k := 1; k <= q.K; k++ {
-		g := q.rootMap(k)
-		z := complex(0, 0)
-		for i := 0; i < 20000; i++ {
-			nz := g(z)
-			if cmplx.Abs(nz-z) < 1e-15 {
-				z = nz
-				break
-			}
-			z = nz
-		}
 		var err error
-		if zs[k-1], err = q.finishZeta(k, z); err != nil {
+		if zs[k-1], err = q.finishZeta(k, q.rootMap(k)(0)); err != nil {
 			return nil, err
 		}
 	}
 	return &DEK1Solution{q: q, zs: zs}, nil
 }
 
-// SolveFrom is the continuation solver: it seeds each root's Newton
-// iteration with the neighbouring solution's polished root of the same index
-// instead of running the cold fixed-point iteration, then applies the same
-// canonical polish stage, so a warm solve returns exactly the bits of
-// q.Solve(). A root that fails the residual or half-plane check, or a root
-// pair the warm iteration collapsed together (the seeds straddled a Newton
-// basin boundary), falls back to the cold solve automatically — continuation
-// can change only the cost of a solution, never its value. prev may be nil
-// or for a different K; both fall back cold.
-func (q DEK1) SolveFrom(prev *DEK1Solution) (*DEK1Solution, error) {
-	if prev == nil || prev.q.K != q.K || len(prev.zs) != q.K {
-		return q.Solve()
-	}
-	zs := make([]complex128, q.K)
-	for k := 1; k <= q.K; k++ {
-		z, err := q.finishZeta(k, prev.zs[k-1])
-		if err != nil {
-			return q.Solve()
-		}
-		zs[k-1] = z
-	}
-	// Distinct-root pairing check: eq. (26) has one root per branch index, so
-	// two equal entries mean a seed escaped its basin and doubled up on a
-	// neighbouring branch's root.
-	for i := 1; i < q.K; i++ {
-		for j := 0; j < i; j++ {
-			if d := cmplx.Abs(zs[i] - zs[j]); d <= 1e-12*(1+cmplx.Abs(zs[i])) {
-				return q.Solve()
-			}
-		}
-	}
-	return &DEK1Solution{q: q, zs: zs}, nil
-}
+// SolveFrom returns q.Solve() and ignores prev, a neighbouring load's
+// solution: the g_k(0) seed makes a cold solve as cheap as one seeded from
+// a neighbour's roots. The signature stays for existing callers.
+func (q DEK1) SolveFrom(prev *DEK1Solution) (*DEK1Solution, error) { return q.Solve() }
 
 // Poles returns the K poles alpha_k = beta*(1 - zeta_k) of the waiting-time
 // MGF (eq. 25). All have positive real part for a stable queue. One-shot

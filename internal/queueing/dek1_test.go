@@ -1,0 +1,161 @@
+package queueing
+
+import (
+	"math"
+	"math/cmplx"
+	"testing"
+)
+
+// walkLoads is the load axis the SolveFrom contract is pinned over: the
+// paper's grid ascending and the same grid reversed.
+func walkLoads() [][]float64 {
+	up := make([]float64, 18)
+	for i := range up {
+		up[i] = 0.05 + float64(i)*0.05
+	}
+	down := make([]float64, len(up))
+	for i := range down {
+		down[i] = up[len(up)-1-i]
+	}
+	return [][]float64{up, down}
+}
+
+// TestDEK1SolveFromBitIdenticalToSolve pins the SolveFrom contract: handed
+// the neighbouring load's solution, it must return exactly the bits of
+// Solve at every point of the walk, in both directions.
+func TestDEK1SolveFromBitIdenticalToSolve(t *testing.T) {
+	for _, k := range []int{2, 9, 20, 28} {
+		for wi, loads := range walkLoads() {
+			var prev *DEK1Solution
+			for _, rho := range loads {
+				q, err := NewDEK1(k, rho*0.060, 0.060)
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm, err := q.SolveFrom(prev)
+				if err != nil {
+					t.Fatalf("K=%d walk %d rho=%v: warm: %v", k, wi, rho, err)
+				}
+				cold, err := q.Solve()
+				if err != nil {
+					t.Fatalf("K=%d walk %d rho=%v: cold: %v", k, wi, rho, err)
+				}
+				wz, cz := warm.Zetas(), cold.Zetas()
+				for i := range wz {
+					if wz[i] != cz[i] {
+						t.Errorf("K=%d walk %d rho=%v root %d: warm %v != cold %v",
+							k, wi, rho, i, wz[i], cz[i])
+					}
+				}
+				prev = warm
+			}
+		}
+	}
+}
+
+// TestDEK1SelfConjugateBranchReal pins the even-K negative-axis branch
+// (k = K/2+1, phase pi): its root is mathematically real, and the canonical
+// snap stage must flush the e^{i*pi} rounding dust so the stored root is
+// exactly real — the property that makes the solve's bits independent of
+// its seed on that branch.
+func TestDEK1SelfConjugateBranchReal(t *testing.T) {
+	for _, k := range []int{2, 10, 20} {
+		for _, rho := range []float64{0.3, 0.45, 0.8} {
+			q, err := NewDEK1(k, rho*0.060, 0.060)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := q.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			z := sol.Zetas()[k/2] // branch K/2+1 at index K/2
+			if imag(z) != 0 {
+				t.Errorf("K=%d rho=%v: zeta_%d = %v has nonzero imaginary part", k, rho, k/2+1, z)
+			}
+			if real(z) >= 0 {
+				t.Errorf("K=%d rho=%v: zeta_%d = %v not on the negative axis", k, rho, k/2+1, z)
+			}
+		}
+	}
+}
+
+// fixedPointSolve is the paper's Appendix-C root solve, kept as the
+// reference for Solve's seed: the fixed-point iteration z <- g_k(z) from
+// zero until a step is below 1e-15 (at most 20,000 iterations), then the
+// canonical polish stage.
+func fixedPointSolve(q DEK1) ([]complex128, error) {
+	zs := make([]complex128, q.K)
+	for k := 1; k <= q.K; k++ {
+		g := q.rootMap(k)
+		z := complex(0, 0)
+		for i := 0; i < 20000; i++ {
+			nz := g(z)
+			if cmplx.Abs(nz-z) < 1e-15 {
+				z = nz
+				break
+			}
+			z = nz
+		}
+		var err error
+		if zs[k-1], err = q.finishZeta(k, z); err != nil {
+			return nil, err
+		}
+	}
+	return zs, nil
+}
+
+// TestDEK1SolveMatchesFixedPoint pins Solve's g_k(0) Newton seed against
+// the full Appendix-C fixed-point iteration: root for root and bit for bit,
+// or both fail, from a vanishing load to 1e-9 below saturation.
+func TestDEK1SolveMatchesFixedPoint(t *testing.T) {
+	loads := []float64{1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.02, 0.03}
+	for i := 1; i <= 19; i++ {
+		loads = append(loads, float64(i)/20)
+	}
+	loads = append(loads, 0.35/1.05, 0.48, 0.97, 0.98, 0.99, 0.995)
+	for e := 3; e <= 9; e++ {
+		loads = append(loads, 1-math.Pow(10, -float64(e)))
+	}
+	for _, k := range []int{1, 2, 3, 5, 9, 12, 17, 18, 20, 30, 50, 100, 200} {
+		for _, rho := range loads {
+			q := DEK1{K: k, MeanBurst: rho * 0.05, T: 0.05}
+			want, werr := fixedPointSolve(q)
+			sol, err := q.Solve()
+			if (werr != nil) != (err != nil) {
+				t.Errorf("K=%d rho=%v: fixed point err %v, Solve err %v", k, rho, werr, err)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			for i, z := range sol.zs {
+				if z != want[i] {
+					t.Errorf("K=%d rho=%v root %d: Solve %v != fixed point %v", k, rho, i+1, z, want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDEK1Solve times the root solve at the paper's K=9 midpoint, near
+// saturation (where the fixed-point iteration would crawl) and at K=30.
+func BenchmarkDEK1Solve(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		k    int
+		rho  float64
+	}{{"K9_rho0.5", 9, 0.5}, {"K9_rho0.999", 9, 0.999}, {"K30_rho0.7", 30, 0.7}} {
+		q, err := NewDEK1(c.k, c.rho*0.060, 0.060)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := q.Solve(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -112,25 +112,12 @@ func (q MEK1) polishScaledRoot(z complex128) complex128 {
 	return z
 }
 
-// scaledResidual returns |h(z)| for the factored denominator identity.
-func (q MEK1) scaledResidual(z complex128) float64 {
-	a := complex(q.Lambda/q.Beta, 0)
-	kk := complex(float64(q.K), 0)
-	return cmplx.Abs((z+a)*cmplx.Pow(1-z, kk) - a)
-}
-
-// mek1ResidualTol accepts a converged scaled root: the factored identity
-// evaluates to machine-precision noise (~1e-16 at the O(1) scale of the
-// scaled variable) at a true root, so 1e-10 flags genuine misconvergence.
-const mek1ResidualTol = 1e-10
-
-// finishScaledRoots applies the canonical final stage shared by the cold
-// and warm solvers: polish each root, snap it to the canonical seed grid,
-// re-polish from the snapped seed (see xmath.SnapSeed), then sort the set
-// by (real, imag). The sort gives the solution a path-independent order —
-// PolyRoots and a continuation chain enumerate roots differently, and term
-// order is arithmetic order downstream — so warm and cold solves produce
-// identical bits.
+// finishScaledRoots applies the canonical final stage of the solve: polish
+// each root, snap it to the canonical seed grid, re-polish from the snapped
+// seed (see xmath.SnapSeed), then sort the set by (real, imag). The snap
+// makes each root's bits independent of the factorization's rounding, and
+// the sort makes the order independent of PolyRoots' deflation order —
+// term order is arithmetic order downstream.
 func (q MEK1) finishScaledRoots(zs []complex128) []complex128 {
 	for i, z := range zs {
 		z = q.polishScaledRoot(z)
@@ -145,8 +132,8 @@ func (q MEK1) finishScaledRoots(zs []complex128) []complex128 {
 	return zs
 }
 
-// scaledRoots solves the scaled denominator cold (PolyRoots factorization)
-// and applies the canonical polish stage.
+// scaledRoots solves the scaled denominator (PolyRoots factorization) and
+// applies the canonical polish stage.
 func (q MEK1) scaledRoots() ([]complex128, error) {
 	zs, err := xmath.PolyRoots(q.scaledPoly())
 	if err != nil {
@@ -176,32 +163,6 @@ func (q MEK1) Solve() (*MEK1Solution, error) {
 
 // Queue returns the queue the solution solves.
 func (sol *MEK1Solution) Queue() MEK1 { return sol.q }
-
-// SolveFrom is the continuation solver: it seeds the Newton polish with a
-// neighbouring solution's roots instead of a cold PolyRoots factorization,
-// then applies the same canonical polish-snap-repolish stage and (real,
-// imag) ordering, so a warm solve returns exactly the bits of q.Solve().
-// Validation — per-root residual of the factored denominator identity,
-// right-half-plane position, pairwise-distinct roots — falls back to the
-// cold solve on any doubt: continuation changes only cost, never values.
-// prev may be nil or for a different K; both fall back cold.
-func (q MEK1) SolveFrom(prev *MEK1Solution) (*MEK1Solution, error) {
-	if prev == nil || prev.q.K != q.K || len(prev.zs) != q.K {
-		return q.Solve()
-	}
-	zs := q.finishScaledRoots(append([]complex128(nil), prev.zs...))
-	for i, z := range zs {
-		// Negated-form comparisons so a NaN residual or component (a seed the
-		// polish diverged from) fails validation rather than slipping past it.
-		if !(q.scaledResidual(z) <= mek1ResidualTol) || !(real(z) > 0) {
-			return q.Solve()
-		}
-		if i > 0 && cmplx.Abs(z-zs[i-1]) <= 1e-12*(1+cmplx.Abs(z)) {
-			return q.Solve() // two seeds collapsed onto one root
-		}
-	}
-	return &MEK1Solution{q: q, zs: zs}, nil
-}
 
 // Poles returns the K poles of the waiting-time MGF: beta times the roots of
 // the scaled denominator. All have positive real part for a stable queue.

@@ -240,7 +240,7 @@ func (e *Engine) Sweep(sc scenario.Scenario, from, to, step float64) (SweepResul
 }
 
 // pointMemo is one sweep point's share of an RTT answer, keyed "pt|" +
-// canonical scenario: written by both computeRTT and point, read by sweep
+// canonical scenario: written by both computeRTT and pointAt, read by sweep
 // grids. RTT is kept in seconds (not the wire milliseconds) so a memoized
 // point is bit-identical to a recomputed one. An unstable scenario is a
 // cacheable answer too: every grid crossing it stops there. Compiled, when
@@ -255,17 +255,20 @@ type pointMemo struct {
 	Compiled *core.CompiledModel
 }
 
-// point answers one sweep point through the shared per-scenario memo,
-// computing (and storing) it only when neither a previous sweep nor a
-// /v1/rtt evaluation has seen the scenario. A cold computation runs through
-// the caller's LoadPath, continuing the walk's root solves; a cache hit reseeds the path from the memoized compiled
-// model instead, so a walk over partially cached loads keeps warm-starting.
-// Either way the answer is bit-identical to an independent cold evaluation
-// (the LoadPath contract), so the cache stays invisible in values.
-func (e *Engine) point(path *core.LoadPath, psc scenario.Scenario, rho float64) (pointMemo, error) {
+// pointAt answers the scenario at downlink load rho through the shared
+// per-scenario "pt|" memo, computing (and storing) it only when neither a
+// previous sweep or dimensioning nor a /v1/rtt evaluation has seen the
+// scenario, and mapping a memoized unstable marker back to
+// core.ErrUnstable. It is the one evaluator behind both sweep grids and
+// dimensioning searches. The point's model is the scenario with Load = rho,
+// the one /v1/rtt compiles for it, so a point is bit-identical whichever
+// endpoint computed it and the cache stays invisible in values.
+func (e *Engine) pointAt(sc scenario.Scenario, rho float64) (pointMemo, error) {
+	psc := sc
+	psc.Load = rho
 	v, _, err := e.memo("pt|"+psc.Canonical(), func() (any, error) {
 		e.computes.Add(1)
-		cm, err := path.Compile(rho)
+		cm, err := psc.Model().Compile()
 		if err == nil {
 			var rtt float64
 			if rtt, err = cm.RTTQuantile(); err == nil {
@@ -281,26 +284,6 @@ func (e *Engine) point(path *core.LoadPath, psc scenario.Scenario, rho float64) 
 		return pointMemo{}, err
 	}
 	pm := v.(pointMemo)
-	// Adopt a hit's (or a joined in-flight computation's) solution as the
-	// continuation seed; a no-op when this call computed it itself.
-	path.Reseed(pm.Compiled)
-	return pm, nil
-}
-
-// pointAt resolves the scenario at downlink load rho through the shared
-// per-scenario point memo, mapping a memoized unstable marker back to
-// core.ErrUnstable. It is the one evaluator behind both sweep grids and
-// dimensioning searches, which is what makes their point reuse bit-exact;
-// each walk passes its own LoadPath so cold points continue from their
-// neighbours. Scenario load shorthand and core.WithDownlinkLoad resolve N
-// identically, so the memo key and the path's model always agree.
-func (e *Engine) pointAt(path *core.LoadPath, sc scenario.Scenario, rho float64) (pointMemo, error) {
-	psc := sc
-	psc.Load = rho
-	pm, err := e.point(path, psc, rho)
-	if err != nil {
-		return pointMemo{}, err
-	}
 	if pm.Unstable {
 		return pointMemo{}, core.ErrUnstable
 	}
@@ -314,9 +297,8 @@ func (e *Engine) pointAt(path *core.LoadPath, sc scenario.Scenario, rho float64)
 func (e *Engine) computeSweep(sc scenario.Scenario, loads []float64, from, to, step float64) (SweepResult, error) {
 	pts, err := sc.Model().SweepGridWith(loads, e.jobs,
 		func() func(rho float64) (core.SweepPoint, error) {
-			path := sc.Model().NewLoadPath()
 			return func(rho float64) (core.SweepPoint, error) {
-				pm, err := e.pointAt(path, sc, rho)
+				pm, err := e.pointAt(sc, rho)
 				if err != nil {
 					return core.SweepPoint{}, err
 				}
@@ -361,11 +343,10 @@ func (e *Engine) Dimension(sc scenario.Scenario, boundMs float64) (DimensionResu
 	}
 	key := fmt.Sprintf("dim|%s|%g", sc.Canonical(), boundMs)
 	v, shared, err := e.memo(key, func() (any, error) {
-		path := sc.Model().NewLoadPath()
 		probes := 0
 		res, err := sc.Model().MaxLoadWith(boundMs/1000, func(rho float64) (float64, error) {
 			probes++
-			pm, err := e.pointAt(path, sc, rho)
+			pm, err := e.pointAt(sc, rho)
 			if err != nil {
 				return 0, err
 			}

@@ -2,12 +2,12 @@ package xmath
 
 import "math"
 
-// Seed canonicalization for continuation root solvers.
+// Seed canonicalization for Newton root solvers.
 //
 // A Newton iteration converges to the true root up to the last couple of
 // bits, but WHICH last-bit neighbour it lands on depends on where it
-// started. Two solvers that start differently — a cold factorization and a
-// warm start from a neighbouring parameter's roots — therefore agree to
+// started. Two solves that start differently — say from a converged
+// fixed-point iteration and from its first iterate — therefore agree to
 // ~1e-15 but not bit for bit, and any downstream arithmetic amplifies that
 // into visibly different (if equally correct) outputs.
 //
@@ -18,15 +18,15 @@ import "math"
 // deterministic function of (seed, parameters), so both paths reproduce the
 // same bits — the snap selects a canonical seed, the re-polish restores full
 // precision. The residual of the snapped-and-repolished root is checked by
-// the caller exactly as for a cold solve, so canonicalization can change
-// only which last-bit neighbour of the root is reported, never its accuracy.
+// by the caller exactly as for an unsnapped solve, so canonicalization can
+// change only which last-bit neighbour of the root is reported, never its
+// accuracy.
 //
 // The grid is relative (mantissa rounding), so it works at any scale. The
 // one failure mode is a converged value within ~1e-15 of a grid boundary,
 // where the two paths could round to different grid points; with a 2^-26
 // grid and 2^-52-scale discrepancies the odds are ~2^-26 per root, and the
-// consequence is a one-ulp-level difference — the documented fallback
-// contract (validate, recompute cold on doubt) still bounds the error.
+// consequence is a one-ulp-level difference.
 
 // snapBits is the number of significant bits SnapSeed keeps.
 const snapBits = 26

@@ -33,8 +33,8 @@ func TestSnapSeedGrid(t *testing.T) {
 	}
 }
 
-// TestSnapSeedCanonicalizes is the property the continuation solvers rely
-// on: two converged values that agree to ~1e-15 relative (different last-bit
+// TestSnapSeedCanonicalizes is the property the root solvers rely on:
+// two converged values that agree to ~1e-15 relative (different last-bit
 // neighbours of the same root) snap to the same seed.
 func TestSnapSeedCanonicalizes(t *testing.T) {
 	for _, x := range []float64{0.3127718372, 1.0, 42.5, 1e-8, 3.7e12} {
