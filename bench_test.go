@@ -180,45 +180,7 @@ func BenchmarkAblationErlangOrderFit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationUpstreamEstimate compares the binomial (N*D/D/1) and
-// Poisson (M/D/1) upstream tail estimates of eqs. (10) and (12).
-func BenchmarkAblationUpstreamEstimate(b *testing.B) {
-	q, err := queueing.NewNDD1(100, 0.040, 100, 500_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("binomial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q.QueueTailChernoff(2000)
-		}
-	})
-	b.Run("poisson", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q.QueueTailPoisson(2000)
-		}
-	})
-	b.Run("exact-binomial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q.QueueTailExactBinomial(2000)
-		}
-	})
-}
-
-// --- Validation and substrate throughput ---------------------------------
-
-// BenchmarkValidationLindley measures the D/E_K/1 Lindley validator used to
-// cross-check the exact waiting-time law.
-func BenchmarkValidationLindley(b *testing.B) {
-	q, err := queueing.NewDEK1(9, 0.030, 0.060)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, _, err := queueing.SimulateDEK1(q, 200_000, 1, []float64{0.06}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Substrate throughput ------------------------------------------------
 
 // BenchmarkWFQIsolation measures the WFQ scheduler scenario of §1 (gaming
 // plus elastic flood through the bottleneck).
@@ -301,7 +263,7 @@ func BenchmarkDEK1PoleSolve(b *testing.B) {
 		}
 		b.Run(q.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := q.Zetas(); err != nil {
+				if _, err := q.Solve(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -339,7 +301,7 @@ func BenchmarkMEK1PoleSolve(b *testing.B) {
 		}
 		b.Run(q.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := q.Poles(); err != nil {
+				if _, err := q.Solve(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -87,7 +87,15 @@ func TestSimJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &cmp); err != nil {
 		t.Fatal(err)
 	}
-	aff, rnd := cmp.Result(cluster.PolicyAffinity), cmp.Result(cluster.PolicyRandom)
+	var aff, rnd *cluster.SimResult
+	for i, r := range cmp.Results {
+		switch r.Policy {
+		case cluster.PolicyAffinity:
+			aff = &cmp.Results[i]
+		case cluster.PolicyRandom:
+			rnd = &cmp.Results[i]
+		}
+	}
 	if aff == nil || rnd == nil {
 		t.Fatal("JSON comparison missing a policy")
 	}

@@ -154,6 +154,14 @@ var contracts = []contract{
 		},
 		jobs: []string{"verify", "race"},
 	},
+	{
+		id:   "production-reachable",
+		what: "every top-level function and method in non-test Go, perfbench/ included, is reached from a binary's main or init, or is on a short allowlist with a reason",
+		tests: []string{
+			".:TestProductionReachable",
+		},
+		jobs: []string{"verify"},
+	},
 }
 
 // TestContractRegister checks that every registered test still exists as a

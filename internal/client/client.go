@@ -91,9 +91,6 @@ func New(base string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Base returns the normalized base URL the client talks to.
-func (c *Client) Base() string { return c.base }
-
 // APIError is a non-2xx daemon answer, carrying the HTTP status and the
 // daemon's error envelope message. 400s are malformed requests, 422s are
 // valid questions with a negative answer (an unstable scenario).

@@ -38,8 +38,8 @@ func TestNewRejectsBadBaseURLs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Base() != "http://example.com" {
-		t.Errorf("base not normalized: %q", c.Base())
+	if c.base != "http://example.com" {
+		t.Errorf("base not normalized: %q", c.base)
 	}
 }
 

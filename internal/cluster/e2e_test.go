@@ -128,7 +128,7 @@ func TestClusterAffinityBeatsRandomLive(t *testing.T) {
 	var gamers []int
 	counts := make([]int, 3)
 	for g := 100; len(gamers) < 3*perReplica && g < 10000; g++ {
-		owner := affRouter.Ring().Owner(keyFor(t, g))
+		owner := affRouter.ring.Owner(keyFor(t, g))
 		if counts[owner] < perReplica {
 			counts[owner]++
 			gamers = append(gamers, g)

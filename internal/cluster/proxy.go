@@ -232,9 +232,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Ring returns the router's hash ring (read-only).
-func (rt *Router) Ring() *Ring { return rt.ring }
-
 // Start launches the health-polling loop; it stops when ctx is canceled.
 func (rt *Router) Start(ctx context.Context) {
 	go func() {

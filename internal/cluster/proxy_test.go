@@ -137,7 +137,7 @@ func get(t *testing.T, rawURL string) (*http.Response, string) {
 func TestRouterAffinityRouting(t *testing.T) {
 	fakes, rt, front := newTestCluster(t, 3, nil)
 	for gamers := 60; gamers < 70; gamers++ {
-		owner := rt.Ring().Owner(keyFor(t, gamers))
+		owner := rt.ring.Owner(keyFor(t, gamers))
 		before := fakes[owner].rtts.Load()
 		spellings := []string{
 			fmt.Sprintf("%s/v1/rtt?gamers=%d", front.URL, gamers),
@@ -172,7 +172,7 @@ func TestRouterBatchSplitMerge(t *testing.T) {
 	owners := make(map[int]bool)
 	var req service.BatchRequest
 	for _, g := range gamers {
-		owners[rt.Ring().Owner(keyFor(t, g))] = true
+		owners[rt.ring.Owner(keyFor(t, g))] = true
 		req.Scenarios = append(req.Scenarios, json.RawMessage(fmt.Sprintf(`{"gamers":%d}`, g)))
 	}
 	if len(owners) < 2 {
@@ -196,7 +196,7 @@ func TestRouterBatchSplitMerge(t *testing.T) {
 		t.Fatalf("batch returned %d results, want %d", len(res.Results), len(gamers))
 	}
 	for i, g := range gamers {
-		owner := rt.Ring().Owner(keyFor(t, g))
+		owner := rt.ring.Owner(keyFor(t, g))
 		want := fmt.Sprintf("marker replica=%d gamers=%d", owner, g)
 		if res.Results[i].Error != want {
 			t.Errorf("item %d: %q, want %q (owner routing or order broken)", i, res.Results[i].Error, want)
@@ -225,7 +225,7 @@ func TestRouterBatchSplitMerge(t *testing.T) {
 func TestRouterFailover(t *testing.T) {
 	fakes, rt, front := newTestCluster(t, 3, nil)
 	key := keyFor(t, 64)
-	owners := rt.Ring().Owners(key, 0)
+	owners := rt.ring.Owners(key, 0)
 	fakes[owners[0]].srv.Close() // dead, not draining: connections refused
 	resp, body := get(t, front.URL+"/v1/rtt?gamers=64")
 	if resp.StatusCode != http.StatusOK {
@@ -244,7 +244,7 @@ func TestRouterBreaker(t *testing.T) {
 		cfg.BreakerCooldown = time.Hour
 	})
 	key := keyFor(t, 64)
-	owners := rt.Ring().Owners(key, 0)
+	owners := rt.ring.Owners(key, 0)
 	fakes[owners[0]].fail.Store(true)
 	for i := 0; i < 5; i++ {
 		resp, body := get(t, front.URL+"/v1/rtt?gamers=64")
@@ -267,7 +267,7 @@ func TestRouterBreaker(t *testing.T) {
 func TestRouterDrainRouting(t *testing.T) {
 	fakes, rt, front := newTestCluster(t, 3, nil)
 	key := keyFor(t, 64)
-	owners := rt.Ring().Owners(key, 0)
+	owners := rt.ring.Owners(key, 0)
 	fakes[owners[0]].ready.Store(false)
 	fakes[owners[0]].readyGen.Add(1)
 	rt.CheckReplicas(context.Background())

@@ -76,7 +76,7 @@ func TestRouterFailsOverOnTruncatedReplicaBody(t *testing.T) {
 	// first-choice routing) is what produces the good answer.
 	gamers := -1
 	for g := 60; g < 600; g++ {
-		if rt.Ring().Owner(keyFor(t, g)) == 0 {
+		if rt.ring.Owner(keyFor(t, g)) == 0 {
 			gamers = g
 			break
 		}

@@ -341,16 +341,6 @@ func ComparePolicies(cfg SimConfig, policies []string, jobs int) (*Comparison, e
 	return &Comparison{Config: cfg, Results: results}, nil
 }
 
-// Result returns the named policy's result, or nil.
-func (c *Comparison) Result(policy string) *SimResult {
-	for i := range c.Results {
-		if c.Results[i].Policy == policy {
-			return &c.Results[i]
-		}
-	}
-	return nil
-}
-
 // Text renders the byte-stable comparison report the golden file pins.
 func (c *Comparison) Text() string {
 	var b strings.Builder

@@ -57,7 +57,7 @@ func TestSimAffinityBeatsRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff, rnd := cmp.Result(PolicyAffinity), cmp.Result(PolicyRandom)
+	aff, rnd := cmp.result(PolicyAffinity), cmp.result(PolicyRandom)
 	if aff == nil || rnd == nil {
 		t.Fatal("comparison missing a policy result")
 	}
@@ -110,4 +110,14 @@ func TestSimRejectsBadConfig(t *testing.T) {
 	if _, err := ComparePolicies(DefaultSimConfig(), []string{"nonsense"}, 1); err == nil {
 		t.Error("ComparePolicies accepted an unknown policy")
 	}
+}
+
+// result returns the named policy's result, or nil.
+func (c *Comparison) result(policy string) *SimResult {
+	for i := range c.Results {
+		if c.Results[i].Policy == policy {
+			return &c.Results[i]
+		}
+	}
+	return nil
 }

@@ -104,15 +104,6 @@ func (cm *CompiledModel) RTTQuantile() (float64, error) {
 	return q + cm.Model.FixedPart(), nil
 }
 
-// RTTTail returns P(RTT > d).
-func (cm *CompiledModel) RTTTail(d float64) (float64, error) {
-	x := d - cm.Model.FixedPart()
-	if x < 0 {
-		return 1, nil
-	}
-	return cm.law.Tail(x), nil
-}
-
 // MeanRTT returns the mean round trip time.
 func (cm *CompiledModel) MeanRTT() (float64, error) {
 	return cm.law.Mean() + cm.Model.FixedPart(), nil

@@ -38,11 +38,11 @@ func TestCompiledMatchesModel(t *testing.T) {
 			t.Errorf("K=%d: compiled mean %v != model %v", k, gotMean, wantMean)
 		}
 		d := wantQ * 0.8
-		wantTail, err := m.RTTTail(d)
+		wantTail, err := m.rttTail(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTail, err := cm.RTTTail(d)
+		gotTail, err := cm.rttTail(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,4 +222,22 @@ func BenchmarkDimensionColdK20(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// rttTail returns P(RTT > d).
+func (cm *CompiledModel) rttTail(d float64) (float64, error) {
+	x := d - cm.Model.FixedPart()
+	if x < 0 {
+		return 1, nil
+	}
+	return cm.law.Tail(x), nil
+}
+
+// rttTail returns P(RTT > d).
+func (m Model) rttTail(d float64) (float64, error) {
+	cm, err := m.Compile()
+	if err != nil {
+		return 0, err
+	}
+	return cm.rttTail(d)
 }

@@ -228,15 +228,6 @@ func (m Model) RTTQuantile() (float64, error) {
 	return cm.RTTQuantile()
 }
 
-// RTTTail returns P(RTT > d).
-func (m Model) RTTTail(d float64) (float64, error) {
-	cm, err := m.Compile()
-	if err != nil {
-		return 0, err
-	}
-	return cm.RTTTail(d)
-}
-
 // MeanRTT returns the mean round trip time.
 func (m Model) MeanRTT() (float64, error) {
 	cm, err := m.Compile()

@@ -94,7 +94,7 @@ func TestRTTQuantileBasicProperties(t *testing.T) {
 		t.Errorf("quantile %v below fixed part %v", q, m.FixedPart())
 	}
 	// Tail at the quantile equals 1 - level.
-	tail, err := m.RTTTail(q)
+	tail, err := m.rttTail(q)
 	if err != nil {
 		t.Fatal(err)
 	}

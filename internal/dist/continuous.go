@@ -43,14 +43,6 @@ type Exponential struct {
 	Rate float64
 }
 
-// NewExponential returns Exp(rate); rate must be positive.
-func NewExponential(rate float64) (Exponential, error) {
-	if !(rate > 0) {
-		return Exponential{}, fmt.Errorf("dist: exponential rate %g must be > 0", rate)
-	}
-	return Exponential{Rate: rate}, nil
-}
-
 // Sample draws from Exp(Rate).
 func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() / e.Rate }
 

@@ -40,7 +40,7 @@ func TestAnalyticMomentsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp1, _ := NewExponential(1.0 / 60)
+	exp1 := Exponential{Rate: 1.0 / 60}
 	uni, _ := NewUniform(40, 160)
 	nor, _ := NewNormal(100, 15)
 	gum, _ := NewGumbel(120, 36)
@@ -135,10 +135,7 @@ func TestErlangOrderOneIsExponential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := NewExponential(beta)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ex := Exponential{Rate: beta}
 		if e1.Mean() != ex.Mean() || e1.Var() != ex.Var() {
 			t.Errorf("beta=%g: moments differ: (%v,%v) vs (%v,%v)",
 				beta, e1.Mean(), e1.Var(), ex.Mean(), ex.Var())
@@ -290,7 +287,7 @@ func TestMixtureQuantileNegativeSupport(t *testing.T) {
 // TestStringers checks every law renders in the paper's notation - the CLI
 // model listing formats laws with %s.
 func TestStringers(t *testing.T) {
-	e, _ := NewExponential(2)
+	e := Exponential{Rate: 2}
 	u, _ := NewUniform(0, 1)
 	n, _ := NewNormal(75, 7)
 	l, _ := NewLogNormal(4.2, 0.3)
@@ -319,9 +316,6 @@ func TestStringers(t *testing.T) {
 // TestConstructorErrorPaths checks every constructor rejects its invalid
 // domain instead of building a silently broken law.
 func TestConstructorErrorPaths(t *testing.T) {
-	if _, err := NewExponential(0); err == nil {
-		t.Error("NewExponential accepted rate 0")
-	}
 	if _, err := NewUniform(2, 2); err == nil {
 		t.Error("NewUniform accepted empty interval")
 	}
@@ -371,7 +365,7 @@ func TestCoVAndStdDevHelpers(t *testing.T) {
 	if CoV(NewDeterministic(5)) != 0 {
 		t.Error("deterministic CoV must be exactly 0")
 	}
-	e, _ := NewExponential(0.25)
+	e := Exponential{Rate: 0.25}
 	if math.Abs(CoV(e)-1) > 1e-12 {
 		t.Errorf("exponential CoV %v, want 1", CoV(e))
 	}

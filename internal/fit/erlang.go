@@ -109,21 +109,3 @@ func ErlangOrderByTail(xs []float64, maxK int, floor float64) (ErlangTailScore, 
 	_, best, err := ErlangTailFit(xs, ks, floor)
 	return best, err
 }
-
-// ErlangByMoments fits Erlang(K, rate) by matching mean and CoV exactly in K
-// (rounded) and then re-matching the mean: the paper's first method end to
-// end.
-func ErlangByMoments(xs []float64) (dist.Erlang, error) {
-	if len(xs) < 2 {
-		return dist.Erlang{}, fmt.Errorf("%w: need >= 2 samples", ErrBadInput)
-	}
-	s := stats.Describe(xs)
-	if !(s.Mean() > 0) {
-		return dist.Erlang{}, fmt.Errorf("%w: nonpositive mean", ErrBadInput)
-	}
-	k, err := ErlangOrderByCoV(s.CoV())
-	if err != nil {
-		return dist.Erlang{}, err
-	}
-	return dist.ErlangByMean(k, s.Mean())
-}

@@ -171,18 +171,6 @@ func NormalMLE(xs []float64) (dist.Normal, error) {
 	return dist.NewNormal(s.Mean(), s.StdDev())
 }
 
-// ExponentialMLE computes the closed-form exponential fit (rate = 1/mean).
-func ExponentialMLE(xs []float64) (dist.Exponential, error) {
-	if len(xs) == 0 {
-		return dist.Exponential{}, fmt.Errorf("%w: empty sample", ErrBadInput)
-	}
-	s := stats.Describe(xs)
-	if !(s.Mean() > 0) {
-		return dist.Exponential{}, fmt.Errorf("%w: nonpositive mean", ErrBadInput)
-	}
-	return dist.NewExponential(1 / s.Mean())
-}
-
 // Candidate pairs a fitted model with its goodness of fit, for ranking the
 // alternatives Färber compared (extreme vs. shifted lognormal vs. Weibull).
 type Candidate struct {

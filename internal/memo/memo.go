@@ -1,8 +1,9 @@
 // Package memo is the daemon's memoization core: a generic, fixed-capacity,
 // exact LRU cache with singleflight miss coalescing. It is the shared
-// machinery behind internal/service's Engine (where repeated Erlang/Mixture
-// quantile bisections are the hot path) and usable by any other layer that
-// wants "compute once, share forever" semantics.
+// machinery behind internal/service's Engine (where the compiled model's
+// seeded Sum tail inversions and ITP dimensioning searches are the hot
+// path) and usable by any other layer that wants "compute once, share
+// forever" semantics.
 //
 // One mutex guards one LRU list, one hash map, the hit/miss/eviction
 // counters and the singleflight table, so the cache holds exactly its

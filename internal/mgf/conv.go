@@ -9,7 +9,7 @@ import (
 // The queueing delay of eq. (35) is the sum U+W+P of three independent
 // factors: the upstream wait U and the burst wait W, each an atom plus
 // simple poles, and the in-burst position P, an atom plus one Erlang ladder
-// at the burst rate beta. Expanding the product with Mul is exact in exact
+// at the burst rate beta. Expanding the product by partial fractions is exact in exact
 // arithmetic but ill-conditioned in float64: at low downstream load the
 // D/E_K/1 poles alpha_j = beta(1-zeta_j) crowd beta, and the partial
 // fractions amplify rounding like (|p|/|p-q|)^order.

@@ -19,7 +19,7 @@ func newSum(t testing.TB, u, w, p Mix) Sum {
 }
 
 // estimateMulError is a rough bound on the absolute coefficient error
-// Mul(a, b) commits in float64, driven by near-coincident cross poles: the
+// mul(a, b) commits in float64, driven by near-coincident cross poles: the
 // Taylor coefficients it expands through grow like (|p|/|p-q|)^order.
 func estimateMulError(a, b Mix) float64 {
 	const eps = 2.220446049250313e-16
@@ -67,7 +67,7 @@ func TestSumMatchesMulWhenWellConditioned(t *testing.T) {
 	w.AddTerm(complex(2, -1.5), []complex128{complex(0.2, 0.1)})
 	w.AddTerm(complex(0.8, 0), []complex128{0.2})
 	p := ladderMix(0, 1.2, 0.25, 0.25, 0.25, 0.25)
-	mul := MulAll(u, w, p)
+	mul := mulAll(u, w, p)
 	sum := newSum(t, u, w, p)
 	if err := mul.Validate(); err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestSumMatchesMulWhenWellConditioned(t *testing.T) {
 // the closed-form hypoexponential law.
 func TestSumNestsAsLaw(t *testing.T) {
 	a, b, c := 3.0, 5.0, 7.0
-	s := newSum(t, NewExponential(1, a), NewExponential(1, b), NewErlang(1, 1, c))
-	direct := MulAll(NewExponential(1, a), NewExponential(1, b), NewExponential(1, c))
+	s := newSum(t, NewExponential(1, a), NewExponential(1, b), newErlang(1, 1, c))
+	direct := mulAll(NewExponential(1, a), NewExponential(1, b), NewExponential(1, c))
 	for _, x := range []float64{0.1, 0.5, 1.5, 6} {
 		// P(Exp(a)+Exp(b)+Exp(c) > x) for distinct rates.
 		want := b*c/((b-a)*(c-a))*math.Exp(-a*x) +
@@ -113,7 +113,7 @@ func TestSumNestsAsLaw(t *testing.T) {
 			t.Errorf("tail(%v): %v vs %v", x, got, want)
 		}
 		if got := direct.Tail(x); math.Abs(got-want) > 1e-12*want {
-			t.Errorf("Mul tail(%v): %v vs %v", x, got, want)
+			t.Errorf("mul tail(%v): %v vs %v", x, got, want)
 		}
 	}
 	if got := s.Atom(); got != 0 {
@@ -126,21 +126,21 @@ func TestSumNestsAsLaw(t *testing.T) {
 
 func TestSumSurvivesIllConditionedPoles(t *testing.T) {
 	// A W pole 1e-5 relative from P's ladder and a U pole 1e-7 from the W
-	// pole: Mul's Taylor amplification is ~(1e5)^orders. Every rate lies in
+	// pole: mul's Taylor amplification is ~(1e5)^orders. Every rate lies in
 	// [rate, fast], so the sum of the 2+5 exponentials is stochastically
 	// between Erlang(7, fast) and Erlang(7, rate).
 	rate := 100.0
 	fast := rate * (1 + 1e-5 + 1e-7)
 	u := NewExponential(1, fast)
 	w := NewExponential(1, rate*(1+1e-5))
-	p := NewErlang(1, 5, rate)
+	p := newErlang(1, 5, rate)
 	if estimateMulError(w, p) < 1e-9 {
 		t.Fatal("pole-merge tolerance absorbed the near-collision")
 	}
 	sum := newSum(t, u, w, p)
 	for _, x := range []float64{0.01, 0.05, 0.1, 0.2, 1, 5} {
 		got := sum.Tail(x)
-		lo, hi := NewErlang(1, 7, fast).Tail(x), NewErlang(1, 7, rate).Tail(x)
+		lo, hi := newErlang(1, 7, fast).Tail(x), newErlang(1, 7, rate).Tail(x)
 		if !(got >= lo*(1-1e-13) && got <= hi*(1+1e-13)) {
 			t.Errorf("tail(%v) = %v outside the Erlang-7 sandwich [%v, %v]", x, got, lo, hi)
 		}
@@ -149,13 +149,13 @@ func TestSumSurvivesIllConditionedPoles(t *testing.T) {
 
 func TestNewSumRejectsOtherShapes(t *testing.T) {
 	exp := NewExponential(1, 2)
-	p := NewErlang(1, 3, 4)
+	p := newErlang(1, 3, 4)
 	var complexP Mix
 	complexP.AddTerm(complex(4, 1), []complex128{1})
 	for name, f := range map[string][3]Mix{
-		"Erlang U":      {NewErlang(1, 2, 2), exp, p},
-		"Erlang W":      {exp, NewErlang(1, 2, 2), p},
-		"two P terms":   {exp, exp, MulAll(NewExponential(1, 3), NewExponential(1, 5))},
+		"Erlang U":      {newErlang(1, 2, 2), exp, p},
+		"Erlang W":      {exp, newErlang(1, 2, 2), p},
+		"two P terms":   {exp, exp, mulAll(NewExponential(1, 3), NewExponential(1, 5))},
 		"atom P":        {exp, exp, NewAtom(1)},
 		"complex P":     {exp, exp, complexP},
 		"negative pole": {NewExponential(1, -2), exp, p},
@@ -185,17 +185,17 @@ func TestSumQuantileErrorPaths(t *testing.T) {
 // other laws first never changes the bits a law's inversion returns, and a
 // law type without an inversion is an error, not a panic.
 func TestQuantileWorkspaceStartsCold(t *testing.T) {
-	s := newSum(t, NewExponential(1, 0.4), NewExponential(1, 0.9), NewErlang(1, 8, 0.3))
+	s := newSum(t, NewExponential(1, 0.4), NewExponential(1, 0.9), newErlang(1, 8, 0.3))
 	want, err := Quantile(s, 0.99999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rate := range []float64{0.12, 0.25, 0.6} {
-		other := newSum(t, NewExponential(1, rate), NewExponential(1, 0.9), NewErlang(1, 8, 0.3))
+		other := newSum(t, NewExponential(1, rate), NewExponential(1, 0.9), newErlang(1, 8, 0.3))
 		if _, err := Quantile(other, 0.99); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Quantile(NewErlang(1, 4, rate), 0.99); err != nil {
+		if _, err := Quantile(newErlang(1, 4, rate), 0.99); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Quantile(s, 0.99999)

@@ -6,7 +6,7 @@
 // i.e. an atom at zero plus a weighted sum of (possibly complex) Erlang
 // terms. A Mix is one such law; its tail, and hence its quantile, is closed
 // form. The class is closed under products (= convolutions of independent
-// delays), and Mul expands a product by partial fractions.
+// delays).
 //
 // The RTT law of §3.3 is the product of the upstream delay Du(s), the
 // downstream burst delay W(s) and the packet-position delay P(s). Sum keeps
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 )
 
 // ErrInvalid reports a Mix that is not a plausible probability law.
@@ -45,9 +44,6 @@ type Term struct {
 	Coef []complex128
 }
 
-// MaxOrder returns the highest Erlang order present (= len(Coef)).
-func (t Term) MaxOrder() int { return len(t.Coef) }
-
 // Mix is an atom at zero plus a sum of Erlang terms. The zero value is the
 // MGF of the constant 0 with total mass 0; use NewAtom or the queueing
 // constructors for valid distributions.
@@ -63,13 +59,6 @@ func NewAtom(w float64) Mix { return Mix{Atom: w} }
 // NewExponential returns the MGF mix of weight*Exp(rate).
 func NewExponential(weight, rate float64) Mix {
 	return Mix{Terms: []Term{{Pole: complex(rate, 0), Coef: []complex128{complex(weight, 0)}}}}
-}
-
-// NewErlang returns the MGF mix of weight*Erlang(k, rate).
-func NewErlang(weight float64, k int, rate float64) Mix {
-	coef := make([]complex128, k)
-	coef[k-1] = complex(weight, 0)
-	return Mix{Terms: []Term{{Pole: complex(rate, 0), Coef: coef}}}
 }
 
 // Clone deep-copies m.
@@ -138,18 +127,6 @@ func (m Mix) Mean() float64 {
 	for _, t := range m.Terms {
 		for i, c := range t.Coef {
 			sum += c * complex(float64(i+1), 0) / t.Pole
-		}
-	}
-	return real(sum)
-}
-
-// SecondMoment returns E[X^2] = sum coef*n(n+1)/pole^2.
-func (m Mix) SecondMoment() float64 {
-	var sum complex128
-	for _, t := range m.Terms {
-		for i, c := range t.Coef {
-			n := float64(i + 1)
-			sum += c * complex(n*(n+1), 0) / (t.Pole * t.Pole)
 		}
 	}
 	return real(sum)
@@ -257,152 +234,6 @@ func (m Mix) DominantPole() (pole complex128, ok bool) {
 	return pole, ok
 }
 
-// DominantOnly returns a mix keeping the atom, the dominant pole's term and
-// every term whose pole shares (up to conjugation) that real part; total mass
-// is NOT renormalized. It realizes the "neglect all terms but the dominant
-// pole" approximation discussed under eq. (35).
-func (m Mix) DominantOnly() Mix {
-	pole, ok := m.DominantPole()
-	if !ok {
-		return Mix{Atom: m.Atom}
-	}
-	out := Mix{Atom: m.Atom}
-	for _, t := range m.Terms {
-		if math.Abs(real(t.Pole)-real(pole)) <= 1e-9*math.Abs(real(pole)) {
-			out.AddTerm(t.Pole, t.Coef)
-		}
-	}
-	return out
-}
-
-// Mul returns the MGF product of a and b: the law of the sum of independent
-// X ~ a and Y ~ b. This is the Appendix A machinery: cross products of
-// Erlang terms are re-expanded by partial fractions around each pole; equal
-// poles merge exactly (Erlang orders add). The expansion is exact in exact
-// arithmetic but ill-conditioned in float64 when poles of a and b nearly
-// coincide, which is why the RTT law is a Sum instead (see conv.go).
-func Mul(a, b Mix) Mix {
-	out := Mix{Atom: a.Atom * b.Atom}
-	// Atom x terms cross products.
-	for _, t := range b.Terms {
-		if a.Atom != 0 {
-			out.AddTerm(t.Pole, scaleCoef(t.Coef, complex(a.Atom, 0)))
-		}
-	}
-	for _, t := range a.Terms {
-		if b.Atom != 0 {
-			out.AddTerm(t.Pole, scaleCoef(t.Coef, complex(b.Atom, 0)))
-		}
-	}
-	// Term x term cross products.
-	for _, ta := range a.Terms {
-		for _, tb := range b.Terms {
-			if samePole(ta.Pole, tb.Pole) {
-				mulSamePole(&out, ta, tb)
-			} else {
-				mulDistinctPoles(&out, ta, tb)
-				mulDistinctPoles(&out, tb, ta)
-			}
-		}
-	}
-	return out
-}
-
-// scaleCoef returns coef*w.
-func scaleCoef(coef []complex128, w complex128) []complex128 {
-	out := make([]complex128, len(coef))
-	for i, c := range coef {
-		out[i] = c * w
-	}
-	return out
-}
-
-// mulSamePole handles (p/(p-s))^n * (p/(p-s))^m = (p/(p-s))^(n+m): the
-// convolution of Erlangs with a common rate is an Erlang.
-func mulSamePole(out *Mix, ta, tb Term) {
-	coef := make([]complex128, len(ta.Coef)+len(tb.Coef))
-	for i, ca := range ta.Coef {
-		if ca == 0 {
-			continue
-		}
-		for j, cb := range tb.Coef {
-			if cb == 0 {
-				continue
-			}
-			coef[i+j+1] += ca * cb
-		}
-	}
-	out.AddTerm(ta.Pole, coef)
-}
-
-// mulDistinctPoles adds the principal part at ta.Pole of the product
-// F_ta(s) * G_tb(s), following Appendix A: with G's Taylor coefficients
-// g_m at the pole p, the cross term A_i (p/(p-s))^{i+1} * G(s) contributes
-// A_i (-1)^m g_m p^m to order (i+1-m) at p, for m = 0..i.
-func mulDistinctPoles(out *Mix, ta, tb Term) {
-	maxOrder := len(ta.Coef)
-	g := taylorAt(tb, ta.Pole, maxOrder)
-	coef := make([]complex128, maxOrder)
-	sign := func(m int) complex128 {
-		if m%2 == 1 {
-			return -1
-		}
-		return 1
-	}
-	pm := make([]complex128, maxOrder) // pole^m
-	pw := complex(1, 0)
-	for m := 0; m < maxOrder; m++ {
-		pm[m] = pw
-		pw *= ta.Pole
-	}
-	for i, ai := range ta.Coef {
-		if ai == 0 {
-			continue
-		}
-		n := i + 1
-		for m := 0; m < n; m++ {
-			order := n - m // resulting Erlang order
-			coef[order-1] += ai * sign(m) * g[m] * pm[m]
-		}
-	}
-	out.AddTerm(ta.Pole, coef)
-}
-
-// taylorAt returns the first n Taylor coefficients g_m = G^{(m)}(x)/m! of the
-// term function G(s) = sum_j B_j (q/(q-s))^{j+1} around s = x:
-// g_m = sum_j B_j q^{j+1} C(j+m, m) (q-x)^{-(j+1+m)}.
-func taylorAt(t Term, x complex128, n int) []complex128 {
-	g := make([]complex128, n)
-	q := t.Pole
-	qx := q - x
-	for j, bj := range t.Coef {
-		if bj == 0 {
-			continue
-		}
-		// base = q^{j+1} (q-x)^{-(j+1)}; then multiply by C(j+m,m)(q-x)^{-m}.
-		base := cmplx.Pow(q/qx, complex(float64(j+1), 0))
-		binom := complex(1, 0) // C(j+0, 0)
-		inv := complex(1, 0)   // (q-x)^{-m}
-		for m := 0; m < n; m++ {
-			if m > 0 {
-				binom *= complex(float64(j+m), 0) / complex(float64(m), 0)
-				inv /= qx
-			}
-			g[m] += bj * base * binom * inv
-		}
-	}
-	return g
-}
-
-// MulAll folds Mul over the argument list (Dirac at 0 is the unit).
-func MulAll(ms ...Mix) Mix {
-	out := NewAtom(1)
-	for _, m := range ms {
-		out = Mul(out, m)
-	}
-	return out
-}
-
 // Validate checks that m plausibly is a probability distribution: total mass
 // 1, atom in [0,1], real tails, and a monotone nonincreasing tail on a probe
 // grid out to several means. It returns a descriptive error otherwise.
@@ -448,16 +279,4 @@ func (m Mix) String() string {
 	}
 	return fmt.Sprintf("Mix{atom=%.4g, terms=%d, orders=%d, dominant=%.4g%+.4gi}",
 		m.Atom, len(m.Terms), orders, real(pole), imag(pole))
-}
-
-// SortTerms orders terms by real part of the pole (dominant first); useful
-// for stable output in reports and tests.
-func (m *Mix) SortTerms() {
-	sort.Slice(m.Terms, func(i, j int) bool {
-		ri, rj := real(m.Terms[i].Pole), real(m.Terms[j].Pole)
-		if ri != rj {
-			return ri < rj
-		}
-		return imag(m.Terms[i].Pole) < imag(m.Terms[j].Pole)
-	})
 }

@@ -53,8 +53,8 @@ func TestMulCommutativeProperty(t *testing.T) {
 		if estimateMulError(x, y) > 1e-10 {
 			return true // ill-conditioned expansions may differ in rounding
 		}
-		xy := Mul(x, y)
-		yx := Mul(y, x)
+		xy := mul(x, y)
+		yx := mul(y, x)
 		probes := []float64{0.01, 0.1, 0.5, 2, 10}
 		return mixesClose(xy, yx, probes, 1e-8) &&
 			math.Abs(xy.Mean()-yx.Mean()) < 1e-8*(1+math.Abs(xy.Mean()))
@@ -72,13 +72,13 @@ func TestMulAssociativeProperty(t *testing.T) {
 		// Guard against fuzz-built near-coincident cross poles, where the
 		// expansions legitimately differ in rounding, including the cross
 		// terms of each pairwise product with the third factor.
-		xy, yz := Mul(x, y), Mul(y, z)
+		xy, yz := mul(x, y), mul(y, z)
 		if estimateMulError(x, y)+estimateMulError(y, z)+estimateMulError(x, z)+
 			estimateMulError(xy, z)+estimateMulError(x, yz) > 1e-10 {
 			return true
 		}
-		l := Mul(xy, z)
-		r := Mul(x, yz)
+		l := mul(xy, z)
+		r := mul(x, yz)
 		probes := []float64{0.01, 0.1, 0.5, 2, 10}
 		return mixesClose(l, r, probes, 1e-7)
 	}
@@ -94,11 +94,11 @@ func TestMulPreservesMassAndMeanProperty(t *testing.T) {
 		x := randomMix(a1, k1, r1, w1)
 		y := randomMix(a2, k2, r2, w2)
 		// Close (but unequal) cross poles amplify rounding in the expansion;
-		// that regime is Sum's job, not Mul's.
+		// that regime is Sum's job, not mul's.
 		if estimateMulError(x, y) > 1e-10 {
 			return true
 		}
-		m := Mul(x, y)
+		m := mul(x, y)
 		if math.Abs(m.TotalMass()-x.TotalMass()*y.TotalMass()) > 1e-8 {
 			return false
 		}
@@ -177,11 +177,11 @@ func TestSumMatchesMulProperty(t *testing.T) {
 			coef[i] = complex(weights[i]/wsum, 0)
 		}
 		p.AddTerm(complex(0.3*float64(1+rate%30), 0), coef)
-		up := Mul(u, p)
+		up := mul(u, p)
 		if estimateMulError(u, p)+estimateMulError(w, up) > 1e-10 {
 			return true
 		}
-		m := Mul(w, up)
+		m := mul(w, up)
 		s, err := NewSum(u, w, p)
 		if err != nil {
 			return false

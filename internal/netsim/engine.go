@@ -103,6 +103,3 @@ func (e *Engine) Run(until float64) uint64 {
 
 // Stop halts Run after the current event.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }

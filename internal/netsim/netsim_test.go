@@ -42,8 +42,8 @@ func TestEngineStop(t *testing.T) {
 	if ran != 1 {
 		t.Errorf("ran = %d, want stop after first", ran)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d", e.Pending())
+	if len(e.events) != 1 {
+		t.Errorf("pending = %d", len(e.events))
 	}
 }
 

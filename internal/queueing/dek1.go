@@ -113,22 +113,6 @@ func (q DEK1) finishZeta(k int, z complex128) (complex128, error) {
 	return z, nil
 }
 
-// Zetas returns the K roots zeta_k (k = 1..K) of the paper's eq. (26):
-//
-//	z = exp((z-1)/rho + 2*pi*i*(k-1)/K),  Re z < 1,
-//
-// found by a complex Newton iteration seeded with the first step of the
-// fixed-point iteration Appendix C proves convergent (see Solve). zeta_1 is
-// real in (0,1); the remaining roots come in conjugate pairs. One-shot form of Solve(): the returned slice is
-// the caller's to keep.
-func (q DEK1) Zetas() ([]complex128, error) {
-	sol, err := q.Solve()
-	if err != nil {
-		return nil, err
-	}
-	return append([]complex128(nil), sol.zs...), nil
-}
-
 // DEK1Solution is a solved set of eq.-(26) roots, the expensive part of the
 // D/E_K/1 waiting-time law. Root k lives at index k-1 — the index, not the
 // value, identifies which branch of eq. (26) a root solves — which keeps
@@ -138,22 +122,14 @@ type DEK1Solution struct {
 	zs []complex128
 }
 
-// Queue returns the queue the solution solves.
-func (sol *DEK1Solution) Queue() DEK1 { return sol.q }
-
-// Zetas returns a copy of the solved roots, zeta_k at index k-1.
-func (sol *DEK1Solution) Zetas() []complex128 {
-	return append([]complex128(nil), sol.zs...)
-}
-
 // Solve finds the K roots: each root's Newton polish (see finishZeta) is
 // seeded with the first Appendix-C fixed-point iterate,
 // g_k(0) = exp(-1/rho + 2*pi*i*(k-1)/K). The full fixed-point iteration
 // contracts only at rate |zeta_k|/rho, which tends to 1 as rho -> 1; the
 // snap stage returns its bits from this seed in a few Newton steps
 // (queueing:TestDEK1SolveMatchesFixedPoint keeps the iteration as the
-// reference). Poles, Weights and WaitMix on the solution are pure
-// arithmetic over the stored roots.
+// reference). WaitMix on the solution is pure arithmetic over the stored
+// roots.
 func (q DEK1) Solve() (*DEK1Solution, error) {
 	zs := make([]complex128, q.K)
 	for k := 1; k <= q.K; k++ {
@@ -170,45 +146,12 @@ func (q DEK1) Solve() (*DEK1Solution, error) {
 // a neighbour's roots. The signature stays for existing callers.
 func (q DEK1) SolveFrom(prev *DEK1Solution) (*DEK1Solution, error) { return q.Solve() }
 
-// Poles returns the K poles alpha_k = beta*(1 - zeta_k) of the waiting-time
-// MGF (eq. 25). All have positive real part for a stable queue. One-shot
-// form of Solve().Poles().
-func (q DEK1) Poles() ([]complex128, error) {
-	sol, err := q.Solve()
-	if err != nil {
-		return nil, err
-	}
-	return sol.Poles(), nil
-}
-
-// Poles returns the K poles alpha_k = beta*(1 - zeta_k) of eq. (25) over the
-// solved roots.
-func (sol *DEK1Solution) Poles() []complex128 {
-	beta := complex(sol.q.Beta(), 0)
-	out := make([]complex128, len(sol.zs))
-	for i, z := range sol.zs {
-		out[i] = beta * (1 - z)
-	}
-	return out
-}
-
-// Weights returns the residues a_j of eq. (27):
+// weightsFromZetas returns the residues a_j of eq. (27):
 //
 //	a_j = zeta_j^K * prod_{k != j} (zeta_k - 1)/(zeta_k - zeta_j),
 //
 // the solution of the Vandermonde system sum_j a_j zeta_j^{-k} = 1
-// (k = 1..K) from Appendix D. One-shot form of Solve().Weights().
-func (q DEK1) Weights() ([]complex128, error) {
-	sol, err := q.Solve()
-	if err != nil {
-		return nil, err
-	}
-	return sol.Weights(), nil
-}
-
-// Weights returns the eq.-(27) residues over the solved roots.
-func (sol *DEK1Solution) Weights() []complex128 { return weightsFromZetas(sol.zs) }
-
+// (k = 1..K) from Appendix D.
 func weightsFromZetas(zs []complex128) []complex128 {
 	k := len(zs)
 	out := make([]complex128, k)
@@ -269,15 +212,6 @@ func (sol *DEK1Solution) WaitMix() (mgf.Mix, error) {
 	return m, nil
 }
 
-// BurstWaitTail returns P(burst waiting time > x).
-func (q DEK1) BurstWaitTail(x float64) (float64, error) {
-	m, err := q.WaitMix()
-	if err != nil {
-		return 0, err
-	}
-	return m.Tail(x), nil
-}
-
 // PositionMixUniform returns the packet-position delay law of eq. (34): for
 // a tagged packet uniformly placed in the burst,
 //
@@ -300,50 +234,4 @@ func (q DEK1) PositionMixUniform() (mgf.Mix, error) {
 		return mgf.Mix{}, err
 	}
 	return m, nil
-}
-
-// PositionMixSpot returns the packet-position delay law of eq. (32) for a
-// packet always at relative position theta in (0,1] of its burst:
-// P(s) = (beta/(beta - s*theta))^K, i.e. Erlang(K, beta/theta). theta = 0
-// (first packet of the burst) gives a unit atom.
-func (q DEK1) PositionMixSpot(theta float64) (mgf.Mix, error) {
-	if theta < 0 || theta > 1 {
-		return mgf.Mix{}, fmt.Errorf("%w: theta=%g outside [0,1]", ErrBadParam, theta)
-	}
-	if theta == 0 {
-		return mgf.NewAtom(1), nil
-	}
-	m := mgf.NewErlang(1, q.K, q.Beta()/theta)
-	if err := m.Validate(); err != nil {
-		return mgf.Mix{}, err
-	}
-	return m, nil
-}
-
-// PacketDelayMix returns the law of the total downstream queueing delay of a
-// uniformly placed packet: burst wait plus position delay (the two are
-// independent, eq. 29: Dd(s) = W(s) * P(s)).
-func (q DEK1) PacketDelayMix() (mgf.Mix, error) {
-	w, err := q.WaitMix()
-	if err != nil {
-		return mgf.Mix{}, err
-	}
-	p, err := q.PositionMixUniform()
-	if err != nil {
-		return mgf.Mix{}, err
-	}
-	m := mgf.Mul(w, p)
-	if err := m.Validate(); err != nil {
-		return mgf.Mix{}, fmt.Errorf("D/E%d/1 packet delay mix: %w", q.K, err)
-	}
-	return m, nil
-}
-
-// MeanWait returns the exact mean burst waiting time from the MGF.
-func (q DEK1) MeanWait() (float64, error) {
-	m, err := q.WaitMix()
-	if err != nil {
-		return 0, err
-	}
-	return m.Mean(), nil
 }

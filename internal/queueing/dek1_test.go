@@ -1,9 +1,12 @@
 package queueing
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"fpsping/internal/mgf"
 )
 
 // walkLoads is the load axis the SolveFrom contract is pinned over: the
@@ -40,7 +43,7 @@ func TestDEK1SolveFromBitIdenticalToSolve(t *testing.T) {
 				if err != nil {
 					t.Fatalf("K=%d walk %d rho=%v: cold: %v", k, wi, rho, err)
 				}
-				wz, cz := warm.Zetas(), cold.Zetas()
+				wz, cz := warm.zetas(), cold.zetas()
 				for i := range wz {
 					if wz[i] != cz[i] {
 						t.Errorf("K=%d walk %d rho=%v root %d: warm %v != cold %v",
@@ -69,7 +72,7 @@ func TestDEK1SelfConjugateBranchReal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			z := sol.Zetas()[k/2] // branch K/2+1 at index K/2
+			z := sol.zetas()[k/2] // branch K/2+1 at index K/2
 			if imag(z) != 0 {
 				t.Errorf("K=%d rho=%v: zeta_%d = %v has nonzero imaginary part", k, rho, k/2+1, z)
 			}
@@ -158,4 +161,61 @@ func BenchmarkDEK1Solve(b *testing.B) {
 			}
 		})
 	}
+}
+
+// zetas returns the K roots zeta_k (k = 1..K) of the paper's eq. (26),
+//
+//	z = exp((z-1)/rho + 2*pi*i*(k-1)/K),  Re z < 1,
+//
+// as Solve finds them, zeta_k at index k-1.
+func (q DEK1) zetas() ([]complex128, error) {
+	sol, err := q.Solve()
+	if err != nil {
+		return nil, err
+	}
+	return sol.zetas(), nil
+}
+
+// zetas returns a copy of the solved roots, zeta_k at index k-1.
+func (sol *DEK1Solution) zetas() []complex128 {
+	return append([]complex128(nil), sol.zs...)
+}
+
+// weights returns the eq.-(27) residues over the solved roots.
+func (q DEK1) weights() ([]complex128, error) {
+	sol, err := q.Solve()
+	if err != nil {
+		return nil, err
+	}
+	return weightsFromZetas(sol.zs), nil
+}
+
+// meanWait returns the exact mean burst waiting time from the MGF.
+func (q DEK1) meanWait() (float64, error) {
+	m, err := q.WaitMix()
+	if err != nil {
+		return 0, err
+	}
+	return m.Mean(), nil
+}
+
+// positionMixSpot returns the packet-position delay law of eq. (32) for a
+// packet always at relative position theta in (0,1] of its burst:
+// P(s) = (beta/(beta - s*theta))^K, i.e. Erlang(K, beta/theta). theta = 0
+// (first packet of the burst) gives a unit atom.
+func (q DEK1) positionMixSpot(theta float64) (mgf.Mix, error) {
+	if theta < 0 || theta > 1 {
+		return mgf.Mix{}, fmt.Errorf("%w: theta=%g outside [0,1]", ErrBadParam, theta)
+	}
+	if theta == 0 {
+		return mgf.NewAtom(1), nil
+	}
+	coef := make([]complex128, q.K)
+	coef[q.K-1] = 1
+	var m mgf.Mix
+	m.AddTerm(complex(q.Beta()/theta, 0), coef)
+	if err := m.Validate(); err != nil {
+		return mgf.Mix{}, err
+	}
+	return m, nil
 }

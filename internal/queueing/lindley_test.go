@@ -3,42 +3,34 @@ package queueing
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fpsping/internal/dist"
 	"fpsping/internal/stats"
 )
 
-// SimResult summarizes a Lindley-recursion simulation: waiting-time moments
-// and the machinery to read exact deep-tail quantiles and tail probabilities
-// back out.
-type SimResult struct {
+// The Lindley-recursion simulators the analytic laws are validated against.
+
+// simResult summarizes a Lindley-recursion simulation: waiting-time moments
+// and the empirical tail probability at each probe point.
+type simResult struct {
 	Summary stats.Summary
-	top     *stats.TopK
 	probes  []float64
 	counts  []int
 	n       int
 }
 
-// TailAt returns the empirical P(W > probe) for the i-th configured probe.
-func (r *SimResult) TailAt(i int) float64 {
+// tailAt returns the empirical P(W > probe) for the i-th configured probe.
+func (r *simResult) tailAt(i int) float64 {
 	return float64(r.counts[i]) / float64(r.n)
 }
 
-// Probes returns the configured probe points.
-func (r *SimResult) Probes() []float64 { return r.probes }
-
-// Quantile returns the exact empirical p-quantile, provided the retained
-// top-k covers it.
-func (r *SimResult) Quantile(p float64) (float64, error) { return r.top.Quantile(p) }
-
-func newSimResult(probes []float64, topk int) *SimResult {
-	tk, _ := stats.NewTopK(topk)
-	return &SimResult{top: tk, probes: probes, counts: make([]int, len(probes))}
+func newSimResult(probes []float64) *simResult {
+	return &simResult{probes: probes, counts: make([]int, len(probes))}
 }
 
-func (r *SimResult) add(w float64) {
+func (r *simResult) add(w float64) {
 	r.Summary.Add(w)
-	r.top.Add(w)
 	r.n++
 	for i, p := range r.probes {
 		if w > p {
@@ -47,16 +39,16 @@ func (r *SimResult) add(w float64) {
 	}
 }
 
-// SimulateMD1 runs n customers through an M/D/1 queue by the Lindley
+// simulateMD1 runs n customers through an M/D/1 queue by the Lindley
 // recursion W_{k+1} = max(0, W_k + S - A_k) and records waiting times at
 // arrivals (PASTA makes these match time averages). probes are tail points
 // to count exceedances at.
-func SimulateMD1(q MD1, n int, seed uint64, probes []float64) (*SimResult, error) {
+func simulateMD1(q MD1, n int, seed uint64, probes []float64) (*simResult, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadParam, n)
 	}
 	r := dist.NewRNG(seed)
-	res := newSimResult(probes, topKFor(n))
+	res := newSimResult(probes)
 	w := 0.0
 	warmup := n / 10
 	for i := 0; i < n+warmup; i++ {
@@ -72,11 +64,11 @@ func SimulateMD1(q MD1, n int, seed uint64, probes []float64) (*SimResult, error
 	return res, nil
 }
 
-// SimulateDEK1 runs n bursts through a D/E_K/1 queue and records both the
+// simulateDEK1 runs n bursts through a D/E_K/1 queue and records both the
 // burst waiting times and, for one uniformly placed tagged packet per burst,
 // the total packet delay (burst wait + position delay within the burst).
 // It returns (burst waits, packet delays).
-func SimulateDEK1(q DEK1, n int, seed uint64, burstProbes, packetProbes []float64) (*SimResult, *SimResult, error) {
+func simulateDEK1(q DEK1, n int, seed uint64, burstProbes, packetProbes []float64) (*simResult, *simResult, error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("%w: n=%d", ErrBadParam, n)
 	}
@@ -85,8 +77,8 @@ func SimulateDEK1(q DEK1, n int, seed uint64, burstProbes, packetProbes []float6
 		return nil, nil, err
 	}
 	r := dist.NewRNG(seed)
-	bursts := newSimResult(burstProbes, topKFor(n))
-	packets := newSimResult(packetProbes, topKFor(n))
+	bursts := newSimResult(burstProbes)
+	packets := newSimResult(packetProbes)
 	w := 0.0
 	warmup := n / 10
 	for i := 0; i < n+warmup; i++ {
@@ -104,19 +96,19 @@ func SimulateDEK1(q DEK1, n int, seed uint64, burstProbes, packetProbes []float6
 	return bursts, packets, nil
 }
 
-// SimulateNDD1 estimates the stationary workload survival function of an
+// simulateNDD1 estimates the stationary workload survival function of an
 // N*D/D/1 queue. Each replication draws fresh uniform phases for the N
 // periodic sources, plays `cycles` periods through the Lindley recursion
 // (after a warmup), and samples the virtual waiting time at Poisson-like
 // random probe instants; replications make the phase ensemble stationary.
 // The returned waits are the virtual waiting times in seconds.
-func SimulateNDD1(q NDD1, reps, cycles int, seed uint64, probes []float64) (*SimResult, error) {
+func simulateNDD1(q ndd1, reps, cycles int, seed uint64, probes []float64) (*simResult, error) {
 	if reps < 1 || cycles < 2 {
 		return nil, fmt.Errorf("%w: reps=%d cycles=%d", ErrBadParam, reps, cycles)
 	}
 	r := dist.NewRNG(seed)
-	res := newSimResult(probes, topKFor(reps*cycles))
-	tau := q.ServiceTime()
+	res := newSimResult(probes)
+	tau := q.serviceTime()
 	phases := make([]float64, q.N)
 	arrivals := make([]float64, 0, q.N*cycles)
 	for rep := 0; rep < reps; rep++ {
@@ -129,7 +121,7 @@ func SimulateNDD1(q NDD1, reps, cycles int, seed uint64, probes []float64) (*Sim
 				arrivals = append(arrivals, float64(c)*q.D+ph)
 			}
 		}
-		sortFloats(arrivals)
+		slices.Sort(arrivals)
 		// Lindley over sorted arrivals; v(t) tracked between arrivals to
 		// sample the virtual wait at one uniform instant per period.
 		w := 0.0
@@ -159,69 +151,30 @@ func SimulateNDD1(q NDD1, reps, cycles int, seed uint64, probes []float64) (*Sim
 	return res, nil
 }
 
-func topKFor(n int) int {
-	// Keep enough order statistics for a 1e-5 quantile with headroom.
-	k := n / 10_000
-	if k < 1000 {
-		k = 1000
+// simulateMEK1 validates the analytic M/E_K/1 law by the Lindley recursion
+// with exponential inter-arrivals and Erlang service.
+func simulateMEK1(q MEK1, n int, seed uint64, probes []float64) (*simResult, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("%w: n=%d", ErrBadParam, n)
 	}
-	if k > 200_000 {
-		k = 200_000
+	erl, err := dist.NewErlang(q.K, q.Beta)
+	if err != nil {
+		return nil, err
 	}
-	return k
-}
-
-func sortFloats(xs []float64) {
-	// Insertion-friendly sizes are rare here; use pdqsort via the sort pkg.
-	// Separate function keeps the call site tidy.
-	if len(xs) > 1 {
-		quickSort(xs, 0, len(xs)-1)
-	}
-}
-
-// quickSort is a three-way quicksort with median-of-three pivoting; it avoids
-// pulling in sort.Float64s' interface overhead in the hot simulation path.
-func quickSort(xs []float64, lo, hi int) {
-	for hi-lo > 12 {
-		mid := lo + (hi-lo)/2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
+	r := dist.NewRNG(seed)
+	res := newSimResult(probes)
+	w := 0.0
+	warmup := n / 10
+	for i := 0; i < n+warmup; i++ {
+		if i >= warmup {
+			res.add(w)
 		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller side, loop on the larger.
-		if j-lo < hi-i {
-			quickSort(xs, lo, j)
-			lo = i
-		} else {
-			quickSort(xs, i, hi)
-			hi = j
+		w += erl.Sample(r) - r.ExpFloat64()/q.Lambda
+		if w < 0 {
+			w = 0
 		}
 	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return res, nil
 }
 
 // mcTol returns a Monte-Carlo comparison tolerance: s sigmas of a binomial

@@ -1,9 +1,9 @@
 // Package queueing implements the queueing models of the paper's §3: the
-// upstream M/D/1 and M/G/1 queue (with the N*D/D/1 large-deviations
-// estimates it is justified from, eqs. 2-12), and the downstream D/E_K/1
+// upstream M/D/1 queue, which §3.1 justifies from the N*D/D/1
+// large-deviations estimates of eqs. 2-12, and the downstream D/E_K/1
 // queue solved exactly through its moment generating function (§3.2,
-// appendices B-D), plus Lindley-recursion simulators used to validate every
-// analytic result.
+// appendices B-D). The package's tests keep the N*D/D/1 estimates and the
+// Lindley-recursion simulators that validate every analytic result.
 //
 // Conventions: times are in seconds, rates in events (or bits) per second;
 // load rho must be < 1 for every stationary quantity.
@@ -101,22 +101,6 @@ func (q MD1) WaitMixPaper() (mgf.Mix, error) {
 	return m, nil
 }
 
-// WaitMixAsymptotic returns the dominant-pole form with the exact asymptotic
-// residue R = (1-rho)/(lambda*S*e^{gamma*S} - 1), so the deep tail
-// P(W > x) ~ R e^{-gamma x} is exact. It is the ablation counterpart of
-// WaitMixPaper (which uses the cruder residue rho).
-func (q MD1) WaitMixAsymptotic() (mgf.Mix, error) {
-	g, err := q.DominantPole()
-	if err != nil {
-		return mgf.Mix{}, err
-	}
-	rho := q.Load()
-	r := (1 - rho) / (q.Lambda*q.S*math.Exp(g*q.S) - 1)
-	m := mgf.NewExponential(r, g)
-	m.Atom = 1 - r
-	return m, nil
-}
-
 // WaitCDFExact evaluates the classical closed-form M/D/1 virtual waiting time
 // distribution (Erlang's alternating series):
 //
@@ -133,11 +117,14 @@ func (q MD1) WaitCDFExact(t float64) float64 {
 	}
 	rho := q.Load()
 	if q.Lambda*t > 30 {
-		m, err := q.WaitMixAsymptotic()
+		// Dominant-pole asymptote with the exact residue
+		// R = (1-rho)/(lambda*S*e^{gamma*S} - 1): P(W > t) ~ R e^{-gamma t}.
+		g, err := q.DominantPole()
 		if err != nil {
 			return math.NaN()
 		}
-		return 1 - m.Tail(t)
+		r := (1 - rho) / (q.Lambda*q.S*math.Exp(g*q.S) - 1)
+		return 1 - r*math.Exp(-g*t)
 	}
 	k := int(math.Floor(t / q.S))
 	var sum xmath.KahanSum
@@ -163,108 +150,3 @@ func (q MD1) WaitCDFExact(t float64) float64 {
 
 // WaitTailExact is 1 - WaitCDFExact.
 func (q MD1) WaitTailExact(t float64) float64 { return 1 - q.WaitCDFExact(t) }
-
-// ServiceSpec describes one service-time class for the M/G/1 queue: a
-// deterministic transmission time (packet size over link rate) and the
-// fraction of arrivals in the class. Eq. (13) introduces exactly this
-// two-class case for mixed gamer populations.
-type ServiceSpec struct {
-	S      float64 // deterministic service time of the class, s
-	Weight float64 // fraction of arrivals, must sum to 1 across classes
-}
-
-// MG1 is an M/G/1 queue whose service law is a finite mixture of
-// deterministic times (the "flip a coin per arrival" model under eq. 13).
-type MG1 struct {
-	Lambda  float64
-	Classes []ServiceSpec
-}
-
-// NewMG1 validates rates, weights and stability.
-func NewMG1(lambda float64, classes []ServiceSpec) (MG1, error) {
-	if !(lambda > 0) || len(classes) == 0 {
-		return MG1{}, fmt.Errorf("%w: lambda=%g classes=%d", ErrBadParam, lambda, len(classes))
-	}
-	var wsum float64
-	for _, c := range classes {
-		if !(c.S > 0) || !(c.Weight > 0) {
-			return MG1{}, fmt.Errorf("%w: class %+v", ErrBadParam, c)
-		}
-		wsum += c.Weight
-	}
-	if math.Abs(wsum-1) > 1e-9 {
-		return MG1{}, fmt.Errorf("%w: class weights sum to %g", ErrBadParam, wsum)
-	}
-	q := MG1{Lambda: lambda, Classes: classes}
-	if q.Load() >= 1 {
-		return MG1{}, fmt.Errorf("%w: rho=%g", ErrUnstable, q.Load())
-	}
-	return q, nil
-}
-
-// MeanService returns E[S].
-func (q MG1) MeanService() float64 {
-	var m float64
-	for _, c := range q.Classes {
-		m += c.Weight * c.S
-	}
-	return m
-}
-
-// SecondMomentService returns E[S^2].
-func (q MG1) SecondMomentService() float64 {
-	var m float64
-	for _, c := range q.Classes {
-		m += c.Weight * c.S * c.S
-	}
-	return m
-}
-
-// Load returns rho = lambda*E[S].
-func (q MG1) Load() float64 { return q.Lambda * q.MeanService() }
-
-// MeanWait returns the Pollaczek-Khinchine mean lambda*E[S^2]/(2(1-rho)).
-func (q MG1) MeanWait() float64 {
-	return q.Lambda * q.SecondMomentService() / (2 * (1 - q.Load()))
-}
-
-// serviceMGF evaluates E[e^{sS}] for real s.
-func (q MG1) serviceMGF(s float64) float64 {
-	var v float64
-	for _, c := range q.Classes {
-		v += c.Weight * math.Exp(s*c.S)
-	}
-	return v
-}
-
-// DominantPole returns the positive root gamma of
-// gamma = lambda*(B(gamma) - 1), where B is the service MGF.
-func (q MG1) DominantPole() (float64, error) {
-	f := func(g float64) float64 { return q.Lambda*(q.serviceMGF(g)-1) - g }
-	rho := q.Load()
-	hi := 2 * (1 - rho) / (rho * q.MeanService())
-	for i := 0; i < 200 && f(hi) < 0; i++ {
-		hi *= 2
-	}
-	lo := hi
-	for i := 0; i < 200 && f(lo) > 0; i++ {
-		lo /= 2
-	}
-	if f(lo) > 0 || f(hi) < 0 {
-		return 0, fmt.Errorf("queueing: MG1 dominant pole bracket failed (rho=%g)", rho)
-	}
-	return xmath.Brent(f, lo, hi, 1e-14*hi)
-}
-
-// WaitMixPaper returns eq. (14) for the M/G/1 queue:
-// (1-rho) + rho*gamma/(gamma-s).
-func (q MG1) WaitMixPaper() (mgf.Mix, error) {
-	g, err := q.DominantPole()
-	if err != nil {
-		return mgf.Mix{}, err
-	}
-	rho := q.Load()
-	m := mgf.NewExponential(rho, g)
-	m.Atom = 1 - rho
-	return m, nil
-}

@@ -46,14 +46,6 @@ func (q MEK1) MeanService() float64 { return float64(q.K) / q.Beta }
 // Load returns rho = Lambda*K/Beta.
 func (q MEK1) Load() float64 { return q.Lambda * q.MeanService() }
 
-// MeanWait returns the Pollaczek-Khinchine mean waiting time
-// lambda*E[S^2]/(2(1-rho)) with E[S^2] = K(K+1)/beta^2.
-func (q MEK1) MeanWait() float64 {
-	k := float64(q.K)
-	es2 := k * (k + 1) / (q.Beta * q.Beta)
-	return q.Lambda * es2 / (2 * (1 - q.Load()))
-}
-
 // scaledPoly returns the coefficients (lowest degree first) of
 //
 //	S(z) = [(z+a)(1-z)^K - a] / z,   a = lambda/beta,
@@ -151,32 +143,14 @@ type MEK1Solution struct {
 }
 
 // Solve factors the scaled denominator once and returns the reusable
-// solution. Poles and WaitMix on the solution are pure arithmetic over the
-// stored roots; the MEK1 methods of the same names are one-shot wrappers.
+// solution. WaitMix on the solution is pure arithmetic over the stored
+// roots; MEK1.WaitMix is its one-shot wrapper.
 func (q MEK1) Solve() (*MEK1Solution, error) {
 	zs, err := q.scaledRoots()
 	if err != nil {
 		return nil, err
 	}
 	return &MEK1Solution{q: q, zs: zs}, nil
-}
-
-// Queue returns the queue the solution solves.
-func (sol *MEK1Solution) Queue() MEK1 { return sol.q }
-
-// Poles returns the K poles of the waiting-time MGF: beta times the roots of
-// the scaled denominator. All have positive real part for a stable queue.
-func (sol *MEK1Solution) Poles() ([]complex128, error) {
-	q := sol.q
-	out := make([]complex128, len(sol.zs))
-	for i, z := range sol.zs {
-		if real(z) <= 0 {
-			return nil, fmt.Errorf("M/E%d/1 pole %d = %v not in right half plane (rho=%g)",
-				q.K, i, complex(q.Beta, 0)*z, q.Load())
-		}
-		out[i] = complex(q.Beta, 0) * z
-	}
-	return out, nil
 }
 
 // WaitMix returns the exact waiting-time law as an Erlang-term mix:
@@ -207,15 +181,6 @@ func (sol *MEK1Solution) WaitMix() (mgf.Mix, error) {
 	return m, nil
 }
 
-// Poles is the one-shot form of Solve().Poles().
-func (q MEK1) Poles() ([]complex128, error) {
-	sol, err := q.Solve()
-	if err != nil {
-		return nil, err
-	}
-	return sol.Poles()
-}
-
 // WaitMix is the one-shot form of Solve().WaitMix().
 func (q MEK1) WaitMix() (mgf.Mix, error) {
 	sol, err := q.Solve()
@@ -240,26 +205,4 @@ func (q MEK1) PositionMixUniform() (mgf.Mix, error) {
 	var m mgf.Mix
 	m.AddTerm(complex(q.Beta, 0), coef)
 	return m, nil
-}
-
-// SimulateMEK1 validates the analytic law by the Lindley recursion with
-// exponential inter-arrivals and Erlang service.
-func SimulateMEK1(q MEK1, n int, seed uint64, probes []float64) (*SimResult, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("%w: n=%d", ErrBadParam, n)
-	}
-	res := newSimResult(probes, topKFor(n))
-	r := newErlangSampler(q.K, q.Beta, seed)
-	w := 0.0
-	warmup := n / 10
-	for i := 0; i < n+warmup; i++ {
-		if i >= warmup {
-			res.add(w)
-		}
-		w += r.service() - r.interarrival(q.Lambda)
-		if w < 0 {
-			w = 0
-		}
-	}
-	return res, nil
 }

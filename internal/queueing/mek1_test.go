@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -47,8 +48,8 @@ func TestMEK1ReducesToMM1(t *testing.T) {
 		}
 	}
 	// Mean wait matches PK.
-	if math.Abs(m.Mean()-q.MeanWait()) > 1e-9 {
-		t.Errorf("mean %v vs PK %v", m.Mean(), q.MeanWait())
+	if math.Abs(m.Mean()-q.meanWait()) > 1e-9 {
+		t.Errorf("mean %v vs PK %v", m.Mean(), q.meanWait())
 	}
 }
 
@@ -61,7 +62,7 @@ func TestMEK1PolesSolveDenominator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			poles, err := q.Poles()
+			poles, err := q.poles()
 			if err != nil {
 				t.Fatalf("K=%d rho=%v: %v", k, rho, err)
 			}
@@ -99,17 +100,17 @@ func TestMEK1WaitMixAgainstLindley(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d rho=%v: %v", c.k, c.rho, err)
 		}
-		mean := q.MeanWait()
+		mean := q.meanWait()
 		probes := []float64{mean / 2, mean, 2 * mean, 4 * mean}
 		const n = 1_000_000
-		sim, err := SimulateMEK1(q, n, uint64(13*c.k), probes)
+		sim, err := simulateMEK1(q, n, uint64(13*c.k), probes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		autocorr := 1 + 2/(1-c.rho)
 		for i, x := range probes {
 			want := m.Tail(x)
-			got := sim.TailAt(i)
+			got := sim.tailAt(i)
 			tol := autocorr * mcTol(want, n, 6)
 			if math.Abs(got-want) > tol {
 				t.Errorf("K=%d rho=%v P(W>%v): analytic %v vs sim %v (tol %v)",
@@ -193,4 +194,30 @@ func BenchmarkMEK1WaitMix(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// meanWait returns the Pollaczek-Khinchine mean waiting time
+// lambda*E[S^2]/(2(1-rho)) with E[S^2] = K(K+1)/beta^2.
+func (q MEK1) meanWait() float64 {
+	k := float64(q.K)
+	es2 := k * (k + 1) / (q.Beta * q.Beta)
+	return q.Lambda * es2 / (2 * (1 - q.Load()))
+}
+
+// poles returns the K poles of the waiting-time MGF: beta times the roots of
+// the scaled denominator. All have positive real part for a stable queue.
+func (q MEK1) poles() ([]complex128, error) {
+	sol, err := q.Solve()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]complex128, len(sol.zs))
+	for i, z := range sol.zs {
+		if real(z) <= 0 {
+			return nil, fmt.Errorf("M/E%d/1 pole %d = %v not in right half plane (rho=%g)",
+				q.K, i, complex(q.Beta, 0)*z, q.Load())
+		}
+		out[i] = complex(q.Beta, 0) * z
+	}
+	return out, nil
 }

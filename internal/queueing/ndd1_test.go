@@ -7,37 +7,38 @@ import (
 	"fpsping/internal/xmath"
 )
 
-// NDD1 is the N*D/D/1 queue of §3.1: N independent periodic sources, each
+// ndd1 is the N*D/D/1 queue of §3.1, the reference the tests hold the
+// M/D/1 uplink model against: N independent periodic sources, each
 // emitting one packet of P bytes every D seconds with a uniformly random
 // phase, served by a link of C bytes per second. The paper derives Chernoff /
 // dominant-term ("inf sup") estimates for the stationary buffer content Q and
 // shows the model converges to M/D/1 as N grows (eq. 11).
-type NDD1 struct {
+type ndd1 struct {
 	N int     // number of periodic sources
 	D float64 // per-source period, s
 	P float64 // packet size, bytes
 	C float64 // link capacity, bytes/s
 }
 
-// NewNDD1 validates parameters and stability (N*P/D < C).
-func NewNDD1(n int, d, p, c float64) (NDD1, error) {
+// newNDD1 validates parameters and stability (N*P/D < C).
+func newNDD1(n int, d, p, c float64) (ndd1, error) {
 	if n < 1 || !(d > 0) || !(p > 0) || !(c > 0) {
-		return NDD1{}, fmt.Errorf("%w: n=%d d=%g p=%g c=%g", ErrBadParam, n, d, p, c)
+		return ndd1{}, fmt.Errorf("%w: n=%d d=%g p=%g c=%g", ErrBadParam, n, d, p, c)
 	}
-	q := NDD1{N: n, D: d, P: p, C: c}
+	q := ndd1{N: n, D: d, P: p, C: c}
 	if q.Load() >= 1 {
-		return NDD1{}, fmt.Errorf("%w: rho=%g", ErrUnstable, q.Load())
+		return ndd1{}, fmt.Errorf("%w: rho=%g", ErrUnstable, q.Load())
 	}
 	return q, nil
 }
 
 // Load returns rho = N*P/(D*C).
-func (q NDD1) Load() float64 { return float64(q.N) * q.P / (q.D * q.C) }
+func (q ndd1) Load() float64 { return float64(q.N) * q.P / (q.D * q.C) }
 
-// ServiceTime returns the per-packet transmission time P/C.
-func (q NDD1) ServiceTime() float64 { return q.P / q.C }
+// serviceTime returns the per-packet transmission time P/C.
+func (q ndd1) serviceTime() float64 { return q.P / q.C }
 
-// QueueTailChernoff estimates log P(Q > B bytes) by the paper's eq. (10):
+// queueTailChernoff estimates log P(Q > B bytes) by the paper's eq. (10):
 // the dominant-term replacement of the union over window lengths t combined
 // with the binomial Chernoff bound. The inner supremum over the twist s has
 // the closed form optimizer of eq. (9), which reduces the exponent to the
@@ -47,7 +48,7 @@ func (q NDD1) ServiceTime() float64 { return q.P / q.C }
 //
 // The return value is the natural logarithm of the probability estimate
 // (so always <= 0); -Inf means the backlog B is unreachable.
-func (q NDD1) QueueTailChernoff(b float64) float64 {
+func (q ndd1) queueTailChernoff(b float64) float64 {
 	if b < 0 {
 		return 0
 	}
@@ -68,12 +69,12 @@ func (q NDD1) QueueTailChernoff(b float64) float64 {
 	return -infimumOverWindow(exponent, q.D)
 }
 
-// QueueTailExactBinomial estimates P(Q > B bytes) by eq. (4) with the exact
+// queueTailExactBinomial estimates P(Q > B bytes) by eq. (4) with the exact
 // binomial tail instead of the Chernoff bound: sup over t of
 // P(Bin(N, t/D) >= k(t)) where k(t) = floor((B+Ct)/P) + 1 packets are needed
 // in the window to exceed backlog B. The supremum is attained just before a
 // jump of k(t), so only the jump instants need evaluation.
-func (q NDD1) QueueTailExactBinomial(b float64) float64 {
+func (q ndd1) queueTailExactBinomial(b float64) float64 {
 	if b < 0 {
 		return 1
 	}
@@ -91,7 +92,7 @@ func (q NDD1) QueueTailExactBinomial(b float64) float64 {
 		if t > q.D {
 			t = q.D
 		}
-		p := xmath.BinomialTail(q.N, t/q.D, k)
+		p := binomialTail(q.N, t/q.D, k)
 		if p > best {
 			best = p
 		}
@@ -99,11 +100,11 @@ func (q NDD1) QueueTailExactBinomial(b float64) float64 {
 	return best
 }
 
-// QueueTailPoisson estimates log P(Q > B bytes) in the Poisson (M/D/1) limit
+// queueTailPoisson estimates log P(Q > B bytes) in the Poisson (M/D/1) limit
 // of eq. (12): packets arrive as a Poisson stream of rate N/D, and the
 // Chernoff exponent for a window t is mu - x/p + (x/p)*log(x/(p*mu)) with
 // x = B + C t and mu = N t / D.
-func (q NDD1) QueueTailPoisson(b float64) float64 {
+func (q ndd1) queueTailPoisson(b float64) float64 {
 	if b < 0 {
 		return 0
 	}
@@ -159,15 +160,31 @@ func infimumOverWindow(f func(float64) float64, hi float64) float64 {
 	return best
 }
 
-// Scaled returns the queue with N and D multiplied by n: the scaling regime
+// scaled returns the queue with N and D multiplied by n: the scaling regime
 // of eq. (11) under which the arrival stream converges to Poisson while the
 // load stays constant.
-func (q NDD1) Scaled(n int) (NDD1, error) {
-	return NewNDD1(q.N*n, q.D*float64(n), q.P, q.C)
+func (q ndd1) scaled(n int) (ndd1, error) {
+	return newNDD1(q.N*n, q.D*float64(n), q.P, q.C)
 }
 
-// MD1Limit returns the limiting M/D/1 queue of §3.1: Poisson arrivals at
+// md1Limit returns the limiting M/D/1 queue of §3.1: Poisson arrivals at
 // rate N/D with deterministic service P/C.
-func (q NDD1) MD1Limit() (MD1, error) {
+func (q ndd1) md1Limit() (MD1, error) {
 	return NewMD1(float64(q.N)/q.D, q.P/q.C)
+}
+
+// binomialTail returns P(X >= k) for X ~ Binomial(n, p), 0 < p <= 1, by
+// summing the point masses in log space.
+func binomialTail(n int, p float64, k int) float64 {
+	if p >= 1 {
+		return 1
+	}
+	lgn, _ := math.Lgamma(float64(n + 1))
+	var sum float64
+	for j := max(k, 0); j <= n; j++ {
+		lgj, _ := math.Lgamma(float64(j + 1))
+		lgr, _ := math.Lgamma(float64(n - j + 1))
+		sum += math.Exp(lgn - lgj - lgr + float64(j)*math.Log(p) + float64(n-j)*math.Log1p(-p))
+	}
+	return sum
 }

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"fpsping/internal/mgf"
 	"fpsping/internal/xmath"
 )
 
@@ -52,7 +53,7 @@ func TestMD1ExactCDFAgainstSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := []float64{0.001, 0.005, 0.01, 0.02, 0.04}
-	res, err := SimulateMD1(q, 2_000_000, 17, probes)
+	res, err := simulateMD1(q, 2_000_000, 17, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestMD1ExactCDFAgainstSimulation(t *testing.T) {
 	autocorr := 1 + 2/(1-q.Load())
 	for i, x := range probes {
 		want := q.WaitTailExact(x)
-		got := res.TailAt(i)
+		got := res.tailAt(i)
 		if tol := autocorr * mcTol(want, 2_000_000, 6); math.Abs(got-want) > tol {
 			t.Errorf("P(W>%v): exact %v vs sim %v (tol %v)", x, want, got, tol)
 		}
@@ -78,16 +79,20 @@ func TestMD1AsymptoticMatchesExactDeepTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asym, err := q.WaitMixAsymptotic()
+	// Dominant-pole asymptote with the exact residue:
+	// P(W > x) ~ R e^{-gamma x}, R = (1-rho)/(lambda*S*e^{gamma*S} - 1).
+	g, err := q.DominantPole()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := (1 - q.Load()) / (q.Lambda*q.S*math.Exp(g*q.S) - 1)
+	asymTail := func(x float64) float64 { return r * math.Exp(-g*x) }
 	// Where the exact tail is ~1e-3..1e-6 the dominant pole term should agree
 	// to within a percent (both evaluations stay inside the series' stable
 	// range lambda*x <= 30 here: lambda=120).
 	for _, x := range []float64{0.05, 0.07, 0.09} {
 		exact := q.WaitTailExact(x)
-		approx := asym.Tail(x)
+		approx := asymTail(x)
 		if exact <= 0 {
 			t.Fatalf("exact tail at %v nonpositive: %v", x, exact)
 		}
@@ -104,87 +109,35 @@ func TestMD1AsymptoticMatchesExactDeepTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := paper.Tail(0.07) / asym.Tail(0.07)
+	ratio := paper.Tail(0.07) / asymTail(0.07)
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("paper vs asymptotic tail ratio %v out of band", ratio)
 	}
 }
 
-func TestMG1ReducesToMD1(t *testing.T) {
-	md1, err := NewMD1(100, 0.004)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mg1, err := NewMG1(100, []ServiceSpec{{S: 0.004, Weight: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, err := md1.DominantPole()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := mg1.DominantPole()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g1-g2) > 1e-6*g1 {
-		t.Errorf("poles differ: %v vs %v", g1, g2)
-	}
-	if math.Abs(md1.MeanWait()-mg1.MeanWait()) > 1e-12 {
-		t.Error("PK means differ")
-	}
-}
-
-func TestMG1TwoClasses(t *testing.T) {
-	// Two gamer classes per eq. (13): 80B and 160B packets at a 1 MB/s link.
-	q, err := NewMG1(3000, []ServiceSpec{
-		{S: 80e-6, Weight: 0.5},
-		{S: 160e-6, Weight: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(q.Load()-3000*120e-6) > 1e-12 {
-		t.Errorf("load = %v", q.Load())
-	}
-	m, err := q.WaitMixPaper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Atom-(1-q.Load())) > 1e-12 {
-		t.Errorf("atom = %v", m.Atom)
-	}
-	if _, err := NewMG1(1, []ServiceSpec{{S: 1, Weight: 0.7}}); err == nil {
-		t.Error("accepted weights not summing to 1")
-	}
-}
-
 func TestNDD1Validation(t *testing.T) {
-	if _, err := NewNDD1(0, 1, 1, 1); err == nil {
+	if _, err := newNDD1(0, 1, 1, 1); err == nil {
 		t.Error("accepted N=0")
 	}
-	if _, err := NewNDD1(100, 0.04, 80, 100_000); !errors.Is(err, ErrUnstable) {
+	if _, err := newNDD1(100, 0.04, 80, 100_000); !errors.Is(err, ErrUnstable) {
 		t.Error("accepted overload")
 	}
 }
 
 func TestNDD1ExactBinomialAgainstSimulation(t *testing.T) {
 	// 48 sources, 80-byte packets every 40 ms, 160 kB/s link: rho = 0.6.
-	q, err := NewNDD1(48, 0.040, 80, 160_000)
+	q, err := newNDD1(48, 0.040, 80, 160_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probes := []float64{0.0005, 0.001, 0.002} // seconds of virtual wait
-	res, err := SimulateNDD1(q, 4000, 50, 23, probes)
+	res, err := simulateNDD1(q, 4000, 50, 23, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range probes {
-		got := res.TailAt(i)
-		want := q.QueueTailExactBinomial(x * q.C) // backlog bytes = C*wait
+		got := res.tailAt(i)
+		want := q.queueTailExactBinomial(x * q.C) // backlog bytes = C*wait
 		if got <= 0 {
 			t.Fatalf("no exceedances at probe %v; weak test", x)
 		}
@@ -200,13 +153,13 @@ func TestNDD1ExactBinomialAgainstSimulation(t *testing.T) {
 }
 
 func TestNDD1ChernoffUpperBoundsExactish(t *testing.T) {
-	q, err := NewNDD1(100, 0.040, 100, 500_000) // rho = 0.5
+	q, err := newNDD1(100, 0.040, 100, 500_000) // rho = 0.5
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []float64{500, 1000, 2000, 4000} {
-		lg := q.QueueTailChernoff(b)
-		exact := q.QueueTailExactBinomial(b)
+		lg := q.queueTailChernoff(b)
+		exact := q.queueTailExactBinomial(b)
 		if exact <= 0 {
 			continue
 		}
@@ -221,7 +174,7 @@ func TestNDD1ChernoffUpperBoundsExactish(t *testing.T) {
 	// Monotone decreasing in B.
 	prev := 0.1
 	for _, b := range []float64{500, 1000, 2000, 4000, 8000} {
-		lg := q.QueueTailChernoff(b)
+		lg := q.queueTailChernoff(b)
 		if lg > prev+1e-12 {
 			t.Errorf("chernoff not decreasing at B=%v", b)
 		}
@@ -232,19 +185,19 @@ func TestNDD1ChernoffUpperBoundsExactish(t *testing.T) {
 func TestNDD1PoissonLimitConvergence(t *testing.T) {
 	// Eq. (11): scaling N and D together, the binomial estimate converges to
 	// the Poisson one.
-	base, err := NewNDD1(20, 0.040, 100, 250_000) // rho = 0.2
+	base, err := newNDD1(20, 0.040, 100, 250_000) // rho = 0.2
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := 1500.0
-	poisson := base.QueueTailPoisson(b)
+	poisson := base.queueTailPoisson(b)
 	var prevGap float64 = math.Inf(1)
 	for _, n := range []int{1, 4, 16, 64} {
-		scaled, err := base.Scaled(n)
+		scaled, err := base.scaled(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gap := math.Abs(scaled.QueueTailChernoff(b) - poisson)
+		gap := math.Abs(scaled.queueTailChernoff(b) - poisson)
 		if gap > prevGap+1e-9 {
 			t.Errorf("scale %d: gap %v did not shrink (prev %v)", n, gap, prevGap)
 		}
@@ -258,11 +211,11 @@ func TestNDD1PoissonLimitConvergence(t *testing.T) {
 func TestNDD1PoissonMatchesMD1Pole(t *testing.T) {
 	// The Poisson Chernoff exponent at large B decays at the M/D/1 dominant
 	// pole rate (in backlog units: gamma/C per byte).
-	q, err := NewNDD1(100, 0.040, 100, 500_000)
+	q, err := newNDD1(100, 0.040, 100, 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	md1, err := q.MD1Limit()
+	md1, err := q.md1Limit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +224,7 @@ func TestNDD1PoissonMatchesMD1Pole(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1, b2 := 20_000.0, 40_000.0
-	slope := (q.QueueTailPoisson(b2) - q.QueueTailPoisson(b1)) / (b2 - b1)
+	slope := (q.queueTailPoisson(b2) - q.queueTailPoisson(b1)) / (b2 - b1)
 	wantSlope := -g / q.C
 	if math.Abs(slope-wantSlope) > 0.05*math.Abs(wantSlope) {
 		t.Errorf("poisson decay %v per byte, want %v", slope, wantSlope)
@@ -301,7 +254,7 @@ func TestDEK1ZetasSatisfyEquation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			zs, err := q.Zetas()
+			zs, err := q.zetas()
 			if err != nil {
 				t.Fatalf("K=%d rho=%v: %v", k, rho, err)
 			}
@@ -344,11 +297,11 @@ func TestDEK1WeightsSolveVandermondeSystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zs, err := q.Zetas()
+		zs, err := q.zetas()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := q.Weights()
+		ws, err := q.weights()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,13 +368,13 @@ func TestDEK1WaitMixAgainstLindley(t *testing.T) {
 		}
 		probes := []float64{0.2 * T, 0.5 * T, T, 2 * T}
 		const n = 2_000_000
-		bursts, _, err := SimulateDEK1(q, n, uint64(100*c.k)+uint64(c.rho*10), probes, probes)
+		bursts, _, err := simulateDEK1(q, n, uint64(100*c.k)+uint64(c.rho*10), probes, probes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, x := range probes {
 			want := m.Tail(x)
-			got := bursts.TailAt(i)
+			got := bursts.tailAt(i)
 			tol := mcTol(want, n, 8)
 			if math.Abs(got-want) > tol {
 				t.Errorf("K=%d rho=%v P(W>%v): analytic %v vs sim %v (tol %v)",
@@ -429,7 +382,7 @@ func TestDEK1WaitMixAgainstLindley(t *testing.T) {
 			}
 		}
 		// Mean wait agreement.
-		mw, err := q.MeanWait()
+		mw, err := q.meanWait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,26 +398,35 @@ func TestDEK1PacketDelayMixAgainstLindley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := q.PacketDelayMix()
+	w, err := q.WaitMix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := q.PositionMixUniform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The served packet-delay law: burst wait plus position delay (eq. 29).
+	m, err := mgf.NewSum(mgf.Mix{Atom: 1}, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probes := []float64{0.01, 0.03, 0.06, 0.12}
 	const n = 2_000_000
-	_, packets, err := SimulateDEK1(q, n, 77, probes, probes)
+	_, packets, err := simulateDEK1(q, n, 77, probes, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range probes {
 		want := m.Tail(x)
-		got := packets.TailAt(i)
+		got := packets.tailAt(i)
 		tol := mcTol(want, n, 8)
 		if math.Abs(got-want) > tol {
 			t.Errorf("P(D>%v): analytic %v vs sim %v (tol %v)", x, want, got, tol)
 		}
 	}
 	// Mean packet delay = mean burst wait + mean half burst.
-	mw, _ := q.MeanWait()
+	mw, _ := q.meanWait()
 	wantMean := mw + q.MeanBurst/2
 	if math.Abs(m.Mean()-wantMean) > 1e-9 {
 		t.Errorf("mean packet delay %v, want %v", m.Mean(), wantMean)
@@ -485,7 +447,7 @@ func TestDEK1PositionMixes(t *testing.T) {
 		t.Errorf("uniform position mean = %v, want %v", u.Mean(), q.MeanBurst/2)
 	}
 	// Spot theta=1 is the whole burst: Erlang(K, beta).
-	s1, err := q.PositionMixSpot(1)
+	s1, err := q.positionMixSpot(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +455,7 @@ func TestDEK1PositionMixes(t *testing.T) {
 		t.Errorf("spot(1) mean = %v", s1.Mean())
 	}
 	// Spot theta=0 is no delay.
-	s0, err := q.PositionMixSpot(0)
+	s0, err := q.positionMixSpot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +476,7 @@ func TestDEK1PositionMixes(t *testing.T) {
 	if _, err := q1.PositionMixUniform(); err == nil {
 		t.Error("K=1 uniform position should be rejected")
 	}
-	if _, err := q.PositionMixSpot(1.5); err == nil {
+	if _, err := q.positionMixSpot(1.5); err == nil {
 		t.Error("accepted theta>1")
 	}
 }
@@ -530,11 +492,11 @@ func TestDEK1AtomIsIdleProbability(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 1_000_000
-	bursts, _, err := SimulateDEK1(q, n, 31, []float64{1e-12}, nil)
+	bursts, _, err := simulateDEK1(q, n, 31, []float64{1e-12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pWait := bursts.TailAt(0) // fraction of bursts that waited
+	pWait := bursts.tailAt(0) // fraction of bursts that waited
 	if math.Abs((1-m.Atom)-pWait) > mcTol(pWait, n, 8) {
 		t.Errorf("P(wait>0): analytic %v vs sim %v", 1-m.Atom, pWait)
 	}
@@ -561,15 +523,29 @@ func BenchmarkDEK1WaitMixK28(b *testing.B) {
 func BenchmarkLindleyDEK1(b *testing.B) {
 	q, _ := NewDEK1(9, 0.030, 0.060)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SimulateDEK1(q, 100_000, 1, []float64{0.05}, nil); err != nil {
+		if _, _, err := simulateDEK1(q, 100_000, 1, []float64{0.05}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkNDD1Chernoff(b *testing.B) {
-	q, _ := NewNDD1(100, 0.040, 100, 500_000)
+	q, _ := newNDD1(100, 0.040, 100, 500_000)
 	for i := 0; i < b.N; i++ {
-		q.QueueTailChernoff(2000)
+		q.queueTailChernoff(2000)
+	}
+}
+
+func BenchmarkNDD1Poisson(b *testing.B) {
+	q, _ := newNDD1(100, 0.040, 100, 500_000)
+	for i := 0; i < b.N; i++ {
+		q.queueTailPoisson(2000)
+	}
+}
+
+func BenchmarkNDD1ExactBinomial(b *testing.B) {
+	q, _ := newNDD1(100, 0.040, 100, 500_000)
+	for i := 0; i < b.N; i++ {
+		q.queueTailExactBinomial(2000)
 	}
 }

@@ -1,10 +1,10 @@
 // Package service puts the paper's ping model behind a long-lived daemon:
 // a concurrency-safe Engine layered over internal/core with an exact LRU
-// memo cache (internal/memo) keyed by canonical scenario (the Erlang/Mixture
-// quantile bisections and sweep grids are the hot path, so repeated queries
-// must not recompute them), batch fan-out over internal/runner, and an
-// HTTP/JSON front end (cmd/fpspingd) with counters and latency histograms
-// via internal/stats.
+// memo cache (internal/memo) keyed by canonical scenario (the compiled
+// model's seeded Sum tail inversions, ITP dimensioning searches and sweep
+// grids are the hot path, so repeated queries must not recompute them),
+// batch fan-out over internal/runner, and an HTTP/JSON front end
+// (cmd/fpspingd) with counters and latency histograms via internal/stats.
 //
 // Determinism contract: like every layer below, responses are byte-identical
 // at any worker count and identical between cold and cached evaluation, so

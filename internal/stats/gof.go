@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -63,98 +62,4 @@ func ksPValue(d float64, n int) float64 {
 		sign = -sign
 	}
 	return xmath.Clamp(2*sum, 0, 1)
-}
-
-// ChiSquareResult reports a chi-square goodness-of-fit test.
-type ChiSquareResult struct {
-	// Stat is the chi-square statistic over the used bins.
-	Stat float64
-	// DoF is the degrees of freedom (bins - 1 - fitted parameters).
-	DoF int
-	// P is the tail probability of the chi-square distribution at Stat.
-	P float64
-	// Bins is the number of bins actually used (after merging sparse bins).
-	Bins int
-}
-
-// ChiSquare tests histogram h against a model CDF, merging adjacent bins
-// until every expected count reaches 5. fittedParams is subtracted from the
-// degrees of freedom.
-func ChiSquare(h *Histogram, cdf func(float64) float64, fittedParams int) (ChiSquareResult, error) {
-	if h.Total() == 0 {
-		return ChiSquareResult{}, ErrEmpty
-	}
-	type cell struct {
-		observed float64
-		expected float64
-	}
-	n := float64(h.Total())
-	var cells []cell
-	w := h.BinWidth()
-	var accO, accE float64
-	for i := 0; i < h.Bins(); i++ {
-		lo := h.Lo + float64(i)*w
-		hi := lo + w
-		accO += float64(h.Count(i))
-		accE += n * (cdf(hi) - cdf(lo))
-		if accE >= 5 {
-			cells = append(cells, cell{accO, accE})
-			accO, accE = 0, 0
-		}
-	}
-	// Fold underflow/overflow and any remainder into the edge cells.
-	accO += float64(h.Underflow() + h.Overflow())
-	accE += n * (1 - (cdf(h.Hi) - cdf(h.Lo)))
-	if len(cells) == 0 {
-		cells = append(cells, cell{accO, math.Max(accE, 1e-12)})
-	} else if accE > 0 || accO > 0 {
-		cells[len(cells)-1].observed += accO
-		cells[len(cells)-1].expected += accE
-	}
-	if len(cells) < 2 {
-		return ChiSquareResult{}, fmt.Errorf("stats: chi-square needs >= 2 usable bins, got %d", len(cells))
-	}
-	stat := 0.0
-	for _, c := range cells {
-		if c.expected <= 0 {
-			continue
-		}
-		d := c.observed - c.expected
-		stat += d * d / c.expected
-	}
-	dof := len(cells) - 1 - fittedParams
-	if dof < 1 {
-		dof = 1
-	}
-	return ChiSquareResult{
-		Stat: stat,
-		DoF:  dof,
-		P:    xmath.GammaQ(float64(dof)/2, stat/2),
-		Bins: len(cells),
-	}, nil
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs; the trace
-// analysis uses it to verify burst inter-arrival independence assumptions.
-func Autocorrelation(xs []float64, lag int) (float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return 0, ErrEmpty
-	}
-	if lag < 0 || lag >= n {
-		return 0, fmt.Errorf("stats: lag %d out of range for n=%d", lag, n)
-	}
-	s := Describe(xs)
-	mean := s.Mean()
-	var num, den float64
-	for i := 0; i < n-lag; i++ {
-		num += (xs[i] - mean) * (xs[i+lag] - mean)
-	}
-	for i := 0; i < n; i++ {
-		den += (xs[i] - mean) * (xs[i] - mean)
-	}
-	if den == 0 {
-		return 0, nil
-	}
-	return num / den, nil
 }

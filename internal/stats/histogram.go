@@ -6,15 +6,13 @@ import (
 )
 
 // Histogram counts samples in equal-width bins over [Lo, Hi); values outside
-// the range are tallied in underflow/overflow counters. Färber's least-squares
+// the range count only toward Total. Färber's least-squares
 // fits (reproduced by the fit package) match a candidate density against a
 // histogram like this one.
 type Histogram struct {
-	Lo, Hi    float64
-	counts    []int
-	total     int
-	underflow int
-	overflow  int
+	Lo, Hi float64
+	counts []int
+	total  int
 }
 
 // NewHistogram builds an empty histogram with n equal bins on [lo, hi).
@@ -64,12 +62,7 @@ func (h *Histogram) Bins() int { return len(h.counts) }
 
 // Add tallies one sample.
 func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.underflow++
-	case x >= h.Hi:
-		h.overflow++
-	default:
+	if x >= h.Lo && x < h.Hi {
 		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.counts)))
 		if i >= len(h.counts) { // guard float rounding at the top edge
 			i = len(h.counts) - 1
@@ -91,12 +84,6 @@ func (h *Histogram) Count(i int) int { return h.counts[i] }
 
 // Total returns the number of samples seen, including out-of-range ones.
 func (h *Histogram) Total() int { return h.total }
-
-// Underflow returns the count of samples below Lo.
-func (h *Histogram) Underflow() int { return h.underflow }
-
-// Overflow returns the count of samples at or above Hi.
-func (h *Histogram) Overflow() int { return h.overflow }
 
 // BinWidth returns the common bin width.
 func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.counts)) }

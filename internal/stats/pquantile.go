@@ -223,17 +223,3 @@ func (t *TopK) Quantile(p float64) (float64, error) {
 	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
 	return s[r-1], nil
 }
-
-// Largest returns the maximum seen so far.
-func (t *TopK) Largest() (float64, error) {
-	if len(t.heap) == 0 {
-		return 0, ErrEmpty
-	}
-	max := t.heap[0]
-	for _, v := range t.heap {
-		if v > max {
-			max = v
-		}
-	}
-	return max, nil
-}

@@ -3,8 +3,8 @@
 // detection and burst-size extraction (Table 3, Figure 1).
 //
 // The design borrows gopacket's vocabulary: packets carry a Flow made of two
-// comparable Endpoints, so records group naturally in maps; a Trace can be
-// consumed as a channel (the PacketSource idiom) or filtered in place.
+// comparable Endpoints, so records group naturally in maps, and a Trace
+// filters into a new Trace.
 package trace
 
 import (
@@ -65,9 +65,6 @@ func Server() Endpoint { return Endpoint{Kind: KindServer} }
 type Flow struct {
 	Src, Dst Endpoint
 }
-
-// Reverse returns the opposite direction flow.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
 
 // String renders src->dst.
 func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }
@@ -164,29 +161,6 @@ func (t *Trace) FilterDirection(d Direction) *Trace {
 	return t.Filter(func(r Record) bool { return r.Flow.Direction() == d })
 }
 
-// FilterFlow keeps one exact flow.
-func (t *Trace) FilterFlow(f Flow) *Trace {
-	return t.Filter(func(r Record) bool { return r.Flow == f })
-}
-
-// Between keeps records with t0 <= Time < t1.
-func (t *Trace) Between(t0, t1 float64) *Trace {
-	return t.Filter(func(r Record) bool { return r.Time >= t0 && r.Time < t1 })
-}
-
-// Packets streams the records over a channel (gopacket's PacketSource
-// idiom); the channel closes after the last record.
-func (t *Trace) Packets() <-chan Record {
-	ch := make(chan Record, 256)
-	go func() {
-		defer close(ch)
-		for _, r := range t.records {
-			ch <- r
-		}
-	}()
-	return ch
-}
-
 // ByFlow groups record indices per flow; flows are map keys (gopacket's
 // map-keyed Endpoint/Flow pattern).
 func (t *Trace) ByFlow() map[Flow][]Record {
@@ -222,30 +196,7 @@ func (t *Trace) Clone() *Trace {
 // csvHeader is the column layout of the CSV codec.
 var csvHeader = []string{"time", "size", "src_kind", "src_id", "dst_kind", "dst_id", "burst"}
 
-// WriteCSV serializes the trace.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	row := make([]string, len(csvHeader))
-	for _, r := range t.records {
-		row[0] = strconv.FormatFloat(r.Time, 'g', 17, 64)
-		row[1] = strconv.Itoa(r.Size)
-		row[2] = strconv.Itoa(int(r.Flow.Src.Kind))
-		row[3] = strconv.Itoa(int(r.Flow.Src.ID))
-		row[4] = strconv.Itoa(int(r.Flow.Dst.Kind))
-		row[5] = strconv.Itoa(int(r.Flow.Dst.ID))
-		row[6] = strconv.Itoa(r.Burst)
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a trace written by WriteCSV.
+// ReadCSV parses a trace in the csvHeader column layout.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	head, err := cr.Read()

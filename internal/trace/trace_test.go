@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -16,14 +19,15 @@ func TestEndpointsAndFlows(t *testing.T) {
 	if up.Direction() != DirUpstream {
 		t.Error("client->server should be upstream")
 	}
-	if up.Reverse().Direction() != DirDownstream {
+	down := Flow{Src: s, Dst: c}
+	if down.Direction() != DirDownstream {
 		t.Error("server->client should be downstream")
 	}
 	if (Flow{Src: c, Dst: Client(4)}).Direction() != DirUnknown {
 		t.Error("client->client should be unknown")
 	}
 	// Comparable map keys.
-	m := map[Flow]int{up: 1, up.Reverse(): 2}
+	m := map[Flow]int{up: 1, down: 2}
 	if m[up] != 1 || m[Flow{Src: s, Dst: c}] != 2 {
 		t.Error("flow map keys broken")
 	}
@@ -74,38 +78,15 @@ func TestTraceFilters(t *testing.T) {
 	if got := tr.FilterDirection(DirUpstream).Len(); got != 8 {
 		t.Errorf("upstream = %d", got)
 	}
-	f := Flow{Src: Client(0), Dst: Server()}
-	if got := tr.FilterFlow(f).Len(); got != 4 {
-		t.Errorf("flow filter = %d", got)
-	}
-	if got := tr.Between(0, 0.03).Len(); got == 0 || got == tr.Len() {
-		t.Errorf("between = %d", got)
-	}
 	if d := tr.Duration(); d <= 0 {
 		t.Errorf("duration = %v", d)
-	}
-}
-
-func TestPacketsChannel(t *testing.T) {
-	tr := buildTestTrace()
-	n := 0
-	var last float64 = -1
-	for r := range tr.Packets() {
-		if r.Time < last {
-			t.Fatal("channel not in time order")
-		}
-		last = r.Time
-		n++
-	}
-	if n != tr.Len() {
-		t.Errorf("streamed %d of %d", n, tr.Len())
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
 	tr := buildTestTrace()
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := tr.writeCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSV(&buf)
@@ -135,7 +116,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
+		if err := tr.writeCSV(&buf); err != nil {
 			return false
 		}
 		back, err := ReadCSV(&buf)
@@ -342,4 +323,27 @@ func TestOrderStability(t *testing.T) {
 	if !math.IsNaN(OrderStability(nil)) {
 		t.Error("empty groups should give NaN")
 	}
+}
+
+// writeCSV serializes the trace in the layout ReadCSV parses.
+func (t *Trace) writeCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(csvHeader); err != nil {
+		return err
+	}
+	row := make([]string, len(csvHeader))
+	for _, r := range t.records {
+		row[0] = strconv.FormatFloat(r.Time, 'g', 17, 64)
+		row[1] = strconv.Itoa(r.Size)
+		row[2] = strconv.Itoa(int(r.Flow.Src.Kind))
+		row[3] = strconv.Itoa(int(r.Flow.Src.ID))
+		row[4] = strconv.Itoa(int(r.Flow.Dst.Kind))
+		row[5] = strconv.Itoa(int(r.Flow.Dst.ID))
+		row[6] = strconv.Itoa(r.Burst)
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -2,8 +2,8 @@
 // Färber's Counter-Strike model (Table 1), Lang et al.'s Half-Life (Table 2),
 // Halo and Quake3 models (§2.1), and the Unreal Tournament 2003 model behind
 // the authors' own LAN measurements (Table 3). Each model pairs packet-size
-// and inter-arrival laws for both directions and can generate timestamped
-// packet streams for the simulator.
+// and inter-arrival laws for both directions, which the experiments sample
+// and feed to the simulator.
 //
 // Parameters marked "paper" are lifted directly from the cited tables;
 // parameters marked "calibrated" are our choices where the sources state only
@@ -304,4 +304,10 @@ func AllModels() []Model {
 		Quake3(8, 20),
 		UnrealTournament(),
 	}
+}
+
+// OfferedDownstreamBitRate returns the average downstream offered rate for n
+// clients: 8 * n * E[size] / E[IAT].
+func (m Model) OfferedDownstreamBitRate(clients int) float64 {
+	return 8 * float64(clients) * m.Server.PacketSize.Mean() / m.Server.IAT.Mean()
 }

@@ -2,35 +2,6 @@ package xmath
 
 import "math"
 
-// Bisect finds a root of f in [lo, hi] by bisection. f(lo) and f(hi) must
-// have opposite signs. It stops when the interval shrinks below tol (absolute)
-// or after 200 iterations, whichever comes first.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if math.Signbit(flo) == math.Signbit(fhi) {
-		return 0, ErrBracket
-	}
-	for i := 0; i < 200; i++ {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 || hi-lo < tol {
-			return mid, nil
-		}
-		if math.Signbit(fm) == math.Signbit(flo) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2, nil
-}
-
 // Brent finds a root of f in [lo, hi] by Brent's method (inverse quadratic
 // interpolation with bisection fallback). f(lo) and f(hi) must bracket a
 // sign change.
@@ -99,43 +70,6 @@ func BrentBracketed(f func(float64) float64, lo, hi, flo, fhi, tol float64) (flo
 		}
 	}
 	return b, nil
-}
-
-// Newton iterates x <- x - f(x)/df(x) from x0 until |step| < tol. It returns
-// ErrNoConvergence if 100 iterations do not suffice or the derivative
-// vanishes.
-func Newton(f, df func(float64) float64, x0, tol float64) (float64, error) {
-	x := x0
-	for i := 0; i < 100; i++ {
-		d := df(x)
-		if d == 0 || math.IsNaN(d) {
-			return x, ErrNoConvergence
-		}
-		step := f(x) / d
-		x -= step
-		if math.Abs(step) < tol {
-			return x, nil
-		}
-	}
-	return x, ErrNoConvergence
-}
-
-// FindBracketUp searches upward from lo by repeated doubling until f changes
-// sign relative to f(lo), returning a bracketing interval. It gives up after
-// 200 doublings.
-func FindBracketUp(f func(float64) float64, lo, step float64) (a, b float64, err error) {
-	fa := f(lo)
-	x := lo
-	for i := 0; i < 200; i++ {
-		next := x + step
-		fn := f(next)
-		if math.Signbit(fn) != math.Signbit(fa) || fn == 0 {
-			return x, next, nil
-		}
-		x = next
-		step *= 2
-	}
-	return 0, 0, ErrBracket
 }
 
 // MinimizeGolden locates the minimum of unimodal f on [lo, hi] by golden

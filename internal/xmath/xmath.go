@@ -1,8 +1,6 @@
 // Package xmath supplies the numerical routines the rest of the module is
-// built on: special functions (regularized incomplete gamma and beta),
-// exact binomial and Poisson tails, Chernoff/large-deviation helpers, robust
-// one-dimensional root finding, compensated summation and a small
-// Nelder-Mead simplex optimizer.
+// built on: one-dimensional root finding and minimization, polynomial
+// roots, compensated summation and a small Nelder-Mead simplex optimizer.
 //
 // The Go standard library deliberately ships only a thin math package; this
 // package fills the gap the reproduction needs (distribution fitting and
@@ -14,270 +12,9 @@ import (
 	"math"
 )
 
-// Machine-level tolerances used throughout the package.
-const (
-	// Eps is the relative spacing of float64 values near 1.
-	Eps = 2.220446049250313e-16
-	// TinyFloor guards divisions in continued-fraction evaluations.
-	TinyFloor = 1e-300
-)
-
-// ErrNoConvergence is returned when an iterative routine exceeds its
-// iteration budget without meeting its tolerance.
-var ErrNoConvergence = errors.New("xmath: iteration did not converge")
-
 // ErrBracket is returned when a root finder is given an interval whose
 // endpoints do not bracket a sign change.
 var ErrBracket = errors.New("xmath: interval does not bracket a root")
-
-// GammaP computes the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x)/Γ(a) for a > 0, x >= 0.
-//
-// P(a, x) is the CDF at x of a Gamma(a, 1) random variable; Erlang and
-// Poisson probabilities reduce to it.
-func GammaP(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 0
-	case x < a+1:
-		return gammaPSeries(a, x)
-	default:
-		return 1 - gammaQContinuedFraction(a, x)
-	}
-}
-
-// GammaQ computes the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x). It keeps precision for large x where P(a,x) -> 1.
-func GammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	case x < a+1:
-		return 1 - gammaPSeries(a, x)
-	default:
-		return gammaQContinuedFraction(a, x)
-	}
-}
-
-// gammaPSeries evaluates P(a,x) by its power series, accurate for x < a+1.
-func gammaPSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1.0 / a
-	del := sum
-	for n := 0; n < 500; n++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*Eps {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// gammaQContinuedFraction evaluates Q(a,x) by the Lentz continued fraction,
-// accurate for x >= a+1.
-func gammaQContinuedFraction(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / TinyFloor
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < TinyFloor {
-			d = TinyFloor
-		}
-		c = b + an/c
-		if math.Abs(c) < TinyFloor {
-			c = TinyFloor
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < Eps {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// BetaInc computes the regularized incomplete beta function I_x(a, b) for
-// a, b > 0 and x in [0, 1]. It is the CDF of a Beta(a, b) random variable and
-// yields exact binomial tails.
-func BetaInc(a, b, x float64) float64 {
-	switch {
-	case a <= 0 || b <= 0 || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 0
-	case x >= 1:
-		return 1
-	}
-	lga, _ := math.Lgamma(a)
-	lgb, _ := math.Lgamma(b)
-	lgab, _ := math.Lgamma(a + b)
-	front := math.Exp(lgab - lga - lgb + a*math.Log(x) + b*math.Log1p(-x))
-	if x < (a+1)/(a+b+2) {
-		return front * betaCF(a, b, x) / a
-	}
-	return 1 - math.Exp(lgab-lga-lgb+b*math.Log1p(-x)+a*math.Log(x))*betaCF(b, a, 1-x)/b
-}
-
-// betaCF evaluates the continued fraction for BetaInc by the modified Lentz
-// method.
-func betaCF(a, b, x float64) float64 {
-	qab := a + b
-	qap := a + 1
-	qam := a - 1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < TinyFloor {
-		d = TinyFloor
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= 500; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < TinyFloor {
-			d = TinyFloor
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < TinyFloor {
-			c = TinyFloor
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < TinyFloor {
-			d = TinyFloor
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < TinyFloor {
-			c = TinyFloor
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < Eps {
-			break
-		}
-	}
-	return h
-}
-
-// BinomialTail returns P(X >= k) for X ~ Binomial(n, p), computed exactly via
-// the incomplete beta function (no summation loss).
-func BinomialTail(n int, p float64, k int) float64 {
-	switch {
-	case n < 0 || math.IsNaN(p):
-		return math.NaN()
-	case k <= 0:
-		return 1
-	case k > n:
-		return 0
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return 1
-	}
-	return BetaInc(float64(k), float64(n-k+1), p)
-}
-
-// BinomialPMF returns P(X = k) for X ~ Binomial(n, p) using log-space
-// evaluation so large n stays finite.
-func BinomialPMF(n int, p float64, k int) float64 {
-	if k < 0 || k > n || n < 0 {
-		return 0
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p >= 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	return math.Exp(LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
-}
-
-// LogChoose returns log(n choose k) via log-gamma.
-func LogChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	ln, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return ln - lk - lnk
-}
-
-// PoissonTail returns P(X >= k) for X ~ Poisson(mu), exactly:
-// P(X >= k) = P(k, mu) (regularized lower incomplete gamma).
-func PoissonTail(mu float64, k int) float64 {
-	switch {
-	case mu < 0 || math.IsNaN(mu):
-		return math.NaN()
-	case k <= 0:
-		return 1
-	case mu == 0:
-		return 0
-	}
-	return GammaP(float64(k), mu)
-}
-
-// PoissonPMF returns P(X = k) for X ~ Poisson(mu) in log space.
-func PoissonPMF(mu float64, k int) float64 {
-	if k < 0 || mu < 0 {
-		return 0
-	}
-	if mu == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	lk, _ := math.Lgamma(float64(k + 1))
-	return math.Exp(float64(k)*math.Log(mu) - mu - lk)
-}
-
-// ErlangTail returns P(X > x) for X ~ Erlang(k, rate), k >= 1, rate > 0,
-// using the regularized upper incomplete gamma function.
-func ErlangTail(k int, rate, x float64) float64 {
-	switch {
-	case k < 1 || rate <= 0:
-		return math.NaN()
-	case x <= 0:
-		return 1
-	}
-	return GammaQ(float64(k), rate*x)
-}
-
-// ErlangCDF returns P(X <= x) for X ~ Erlang(k, rate).
-func ErlangCDF(k int, rate, x float64) float64 {
-	switch {
-	case k < 1 || rate <= 0:
-		return math.NaN()
-	case x <= 0:
-		return 0
-	}
-	return GammaP(float64(k), rate*x)
-}
 
 // KahanSum accumulates a sum in compensated (Kahan-Babuska) arithmetic.
 // The zero value is ready to use.
@@ -299,30 +36,6 @@ func (k *KahanSum) Add(v float64) {
 
 // Sum returns the compensated total.
 func (k *KahanSum) Sum() float64 { return k.sum + k.c }
-
-// SumSlice returns the compensated sum of xs.
-func SumSlice(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Sum()
-}
-
-// Linspace fills a slice with n evenly spaced points from lo to hi inclusive.
-// n must be at least 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
-}
 
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
