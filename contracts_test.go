@@ -72,6 +72,16 @@ var contracts = []contract{
 		jobs: []string{"verify", "race"},
 	},
 	{
+		id:   "factor-laws-validated",
+		what: "the wait law W passes Mix.Validate at serve time, whose probe grid matches Mix.Tail within 1e-12 and which rejects NaN and imaginary mass of either sign; the position law P is not validated at serve time, because one Erlang ladder at beta > 0 with K-1 weights 1/(K-1) is a probability law by construction, checked for K 2-200",
+		tests: []string{
+			"internal/mgf:TestValidateGridMatchesTail",
+			"internal/mgf:TestValidateRejectsNonFiniteAndImaginaryMass",
+			"internal/queueing:TestPositionMixValidByConstruction",
+		},
+		jobs: []string{"verify"},
+	},
+	{
 		id:   "dimension-bracket",
 		what: "a dimensioning answer is a probed feasible load with a probed infeasible one less than 1e-6 above it, within 1e-6 of bisection's, after at most 24 evaluations",
 		tests: []string{

@@ -336,6 +336,3 @@ func ddSeries(w1, w2 complex128, top int) complex128 {
 	}
 	return sum
 }
-
-// CDF returns TotalMass - Tail(x).
-func (s Sum) CDF(x float64) float64 { return s.TotalMass() - s.Tail(x) }

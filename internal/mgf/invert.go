@@ -25,14 +25,14 @@ import (
 //
 // A Sum's inversion seeds the stage-1 walk from its own factors. The
 // factors are independent and non-negative, so P(U+W+P > x) >=
-// max(P(U > x), P(W > x), P(P > x)) and the largest factor quantile is a
-// lower bound on the answer. Each factor quantile is a closed-form Mix
-// inversion, and the walk starts at the seed's rung instead of rung 0. A
-// Mix starts at rung 0. The seed is a function of the law and the level
-// alone, so an inversion carries no state from the previous one. Whatever
-// rung the walk starts at, stage 2 sees the same bracket and the same
-// endpoint values: a seed changes how much work is done, never what is
-// computed.
+// max(P(U > x), P(W > x), P(P > x)), and any rung at which a factor's tail
+// is above the target lies below the answer. The seed is the highest such
+// rung, found with a few closed-form factor tails, and the walk starts there
+// instead of at rung 0. A Mix starts at rung 0. The seed is a function of
+// the law and the level alone, so an inversion carries no state from the
+// previous one. Whatever rung the walk starts at, stage 2 sees the same
+// bracket and the same endpoint values: a seed changes how much work is
+// done, never what is computed.
 
 // maxDoubling caps the dyadic bracket search: 2^200 means away from the
 // mean, far beyond any law with a finite tail.
@@ -56,15 +56,29 @@ func (s Sum) Quantile(p float64) (float64, error) {
 	return invertTail(s.Tail, s.Mean(), p, 1e-10, s.seed(p))
 }
 
-// seed returns the largest p-quantile of the Sum's factors: a lower bound
-// on the Sum's own p-quantile. A failed factor inversion contributes 0.
+// seed returns the rung of the Sum's own ladder (step = mean, as in
+// invertTail) the bracket walk starts from: step·2^j for the largest j >= 0
+// at which some factor's tail is still above 1-p, or 0 when no factor's is
+// at rung 0. P(U+W+P > x) is at least every factor's tail, so the Sum's
+// tail is above 1-p there too and the rung lies below the Sum's p-quantile.
+// Each factor's search resumes from the rung the previous factor reached,
+// so a seed costs about j+3 factor tails.
 func (s Sum) seed(p float64) float64 {
-	x := 0.0
-	for _, f := range []Mix{s.u, s.w, s.p} {
-		q, _ := f.Quantile(p)
-		x = max(x, q)
+	step := s.Mean()
+	if !(step > 0) {
+		step = 1
 	}
-	return x
+	target := 1 - p
+	j := -1
+	for _, f := range []Mix{s.u, s.w, s.p} {
+		for j < maxDoubling && f.Tail(math.Ldexp(step, j+1)) > target {
+			j++
+		}
+	}
+	if j < 0 {
+		return 0
+	}
+	return math.Ldexp(step, j)
 }
 
 // invertTail returns the smallest x >= 0 with Tail(x) <= 1-p, for a

@@ -1,12 +1,61 @@
 package mgf
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"testing"
 
 	"fpsping/internal/dist"
 )
+
+// Test-only views of a Mix: the served pipeline reads tails and quantiles
+// alone.
+
+// Clone deep-copies m.
+func (m Mix) Clone() Mix {
+	out := Mix{Atom: m.Atom, Terms: make([]Term, len(m.Terms))}
+	for i, t := range m.Terms {
+		out.Terms[i] = Term{Pole: t.Pole, Coef: append([]complex128(nil), t.Coef...)}
+	}
+	return out
+}
+
+// Scale multiplies all mass by w (atom and coefficients).
+func (m Mix) Scale(w float64) Mix {
+	out := m.Clone()
+	out.Atom *= w
+	for i := range out.Terms {
+		for j := range out.Terms[i].Coef {
+			out.Terms[i].Coef[j] *= complex(w, 0)
+		}
+	}
+	return out
+}
+
+// CDF returns P(X <= x) = TotalMass - Tail(x) (for a normalized mix, 1-Tail).
+func (m Mix) CDF(x float64) float64 { return m.TotalMass() - m.Tail(x) }
+
+// PDF returns the density of the absolutely continuous part at x > 0.
+func (m Mix) PDF(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	var sum complex128
+	for _, t := range m.Terms {
+		px := t.Pole * complex(x, 0)
+		// density of Erlang(n, p): p e^{-px} (px)^{n-1}/(n-1)!
+		f := t.Pole * cmplx.Exp(-px) // n = 1
+		last := len(t.Coef) - 1
+		for i, c := range t.Coef {
+			sum += c * f
+			if i < last {
+				f *= divRe(px, float64(i+1))
+			}
+		}
+	}
+	return real(sum)
+}
 
 func TestExponentialMixBasics(t *testing.T) {
 	m := NewExponential(1, 2) // Exp(2)
@@ -252,6 +301,40 @@ func TestValidateCatchesBadMixes(t *testing.T) {
 	neg.Atom = -0.4
 	if err := neg.Validate(); err == nil {
 		t.Error("accepted negative atom")
+	}
+}
+
+// TestValidateRejectsNonFiniteAndImaginaryMass pins the NaN-rejecting form
+// of Validate's checks and the two-sided bound on the imaginary mass: a NaN
+// atom, coefficient or pole, an infinite mean and an imaginary mass of
+// either sign beyond 1e-8 are all invalid, while rounding-sized residues
+// still validate.
+func TestValidateRejectsNonFiniteAndImaginaryMass(t *testing.T) {
+	withCoef := func(c complex128) Mix {
+		return Mix{Terms: []Term{{Pole: 1, Coef: []complex128{c}}}}
+	}
+	nanAtom := NewExponential(1, 1)
+	nanAtom.Atom = math.NaN()
+	for name, m := range map[string]Mix{
+		"NaN atom":                nanAtom,
+		"NaN coefficient":         withCoef(complex(math.NaN(), 0)),
+		"NaN pole":                {Terms: []Term{{Pole: complex(math.NaN(), 0), Coef: []complex128{1}}}},
+		"infinite mean":           NewExponential(1, 1e-320),
+		"imaginary mass -0.01":    withCoef(complex(1, -0.01)),
+		"imaginary mass +0.01":    withCoef(complex(1, 0.01)),
+		"imaginary mass -2e-8":    withCoef(complex(1, -2e-8)),
+		"infinite mass":           withCoef(complex(math.Inf(1), 0)),
+		"NaN imaginary mass":      withCoef(complex(1, math.NaN())),
+		"infinite imaginary mass": withCoef(complex(1, math.Inf(-1))),
+	} {
+		if err := m.Validate(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: Validate = %v, want ErrInvalid", name, err)
+		}
+	}
+	for _, im := range []float64{-1e-9, 1e-9} {
+		if err := withCoef(complex(1, im)).Validate(); err != nil {
+			t.Errorf("imaginary mass %g: %v", im, err)
+		}
 	}
 }
 

@@ -218,7 +218,9 @@ func (sol *DEK1Solution) WaitMix() (mgf.Mix, error) {
 //	P(s) = (1/(K-1)) * sum_{m=1..K-1} (beta/(beta-s))^m,
 //
 // a uniform mixture of Erlang(m, beta) delays. The paper restricts this case
-// to K > 1 (K = 1 has a branch point, eq. 33).
+// to K > 1 (K = 1 has a branch point, eq. 33). The law is one Erlang ladder
+// at the real rate beta > 0 with K-1 weights 1/(K-1), a probability law by
+// construction, so it is not validated.
 func (q DEK1) PositionMixUniform() (mgf.Mix, error) {
 	if q.K < 2 {
 		return mgf.Mix{}, fmt.Errorf("%w: uniform position law needs K >= 2 (got %d); see eq. (33)", ErrBadParam, q.K)
@@ -230,8 +232,5 @@ func (q DEK1) PositionMixUniform() (mgf.Mix, error) {
 	}
 	var m mgf.Mix
 	m.AddTerm(complex(q.Beta(), 0), coef)
-	if err := m.Validate(); err != nil {
-		return mgf.Mix{}, err
-	}
 	return m, nil
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 )
@@ -186,11 +185,6 @@ func (t *Trace) Duration() float64 {
 		}
 	}
 	return maxT - minT
-}
-
-// Clone deep-copies the trace.
-func (t *Trace) Clone() *Trace {
-	return &Trace{records: slices.Clone(t.records)}
 }
 
 // csvHeader is the column layout of the CSV codec.

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -259,6 +260,11 @@ func TestAnalyzeEmpty(t *testing.T) {
 	if _, err := Analyze(New(), 0.01); err != ErrEmptyTrace {
 		t.Errorf("want ErrEmptyTrace, got %v", err)
 	}
+}
+
+// Clone deep-copies the trace.
+func (t *Trace) Clone() *Trace {
+	return &Trace{records: slices.Clone(t.records)}
 }
 
 func TestClone(t *testing.T) {
