@@ -166,9 +166,10 @@ var contracts = []contract{
 	},
 	{
 		id:   "production-reachable",
-		what: "every top-level function and method in non-test Go, perfbench/ included, is reached from a binary's main or init, or is on a short allowlist with a reason",
+		what: "every top-level function and method in non-test Go, perfbench/ included, is reached from a binary's main or init, or is on a short allowlist with a reason; reachability is type-exact, following go/types objects and never method names, and its verdicts on a fixture module (a shared method name, an implicitly instantiated generic interface, an Unwrap reached only through errors.Is) are pinned",
 		tests: []string{
 			".:TestProductionReachable",
+			".:TestReachabilityFixture",
 		},
 		jobs: []string{"verify"},
 	},

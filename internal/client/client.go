@@ -29,8 +29,8 @@ import (
 )
 
 // DefaultTimeout bounds one request (dial + send + full response) unless
-// WithTimeout or WithHTTPClient overrides it. Cold dimensioning searches
-// run many quantile inversions, so the default is generous.
+// WithTimeout overrides it. Cold dimensioning searches run many quantile
+// inversions, so the default is generous.
 const DefaultTimeout = 60 * time.Second
 
 // maxResponseBytes bounds response bodies read into memory; the largest
@@ -45,13 +45,6 @@ type Client struct {
 
 // Option configures a Client at construction.
 type Option func(*Client)
-
-// WithHTTPClient replaces the whole underlying *http.Client (transport,
-// timeout, cookie jar). Later options still apply on top of it.
-func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
-
-// WithTransport replaces only the transport, keeping the client's timeout.
-func WithTransport(rt http.RoundTripper) Option { return func(c *Client) { c.hc.Transport = rt } }
 
 // WithTimeout sets the per-request timeout (0 means no timeout beyond the
 // context's).

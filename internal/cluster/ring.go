@@ -104,9 +104,6 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Replicas returns the ring's replica names in construction order.
-func (r *Ring) Replicas() []string { return append([]string(nil), r.replicas...) }
-
 // Size returns the number of replicas.
 func (r *Ring) Size() int { return len(r.replicas) }
 

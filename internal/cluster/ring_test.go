@@ -160,7 +160,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("scenario-%d", i)
 		a, b := old.Owner(key), grown.Owner(key)
-		if old.Replicas()[a] == grown.Replicas()[b] {
+		if old.replicas[a] == grown.replicas[b] {
 			continue
 		}
 		moved++

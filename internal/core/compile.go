@@ -19,25 +19,22 @@ import (
 // Front ends cache CompiledModels (the daemon keeps them in its point memo).
 
 // CompiledLaw pairs a delay law with a per-level cache of solved quantiles.
-// It is safe for concurrent use: the underlying laws are immutable and the
+// It is safe for concurrent use: the underlying law is immutable and the
 // cache is mutex-guarded, so a CompiledLaw can live in a shared memo entry.
 type CompiledLaw struct {
-	law mgf.Law
+	law mgf.Sum
 
 	mu     sync.Mutex
 	solved map[float64]float64 // quantile level -> queueing-delay quantile
 }
 
 // newCompiledLaw wraps a delay law for repeated evaluation.
-func newCompiledLaw(l mgf.Law) *CompiledLaw {
+func newCompiledLaw(l mgf.Sum) *CompiledLaw {
 	return &CompiledLaw{law: l, solved: make(map[float64]float64)}
 }
 
 // Law returns the underlying delay law.
-func (c *CompiledLaw) Law() mgf.Law { return c.law }
-
-// Tail returns P(D > x) for the queueing delay D.
-func (c *CompiledLaw) Tail(x float64) float64 { return c.law.Tail(x) }
+func (c *CompiledLaw) Law() mgf.Sum { return c.law }
 
 // Mean returns E[D].
 func (c *CompiledLaw) Mean() float64 { return c.law.Mean() }
@@ -52,7 +49,7 @@ func (c *CompiledLaw) Quantile(p float64) (float64, error) {
 	if ok {
 		return q, nil
 	}
-	q, err := mgf.Quantile(c.law, p)
+	q, err := c.law.Quantile(p)
 	if err != nil {
 		return 0, err
 	}
@@ -77,14 +74,14 @@ type CompiledModel struct {
 
 // Compile runs the expensive stages of the pipeline once: validates the
 // scenario, builds the upstream M/D/1 and downstream D/E_K/1 factor mixes
-// (factorMixes) and combines them into the total queueing-delay law
-// (combineLaw). Everything after this is cheap arithmetic over the result.
+// (factorMixes) and combines them into the total queueing-delay law, an
+// mgf.Sum. Everything after this is cheap arithmetic over the result.
 func (m Model) Compile() (*CompiledModel, error) {
 	du, w, p, err := m.factorMixes()
 	if err != nil {
 		return nil, err
 	}
-	law, err := combineLaw(du, w, p)
+	law, err := mgf.NewSum(du, w, p)
 	if err != nil {
 		return nil, err
 	}

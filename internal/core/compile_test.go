@@ -230,7 +230,7 @@ func (cm *CompiledModel) rttTail(d float64) (float64, error) {
 	if x < 0 {
 		return 1, nil
 	}
-	return cm.law.Tail(x), nil
+	return cm.law.law.Tail(x), nil
 }
 
 // rttTail returns P(RTT > d).

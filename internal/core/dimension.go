@@ -203,13 +203,3 @@ func (m Model) MaxLoadWith(rttBound float64, rttAt PointEval) (DimensioningResul
 		Bound:           rttBound,
 	}, nil
 }
-
-// MaxGamers is the paper's closing formula: the whole-gamer count supported
-// under the bound.
-func (m Model) MaxGamers(rttBound float64) (int, error) {
-	res, err := m.MaxLoad(rttBound)
-	if err != nil {
-		return 0, err
-	}
-	return res.MaxGamers, nil
-}

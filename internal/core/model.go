@@ -200,22 +200,6 @@ func (m Model) factorMixes() (du, w, p mgf.Mix, err error) {
 	return du, w, p, nil
 }
 
-// combineLaw returns the law of the total queueing delay Du+W+P from its
-// three factors, kept apart and evaluated in closed form (see mgf.Sum).
-func combineLaw(du, w, p mgf.Mix) (mgf.Law, error) {
-	return mgf.NewSum(du, w, p)
-}
-
-// DelayLaw returns the law of the total queueing delay Du+W+P (eq. 35,
-// excluding the deterministic part).
-func (m Model) DelayLaw() (mgf.Law, error) {
-	du, w, p, err := m.factorMixes()
-	if err != nil {
-		return nil, err
-	}
-	return combineLaw(du, w, p)
-}
-
 // RTTQuantile returns the RTT quantile (seconds): the queueing-delay quantile
 // plus the deterministic part. This is the paper's headline metric. One-shot
 // form of Compile().RTTQuantile(); callers needing several evaluations of

@@ -35,17 +35,6 @@ func (ms MultiServer) TotalGamers() float64 {
 	return float64(ms.Servers) * ms.PerServer.Gamers
 }
 
-// DownlinkLoad returns the aggregate downstream load: S times one server's
-// eq. (37) load.
-func (ms MultiServer) DownlinkLoad() float64 {
-	return float64(ms.Servers) * ms.PerServer.DownlinkLoad()
-}
-
-// UplinkLoad returns the aggregate upstream load.
-func (ms MultiServer) UplinkLoad() float64 {
-	return float64(ms.Servers) * ms.PerServer.UplinkLoad()
-}
-
 // Upstream returns the M/D/1 queue fed by every server's client population.
 func (ms MultiServer) Upstream() (queueing.MD1, error) {
 	m := ms.PerServer
@@ -65,37 +54,37 @@ func (ms MultiServer) Downstream() (queueing.MEK1, error) {
 
 // DelayLaw returns the total queueing-delay law Du*W*P with the downstream
 // factors taken from the M/E_K/1 queue.
-func (ms MultiServer) DelayLaw() (mgf.Law, error) {
+func (ms MultiServer) DelayLaw() (mgf.Sum, error) {
 	if err := ms.Validate(); err != nil {
-		return nil, err
+		return mgf.Sum{}, err
 	}
 	up, err := ms.Upstream()
 	if err != nil {
-		return nil, fmt.Errorf("core: multiserver upstream: %w", err)
+		return mgf.Sum{}, fmt.Errorf("core: multiserver upstream: %w", err)
 	}
 	du, err := up.WaitMixPaper()
 	if err != nil {
-		return nil, err
+		return mgf.Sum{}, err
 	}
 	down, err := ms.Downstream()
 	if err != nil {
-		return nil, fmt.Errorf("core: multiserver downstream: %w", err)
+		return mgf.Sum{}, fmt.Errorf("core: multiserver downstream: %w", err)
 	}
 	// One root solve of the M/E_K/1 denominator serves the waiting law (the
 	// position law depends only on the burst-size parameters).
 	sol, err := down.Solve()
 	if err != nil {
-		return nil, err
+		return mgf.Sum{}, err
 	}
 	w, err := sol.WaitMix()
 	if err != nil {
-		return nil, err
+		return mgf.Sum{}, err
 	}
 	p, err := down.PositionMixUniform()
 	if err != nil {
-		return nil, err
+		return mgf.Sum{}, err
 	}
-	return combineLaw(du, w, p)
+	return mgf.NewSum(du, w, p)
 }
 
 // Compile stages the multi-server pipeline once: the combined delay law is
@@ -108,28 +97,6 @@ func (ms MultiServer) Compile() (*CompiledLaw, error) {
 		return nil, err
 	}
 	return newCompiledLaw(law), nil
-}
-
-// RTTQuantile returns the RTT quantile including the deterministic part.
-func (ms MultiServer) RTTQuantile() (float64, error) {
-	cl, err := ms.Compile()
-	if err != nil {
-		return 0, err
-	}
-	q, err := cl.Quantile(ms.PerServer.quantile())
-	if err != nil {
-		return 0, err
-	}
-	return q + ms.PerServer.FixedPart(), nil
-}
-
-// MeanRTT returns the mean round trip time.
-func (ms MultiServer) MeanRTT() (float64, error) {
-	law, err := ms.DelayLaw()
-	if err != nil {
-		return 0, err
-	}
-	return law.Mean() + ms.PerServer.FixedPart(), nil
 }
 
 // String summarizes the scenario.

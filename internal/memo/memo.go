@@ -63,25 +63,9 @@ func New[V any](capacity, shards int) *Cache[V] {
 	}
 }
 
-// Get returns the cached value and marks it most recently used, counting a
-// hit or a miss.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		var zero V
-		return zero, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*entry[V]).val, true
-}
-
 // Peek returns the cached value without side effects: no hit/miss counting
 // and no recency update. It is for opportunistic reuse of auxiliary state a
-// value may carry (a compiled pipeline, a derived table) where a plain Get
+// value may carry (a compiled pipeline, a derived table) where a lookup by Do
 // would distort the client-visible cache statistics.
 func (c *Cache[V]) Peek(key string) (V, bool) {
 	c.mu.Lock()
@@ -115,13 +99,6 @@ func (c *Cache[V]) putLocked(key string, val V) {
 		c.evictions++
 	}
 	c.items[key] = c.order.PushFront(&entry[V]{key: key, val: val})
-}
-
-// Len returns the number of cached entries.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }
 
 // Do answers key from the cache, joining an identical in-flight computation

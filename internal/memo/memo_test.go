@@ -8,6 +8,20 @@ import (
 	"testing"
 )
 
+// errMiss is the failure get's compute returns, so a miss caches nothing.
+var errMiss = errors.New("miss")
+
+// get looks key up through Do: a hit counts and touches recency exactly as
+// every cached answer does, and a miss counts and leaves the cache as it
+// was.
+func get[V any](c *Cache[V], key string) (V, bool) {
+	v, _, err := c.Do(key, func() (V, error) {
+		var zero V
+		return zero, errMiss
+	})
+	return v, err == nil
+}
+
 func TestSingleShardLRUSemantics(t *testing.T) {
 	// The cache is a plain LRU: the engine cache's eviction-order contract
 	// must hold exactly.
@@ -16,10 +30,10 @@ func TestSingleShardLRUSemantics(t *testing.T) {
 	c.Put("b", 2)
 	c.Put("a", 10) // update, not insert: moves a to front
 	c.Put("c", 3)  // evicts b, the LRU entry
-	if _, ok := c.Get("b"); ok {
+	if _, ok := get(c, "b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if v, ok := c.Get("a"); !ok || v != 10 {
+	if v, ok := get(c, "a"); !ok || v != 10 {
 		t.Errorf("a = %v, %v", v, ok)
 	}
 	st := c.Stats()
@@ -35,12 +49,12 @@ func TestGetTouchesRecency(t *testing.T) {
 	c := New[int](2, 1)
 	c.Put("a", 1)
 	c.Put("b", 2)
-	c.Get("a")    // a becomes most recently used
+	get(c, "a")   // a becomes most recently used
 	c.Put("c", 3) // evicts b
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, "a"); !ok {
 		t.Error("touched entry evicted")
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := get(c, "b"); ok {
 		t.Error("untouched entry survived")
 	}
 }
@@ -60,7 +74,7 @@ func TestExactCapacityIgnoresShards(t *testing.T) {
 			capacity, st.Entries, st.Evictions, capacity)
 	}
 	// key-0 is the oldest; touching it makes key-1 the global LRU entry.
-	c.Get("key-0")
+	get(c, "key-0")
 	c.Put("overflow", -1)
 	if _, ok := c.Peek("key-1"); ok {
 		t.Error("key-1, the least recently used entry, survived the overflow put")
@@ -139,8 +153,8 @@ func TestDoErrorsNotCached(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("failing compute ran %d times, want 2 (errors are never cached)", calls)
 	}
-	if c.Len() != 0 {
-		t.Errorf("failed computes left %d entries", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Errorf("failed computes left %d entries", c.Stats().Entries)
 	}
 }
 
@@ -195,8 +209,8 @@ func TestDoDistinctKeysDoNotCoalesce(t *testing.T) {
 			t.Fatalf("key %s: v=%d shared=%v err=%v", key, v, shared, err)
 		}
 	}
-	if c.Len() != 20 {
-		t.Errorf("Len = %d, want 20", c.Len())
+	if c.Stats().Entries != 20 {
+		t.Errorf("Len = %d, want 20", c.Stats().Entries)
 	}
 }
 
@@ -204,7 +218,7 @@ func TestZeroValueHit(t *testing.T) {
 	// A stored zero value is still a hit (the ok bool disambiguates).
 	c := New[int](8, 1)
 	c.Put("zero", 0)
-	if v, ok := c.Get("zero"); !ok || v != 0 {
+	if v, ok := get(c, "zero"); !ok || v != 0 {
 		t.Errorf("zero value: v=%d ok=%v", v, ok)
 	}
 }

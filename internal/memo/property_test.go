@@ -85,7 +85,7 @@ func TestPropertyLRUMatchesReference(t *testing.T) {
 					c.Put(key, val)
 					ref.put(key, val)
 				} else {
-					got, gotOK := c.Get(key)
+					got, gotOK := get(c, key)
 					want, wantOK := ref.get(key)
 					if gotOK != wantOK || got != want {
 						t.Fatalf("shards=%d seed %d op %d: Get(%s) = (%d, %v), reference (%d, %v)",

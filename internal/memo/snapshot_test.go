@@ -76,7 +76,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			// Shuffle recency with a burst of Gets so order differs from
 			// insertion order.
 			for i := 0; i < tc.keys; i++ {
-				src.Get(fmt.Sprintf("key-%03d", rng.Intn(tc.keys)))
+				get(src, fmt.Sprintf("key-%03d", rng.Intn(tc.keys)))
 			}
 			statsBefore := src.Stats()
 
@@ -88,11 +88,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
-			if st.Restored != src.Len() || st.SkippedExisting != 0 || st.SkippedFull != 0 {
-				t.Fatalf("RestoreStats %+v, want %d restored and nothing skipped", st, src.Len())
+			if st.Restored != src.Stats().Entries || st.SkippedExisting != 0 || st.SkippedFull != 0 {
+				t.Fatalf("RestoreStats %+v, want %d restored and nothing skipped", st, src.Stats().Entries)
 			}
-			if dst.Len() != src.Len() {
-				t.Fatalf("restored %d entries, want %d", dst.Len(), src.Len())
+			if dst.Stats().Entries != src.Stats().Entries {
+				t.Fatalf("restored %d entries, want %d", dst.Stats().Entries, src.Stats().Entries)
 			}
 			srcOrder := recencyOrder(src)
 			if dstOrder := recencyOrder(dst); fmt.Sprint(srcOrder) != fmt.Sprint(dstOrder) {
@@ -144,8 +144,8 @@ func TestSnapshotSkipsUncodableEntries(t *testing.T) {
 	if _, ok := dst.Peek("skip|compiled"); ok {
 		t.Fatal("skipped entry resurfaced after restore")
 	}
-	if dst.Len() != 2 {
-		t.Fatalf("restored %d entries, want 2", dst.Len())
+	if dst.Stats().Entries != 2 {
+		t.Fatalf("restored %d entries, want 2", dst.Stats().Entries)
 	}
 }
 
@@ -239,8 +239,8 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err %v, want %v", err, tc.want)
 			}
-			if dst.Len() != 0 {
-				t.Fatalf("rejected restore still applied %d entries", dst.Len())
+			if dst.Stats().Entries != 0 {
+				t.Fatalf("rejected restore still applied %d entries", dst.Stats().Entries)
 			}
 		})
 	}
@@ -266,8 +266,8 @@ func TestRestoreRejectsCorruptionBeforeApplying(t *testing.T) {
 				// single-bit collision impossible.
 				t.Fatalf("byte %d flip %#x: corrupt snapshot accepted", i, flip)
 			}
-			if dst.Len() != 0 {
-				t.Fatalf("byte %d flip %#x: half-restored %d entries", i, flip, dst.Len())
+			if dst.Stats().Entries != 0 {
+				t.Fatalf("byte %d flip %#x: half-restored %d entries", i, flip, dst.Stats().Entries)
 			}
 		}
 	}
@@ -289,8 +289,8 @@ func TestSnapshotAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if st.Restored != 100 || dst.Len() != 100 {
-			t.Fatalf("shards=%d: restored %d/%d", shards, st.Restored, dst.Len())
+		if st.Restored != 100 || dst.Stats().Entries != 100 {
+			t.Fatalf("shards=%d: restored %d/%d", shards, st.Restored, dst.Stats().Entries)
 		}
 	}
 
@@ -304,9 +304,9 @@ func TestSnapshotAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Restored != capacity || st.SkippedFull != 0 || dst.Len() != capacity {
+	if st.Restored != capacity || st.SkippedFull != 0 || dst.Stats().Entries != capacity {
 		t.Fatalf("full dump into an equal-capacity cache: %+v, len %d; want all %d restored",
-			st, dst.Len(), capacity)
+			st, dst.Stats().Entries, capacity)
 	}
 }
 
@@ -324,7 +324,7 @@ func TestSnapshotRestoresEvictionOrder(t *testing.T) {
 	// used, perm[capacity-1] most.
 	perm := rand.New(rand.NewSource(3)).Perm(capacity)
 	for _, i := range perm {
-		src.Get(fmt.Sprintf("key-%02d", i))
+		get(src, fmt.Sprintf("key-%02d", i))
 	}
 	dst := New[string](capacity, 8)
 	if _, err := dst.Restore(bytes.NewReader(dump(t, src, "s")), "s", stringCodec{}); err != nil {
@@ -369,8 +369,8 @@ func TestFilterSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restoring filtered snapshot: %v", err)
 	}
-	if rst.Restored != 2 || dst.Len() != 2 {
-		t.Fatalf("filtered restore %+v len %d, want 2", rst, dst.Len())
+	if rst.Restored != 2 || dst.Stats().Entries != 2 {
+		t.Fatalf("filtered restore %+v len %d, want 2", rst, dst.Stats().Entries)
 	}
 	for _, key := range []string{"key-00", "key-10"} {
 		if _, ok := dst.Peek(key); !ok {
@@ -392,7 +392,7 @@ func TestSnapshotEmptyCache(t *testing.T) {
 	snap := dump(t, New[string](16, 2), "s")
 	dst := New[string](16, 2)
 	st, err := dst.Restore(bytes.NewReader(snap), "s", stringCodec{})
-	if err != nil || st.Restored != 0 || dst.Len() != 0 {
-		t.Fatalf("empty round trip: stats %+v len %d err %v", st, dst.Len(), err)
+	if err != nil || st.Restored != 0 || dst.Stats().Entries != 0 {
+		t.Fatalf("empty round trip: stats %+v len %d err %v", st, dst.Stats().Entries, err)
 	}
 }

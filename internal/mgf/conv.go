@@ -34,16 +34,6 @@ import (
 // formed, so deep tails stay finite, and no grid, cache or scratch outlives
 // one evaluation.
 
-// Law is the read side of a delay distribution: Mix and Sum implement it.
-type Law interface {
-	// Tail returns P(X > x).
-	Tail(x float64) float64
-	// Mean returns E[X].
-	Mean() float64
-	// TotalMass returns the total probability (1 for a normalized law).
-	TotalMass() float64
-}
-
 // Sum is the law of U+W+P for independent U, W and P: U and W are an atom
 // plus simple poles, P is an atom plus one Erlang ladder at a real rate.
 // Build one with NewSum. Tail is closed form and allocation-free for

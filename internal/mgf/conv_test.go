@@ -182,23 +182,22 @@ func TestSumQuantileErrorPaths(t *testing.T) {
 
 // TestQuantileWorkspaceStartsCold pins that every inversion starts cold:
 // Quantile keeps no workspace or other state between calls, so inverting
-// other laws first never changes the bits a law's inversion returns, and a
-// law type without an inversion is an error, not a panic.
+// other laws first never changes the bits a law's inversion returns.
 func TestQuantileWorkspaceStartsCold(t *testing.T) {
 	s := newSum(t, NewExponential(1, 0.4), NewExponential(1, 0.9), newErlang(1, 8, 0.3))
-	want, err := Quantile(s, 0.99999)
+	want, err := s.Quantile(0.99999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rate := range []float64{0.12, 0.25, 0.6} {
 		other := newSum(t, NewExponential(1, rate), NewExponential(1, 0.9), newErlang(1, 8, 0.3))
-		if _, err := Quantile(other, 0.99); err != nil {
+		if _, err := other.Quantile(0.99); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Quantile(newErlang(1, 4, rate), 0.99); err != nil {
+		if _, err := newErlang(1, 4, rate).Quantile(0.99); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Quantile(s, 0.99999)
+		got, err := s.Quantile(0.99999)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,17 +205,7 @@ func TestQuantileWorkspaceStartsCold(t *testing.T) {
 			t.Errorf("after law %d: answer %v != first answer %v", i, got, want)
 		}
 	}
-	if _, err := Quantile(opaque{}, 0.99); !errors.Is(err, ErrInvalid) {
-		t.Errorf("Quantile of an opaque law: err %v, want ErrInvalid", err)
-	}
 }
-
-// opaque is a Law with no inversion.
-type opaque struct{}
-
-func (opaque) Tail(float64) float64 { return 0 }
-func (opaque) Mean() float64        { return 1 }
-func (opaque) TotalMass() float64   { return 1 }
 
 // TestInvertTailRejectsNaN pins that a non-finite tail value is an error,
 // not a bracket end: a NaN compares as neither above nor under the target.

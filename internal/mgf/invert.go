@@ -38,19 +38,6 @@ import (
 // mean, far beyond any law with a finite tail.
 const maxDoubling = 200
 
-// Quantile returns the smallest x >= 0 with l.Tail(x) <= 1-p for a Mix or a
-// Sum.
-func Quantile(l Law, p float64) (float64, error) {
-	switch v := l.(type) {
-	case Mix:
-		return v.Quantile(p)
-	case Sum:
-		return v.Quantile(p)
-	default:
-		return 0, fmt.Errorf("%w: no inversion for law type %T", ErrInvalid, l)
-	}
-}
-
 // Quantile inverts the tail, starting the bracket walk at the factors' seed.
 func (s Sum) Quantile(p float64) (float64, error) {
 	return invertTail(s.Tail, s.Mean(), p, 1e-10, s.seed(p))

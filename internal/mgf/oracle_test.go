@@ -276,37 +276,25 @@ type oracleCase struct {
 	law  mgf.Sum
 }
 
-func sumOf(t *testing.T, name string, law mgf.Law, err error) oracleCase {
-	t.Helper()
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	s, ok := law.(mgf.Sum)
-	if !ok {
-		t.Fatalf("%s: law is %T, want mgf.Sum", name, law)
-	}
-	return oracleCase{name, s}
-}
-
 // oracleCases returns the paper grid K x rho, a multi-server law and the
 // PS=75 uplink corner, where the upstream pole nearly vanishes.
 func oracleCases(t *testing.T) []oracleCase {
 	var cases []oracleCase
 	for _, k := range []int{2, 3, 5, 8, 9, 12, 17, 18, 20, 25, 30} {
 		for _, rho := range []float64{0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95} {
-			name := fmt.Sprintf("K=%d rho=%g", k, rho)
-			law, err := paperModel(k).WithDownlinkLoad(rho).DelayLaw()
-			cases = append(cases, sumOf(t, name, law, err))
+			cases = append(cases, oracleCase{fmt.Sprintf("K=%d rho=%g", k, rho), paperSum(t, k, rho)})
 		}
 	}
 	ms := core.MultiServer{PerServer: paperModel(9), Servers: 4}
 	ms.PerServer.Gamers = 20
 	law, err := ms.DelayLaw()
-	cases = append(cases, sumOf(t, "multi-server S=4 N=20", law, err))
+	if err != nil {
+		t.Fatalf("multi-server: %v", err)
+	}
+	cases = append(cases, oracleCase{"multi-server S=4 N=20", law})
 	corner := paperModel(9)
 	corner.ServerPacketBytes = 75
-	law, err = corner.WithDownlinkLoad(0.93749).DelayLaw()
-	cases = append(cases, sumOf(t, "PS=75 rho=0.93749", law, err))
+	cases = append(cases, oracleCase{"PS=75 rho=0.93749", compiledSum(t, corner.WithDownlinkLoad(0.93749))})
 	return cases
 }
 
@@ -322,7 +310,7 @@ func TestSumTailMatchesOracle(t *testing.T) {
 			ol := newOracleLaw(c.law)
 			worst := 0.0
 			for _, p := range []float64{0.99, 0.999, 0.99999, 0.999999} {
-				q, err := mgf.Quantile(c.law, p)
+				q, err := c.law.Quantile(p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"testing"
 
+	"fpsping/internal/core"
 	"fpsping/internal/mgf"
 	"fpsping/internal/queueing"
 	"fpsping/internal/scenario"
@@ -78,11 +79,7 @@ func TestValidateGridMatchesTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
-		s, ok := cm.Law().Law().(mgf.Sum)
-		if !ok {
-			t.Fatalf("%s: law is not a Sum", query)
-		}
-		u, w, p := mgf.FactorsOf(s)
+		u, w, p := mgf.FactorsOf(cm.Law().Law())
 		for _, f := range []struct {
 			name string
 			m    mgf.Mix
@@ -97,15 +94,17 @@ func TestValidateGridMatchesTail(t *testing.T) {
 // order k and downlink load rho.
 func paperSum(tb testing.TB, k int, rho float64) mgf.Sum {
 	tb.Helper()
-	cm, err := paperModel(k).WithDownlinkLoad(rho).Compile()
+	return compiledSum(tb, paperModel(k).WithDownlinkLoad(rho))
+}
+
+// compiledSum is the compiled delay law of m.
+func compiledSum(tb testing.TB, m core.Model) mgf.Sum {
+	tb.Helper()
+	cm, err := m.Compile()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, ok := cm.Law().Law().(mgf.Sum)
-	if !ok {
-		tb.Fatal("law is not a Sum")
-	}
-	return s
+	return cm.Law().Law()
 }
 
 // BenchmarkMixValidate measures Validate on the D/E_K/1 wait law of the

@@ -68,7 +68,7 @@ func bisectionProbes(rttAt func(rho float64) (float64, error), bound, ceil float
 func TestSeededWalkStaysInBracket(t *testing.T) {
 	type point struct {
 		name string
-		law  mgf.Law
+		law  mgf.Sum
 		p    float64
 	}
 	var points []point
@@ -104,10 +104,7 @@ func TestSeededWalkStaysInBracket(t *testing.T) {
 
 	sums, seededEvals, coldEvals := 0, 0, 0
 	for _, pt := range points {
-		s, ok := pt.law.(mgf.Sum)
-		if !ok {
-			continue
-		}
+		s := pt.law
 		sums++
 		seed := mgf.SeedOf(s, pt.p)
 		want, n0, hi, err := countedWalk(s, pt.p, 0)

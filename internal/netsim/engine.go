@@ -48,10 +48,9 @@ func (h *eventHeap) Pop() interface{} {
 // fire in scheduling order, making runs fully deterministic for a fixed
 // seed.
 type Engine struct {
-	now     float64
-	seq     uint64
-	events  eventHeap
-	stopped bool
+	now    float64
+	seq    uint64
+	events eventHeap
 	// Processed counts executed events (for reporting and runaway guards).
 	Processed uint64
 }
@@ -83,8 +82,7 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 // remain. It returns the number of events processed in this call.
 func (e *Engine) Run(until float64) uint64 {
 	var n uint64
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		next := e.events[0]
 		if next.time > until {
 			break
@@ -100,6 +98,3 @@ func (e *Engine) Run(until float64) uint64 {
 	}
 	return n
 }
-
-// Stop halts Run after the current event.
-func (e *Engine) Stop() { e.stopped = true }

@@ -51,8 +51,6 @@ type Scheduler interface {
 	Enqueue(p *Packet) bool
 	// Dequeue removes and returns the next packet, or nil if empty.
 	Dequeue() *Packet
-	// QueuedBytes returns the total backlog in bytes.
-	QueuedBytes() int
 }
 
 // FIFO is a single shared queue with an optional byte limit (0 = unbounded):
@@ -87,9 +85,6 @@ func (f *FIFO) Dequeue() *Packet {
 	return p
 }
 
-// QueuedBytes returns the backlog.
-func (f *FIFO) QueuedBytes() int { return f.bytes }
-
 // HoLPriority serves ClassGaming strictly before ClassElastic
 // (non-preemptive head-of-line priority, §1).
 type HoLPriority struct {
@@ -123,9 +118,6 @@ func (h *HoLPriority) Dequeue() *Packet {
 	}
 	return nil
 }
-
-// QueuedBytes returns the backlog.
-func (h *HoLPriority) QueuedBytes() int { return h.bytes }
 
 // WFQ is a two-class self-clocked fair queueing scheduler (SCFQ), the
 // practical realization of the WFQ discussed in §1: each class is guaranteed
@@ -188,9 +180,6 @@ func (w *WFQ) Dequeue() *Packet {
 	return p
 }
 
-// QueuedBytes returns the backlog.
-func (w *WFQ) QueuedBytes() int { return w.bytes }
-
 // Link is a store-and-forward transmission line: packets serialize one at a
 // time at Rate bits per second, then ride a fixed propagation delay to the
 // destination handler. Serialization of the next packet overlaps the
@@ -252,6 +241,3 @@ func (l *Link) transmitNext() {
 		l.transmitNext()
 	})
 }
-
-// QueuedBytes exposes the current backlog.
-func (l *Link) QueuedBytes() int { return l.Sched.QueuedBytes() }

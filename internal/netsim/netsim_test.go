@@ -33,20 +33,6 @@ func TestEngineOrderingAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(0.1, func() { ran++; e.Stop() })
-	e.Schedule(0.2, func() { ran++ })
-	e.Run(1)
-	if ran != 1 {
-		t.Errorf("ran = %d, want stop after first", ran)
-	}
-	if len(e.events) != 1 {
-		t.Errorf("pending = %d", len(e.events))
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -93,10 +79,10 @@ func TestFIFOLimitDrops(t *testing.T) {
 	if !ok1 || !ok2 || ok3 {
 		t.Errorf("enqueue results %v %v %v", ok1, ok2, ok3)
 	}
-	if f.Drops != 1 || f.QueuedBytes() != 3000 {
-		t.Errorf("drops=%d bytes=%d", f.Drops, f.QueuedBytes())
+	if f.Drops != 1 || f.bytes != 3000 {
+		t.Errorf("drops=%d bytes=%d", f.Drops, f.bytes)
 	}
-	if p := f.Dequeue(); p == nil || f.QueuedBytes() != 1500 {
+	if p := f.Dequeue(); p == nil || f.bytes != 1500 {
 		t.Error("dequeue accounting broken")
 	}
 }
@@ -522,12 +508,14 @@ func TestMultiServerScenarioMatchesModel(t *testing.T) {
 		per.ErlangOrder = 9
 		per.DownlinkAccessRate = 1e9
 		per.Quantile = 0.999
-		ms := core.MultiServer{PerServer: per, Servers: servers}
-		modelQ, err = ms.RTTQuantile()
+		cl, err := core.MultiServer{PerServer: per, Servers: servers}.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return simQ, modelQ
+		if modelQ, err = cl.Quantile(per.Quantile); err != nil {
+			t.Fatal(err)
+		}
+		return simQ, modelQ + per.FixedPart()
 	}
 
 	sim4, model4 := run(4, 40)    // aggregate load 53.3%

@@ -181,15 +181,6 @@ func (sol *MEK1Solution) WaitMix() (mgf.Mix, error) {
 	return m, nil
 }
 
-// WaitMix is the one-shot form of Solve().WaitMix().
-func (q MEK1) WaitMix() (mgf.Mix, error) {
-	sol, err := q.Solve()
-	if err != nil {
-		return mgf.Mix{}, err
-	}
-	return sol.WaitMix()
-}
-
 // PositionMixUniform returns the in-burst position law for a uniformly
 // placed packet of an Erlang(K, Beta) burst: identical to the D/E_K/1 case
 // (eq. 34), since it depends only on the burst-size law.

@@ -36,7 +36,11 @@ func TestMEK1ReducesToMM1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := q.WaitMix()
+	sol, err := q.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sol.WaitMix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +100,11 @@ func TestMEK1WaitMixAgainstLindley(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := q.WaitMix()
+		sol, err := q.Solve()
+		if err != nil {
+			t.Fatalf("K=%d rho=%v: %v", c.k, c.rho, err)
+		}
+		m, err := sol.WaitMix()
 		if err != nil {
 			t.Fatalf("K=%d rho=%v: %v", c.k, c.rho, err)
 		}
@@ -140,7 +148,11 @@ func TestMEK1VersusDEK1TailOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := mq.WaitMix()
+	msol, err := mq.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := msol.WaitMix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +202,11 @@ func BenchmarkMEK1WaitMix(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := q.WaitMix(); err != nil {
+		sol, err := q.Solve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sol.WaitMix(); err != nil {
 			b.Fatal(err)
 		}
 	}

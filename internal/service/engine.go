@@ -78,12 +78,6 @@ func (e *Engine) CacheStats() memo.Stats { return e.cache.Stats() }
 // cold requests move it exactly as far as one would.
 func (e *Engine) Computes() uint64 { return e.computes.Load() }
 
-// memo answers key from the cache with singleflight coalescing (see
-// memo.Cache.Do). shared reports a hit or a joined in-flight computation.
-func (e *Engine) memo(key string, compute func() (any, error)) (any, bool, error) {
-	return e.cache.Do(key, compute)
-}
-
 // ComponentsMs is the RTT decomposition in milliseconds, each stochastic
 // part reported at the scenario's quantile level in isolation (the quantile
 // of the sum is not the sum of quantiles; Total in RTTResult is the true
@@ -122,7 +116,7 @@ func (e *Engine) RTT(sc scenario.Scenario) (RTTResult, bool, error) {
 		return RTTResult{}, false, err
 	}
 	key := sc.Canonical()
-	v, shared, err := e.memo("rtt|"+key, func() (any, error) { return e.computeRTT(sc, key) })
+	v, shared, err := e.cache.Do("rtt|"+key, func() (any, error) { return e.computeRTT(sc, key) })
 	if err != nil {
 		return RTTResult{}, false, err
 	}
@@ -230,7 +224,7 @@ func (e *Engine) Sweep(sc scenario.Scenario, from, to, step float64) (SweepResul
 		return SweepResult{}, false, err
 	}
 	key := fmt.Sprintf("sweep|%s|%g|%g|%g", sc.Canonical(), from, to, step)
-	v, shared, err := e.memo(key, func() (any, error) { return e.computeSweep(sc, loads, from, to, step) })
+	v, shared, err := e.cache.Do(key, func() (any, error) { return e.computeSweep(sc, loads, from, to, step) })
 	if err != nil {
 		return SweepResult{}, false, err
 	}
@@ -266,7 +260,7 @@ type pointMemo struct {
 func (e *Engine) pointAt(sc scenario.Scenario, rho float64) (pointMemo, error) {
 	psc := sc
 	psc.Load = rho
-	v, _, err := e.memo("pt|"+psc.Canonical(), func() (any, error) {
+	v, _, err := e.cache.Do("pt|"+psc.Canonical(), func() (any, error) {
 		e.computes.Add(1)
 		cm, err := psc.Model().Compile()
 		if err == nil {
@@ -342,7 +336,7 @@ func (e *Engine) Dimension(sc scenario.Scenario, boundMs float64) (DimensionResu
 		return DimensionResult{}, false, err
 	}
 	key := fmt.Sprintf("dim|%s|%g", sc.Canonical(), boundMs)
-	v, shared, err := e.memo(key, func() (any, error) {
+	v, shared, err := e.cache.Do(key, func() (any, error) {
 		probes := 0
 		res, err := sc.Model().MaxLoadWith(boundMs/1000, func(rho float64) (float64, error) {
 			probes++

@@ -18,7 +18,7 @@ import (
 // byte-identical response. The invariant holds under any interleaving: a
 // goroutine either joins the in-flight computation or, arriving later, hits
 // the cache the leader filled — there is no window in which a second leader
-// can start (see Engine.memo).
+// can start (see memo.Cache.Do).
 func TestSingleflightComputesOnce(t *testing.T) {
 	const k = 16
 	e := NewEngine(4, 0)

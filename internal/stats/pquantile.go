@@ -103,9 +103,6 @@ func (q *PQuantile) linear(i int, d float64) float64 {
 	return q.heights[i] + d*(q.heights[j]-q.heights[i])/(q.pos[j]-q.pos[i])
 }
 
-// Count returns the number of observations folded in.
-func (q *PQuantile) Count() int { return q.n }
-
 // Value returns the current quantile estimate.
 func (q *PQuantile) Value() float64 {
 	if q.n == 0 {
@@ -180,9 +177,6 @@ func (t *TopK) down(i int) {
 		i = smallest
 	}
 }
-
-// Count returns the number of observations offered.
-func (t *TopK) Count() int { return t.n }
 
 // Merge folds another tracker's retained values and count into t. The union
 // of two top-k sets contains the top-k of the merged population, so merged

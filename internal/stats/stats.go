@@ -178,15 +178,6 @@ func NewECDF(xs []float64) (*ECDF, error) {
 	return &ECDF{sorted: s}, nil
 }
 
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// CDF returns the fraction of samples <= x.
-func (e *ECDF) CDF(x float64) float64 {
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
-
 // Tail returns the fraction of samples > x (the TDF of Figure 1).
 func (e *ECDF) Tail(x float64) float64 {
 	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })

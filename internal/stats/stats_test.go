@@ -101,10 +101,10 @@ func TestECDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.CDF(2.5) != 0.5 || e.Tail(2.5) != 0.5 {
-		t.Errorf("CDF/Tail(2.5) = %v/%v", e.CDF(2.5), e.Tail(2.5))
+	if e.Tail(2.5) != 0.5 {
+		t.Errorf("Tail(2.5) = %v", e.Tail(2.5))
 	}
-	if e.CDF(0) != 0 || e.Tail(4) != 0 {
+	if e.Tail(0) != 1 || e.Tail(4) != 0 {
 		t.Error("edges wrong")
 	}
 	xs, tdf := e.TDFSeries(0, 4, 5)
@@ -300,8 +300,8 @@ func TestTopKMergeExact(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	if a.Count() != 5000 {
-		t.Fatalf("merged count %d", a.Count())
+	if a.n != 5000 {
+		t.Fatalf("merged count %d", a.n)
 	}
 	sort.Float64s(all)
 	for _, p := range []float64{0.99, 0.999} {

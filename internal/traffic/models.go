@@ -13,15 +13,11 @@
 package traffic
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"fpsping/internal/dist"
 )
-
-// ErrBadSpec reports an invalid flow or model specification.
-var ErrBadSpec = errors.New("traffic: invalid specification")
 
 // FlowSpec is one packet flow: a size law (bytes) and an inter-arrival law
 // (seconds). Rate is derived: mean size / mean IAT.
@@ -32,17 +28,6 @@ type FlowSpec struct {
 	Size dist.Distribution
 	// IAT is the packet inter-arrival law in seconds.
 	IAT dist.Distribution
-}
-
-// Validate checks both laws exist and have positive means.
-func (f FlowSpec) Validate() error {
-	if f.Size == nil || f.IAT == nil {
-		return fmt.Errorf("%w: flow %q missing laws", ErrBadSpec, f.Name)
-	}
-	if !(f.Size.Mean() > 0) || !(f.IAT.Mean() > 0) {
-		return fmt.Errorf("%w: flow %q nonpositive means", ErrBadSpec, f.Name)
-	}
-	return nil
 }
 
 // MeanRateBitPerSec returns the flow's average bit rate.
@@ -59,17 +44,6 @@ type ServerSpec struct {
 	IAT dist.Distribution
 }
 
-// Validate checks the spec.
-func (s ServerSpec) Validate() error {
-	if s.PacketSize == nil || s.IAT == nil {
-		return fmt.Errorf("%w: server spec missing laws", ErrBadSpec)
-	}
-	if !(s.PacketSize.Mean() > 0) || !(s.IAT.Mean() > 0) {
-		return fmt.Errorf("%w: server spec nonpositive means", ErrBadSpec)
-	}
-	return nil
-}
-
 // Model is a complete per-game traffic description.
 type Model struct {
 	// Name identifies the game.
@@ -83,22 +57,6 @@ type Model struct {
 	Client []FlowSpec
 	// Notes records parameter provenance and calibration decisions.
 	Notes string
-}
-
-// Validate checks every component.
-func (m Model) Validate() error {
-	if err := m.Server.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", m.Name, err)
-	}
-	if len(m.Client) == 0 {
-		return fmt.Errorf("%w: %s has no client flows", ErrBadSpec, m.Name)
-	}
-	for _, f := range m.Client {
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", m.Name, err)
-		}
-	}
-	return nil
 }
 
 // msDet wraps a millisecond constant as a Det law in seconds.

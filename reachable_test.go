@@ -2,14 +2,18 @@ package fpsping_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,8 +23,6 @@ import (
 // file cannot hold it. Keys are "dir.Func" or "dir.Type.Method", dir
 // relative to the repository root.
 var reachAllow = map[string]string{
-	"internal/client.WithHTTPClient":      "option in the typed client's public API; no binary swaps the HTTP client",
-	"internal/client.WithTransport":       "option in the typed client's public API; no binary swaps the transport",
 	"internal/dist.SampleN":               "sampling fixture of the tests in five packages",
 	"internal/dist.NewMixture":            "law fixture of the dist and fit tests",
 	"internal/queueing.MD1.WaitTailExact": "exact M/D/1 tail netsim's TestLinkMD1AgainstAnalytic checks the simulator against",
@@ -28,31 +30,26 @@ var reachAllow = map[string]string{
 	"internal/netsim.NewWFQ":              "WFQ scheduler the root BenchmarkWFQIsolation builds; no binary sets netsim's scheduler knob",
 }
 
-// stdlibIfaceMethods are the method names of the standard-library
-// interfaces the module's types implement (fmt.Stringer, error,
-// http.Handler, sort.Interface, heap.Interface, json.Marshaler,
-// flag.Value). A method with one of these names is called through the
-// interface, not by name.
-var stdlibIfaceMethods = []string{
-	"String", "Error", "Unwrap", "ServeHTTP", "Len", "Less", "Swap",
-	"Push", "Pop", "MarshalJSON", "UnmarshalJSON", "Set",
+// stdlibProbes lists, per standard-library package, the interfaces its
+// functions look for by type assertion on values handed to them as any or
+// error. Reaching a function of the package uses these interfaces.
+var stdlibProbes = map[string][]string{
+	"fmt":           {"fmt.Stringer", "fmt.GoStringer", "fmt.Formatter", "error"},
+	"log":           {"fmt.Stringer", "fmt.GoStringer", "fmt.Formatter", "error"},
+	"errors":        {"interface{ Unwrap() error }", "interface{ Unwrap() []error }", "interface{ Is(error) bool }", "interface{ As(any) bool }"},
+	"encoding/json": {"json.Marshaler", "json.Unmarshaler", "encoding.TextMarshaler", "encoding.TextUnmarshaler"},
 }
+
+// probeImports are the packages stdlibProbes' type expressions name.
+var probeImports = []string{"encoding", "encoding/json", "fmt"}
 
 // TestProductionReachable checks that every top-level function and method
 // in the repository's non-test Go files, perfbench/ included, is reached
 // from a binary or is on reachAllow. Code that only tests call belongs in a
-// _test.go file.
-//
-// The analysis matches names, not types, so it errs toward "live": it can
-// miss dead code but never flags live code. Roots are every main and init
-// function, every identifier in a package-level var, const or type
-// declaration, and every method named like an interface method. A reached
-// body reaches the functions of its own package named by a bare
-// identifier, the functions of an imported package named by pkg.Name, and
-// every method named by any other selector. What an allowlisted function
-// calls counts as reached too.
+// _test.go file. What an allowlisted function reaches counts as reached
+// too. loadProgram says how reachability is decided.
 func TestProductionReachable(t *testing.T) {
-	p := parseProduction(t, ".")
+	p := loadProgram(t, ".")
 	p.walk()
 	for key, why := range reachAllow {
 		fn := p.byKey[key]
@@ -71,54 +68,85 @@ func TestProductionReachable(t *testing.T) {
 		t.Errorf("reachAllow has %d entries; keep it to 10 or fewer", len(reachAllow))
 	}
 	p.walk()
-
-	var dead []string
-	for key, fn := range p.byKey {
-		if !fn.reached {
-			dead = append(dead, key+" ("+fn.pos+")")
-		}
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("no binary reaches %s: delete it, move it into a _test.go file, or allowlist it with a reason", d)
+	for _, fn := range p.dead() {
+		t.Errorf("no binary reaches %s (%s): delete it, move it into a _test.go file, or allowlist it with a reason", fn.key, fn.pos)
 	}
 }
 
-// prodFunc is one top-level function or method of non-test code.
-type prodFunc struct {
-	pkg     string // import path of the declaring package
-	pos     string
-	body    *ast.BlockStmt
-	imports map[string]string // local name -> import path, of its file
-	reached bool
+// TestReachabilityFixture pins the analysis' verdicts on the small module
+// in testdata/reach: a method that shares its name with a called method of
+// another type is dead, while methods reached only through an implicitly
+// instantiated generic interface, or only by errors.Is, are live.
+func TestReachabilityFixture(t *testing.T) {
+	p := loadProgram(t, "testdata/reach")
+	p.walk()
+	var got []string
+	for _, fn := range p.dead() {
+		got = append(got, fn.key)
+	}
+	want := []string{"app.uncalled.Size", "codec.Store.Load", "codec.Unused"}
+	if !slices.Equal(got, want) {
+		t.Errorf("dead = %q, want %q", got, want)
+	}
 }
 
-// production is the name-level call graph of the repository's non-test code.
-type production struct {
-	byKey    map[string]*prodFunc   // reachAllow-style key -> declaration
-	byFunc   map[string][]*prodFunc // "importpath.Name" -> functions
-	byMethod map[string][]*prodFunc // method name -> methods
-	queue    []*prodFunc
+// funcDecl is one top-level function or method of non-test code.
+type funcDecl struct {
+	key, pos string
+	body     *ast.BlockStmt
+	info     *types.Info
+	reached  bool
 }
 
-// prodFile is one parsed non-test file.
-type prodFile struct {
-	f        *ast.File
-	dir, pkg string
-	imports  map[string]string
+// program is the type-checked non-test code of every module under a root,
+// with the reachability state of its functions.
+type program struct {
+	root  string
+	fset  *token.FileSet
+	std   types.Importer
+	dirs  map[string]string      // import path -> directory, module packages
+	files map[string][]*ast.File // directory -> parsed non-test files
+	pkgs  map[string]*types.Package
+
+	funcs map[*types.Func]*funcDecl
+	byKey map[string]*funcDecl
+	queue []*funcDecl
+
+	probes   map[string][]types.Type // stdlibProbes, type-checked
+	seen     map[types.Type]bool
+	ifaces   []types.Type // interfaces reached code uses
+	concrete []types.Type // named module types, generic ones as instantiated
+	checked  [2]int       // ifaces[:checked[0]] x concrete[:checked[1]] are matched
 }
 
-// parseProduction parses every non-test .go file under root, skipping
-// testdata and hidden directories, and reaches the roots.
-func parseProduction(t *testing.T, root string) *production {
+// loadProgram type-checks every package of every module under root,
+// skipping testdata and hidden directories, each from source exactly once
+// and with the standard library imported from export data, and reaches the
+// roots: every main and init function and every package-level var
+// declaration.
+//
+// Reachability follows go/types objects, never names. A reached body
+// reaches every module function and method its identifiers denote, a
+// generic one through its origin. A method is also reached when it is a
+// method of an interface that reached code uses and its receiver type
+// implements that interface. Reached code uses an interface that is the
+// type of one of its values, or of a parameter or result of a function it
+// refers to, and the interfaces stdlibProbes lists for a standard-library
+// package whose functions it calls. Receiver types are the module's named
+// types, a generic one as instantiated in reached code.
+func loadProgram(t *testing.T, root string) *program {
 	t.Helper()
-	p := &production{
-		byKey:    make(map[string]*prodFunc),
-		byFunc:   make(map[string][]*prodFunc),
-		byMethod: make(map[string][]*prodFunc),
+	p := &program{
+		root:   root,
+		fset:   token.NewFileSet(),
+		dirs:   make(map[string]string),
+		files:  make(map[string][]*ast.File),
+		pkgs:   make(map[string]*types.Package),
+		funcs:  make(map[*types.Func]*funcDecl),
+		byKey:  make(map[string]*funcDecl),
+		seen:   make(map[types.Type]bool),
+		probes: make(map[string][]types.Type),
 	}
-	var files []prodFile
-	fset := token.NewFileSet()
 	modules := make(map[string]string) // directory -> module path
 	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -134,159 +162,283 @@ func parseProduction(t *testing.T, root string) *production {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		// Object resolution tells a package name (unresolved) from a
-		// local variable that shadows it.
-		f, err := parser.ParseFile(fset, file, nil, 0)
+		f, err := parser.ParseFile(p.fset, file, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(file))
-		files = append(files, prodFile{f: f, dir: dir, pkg: importPath(t, modules, dir), imports: fileImports(f)})
+		dir := filepath.Dir(file)
+		if p.files[dir] == nil {
+			p.dirs[importPath(t, modules, filepath.ToSlash(dir))] = dir
+		}
+		p.files[dir] = append(p.files[dir], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.std = stdImporter(t, p)
 
-	for _, pf := range files {
-		for _, decl := range pf.f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+	probePkg := types.NewPackage("probes", "probes")
+	for _, ip := range probeImports {
+		pkg, err := p.std.Import(ip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probePkg.Scope().Insert(types.NewPkgName(token.NoPos, probePkg, pkg.Name(), pkg))
+	}
+	for pkg, exprs := range stdlibProbes {
+		for _, e := range exprs {
+			tv, err := types.Eval(p.fset, probePkg, token.NoPos, e)
+			if err != nil {
+				t.Fatalf("stdlibProbes[%q]: %v", pkg, err)
 			}
-			fn := &prodFunc{pkg: pf.pkg, pos: fset.Position(fd.Pos()).String(), body: fd.Body, imports: pf.imports}
-			name := fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) > 0 {
-				p.byKey[pf.dir+"."+recvName(fd.Recv.List[0].Type)+"."+name] = fn
-				p.byMethod[name] = append(p.byMethod[name], fn)
-				continue
-			}
-			if name != "init" { // a package may declare several
-				p.byKey[pf.dir+"."+name] = fn
-			}
-			p.byFunc[pf.pkg+"."+name] = append(p.byFunc[pf.pkg+"."+name], fn)
+			p.probes[pkg] = append(p.probes[pkg], tv.Type)
 		}
 	}
 
-	ifaceMethods := append([]string(nil), stdlibIfaceMethods...)
-	for _, pf := range files {
-		roots := p.byFunc[pf.pkg+".init"]
-		if pf.f.Name.Name == "main" {
-			roots = append(roots, p.byFunc[pf.pkg+".main"]...)
-		}
-		for _, fn := range roots {
-			p.reach(fn)
-		}
-		for _, decl := range pf.f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok == token.IMPORT {
-				continue
-			}
-			p.refs(gd, pf.pkg, pf.imports)
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				if it, ok := ts.Type.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, n := range m.Names {
-							ifaceMethods = append(ifaceMethods, n.Name)
-						}
-					}
-				}
-			}
-		}
+	var paths []string
+	for ip := range p.dirs {
+		paths = append(paths, ip)
 	}
-	for _, name := range ifaceMethods {
-		for _, m := range p.byMethod[name] {
-			p.reach(m)
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := p.Import(ip); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return p
 }
 
+// Import returns the module package at path, type-checking it on first
+// use, or the standard-library package from export data.
+func (p *program) Import(ip string) (*types.Package, error) {
+	dir, ok := p.dirs[ip]
+	if !ok {
+		return p.std.Import(ip)
+	}
+	if pkg := p.pkgs[ip]; pkg != nil {
+		return pkg, nil
+	}
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	conf := types.Config{Importer: p}
+	pkg, err := conf.Check(ip, p.fset, p.files[dir], info)
+	if err != nil {
+		return nil, err
+	}
+	p.pkgs[ip] = pkg
+	rel, err := filepath.Rel(p.root, dir)
+	if err != nil {
+		return nil, err
+	}
+	var vars []*ast.GenDecl
+	for _, f := range p.files[dir] {
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.VAR {
+					vars = append(vars, d)
+				}
+				continue
+			}
+			obj := info.Defs[d.Name].(*types.Func)
+			fn := &funcDecl{key: filepath.ToSlash(rel) + ".", pos: p.fset.Position(d.Pos()).String(), body: d.Body, info: info}
+			p.funcs[obj] = fn
+			if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+				fn.key += namedOf(recv.Type()).Obj().Name() + "."
+			}
+			fn.key += obj.Name()
+			if obj.Name() == "init" || obj.Name() == "main" && pkg.Name() == "main" {
+				p.reach(fn)
+			} else {
+				p.byKey[fn.key] = fn
+			}
+		}
+	}
+	for _, name := range pkg.Scope().Names() {
+		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+			if n := tn.Type().(*types.Named); n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+				p.seen[n] = true
+				p.concrete = append(p.concrete, n)
+			}
+		}
+	}
+	for _, d := range vars {
+		p.scan(d, info)
+	}
+	return pkg, nil
+}
+
+// stdImporter imports the standard-library packages the module code
+// imports from export data, found with one go list call.
+func stdImporter(t *testing.T, p *program) types.Importer {
+	t.Helper()
+	need := map[string]bool{}
+	for _, ip := range probeImports {
+		need[ip] = true
+	}
+	for _, files := range p.files {
+		for _, f := range files {
+			for _, spec := range f.Imports {
+				ip := strings.Trim(spec.Path.Value, `"`)
+				if _, ok := p.dirs[ip]; !ok {
+					need[ip] = true
+				}
+			}
+		}
+	}
+	args := []string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"}
+	for ip := range need {
+		args = append(args, ip)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		ip, file, _ := strings.Cut(line, "=")
+		exports[ip] = file
+	}
+	return importer.ForCompiler(p.fset, "gc", func(ip string) (io.ReadCloser, error) {
+		return os.Open(exports[ip])
+	})
+}
+
 // walk propagates reachability until no new function is reached.
-func (p *production) walk() {
-	for len(p.queue) > 0 {
-		fn := p.queue[len(p.queue)-1]
-		p.queue = p.queue[:len(p.queue)-1]
-		if fn.body != nil {
-			p.refs(fn.body, fn.pkg, fn.imports)
+func (p *program) walk() {
+	for {
+		for len(p.queue) > 0 {
+			fn := p.queue[len(p.queue)-1]
+			p.queue = p.queue[:len(p.queue)-1]
+			if fn.body != nil {
+				p.scan(fn.body, fn.info)
+			}
+		}
+		p.rootMethods()
+		if len(p.queue) == 0 {
+			return
 		}
 	}
 }
 
-func (p *production) reach(fn *prodFunc) {
+func (p *program) reach(fn *funcDecl) {
 	if !fn.reached {
 		fn.reached = true
 		p.queue = append(p.queue, fn)
 	}
 }
 
-// refs reaches everything node names: bare identifiers resolve in pkg,
-// pkg.Name selectors in the imported package, other selectors to every
-// method of that name.
-func (p *production) refs(node ast.Node, pkg string, imports map[string]string) {
+// scan records what node uses: the functions its identifiers denote, and
+// the types of its expressions and variables.
+func (p *program) scan(node ast.Node, info *types.Info) {
 	ast.Inspect(node, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil {
-				if path, ok := imports[x.Name]; ok {
-					for _, fn := range p.byFunc[path+"."+n.Sel.Name] {
-						p.reach(fn)
-					}
-					return false
-				}
+		if e, ok := n.(ast.Expr); ok {
+			if tv, ok := info.Types[e]; ok {
+				p.useType(tv.Type)
 			}
-			for _, m := range p.byMethod[n.Sel.Name] {
-				p.reach(m)
-			}
-		case *ast.Ident:
-			for _, fn := range p.byFunc[pkg+"."+n.Name] {
-				p.reach(fn)
+		}
+		if id, ok := n.(*ast.Ident); ok {
+			switch obj := info.Uses[id].(type) {
+			case *types.Func:
+				p.useFunc(obj)
+			case *types.Var:
+				p.useType(obj.Type())
 			}
 		}
 		return true
 	})
 }
 
-// fileImports maps each import's local name to its path.
-func fileImports(f *ast.File) map[string]string {
-	out := make(map[string]string)
-	for _, spec := range f.Imports {
-		ip, err := strconv.Unquote(spec.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := path.Base(ip)
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		out[name] = ip
+func (p *program) useFunc(f *types.Func) {
+	f = f.Origin()
+	if fn := p.funcs[f]; fn != nil {
+		p.reach(fn)
 	}
+	if f.Pkg() != nil {
+		for _, probe := range p.probes[f.Pkg().Path()] {
+			p.useType(probe)
+		}
+	}
+}
+
+// useType records an interface with methods, an instance of a generic
+// module type, and the parameters and results of a function type.
+func (p *program) useType(typ types.Type) {
+	if typ == nil || p.seen[typ] {
+		return
+	}
+	p.seen[typ] = true
+	if sig, ok := typ.(*types.Signature); ok {
+		for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+			for v := range tuple.Variables() {
+				p.useType(v.Type())
+			}
+		}
+		return
+	}
+	if _, ok := typ.(*types.TypeParam); ok {
+		return
+	}
+	if types.IsInterface(typ) {
+		if typ.Underlying().(*types.Interface).NumMethods() > 0 {
+			p.ifaces = append(p.ifaces, typ)
+		}
+		return
+	}
+	if n := namedOf(typ); n != nil && n.TypeArgs().Len() > 0 && !p.seen[n] && p.pkgs[n.Obj().Pkg().Path()] != nil {
+		p.seen[n] = true
+		p.concrete = append(p.concrete, n)
+	}
+}
+
+// rootMethods reaches, on every receiver type that implements a used
+// interface, the methods of that interface.
+func (p *program) rootMethods() {
+	for i, iface := range p.ifaces {
+		it := iface.Underlying().(*types.Interface)
+		for c, typ := range p.concrete {
+			if i < p.checked[0] && c < p.checked[1] {
+				continue
+			}
+			if !types.Implements(typ, it) {
+				if typ = types.NewPointer(typ); !types.Implements(typ, it) {
+					continue
+				}
+			}
+			for m := range it.Methods() {
+				obj, _, _ := types.LookupFieldOrMethod(typ, false, m.Pkg(), m.Name())
+				p.useFunc(obj.(*types.Func))
+			}
+		}
+	}
+	p.checked = [2]int{len(p.ifaces), len(p.concrete)}
+}
+
+// dead returns the unreached functions and methods, sorted by key.
+func (p *program) dead() []*funcDecl {
+	var out []*funcDecl
+	for _, fn := range p.byKey {
+		if !fn.reached {
+			out = append(out, fn)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 
-// recvName returns the type name of a method receiver, without pointer or
-// type parameters.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+// namedOf returns the named type of t or of the type t points to.
+func namedOf(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
+	n, _ := t.(*types.Named)
+	return n
 }
 
 // importPath returns the import path of the package in dir, from the
