@@ -153,6 +153,15 @@ var contracts = []contract{
 		jobs: []string{"verify", "fuzz"},
 	},
 	{
+		id:   "routed-equals-direct",
+		what: "a request answered through fpsrouter gets the status, body bytes and cache disposition the daemon gives it directly, for answers, split batches and every rejection (bad parameter, unknown field, trailing JSON, over-limit body, unstable scenario, wrong method)",
+		tests: []string{
+			"internal/cluster:TestRoutedEqualsDirect",
+			"internal/cluster:FuzzRoutedEqualsDirect",
+		},
+		jobs: []string{"verify", "fuzz"},
+	},
+	{
 		id:   "exact-lru",
 		what: "the memo cache holds exactly its capacity, evicts the cache-wide least recently used entry, and a snapshot restores whole in the same eviction order",
 		tests: []string{

@@ -42,7 +42,7 @@ type CacheMetrics struct {
 type MetricsSnapshot struct {
 	UptimeSeconds float64
 	// Global aggregates every instrumented request, whatever the endpoint
-	// (the daemon's unlabeled series); a router keeps none, so it is zero.
+	// (the unlabeled series a daemon and a router both keep).
 	Global    EndpointMetrics
 	Endpoints map[string]EndpointMetrics
 	Cache     CacheMetrics

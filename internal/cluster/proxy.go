@@ -7,28 +7,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"net/http"
 	"net/url"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fpsping/internal/metrics"
-	"fpsping/internal/scenario"
 	"fpsping/internal/service"
 )
 
 // ReplicaHeader names the response header the router adds carrying the
 // replica that answered — the observable trace of every routing decision.
 const ReplicaHeader = "X-Fpsping-Replica"
-
-// maxProxyBody bounds buffered request bodies (the router must buffer to
-// extract the scenario key and to replay the body on failover).
-const maxProxyBody = 4 << 20
 
 // maxReplicaBody bounds buffered replica responses. A variable so the
 // truncation regression test can lower it instead of serving 64 MB.
@@ -156,32 +149,25 @@ type replicaState struct {
 	breaker  breaker
 }
 
-// endpointCounters mirror the daemon's per-endpoint request metrics so a
-// load generator pointed at the router measures the cluster exactly like it
-// measures one daemon (same metric names, same hit-ratio arithmetic).
-type endpointCounters struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	hits     atomic.Uint64
-}
-
-// Router is the scenario-affinity reverse proxy: it extracts the canonical
-// scenario key from /v1/rtt, /v1/sweep and /v1/dimension requests, routes by
-// policy over the ring with health-based retry-next-owner failover and
-// per-replica circuit breaking, and splits /v1/rtt:batch by per-item key so
+// Router is the scenario-affinity reverse proxy: it decodes /v1/rtt,
+// /v1/sweep and /v1/dimension requests with the daemon's own decoders,
+// routes each by its canonical scenario key and policy over the ring with
+// health-based retry-next-owner failover and per-replica circuit breaking,
+// and splits /v1/rtt:batch by per-item key so
 // intra-batch dedup still lands on the owning replica. Responses are the
 // replicas' own bytes (plus ReplicaHeader), so a cluster answers
 // byte-identically to a single daemon.
 type Router struct {
-	cfg       RouterConfig
-	ring      *Ring
-	policy    Policy
-	hc        *http.Client
-	replicas  []*replicaState
-	endpoints map[string]*endpointCounters
-	rr        atomic.Uint64 // round-robin cursor for key-less forwarding
+	cfg      RouterConfig
+	ring     *Ring
+	policy   Policy
+	hc       *http.Client
+	replicas []*replicaState
+	rr       atomic.Uint64 // round-robin cursor for key-less forwarding
 
-	started time.Time
+	// rec holds the daemon's per-endpoint request series, so a load
+	// generator measures the cluster exactly as it measures one daemon.
+	rec     *metrics.Recorder
 	retries atomic.Uint64
 	spills  atomic.Uint64
 	splits  atomic.Uint64
@@ -214,8 +200,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		endpoints: make(map[string]*endpointCounters),
-		started:   time.Now(),
+		rec: metrics.NewRecorder(),
 	}
 	for _, name := range cfg.Replicas {
 		st := &replicaState{name: name}
@@ -225,9 +210,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		st.breaker.threshold = cfg.BreakerFailures
 		st.breaker.cooldown = cfg.BreakerCooldown
 		rt.replicas = append(rt.replicas, st)
-	}
-	for _, ep := range []string{"/v1/rtt", "/v1/rtt:batch", "/v1/sweep", "/v1/dimension", "/v1/models"} {
-		rt.endpoints[ep] = &endpointCounters{}
 	}
 	return rt, nil
 }
@@ -300,97 +282,20 @@ func (rt *Router) CheckReplicas(ctx context.Context) {
 // Handler returns the router's full route table.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/rtt", func(w http.ResponseWriter, r *http.Request) { rt.handleKeyed(w, r, "/v1/rtt") })
-	mux.HandleFunc("/v1/rtt:batch", rt.handleBatch)
-	mux.HandleFunc("/v1/sweep", func(w http.ResponseWriter, r *http.Request) { rt.handleKeyed(w, r, "/v1/sweep") })
-	mux.HandleFunc("/v1/dimension", func(w http.ResponseWriter, r *http.Request) { rt.handleKeyed(w, r, "/v1/dimension") })
-	mux.HandleFunc("/v1/models", rt.handleModels)
+	for path, h := range map[string]service.Endpoint{
+		"/v1/rtt":       rt.keyed("/v1/rtt", service.DecodeRTT),
+		"/v1/sweep":     rt.keyed("/v1/sweep", service.DecodeSweep),
+		"/v1/dimension": rt.keyed("/v1/dimension", service.DecodeDimension),
+		"/v1/rtt:batch": rt.handleBatch,
+		"/v1/models": func(w http.ResponseWriter, r *http.Request) (bool, error) {
+			return rt.relay(w, r, rt.rrOrder(), "/v1/models", nil), nil
+		},
+	} {
+		mux.HandleFunc(path, service.Instrument(rt.rec, path, h))
+	}
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	return mux
-}
-
-// apiError mirrors the daemon's uniform error envelope.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
-}
-
-// readBody slurps a bounded request body ("" for GET), like the daemon's.
-func readBody(r *http.Request) ([]byte, error) {
-	if r.Body == nil {
-		return nil, nil
-	}
-	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reading body: %w", err)
-	}
-	if len(data) > maxProxyBody {
-		return nil, fmt.Errorf("cluster: body over %d bytes", maxProxyBody)
-	}
-	return data, nil
-}
-
-// routeKey extracts the canonical scenario key from one keyed request, in
-// exactly the forms the daemon accepts (JSON body, envelope body with a
-// "scenario" field, or query parameters). ok=false means the request does
-// not parse as a scenario question — the replica it falls through to will
-// render the authoritative error, so the router never invents its own
-// validation.
-func routeKey(path string, query url.Values, body []byte) (key string, ok bool) {
-	var sc scenario.Scenario
-	var err error
-	switch path {
-	case "/v1/rtt":
-		if len(body) > 0 {
-			sc, err = scenario.FromJSON(body)
-		} else {
-			sc, err = scenario.FromQuery(query)
-		}
-	case "/v1/sweep":
-		if len(body) > 0 {
-			var req service.SweepRequest
-			if err = json.Unmarshal(body, &req); err == nil {
-				if len(req.Scenario) > 0 {
-					sc, err = scenario.FromJSON(req.Scenario)
-				} else {
-					sc = scenario.Default()
-				}
-			}
-		} else {
-			sc, err = scenario.FromQuery(query, "from", "to", "step")
-		}
-	case "/v1/dimension":
-		if len(body) > 0 {
-			var req service.DimensionRequest
-			if err = json.Unmarshal(body, &req); err == nil {
-				if len(req.Scenario) > 0 {
-					sc, err = scenario.FromJSON(req.Scenario)
-				} else {
-					sc = scenario.Default()
-				}
-			}
-		} else {
-			sc, err = scenario.FromQuery(query, "bound", "bound_ms")
-		}
-	default:
-		return "", false
-	}
-	if err != nil {
-		return "", false
-	}
-	return sc.Canonical(), true
 }
 
 // rrOrder returns all replica indices starting from a rotating cursor: the
@@ -553,73 +458,36 @@ func (rt *Router) copyResponse(w http.ResponseWriter, res forwardResult) {
 	w.Write(res.body)
 }
 
-// observe folds one routed request into the router's daemon-compatible
-// per-endpoint counters.
-func (rt *Router) observe(endpoint string, status int, cacheHit bool) {
-	c := rt.endpoints[endpoint]
-	if c == nil {
-		return
-	}
-	c.requests.Add(1)
-	if status >= 400 {
-		c.errors.Add(1)
-	}
-	if cacheHit {
-		c.hits.Add(1)
+// keyed routes one single-scenario endpoint by the canonical key of the
+// request as the daemon decodes it. A request that does not decode goes to
+// a replica round-robin, which renders the authoritative error, so the
+// router never invents its own validation.
+func (rt *Router) keyed(endpoint string, decode service.Decoder) service.Endpoint {
+	return func(w http.ResponseWriter, r *http.Request) (bool, error) {
+		body, err := service.ReadBody(r)
+		if err != nil {
+			return false, err
+		}
+		var candidates []int
+		if req, err := decode(r.URL.Query(), body); err == nil {
+			candidates = rt.policy.Candidates(req.Scenario.Canonical())
+		} else {
+			candidates = rt.rrOrder()
+		}
+		return rt.relay(w, r, candidates, endpoint, body), nil
 	}
 }
 
-// checkMethod mirrors the daemon's method filter so a bad method never
-// consumes a forwarding attempt.
-func checkMethod(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "use GET or POST"})
-		return false
-	}
-	return true
-}
-
-// handleKeyed routes one single-scenario endpoint by canonical key.
-func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request, endpoint string) {
-	if !checkMethod(w, r) {
-		return
-	}
-	body, err := readBody(r)
-	if err != nil {
-		rt.observe(endpoint, http.StatusBadRequest, false)
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	var candidates []int
-	if key, ok := routeKey(endpoint, r.URL.Query(), body); ok {
-		candidates = rt.policy.Candidates(key)
-	} else {
-		candidates = rt.rrOrder()
-	}
+// relay forwards the request along candidates and copies the answer back,
+// reporting whether the replica's cache answered it.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, candidates []int, endpoint string, body []byte) bool {
 	res, err := rt.tryOrder(r.Context(), candidates, r.Method, endpoint, r.URL.RawQuery, body)
 	if err != nil {
-		rt.observe(endpoint, http.StatusBadGateway, false)
-		writeJSON(w, http.StatusBadGateway, apiError{Error: err.Error()})
-		return
+		service.WriteError(w, http.StatusBadGateway, err)
+		return false
 	}
-	rt.observe(endpoint, res.status, res.header.Get(service.CacheHeader) == "hit")
 	rt.copyResponse(w, res)
-}
-
-// handleModels forwards the key-less static endpoint round-robin.
-func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
-	if !checkMethod(w, r) {
-		return
-	}
-	res, err := rt.tryOrder(r.Context(), rt.rrOrder(), r.Method, "/v1/models", r.URL.RawQuery, nil)
-	if err != nil {
-		rt.observe("/v1/models", http.StatusBadGateway, false)
-		writeJSON(w, http.StatusBadGateway, apiError{Error: err.Error()})
-		return
-	}
-	rt.observe("/v1/models", res.status, false)
-	rt.copyResponse(w, res)
+	return res.header.Get(service.CacheHeader) == "hit"
 }
 
 // handleBatch splits a batch by per-item canonical key so every item lands
@@ -627,42 +495,17 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 // sub-batch, hence the replica's dedup still collapses them), forwards the
 // sub-batches concurrently, and merges results back into request order.
 // Cached counts add up exactly because duplicates can never straddle
-// sub-batches. A batch that fails to parse is forwarded whole, round-robin,
-// for the replica's authoritative 400.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !checkMethod(w, r) {
-		return
-	}
+// sub-batches. A batch that does not decode is forwarded whole,
+// round-robin, for the replica's authoritative 400.
+func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) (bool, error) {
 	const endpoint = "/v1/rtt:batch"
-	body, err := readBody(r)
+	body, err := service.ReadBody(r)
 	if err != nil {
-		rt.observe(endpoint, http.StatusBadRequest, false)
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
+		return false, err
 	}
-	var req service.BatchRequest
-	keys := []string(nil)
-	if json.Unmarshal(body, &req) == nil && len(req.Scenarios) > 0 {
-		keys = make([]string, len(req.Scenarios))
-		for i, raw := range req.Scenarios {
-			sc, err := scenario.FromJSON(raw)
-			if err != nil {
-				keys = nil // invalid item: let a replica render the exact 400
-				break
-			}
-			keys[i] = sc.Canonical()
-		}
-	}
-	if keys == nil {
-		res, err := rt.tryOrder(r.Context(), rt.rrOrder(), r.Method, endpoint, r.URL.RawQuery, body)
-		if err != nil {
-			rt.observe(endpoint, http.StatusBadGateway, false)
-			writeJSON(w, http.StatusBadGateway, apiError{Error: err.Error()})
-			return
-		}
-		rt.observe(endpoint, res.status, res.header.Get(service.CacheHeader) == "hit")
-		rt.copyResponse(w, res)
-		return
+	scs, err := service.DecodeBatch(body)
+	if err != nil {
+		return rt.relay(w, r, rt.rrOrder(), endpoint, body), nil
 	}
 
 	// Group item indices by primary owner; each group keeps the candidate
@@ -673,8 +516,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	groups := make(map[int]*group)
 	var owners []int
-	for i, key := range keys {
-		cand := rt.policy.Candidates(key)
+	for i, sc := range scs {
+		cand := rt.policy.Candidates(sc.Canonical())
 		g := groups[cand[0]]
 		if g == nil {
 			g = &group{order: cand}
@@ -701,7 +544,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sub := service.BatchRequest{Scenarios: make([]json.RawMessage, len(g.items))}
 			for j, idx := range g.items {
-				sub.Scenarios[j] = req.Scenarios[idx]
+				sub.Scenarios[j] = scs[idx].JSON()
 			}
 			payload, err := json.Marshal(sub)
 			if err != nil {
@@ -721,42 +564,31 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	out := service.BatchResult{Results: make([]service.BatchItem, len(keys))}
+	out := service.BatchResult{Results: make([]service.BatchItem, len(scs))}
 	for gi, owner := range owners {
 		sub := subs[gi]
 		if sub.err != nil {
-			rt.observe(endpoint, http.StatusBadGateway, false)
-			writeJSON(w, http.StatusBadGateway, apiError{Error: fmt.Sprintf("cluster: batch shard: %v", sub.err)})
-			return
+			service.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: batch shard: %w", sub.err))
+			return false, nil
 		}
 		if sub.fwd.status != http.StatusOK {
 			// An authoritative non-200 from a replica answers the whole batch.
-			rt.observe(endpoint, sub.fwd.status, false)
 			rt.copyResponse(w, sub.fwd)
-			return
+			return false, nil
 		}
 		g := groups[owner]
 		if len(sub.res.Results) != len(g.items) {
-			rt.observe(endpoint, http.StatusBadGateway, false)
-			writeJSON(w, http.StatusBadGateway, apiError{Error: "cluster: batch shard answered with wrong item count"})
-			return
+			service.WriteError(w, http.StatusBadGateway, errors.New("cluster: batch shard answered with wrong item count"))
+			return false, nil
 		}
 		for j, idx := range g.items {
 			out.Results[idx] = sub.res.Results[j]
 		}
 		out.Cached += sub.res.Cached
 	}
-	hit := out.Cached == len(out.Results)
-	rt.observe(endpoint, http.StatusOK, hit)
-	w.Header().Set(service.CacheHeader, hitOrMiss(hit))
-	writeJSON(w, http.StatusOK, out)
-}
-
-func hitOrMiss(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
+	cached := out.Cached == len(out.Results)
+	service.WriteAnswer(w, out, cached)
+	return cached, nil
 }
 
 // ReplicaHealth is one replica's state in the router's /healthz answer.
@@ -811,22 +643,15 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Ready = false
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	service.WriteJSON(w, status, h)
 }
 
-// handleMetrics renders the daemon's per-endpoint request counters, so a
-// load generator measures the cluster as it measures one daemon, then the
-// router's own families.
+// handleMetrics renders the daemon's request families, so a load generator
+// measures the cluster as it measures one daemon, then the router's own.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	var p metrics.Page
-	p.Add(metrics.Uptime, "", now.Sub(rt.started))
-	for _, ep := range slices.Sorted(maps.Keys(rt.endpoints)) {
-		c := rt.endpoints[ep]
-		p.Add(metrics.Requests, ep, c.requests.Load())
-		p.Add(metrics.RequestErrors, ep, c.errors.Load())
-		p.Add(metrics.CacheHits, ep, c.hits.Load())
-	}
+	rt.rec.Collect(&p)
 	p.Add(metrics.RouterReplicas, "", len(rt.replicas))
 	p.Add(metrics.RouterRetries, "", rt.retries.Load())
 	p.Add(metrics.RouterSpills, "", rt.spills.Load())

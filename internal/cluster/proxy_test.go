@@ -358,24 +358,19 @@ func TestRouterNoLoadFactorNoSpill(t *testing.T) {
 
 // TestRouterMetricsDaemonCompatible checks the router's /metrics speak the
 // daemon's dialect: per-endpoint request and cache-hit counters a load
-// generator can gate on.
+// generator can gate on, the global series and the latency summaries.
 func TestRouterMetricsDaemonCompatible(t *testing.T) {
 	fakes, _, front := newTestCluster(t, 3, nil)
-	for _, f := range fakes {
-		f.cache.Store("hit")
-	}
 	const n = 6
 	hits := 0
 	for i := 0; i < n; i++ {
-		if i == 0 {
-			fakes[0].cache.Store("miss")
-			fakes[1].cache.Store("miss")
-			fakes[2].cache.Store("miss")
-		} else {
-			fakes[0].cache.Store("hit")
-			fakes[1].cache.Store("hit")
-			fakes[2].cache.Store("hit")
+		cache := "miss"
+		if i > 0 {
+			cache = "hit"
 			hits++
+		}
+		for _, f := range fakes {
+			f.cache.Store(cache)
 		}
 		get(t, fmt.Sprintf("%s/v1/rtt?gamers=64", front.URL))
 	}
@@ -391,17 +386,16 @@ func TestRouterMetricsDaemonCompatible(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	// The daemon's parser reads the router page: every routed endpoint's
-	// counters, and no global aggregate, latency summary or cache.
+	// The daemon's parser reads the router page: the routed endpoint's
+	// counters and latency summary, the same global series, and no cache.
+	// Endpoints not yet requested are not listed.
 	snap, err := client.ParseMetrics([]byte(metrics))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]client.EndpointMetrics{
-		"/v1/rtt":       {Requests: n, CacheHits: uint64(hits)},
-		"/v1/rtt:batch": {}, "/v1/sweep": {}, "/v1/dimension": {}, "/v1/models": {},
-	}
-	if !reflect.DeepEqual(snap.Endpoints, want) || !reflect.DeepEqual(snap.Global, client.EndpointMetrics{}) ||
+	rtt := snap.Endpoints["/v1/rtt"]
+	if len(snap.Endpoints) != 1 || rtt.Requests != n || rtt.Errors != 0 || rtt.CacheHits != uint64(hits) ||
+		rtt.LatencyCount != n || len(rtt.Quantiles) != 3 || !reflect.DeepEqual(snap.Global, rtt) ||
 		!reflect.DeepEqual(snap.Cache, client.CacheMetrics{}) || snap.UptimeSeconds <= 0 {
 		t.Errorf("parsed router page = %+v", snap)
 	}

@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"fpsping/internal/scenario"
+	"fpsping/internal/service"
 )
 
 // testReplicas is the canonical 3-replica naming used across the tests.
@@ -85,10 +85,11 @@ func TestRingEquivalentSpellingsRouteIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := routeKey("/v1/rtt", values, []byte(sp.body))
-		if !ok {
-			t.Fatalf("%s: routeKey rejected a valid spelling", sp.name)
+		req, err := service.DecodeRTT(values, []byte(sp.body))
+		if err != nil {
+			t.Fatalf("%s: the daemon's decoder rejected a valid spelling: %v", sp.name, err)
 		}
+		got := req.Scenario.Canonical()
 		if i == 0 {
 			key, owner = got, ring.Owner(got)
 			continue
@@ -99,47 +100,6 @@ func TestRingEquivalentSpellingsRouteIdentically(t *testing.T) {
 		if ring.Owner(got) != owner {
 			t.Errorf("%s: owner %d != %d", sp.name, ring.Owner(got), owner)
 		}
-	}
-}
-
-// TestRingRouteKeyEndpoints checks key extraction on the sweep and dimension
-// endpoints (with their extra query/body parameters) and rejection of
-// unparsable requests.
-func TestRingRouteKeyEndpoints(t *testing.T) {
-	base, err := scenario.FromQuery(url.Values{"gamers": {"64"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := base.Canonical()
-	cases := []struct {
-		path  string
-		query string
-		body  string
-	}{
-		{path: "/v1/sweep", query: "gamers=64&from=0.1&to=0.8&step=0.1"},
-		{path: "/v1/sweep", body: `{"scenario":{"gamers":64},"from":0.1,"to":0.8,"step":0.1}`},
-		{path: "/v1/dimension", query: "gamers=64&bound=45"},
-		{path: "/v1/dimension", body: `{"scenario":{"gamers":64},"bound_ms":45}`},
-	}
-	for _, c := range cases {
-		values, err := url.ParseQuery(c.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, ok := routeKey(c.path, values, []byte(c.body))
-		if !ok {
-			t.Errorf("%s %q %q: routeKey rejected", c.path, c.query, c.body)
-			continue
-		}
-		if key != want {
-			t.Errorf("%s %q %q: key %q, want %q", c.path, c.query, c.body, key, want)
-		}
-	}
-	if _, ok := routeKey("/v1/rtt", url.Values{"gamers": {"not-a-number"}}, nil); ok {
-		t.Error("routeKey accepted an unparsable scenario")
-	}
-	if _, ok := routeKey("/v1/rtt", nil, []byte(`{"unknown_field":1}`)); ok {
-		t.Error("routeKey accepted a scenario with unknown fields")
 	}
 }
 

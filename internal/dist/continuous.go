@@ -33,9 +33,6 @@ func (d Deterministic) CDF(x float64) float64 {
 	return 1
 }
 
-// Quantile returns Value for every p.
-func (d Deterministic) Quantile(float64) float64 { return d.Value }
-
 // Exponential is Exp(Rate): mean 1/Rate. It is both the Erlang order-1
 // special case and the inter-arrival law of the Poisson superposition limit
 // the M/E_K/1 validator relies on.
@@ -58,14 +55,6 @@ func (e Exponential) CDF(x float64) float64 {
 		return 0
 	}
 	return -math.Expm1(-e.Rate * x)
-}
-
-// Quantile returns -ln(1-p)/Rate.
-func (e Exponential) Quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return -math.Log1p(-p) / e.Rate
 }
 
 // Uniform is U(Lo, Hi), used for the injected-jitter extension ([23]'s
@@ -107,9 +96,6 @@ func (u Uniform) CDF(x float64) float64 {
 	}
 }
 
-// Quantile returns Lo + p(Hi-Lo).
-func (u Uniform) Quantile(p float64) float64 { return u.Lo + p*(u.Hi-u.Lo) }
-
 // Normal is N(Mu, Sigma^2). Färber compared it against the extreme-value fit
 // for packet sizes; the UT2003 model uses it for the burst IAT.
 type Normal struct {
@@ -136,11 +122,6 @@ func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
 // CDF returns Phi((x-Mu)/Sigma).
 func (n Normal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
-// Quantile returns Mu + Sigma * sqrt(2) * erfinv(2p-1).
-func (n Normal) Quantile(p float64) float64 {
-	return n.Mu + n.Sigma*math.Sqrt2*math.Erfinv(2*p-1)
 }
 
 // LogNormal is LogN(Mu, Sigma): ln X ~ N(Mu, Sigma^2). Lang et al. fit it to
@@ -198,11 +179,6 @@ func (l LogNormal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-(math.Log(x)-l.Mu)/(l.Sigma*math.Sqrt2))
 }
 
-// Quantile returns exp of the underlying normal quantile.
-func (l LogNormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*math.Sqrt2*math.Erfinv(2*p-1))
-}
-
 // Gumbel is the extreme-value law Ext(A, B) with CDF exp(-exp(-(x-A)/B)):
 // Färber's fit for Counter-Strike packet sizes and inter-arrival times
 // (Table 1), and the family the fit package estimates.
@@ -242,11 +218,6 @@ func (g Gumbel) CDF(x float64) float64 {
 func (g Gumbel) PDF(x float64) float64 {
 	z := (x - g.A) / g.B
 	return math.Exp(-z-math.Exp(-z)) / g.B
-}
-
-// Quantile returns A - B ln(-ln p).
-func (g Gumbel) Quantile(p float64) float64 {
-	return g.A - g.B*math.Log(-math.Log(p))
 }
 
 // String renders the laws in the paper's notation: Det(v), Exp(rate),

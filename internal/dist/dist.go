@@ -3,7 +3,7 @@
 // the paper fits to FPS traffic (§2), plus the exponential, uniform, normal
 // and finite-mixture laws the validators and extensions need.
 //
-// Every law implements Distribution - analytic moments, CDF, quantile and
+// Every law implements Distribution - analytic moments, CDF and
 // reproducible sampling on a math/rand/v2 generator - so the queueing
 // solvers can be cross-checked against simulation draw for draw.
 package dist
@@ -27,9 +27,6 @@ type Distribution interface {
 	Var() float64
 	// CDF returns P(X <= x).
 	CDF(x float64) float64
-	// Quantile returns the p-quantile, the smallest x with CDF(x) >= p
-	// for p in (0, 1).
-	Quantile(p float64) float64
 }
 
 // splitmix64 is the seed mixer behind NewRNG and SplitSeed.
@@ -82,31 +79,4 @@ func CoV(d Distribution) float64 {
 		return 0
 	}
 	return sd / d.Mean()
-}
-
-// quantileBisect inverts a monotone CDF by bracketing then bisection. lo
-// must satisfy cdf(lo) < p; hi is grown by doubling steps until
-// cdf(hi) >= p (step growth, not hi *= 2, so negative brackets work too).
-func quantileBisect(cdf func(float64) float64, p, lo, hi float64) float64 {
-	if hi <= lo {
-		hi = lo + 1
-	}
-	step := hi - lo
-	for i := 0; i < 200 && cdf(hi) < p; i++ {
-		lo = hi
-		hi += step
-		step *= 2
-	}
-	for i := 0; i < 200; i++ {
-		mid := 0.5 * (lo + hi)
-		if mid <= lo || mid >= hi {
-			break // interval at float resolution
-		}
-		if cdf(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
 }

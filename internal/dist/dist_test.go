@@ -84,18 +84,6 @@ func TestAnalyticMomentsGolden(t *testing.T) {
 					t.Errorf("sample var %v, analytic %v", gotVar, wantVar)
 				}
 			}
-			// CDF/Quantile coherence at the quartiles: equality for the
-			// continuous laws, >= p at the step CDFs.
-			for _, p := range []float64{0.25, 0.5, 0.75} {
-				q := c.d.Quantile(p)
-				got := c.d.CDF(q)
-				if got < p-1e-6 {
-					t.Errorf("CDF(Quantile(%v)) = %v < p", p, got)
-				}
-				if wantVar > 0 && c.name != "mixture" && math.Abs(got-p) > 1e-6 {
-					t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-				}
-			}
 		})
 	}
 }
@@ -128,7 +116,7 @@ func TestSeededDeterminism(t *testing.T) {
 
 // TestErlangOrderOneIsExponential is the property test pinning the stage
 // construction: Erlang(1, beta) and the exponential with the same rate are
-// the same law - equal moments, CDFs, tails and quantiles everywhere.
+// the same law - equal moments, CDFs and sample paths everywhere.
 func TestErlangOrderOneIsExponential(t *testing.T) {
 	for _, beta := range []float64{0.01, 1, 3.5, 250} {
 		e1, err := NewErlang(1, beta)
@@ -147,12 +135,6 @@ func TestErlangOrderOneIsExponential(t *testing.T) {
 				t.Errorf("beta=%g x=%g: CDF differ by %g", beta, x, d)
 			}
 		}
-		for _, p := range []float64{0.01, 0.5, 0.9, 0.999} {
-			q1, q2 := e1.Quantile(p), ex.Quantile(p)
-			if math.Abs(q1-q2) > 1e-9*(1+q2) {
-				t.Errorf("beta=%g p=%g: quantiles %v vs %v", beta, p, q1, q2)
-			}
-		}
 		// Same seed must give the identical sample path (both are one
 		// ExpFloat64 stage scaled by the rate).
 		xs := SampleN(e1, NewRNG(9), 100)
@@ -166,7 +148,7 @@ func TestErlangOrderOneIsExponential(t *testing.T) {
 }
 
 // TestGumbelClosedForms pins the identities the fit and traffic layers rely
-// on: mean a + EulerGamma*b, variance pi^2 b^2/6, and the explicit quantile.
+// on: mean a + EulerGamma*b, variance pi^2 b^2/6, and the explicit median.
 func TestGumbelClosedForms(t *testing.T) {
 	g, err := NewGumbel(80, 5.7)
 	if err != nil {
@@ -179,8 +161,8 @@ func TestGumbelClosedForms(t *testing.T) {
 		t.Errorf("sd %v, want %v", got, want)
 	}
 	// Median: a - b ln(ln 2).
-	if got, want := g.Quantile(0.5), 80-5.7*math.Log(math.Log(2)); math.Abs(got-want) > 1e-12 {
-		t.Errorf("median %v, want %v", got, want)
+	if got := g.CDF(80 - 5.7*math.Log(math.Log(2))); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("CDF at the median %v, want 0.5", got)
 	}
 	// PDF integrates the CDF: finite-difference check.
 	const h = 1e-6
@@ -254,33 +236,6 @@ func TestMixtureMomentsAndCDF(t *testing.T) {
 	}
 	if m.CDF(15) != 0.75 || m.CDF(25) != 1 || m.CDF(5) != 0 {
 		t.Errorf("CDF steps wrong: %v %v %v", m.CDF(5), m.CDF(15), m.CDF(25))
-	}
-	if q := m.Quantile(0.5); q != 10 {
-		t.Errorf("median %v, want 10", q)
-	}
-	if q := m.Quantile(0.9); q != 20 {
-		t.Errorf("p90 %v, want 20", q)
-	}
-}
-
-// TestMixtureQuantileNegativeSupport regression-tests the bisection bracket
-// growth on laws living on the negative axis: doubling a negative hi used to
-// run away toward -Inf instead of widening the bracket.
-func TestMixtureQuantileNegativeSupport(t *testing.T) {
-	n1, _ := NewNormal(-50, 3)
-	n2, _ := NewNormal(-49.9, 3)
-	m, err := NewMixture([]Distribution{n1, n2}, []float64{0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{0.01, 0.25, 0.5, 0.75, 0.999} {
-		q := m.Quantile(p)
-		if math.IsInf(q, 0) || math.IsNaN(q) {
-			t.Fatalf("p=%v: quantile %v", p, q)
-		}
-		if got := m.CDF(q); math.Abs(got-p) > 1e-6 {
-			t.Errorf("p=%v: CDF(Quantile) = %v", p, got)
-		}
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 type Erlang struct {
 	K    int     // number of exponential stages
 	Rate float64 // per-stage rate beta (the queueing layer's Beta)
-
-	qc *quantileBracket // bisection bracket cache (nil on literal construction)
 }
 
 // NewErlang returns Erlang(k, beta) where beta is the per-stage rate; needs
@@ -26,7 +24,7 @@ func NewErlang(k int, beta float64) (Erlang, error) {
 	if !(beta > 0) {
 		return Erlang{}, fmt.Errorf("dist: erlang rate %g must be > 0", beta)
 	}
-	return Erlang{K: k, Rate: beta, qc: newQuantileBracket()}, nil
+	return Erlang{K: k, Rate: beta}, nil
 }
 
 // ErlangByMean returns the order-k Erlang with the given mean, i.e. rate
@@ -122,32 +120,6 @@ func (e Erlang) Tail(x float64) float64 {
 
 // CDF returns 1 - Tail(x).
 func (e Erlang) CDF(x float64) float64 { return 1 - e.Tail(x) }
-
-// Quantile inverts the CDF numerically (no closed form for K > 1). Solved
-// (p, q) pairs are cached on laws built by the constructors, so a repeated
-// percentile sweep over the same law starts each bisection from the
-// neighboring solved quantiles instead of re-searching [0, mean+12sd].
-func (e Erlang) Quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := 0.0, e.Mean()+12*StdDev(e)
-	if e.qc != nil {
-		var q float64
-		var hit bool
-		if lo, hi, q, hit = e.qc.bracket(p, lo, hi); hit {
-			return q
-		}
-	}
-	q := quantileBisect(e.CDF, p, lo, hi)
-	if e.qc != nil {
-		e.qc.store(p, q)
-	}
-	return q
-}
 
 // String renders Erlang(K, rate).
 func (e Erlang) String() string { return fmt.Sprintf("Erlang(%d, %.4g)", e.K, e.Rate) }

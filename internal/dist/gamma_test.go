@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -62,12 +61,12 @@ func TestErlangSamplerMatchesCDF(t *testing.T) {
 		}
 		xs := SampleN(e, NewRNG(uint64(2000+k)), n)
 		sort.Float64s(xs)
-		for _, p := range []float64{0.05, 0.25, 0.5, 0.75, 0.95, 0.99} {
-			x := e.Quantile(p)
+		for _, x := range []float64{50, 80, 100, 120, 150, 200} {
+			p := e.CDF(x)
 			emp := float64(sort.SearchFloat64s(xs, x)) / n
 			tol := 5 * math.Sqrt(p*(1-p)/n)
 			if math.Abs(emp-p) > tol {
-				t.Errorf("K=%d p=%v: empirical CDF %v (tol %v)", k, p, emp, tol)
+				t.Errorf("K=%d x=%v: empirical CDF %v, closed form %v (tol %v)", k, x, emp, p, tol)
 			}
 		}
 	}
@@ -85,95 +84,6 @@ func TestErlangSampleStrictlyPositive(t *testing.T) {
 		x := e.Sample(r)
 		if !(x > 0) || math.IsInf(x, 0) || math.IsNaN(x) {
 			t.Fatalf("draw %d = %v", i, x)
-		}
-	}
-}
-
-// TestQuantileBracketCacheConsistency sweeps a percentile grid twice over the
-// same laws: the second (cache-assisted) pass must return bit-identical
-// results, and cached answers must stay coherent with the CDF.
-func TestQuantileBracketCacheConsistency(t *testing.T) {
-	erl, err := ErlangByMean(9, 1852)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := ErlangByMean(40, 1800)
-	tail, _ := ErlangByMean(6, 2600)
-	mix, err := NewMixture([]Distribution{body, tail}, []float64{0.97, 0.03})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := make([]float64, 0, 99)
-	for p := 0.01; p < 0.995; p += 0.01 {
-		grid = append(grid, p)
-	}
-	grid = append(grid, 0.999, 0.9999, 0.99999)
-	for _, d := range []Distribution{erl, mix} {
-		first := make([]float64, len(grid))
-		for i, p := range grid {
-			first[i] = d.Quantile(p)
-			if got := d.CDF(first[i]); got < p-1e-9 {
-				t.Errorf("%v: CDF(Quantile(%v)) = %v < p", d, p, got)
-			}
-		}
-		// Monotone in p.
-		for i := 1; i < len(first); i++ {
-			if first[i] < first[i-1] {
-				t.Errorf("%v: quantile not monotone at p=%v", d, grid[i])
-			}
-		}
-		// Second sweep: exact cache hits.
-		for i, p := range grid {
-			if got := d.Quantile(p); got != first[i] {
-				t.Errorf("%v: cached Quantile(%v) = %v, first pass %v", d, p, got, first[i])
-			}
-		}
-	}
-}
-
-// TestQuantileBracketCacheConcurrent hammers one law's Quantile from many
-// goroutines (run under -race in CI): the cache must not race and every
-// answer must stay coherent with the CDF.
-func TestQuantileBracketCacheConcurrent(t *testing.T) {
-	erl, err := ErlangByMean(20, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				p := float64((i*7+w*13)%997+1) / 1000
-				q := erl.Quantile(p)
-				if got := erl.CDF(q); math.Abs(got-p) > 1e-6 {
-					select {
-					case errc <- nil:
-					default:
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case <-errc:
-		t.Error("concurrent quantile incoherent with CDF")
-	default:
-	}
-}
-
-// TestLiteralErlangQuantileStillWorks: zero-value/literal construction (no
-// cache pointer) must keep working - the cache is an optimization, not a
-// requirement.
-func TestLiteralErlangQuantileStillWorks(t *testing.T) {
-	e := Erlang{K: 4, Rate: 2}
-	for _, p := range []float64{0.1, 0.5, 0.9} {
-		q := e.Quantile(p)
-		if got := e.CDF(q); math.Abs(got-p) > 1e-9 {
-			t.Errorf("p=%v: CDF(Quantile) = %v", p, got)
 		}
 	}
 }

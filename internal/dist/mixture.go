@@ -14,8 +14,6 @@ import (
 type Mixture struct {
 	Components []Distribution
 	Weights    []float64 // normalized to sum 1 by NewMixture
-
-	qc *quantileBracket // bisection bracket cache (nil on literal construction)
 }
 
 // NewMixture validates and normalizes the weights: one weight per component,
@@ -47,7 +45,7 @@ func NewMixture(components []Distribution, weights []float64) (Mixture, error) {
 	}
 	comps := make([]Distribution, len(components))
 	copy(comps, components)
-	return Mixture{Components: comps, Weights: norm, qc: newQuantileBracket()}, nil
+	return Mixture{Components: comps, Weights: norm}, nil
 }
 
 // Sample picks a component by weight and draws from it.
@@ -92,52 +90,6 @@ func (m Mixture) CDF(x float64) float64 {
 		s += m.Weights[i] * c.CDF(x)
 	}
 	return s
-}
-
-// Quantile inverts the mixture CDF numerically, bracketed by the extreme
-// component quantiles. Laws built by NewMixture cache solved (p, q) pairs so
-// repeated percentile sweeps skip both the per-component bracket search and
-// the from-scratch bisection.
-func (m Mixture) Quantile(p float64) float64 {
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	if m.qc != nil {
-		if _, _, q, hit := m.qc.bracket(p, math.Inf(-1), math.Inf(1)); hit {
-			return q
-		}
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, c := range m.Components {
-		q := c.Quantile(p)
-		if q < lo {
-			lo = q
-		}
-		if q > hi {
-			hi = q
-		}
-	}
-	if m.qc != nil {
-		// Narrow further using previously solved neighbors.
-		lo, hi, _, _ = m.qc.bracket(p, lo, hi)
-	}
-	q := m.quantileIn(p, lo, hi)
-	if m.qc != nil {
-		m.qc.store(p, q)
-	}
-	return q
-}
-
-// quantileIn solves the inversion inside a bracket.
-func (m Mixture) quantileIn(p, lo, hi float64) float64 {
-	if lo == hi {
-		return lo
-	}
-	// lo's CDF may equal p already when one component dominates; widen a hair.
-	if m.CDF(lo) >= p {
-		return lo
-	}
-	return quantileBisect(m.CDF, p, lo, hi)
 }
 
 // String renders Mix(w1*comp1 + w2*comp2 + ...).

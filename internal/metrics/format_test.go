@@ -94,7 +94,7 @@ var (
 	daemonFamilies  = append(requestFamilies, metrics.RequestLatency,
 		metrics.CacheEntries, metrics.CacheLookupHits, metrics.CacheLookupMisses,
 		metrics.CacheEvictions)
-	routerFamilies = append(requestFamilies,
+	routerFamilies = append(requestFamilies, metrics.RequestLatency,
 		metrics.RouterReplicas, metrics.RouterRetries, metrics.RouterSpills,
 		metrics.RouterBatchSplits, metrics.RouterNoReplica, metrics.ReplicaUp, metrics.ReplicaReady,
 		metrics.ReplicaRequests, metrics.ReplicaErrors, metrics.ReplicaInflight, metrics.BreakerOpen)

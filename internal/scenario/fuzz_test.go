@@ -100,6 +100,8 @@ func FuzzFromJSON(f *testing.F) {
 		`{"gamers":80`,
 		`[1,2,3]`,
 		`{"gamer":80}`,
+		`{"gamers":64} {"gamers":70}`,
+		`{"gamers":64}xyz`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -14,8 +14,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/url"
 	"strconv"
@@ -179,12 +181,26 @@ func FromQuery(values url.Values, extra ...string) (Scenario, error) {
 // fails loudly instead of silently modeling the default population.
 func FromJSON(data []byte) (Scenario, error) {
 	s := Default()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := UnmarshalStrict(data, &s); err != nil {
 		return s, fmt.Errorf("scenario: %w", err)
 	}
 	return s, nil
+}
+
+// UnmarshalStrict decodes exactly one JSON value into v. Keys v does not
+// declare are rejected, and so is anything but whitespace after the value,
+// so a typoed key or a second concatenated object fails loudly instead of
+// being silently ignored. Every JSON input of the daemon decodes through it.
+func UnmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // Model resolves the scenario into the model layer's units: SI units

@@ -147,7 +147,12 @@ func TestFromJSONRejectsUnknownKeys(t *testing.T) {
 	if _, err := scenario.FromJSON([]byte(`{"gamers": "eighty"}`)); err == nil {
 		t.Error("non-numeric value accepted")
 	}
-	s, err := scenario.FromJSON([]byte(`{"ps": 250}`))
+	for _, trailing := range []string{`{"gamers":64} {"gamers":70}`, `{"gamers":64}xyz`, `{"gamers":64}]`} {
+		if _, err := scenario.FromJSON([]byte(trailing)); err == nil {
+			t.Errorf("%s: data after the object accepted", trailing)
+		}
+	}
+	s, err := scenario.FromJSON([]byte(`{"ps": 250} ` + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,11 +77,20 @@ func (s *Server) BeginDrain() {
 // can drive the service through net/http/httptest without a socket.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/rtt", s.instrument("/v1/rtt", s.handleRTT))
-	mux.HandleFunc("/v1/rtt:batch", s.instrument("/v1/rtt:batch", s.handleBatch))
-	mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	mux.HandleFunc("/v1/dimension", s.instrument("/v1/dimension", s.handleDimension))
-	mux.HandleFunc("/v1/models", s.instrument("/v1/models", s.handleModels))
+	e := s.engine
+	for path, h := range map[string]Endpoint{
+		"/v1/rtt": keyed(DecodeRTT, func(q Request) (RTTResult, bool, error) { return e.RTT(q.Scenario) }),
+		"/v1/sweep": keyed(DecodeSweep, func(q Request) (SweepResult, bool, error) {
+			return e.Sweep(q.Scenario, q.From, q.To, q.Step)
+		}),
+		"/v1/dimension": keyed(DecodeDimension, func(q Request) (DimensionResult, bool, error) {
+			return e.Dimension(q.Scenario, q.BoundMs)
+		}),
+		"/v1/rtt:batch": s.handleBatch,
+		"/v1/models":    s.handleModels,
+	} {
+		mux.HandleFunc(path, Instrument(e.Metrics(), path, h))
+	}
 	mux.HandleFunc("/v1/cache:dump", s.handleCacheDump)
 	mux.HandleFunc("/v1/cache:warm", s.handleCacheWarm)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -141,9 +150,9 @@ func badRequest(err error) error {
 	return fmt.Errorf("%w: %w", errBadRequest, err)
 }
 
-// writeJSON marshals v compactly; the compact single-marshal path keeps
+// WriteJSON marshals v compactly; the compact single-marshal path keeps
 // responses byte-identical across requests, workers and cache states.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
@@ -152,6 +161,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(append(data, '\n'))
+}
+
+// WriteError renders err in the uniform error envelope {"error": "..."}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, apiError{Error: err.Error()})
+}
+
+// WriteAnswer renders a model answer with its CacheHeader.
+func WriteAnswer(w http.ResponseWriter, v any, cached bool) {
+	cache := "miss"
+	if cached {
+		cache = "hit"
+	}
+	w.Header().Set(CacheHeader, cache)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // errStatus maps model errors to HTTP statuses: invalid scenarios and
@@ -171,30 +195,46 @@ func errStatus(err error) int {
 	}
 }
 
-// handlerFunc is an endpoint body: it reports whether the engine cache
-// answered and what failed, letting instrument own metrics and errors.
-type handlerFunc func(w http.ResponseWriter, r *http.Request) (cached bool, err error)
+// Endpoint is the body of one instrumented endpoint: it answers the request
+// or returns what failed, and reports whether the engine cache answered.
+type Endpoint func(w http.ResponseWriter, r *http.Request) (cached bool, err error)
 
-// instrument wraps an endpoint with method filtering, error rendering and
-// metrics observation.
-func (s *Server) instrument(name string, h handlerFunc) http.HandlerFunc {
+// statusWriter remembers the status an endpoint answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (s *statusWriter) WriteHeader(status int) {
+	s.status = status
+	s.ResponseWriter.WriteHeader(status)
+}
+
+// Instrument wraps an endpoint with the method filter, error rendering and
+// rec's per-endpoint series: a request counts as failed when it is answered
+// with a 4xx or 5xx status, whoever wrote it. fpspingd and fpsrouter serve
+// every model endpoint through it, so both answer a bad method or a bad
+// request with the same bytes and count requests alike.
+func Instrument(rec *metrics.Recorder, name string, h Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodPost {
 			w.Header().Set("Allow", "GET, POST")
-			writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "use GET or POST"})
+			WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 			return
 		}
 		start := time.Now()
-		cached, err := h(w, r)
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		cached, err := h(sw, r)
 		if err != nil {
-			writeJSON(w, errStatus(err), apiError{Error: err.Error()})
+			WriteError(sw, errStatus(err), err)
 		}
-		s.engine.Metrics().Observe(name, time.Since(start), cached, err != nil)
+		rec.Observe(name, time.Since(start), cached, sw.status >= http.StatusBadRequest)
 	}
 }
 
-// readBody slurps a bounded request body ("" for GET).
-func readBody(r *http.Request) ([]byte, error) {
+// ReadBody reads a request body of at most 4 MiB (empty for a bodiless
+// GET); a longer one is the client's fault.
+func ReadBody(r *http.Request) ([]byte, error) {
 	if r.Body == nil {
 		return nil, nil
 	}
@@ -209,91 +249,31 @@ func readBody(r *http.Request) ([]byte, error) {
 	return data, nil
 }
 
-// strictUnmarshal decodes JSON rejecting unknown top-level keys, so a
-// mis-keyed request field fails loudly instead of silently falling back to
-// a default (mirroring scenario.FromJSON's DisallowUnknownFields).
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// Request is one decoded keyed request: the scenario and the endpoint's
+// own parameters, zero where the endpoint has none.
+type Request struct {
+	Scenario scenario.Scenario
+	// From, To and Step are /v1/sweep's load grid.
+	From, To, Step float64
+	// BoundMs is /v1/dimension's RTT bound.
+	BoundMs float64
 }
 
-// scenarioFromRequest accepts the two query styles: a JSON Scenario body
-// (POST) or scenario query parameters (GET or empty-body POST).
-func scenarioFromRequest(r *http.Request, body []byte) (scenario.Scenario, error) {
+// Decoder decodes one keyed endpoint's request from its query and body. A
+// non-empty body is the request (strict JSON); otherwise the query is.
+type Decoder func(query url.Values, body []byte) (Request, error)
+
+// DecodeRTT decodes a /v1/rtt request: a JSON Scenario body, or scenario
+// query parameters.
+func DecodeRTT(query url.Values, body []byte) (Request, error) {
+	var sc scenario.Scenario
+	var err error
 	if len(body) > 0 {
-		sc, err := scenario.FromJSON(body)
-		return sc, badRequest(err)
+		sc, err = scenario.FromJSON(body)
+	} else {
+		sc, err = scenario.FromQuery(query)
 	}
-	sc, err := scenario.FromQuery(r.URL.Query())
-	return sc, badRequest(err)
-}
-
-// queryFloat parses an optional float query parameter.
-func queryFloat(values url.Values, key string, def float64) (float64, error) {
-	v := values.Get(key)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, badRequest(fmt.Errorf("parameter %q: %w", key, err))
-	}
-	return f, nil
-}
-
-func (s *Server) handleRTT(w http.ResponseWriter, r *http.Request) (bool, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return false, err
-	}
-	sc, err := scenarioFromRequest(r, body)
-	if err != nil {
-		return false, err
-	}
-	res, cached, err := s.engine.RTT(sc)
-	if err != nil {
-		return false, err
-	}
-	w.Header().Set(CacheHeader, hitOrMiss(cached))
-	writeJSON(w, http.StatusOK, res)
-	return cached, nil
-}
-
-// BatchRequest is the /v1/rtt:batch payload. Scenarios stay raw so each
-// item is decoded (and each item's error attributed) individually.
-type BatchRequest struct {
-	Scenarios []json.RawMessage `json:"scenarios"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (bool, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return false, err
-	}
-	if len(body) == 0 {
-		return false, badRequest(errors.New("batch needs a JSON body {\"scenarios\": [...]}"))
-	}
-	var req BatchRequest
-	if err := strictUnmarshal(body, &req); err != nil {
-		return false, badRequest(fmt.Errorf("batch body: %w", err))
-	}
-	if len(req.Scenarios) == 0 {
-		return false, badRequest(errors.New("batch needs at least one scenario"))
-	}
-	scs := make([]scenario.Scenario, len(req.Scenarios))
-	for i, raw := range req.Scenarios {
-		sc, err := scenario.FromJSON(raw)
-		if err != nil {
-			return false, badRequest(fmt.Errorf("scenario %d: %w", i, err))
-		}
-		scs[i] = sc
-	}
-	res := s.engine.Batch(scs)
-	cached := res.Cached == len(res.Results)
-	w.Header().Set(CacheHeader, hitOrMiss(cached))
-	writeJSON(w, http.StatusOK, res)
-	return cached, nil
+	return Request{Scenario: sc}, badRequest(err)
 }
 
 // SweepRequest is the /v1/sweep POST payload; an absent Scenario sweeps the
@@ -305,6 +285,35 @@ type SweepRequest struct {
 	Step     float64         `json:"step"`
 }
 
+// DecodeSweep decodes a /v1/sweep request: a SweepRequest body, or scenario
+// query parameters plus from, to and step. The grid defaults to
+// 0.05-0.90 in steps of 0.05.
+func DecodeSweep(query url.Values, body []byte) (Request, error) {
+	req := Request{From: 0.05, To: 0.90, Step: 0.05}
+	if len(body) > 0 {
+		wire := SweepRequest{From: req.From, To: req.To, Step: req.Step}
+		if err := scenario.UnmarshalStrict(body, &wire); err != nil {
+			return req, badRequest(fmt.Errorf("sweep body: %w", err))
+		}
+		sc, err := bodyScenario(wire.Scenario)
+		return Request{Scenario: sc, From: wire.From, To: wire.To, Step: wire.Step}, err
+	}
+	sc, err := scenario.FromQuery(query, "from", "to", "step")
+	if err != nil {
+		return req, badRequest(err)
+	}
+	req.Scenario = sc
+	for _, p := range []struct {
+		key string
+		dst *float64
+	}{{"from", &req.From}, {"to", &req.To}, {"step", &req.Step}} {
+		if err := queryFloat(query, p.key, p.dst); err != nil {
+			return req, err
+		}
+	}
+	return req, nil
+}
+
 // DimensionRequest is the /v1/dimension POST payload; an absent Scenario
 // dimensions the default one.
 type DimensionRequest struct {
@@ -312,89 +321,126 @@ type DimensionRequest struct {
 	BoundMs  float64         `json:"bound_ms"`
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (bool, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return false, err
-	}
-	req := SweepRequest{From: 0.05, To: 0.90, Step: 0.05}
-	var sc scenario.Scenario
+// DecodeDimension decodes a /v1/dimension request: a DimensionRequest body,
+// or scenario query parameters plus the bound. "bound" is the short query
+// spelling and "bound_ms" matches the body field; either works, bound_ms
+// winning when both are given. The bound defaults to 50 ms and must be
+// positive.
+func DecodeDimension(query url.Values, body []byte) (Request, error) {
+	req := Request{BoundMs: 50}
 	if len(body) > 0 {
-		if err := strictUnmarshal(body, &req); err != nil {
-			return false, badRequest(fmt.Errorf("sweep body: %w", err))
+		wire := DimensionRequest{BoundMs: req.BoundMs}
+		if err := scenario.UnmarshalStrict(body, &wire); err != nil {
+			return req, badRequest(fmt.Errorf("dimension body: %w", err))
 		}
-		if len(req.Scenario) > 0 {
-			if sc, err = scenario.FromJSON(req.Scenario); err != nil {
-				return false, badRequest(err)
-			}
-		} else {
-			sc = scenario.Default()
+		sc, err := bodyScenario(wire.Scenario)
+		if err != nil {
+			return req, err
 		}
+		req.Scenario, req.BoundMs = sc, wire.BoundMs
 	} else {
-		q := r.URL.Query()
-		if sc, err = scenario.FromQuery(q, "from", "to", "step"); err != nil {
-			return false, badRequest(err)
+		sc, err := scenario.FromQuery(query, "bound", "bound_ms")
+		if err != nil {
+			return req, badRequest(err)
 		}
-		if req.From, err = queryFloat(q, "from", req.From); err != nil {
-			return false, err
-		}
-		if req.To, err = queryFloat(q, "to", req.To); err != nil {
-			return false, err
-		}
-		if req.Step, err = queryFloat(q, "step", req.Step); err != nil {
-			return false, err
-		}
-	}
-	res, cached, err := s.engine.Sweep(sc, req.From, req.To, req.Step)
-	if err != nil {
-		return false, err
-	}
-	w.Header().Set(CacheHeader, hitOrMiss(cached))
-	writeJSON(w, http.StatusOK, res)
-	return cached, nil
-}
-
-func (s *Server) handleDimension(w http.ResponseWriter, r *http.Request) (bool, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return false, err
-	}
-	req := DimensionRequest{BoundMs: 50}
-	var sc scenario.Scenario
-	if len(body) > 0 {
-		if err := strictUnmarshal(body, &req); err != nil {
-			return false, badRequest(fmt.Errorf("dimension body: %w", err))
-		}
-		if len(req.Scenario) > 0 {
-			if sc, err = scenario.FromJSON(req.Scenario); err != nil {
-				return false, badRequest(err)
+		req.Scenario = sc
+		for _, key := range []string{"bound", "bound_ms"} {
+			if err := queryFloat(query, key, &req.BoundMs); err != nil {
+				return req, err
 			}
-		} else {
-			sc = scenario.Default()
-		}
-	} else {
-		q := r.URL.Query()
-		if sc, err = scenario.FromQuery(q, "bound", "bound_ms"); err != nil {
-			return false, badRequest(err)
-		}
-		// "bound" is the short query spelling; "bound_ms" matches the JSON
-		// body field. Either works, bound_ms winning when both are given.
-		if req.BoundMs, err = queryFloat(q, "bound", req.BoundMs); err != nil {
-			return false, err
-		}
-		if req.BoundMs, err = queryFloat(q, "bound_ms", req.BoundMs); err != nil {
-			return false, err
 		}
 	}
 	if !(req.BoundMs > 0) {
-		return false, fmt.Errorf("%w: rtt bound %g ms", core.ErrBadModel, req.BoundMs)
+		return req, fmt.Errorf("%w: rtt bound %g ms", core.ErrBadModel, req.BoundMs)
 	}
-	res, cached, err := s.engine.Dimension(sc, req.BoundMs)
+	return req, nil
+}
+
+// bodyScenario decodes an envelope's "scenario" field; absent means the
+// default scenario.
+func bodyScenario(raw json.RawMessage) (scenario.Scenario, error) {
+	if len(raw) == 0 {
+		return scenario.Default(), nil
+	}
+	sc, err := scenario.FromJSON(raw)
+	return sc, badRequest(err)
+}
+
+// queryFloat overwrites *dst with the named query parameter, when given.
+func queryFloat(values url.Values, key string, dst *float64) error {
+	v := values.Get(key)
+	if v == "" {
+		return nil
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return badRequest(fmt.Errorf("parameter %q: %w", key, err))
+	}
+	*dst = f
+	return nil
+}
+
+// BatchRequest is the /v1/rtt:batch payload. Scenarios stay raw so each
+// item is decoded (and each item's error attributed) individually.
+type BatchRequest struct {
+	Scenarios []json.RawMessage `json:"scenarios"`
+}
+
+// DecodeBatch decodes a /v1/rtt:batch body into its scenarios, in order.
+func DecodeBatch(body []byte) ([]scenario.Scenario, error) {
+	if len(body) == 0 {
+		return nil, badRequest(errors.New("batch needs a JSON body {\"scenarios\": [...]}"))
+	}
+	var req BatchRequest
+	if err := scenario.UnmarshalStrict(body, &req); err != nil {
+		return nil, badRequest(fmt.Errorf("batch body: %w", err))
+	}
+	if len(req.Scenarios) == 0 {
+		return nil, badRequest(errors.New("batch needs at least one scenario"))
+	}
+	scs := make([]scenario.Scenario, len(req.Scenarios))
+	for i, raw := range req.Scenarios {
+		sc, err := scenario.FromJSON(raw)
+		if err != nil {
+			return nil, badRequest(fmt.Errorf("scenario %d: %w", i, err))
+		}
+		scs[i] = sc
+	}
+	return scs, nil
+}
+
+// keyed is a keyed endpoint: read and decode the request, then answer it.
+func keyed[T any](decode Decoder, answer func(Request) (T, bool, error)) Endpoint {
+	return func(w http.ResponseWriter, r *http.Request) (bool, error) {
+		body, err := ReadBody(r)
+		if err != nil {
+			return false, err
+		}
+		req, err := decode(r.URL.Query(), body)
+		if err != nil {
+			return false, err
+		}
+		res, cached, err := answer(req)
+		if err != nil {
+			return false, err
+		}
+		WriteAnswer(w, res, cached)
+		return cached, nil
+	}
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (bool, error) {
+	body, err := ReadBody(r)
 	if err != nil {
 		return false, err
 	}
-	w.Header().Set(CacheHeader, hitOrMiss(cached))
-	writeJSON(w, http.StatusOK, res)
+	scs, err := DecodeBatch(body)
+	if err != nil {
+		return false, err
+	}
+	res := s.engine.Batch(scs)
+	cached := res.Cached == len(res.Results)
+	WriteAnswer(w, res, cached)
 	return cached, nil
 }
 
@@ -446,7 +492,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) (bool, err
 		}
 		out[i] = info
 	}
-	writeJSON(w, http.StatusOK, ModelsResult{Models: out})
+	WriteJSON(w, http.StatusOK, ModelsResult{Models: out})
 	return false, nil
 }
 
@@ -457,13 +503,13 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) (bool, err
 func (s *Server) handleCacheDump(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "use GET"})
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	var buf bytes.Buffer
 	st, err := s.engine.DumpCache(&buf)
 	if err != nil {
-		writeJSON(w, errStatus(err), apiError{Error: err.Error()})
+		WriteError(w, errStatus(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -488,16 +534,16 @@ type WarmResult struct {
 func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "use POST"})
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
 	defer r.Body.Close()
 	st, err := s.engine.WarmCache(io.LimitReader(r.Body, maxSnapshotBody))
 	if err != nil {
-		writeJSON(w, errStatus(err), apiError{Error: err.Error()})
+		WriteError(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, WarmResult{
+	WriteJSON(w, http.StatusOK, WarmResult{
 		Restored:        st.Restored,
 		SkippedExisting: st.SkippedExisting,
 		SkippedFull:     st.SkippedFull,
@@ -536,7 +582,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status, ready = "draining", false
 	}
-	writeJSON(w, http.StatusOK, Health{
+	WriteJSON(w, http.StatusOK, Health{
 		Status:          status,
 		Ready:           ready,
 		ReadyGeneration: s.readyGen.Load(),
@@ -563,11 +609,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Add(metrics.CacheEvictions, "", st.Evictions)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, p.String())
-}
-
-func hitOrMiss(cached bool) string {
-	if cached {
-		return "hit"
-	}
-	return "miss"
 }

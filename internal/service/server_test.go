@@ -7,11 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"fpsping/internal/core"
+	"fpsping/internal/scenario"
 )
 
 func newTestServer(t *testing.T, jobs int) (*Server, *httptest.Server) {
@@ -92,6 +94,9 @@ func TestRTTEndpointErrors(t *testing.T) {
 		{"unknown sweep body key", http.MethodPost, "/v1/sweep", `{"scenario": {}, "stepp": 0.01}`, http.StatusBadRequest},
 		{"bound misspelled in body", http.MethodPost, "/v1/dimension", `{"scenario": {}, "bound": 40}`, http.StatusBadRequest},
 		{"unknown batch key", http.MethodPost, "/v1/rtt:batch", `{"scenario": [{}]}`, http.StatusBadRequest},
+		{"second JSON object", http.MethodPost, "/v1/rtt", `{"gamers":64} {"gamers":70}`, http.StatusBadRequest},
+		{"data after the JSON object", http.MethodPost, "/v1/rtt", `{"gamers":64}xyz`, http.StatusBadRequest},
+		{"data after the batch", http.MethodPost, "/v1/rtt:batch", `{"scenarios":[{"gamers":64}]} 1`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -108,6 +113,55 @@ func TestRTTEndpointErrors(t *testing.T) {
 	resp, _ := do(t, http.MethodDelete, ts.URL+"/v1/rtt", "")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE status %d", resp.StatusCode)
+	}
+}
+
+// TestDecodersBothFormsOneKey checks that the query and the body form of
+// each keyed request decode to one scenario key and the same parameters,
+// and that unparsable requests are rejected as the client's fault. The
+// cluster router keys its ring on these decodes.
+func TestDecodersBothFormsOneKey(t *testing.T) {
+	want, err := scenario.FromQuery(url.Values{"gamers": {"64"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		decode Decoder
+		query  string
+		body   string
+		want   Request
+	}{
+		{"rtt query", DecodeRTT, "gamers=64", "", Request{}},
+		{"rtt body", DecodeRTT, "", `{"gamers":64}`, Request{}},
+		{"sweep query", DecodeSweep, "gamers=64&from=0.1&to=0.8&step=0.1", "", Request{From: 0.1, To: 0.8, Step: 0.1}},
+		{"sweep body", DecodeSweep, "", `{"scenario":{"gamers":64},"from":0.1,"to":0.8,"step":0.1}`, Request{From: 0.1, To: 0.8, Step: 0.1}},
+		{"dimension query", DecodeDimension, "gamers=64&bound=45", "", Request{BoundMs: 45}},
+		{"dimension body", DecodeDimension, "", `{"scenario":{"gamers":64},"bound_ms":45}`, Request{BoundMs: 45}},
+	}
+	for _, c := range cases {
+		values, err := url.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.decode(values, []byte(c.body))
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got.Scenario.Canonical() != want.Canonical() {
+			t.Errorf("%s: key %q, want %q", c.name, got.Scenario.Canonical(), want.Canonical())
+		}
+		c.want.Scenario = got.Scenario
+		if got != c.want {
+			t.Errorf("%s: decoded %+v, want %+v", c.name, got, c.want)
+		}
+	}
+	if _, err := DecodeRTT(url.Values{"gamers": {"not-a-number"}}, nil); errStatus(err) != http.StatusBadRequest {
+		t.Errorf("unparsable scenario: %v", err)
+	}
+	if _, err := DecodeRTT(nil, []byte(`{"unknown_field":1}`)); errStatus(err) != http.StatusBadRequest {
+		t.Errorf("unknown field: %v", err)
 	}
 }
 

@@ -102,27 +102,22 @@ func (engineCodec) Encode(key string, val any) ([]byte, bool, error) {
 }
 
 func (engineCodec) Decode(key string, data []byte) (any, error) {
-	strict := func(v any) error {
-		dec := json.NewDecoder(strings.NewReader(string(data)))
-		dec.DisallowUnknownFields()
-		return dec.Decode(v)
-	}
 	switch {
 	case strings.HasPrefix(key, "rtt|"):
 		var v RTTResult
-		return v, strict(&v)
+		return v, scenario.UnmarshalStrict(data, &v)
 	case strings.HasPrefix(key, "pt|"):
 		var ps pointSnapshot
-		if err := strict(&ps); err != nil {
+		if err := scenario.UnmarshalStrict(data, &ps); err != nil {
 			return nil, err
 		}
 		return pointMemo{Gamers: ps.Gamers, RTT: ps.RTT, Unstable: ps.Unstable}, nil
 	case strings.HasPrefix(key, "sweep|"):
 		var v SweepResult
-		return v, strict(&v)
+		return v, scenario.UnmarshalStrict(data, &v)
 	case strings.HasPrefix(key, "dim|"):
 		var v DimensionResult
-		return v, strict(&v)
+		return v, scenario.UnmarshalStrict(data, &v)
 	}
 	return nil, fmt.Errorf("unknown memo key space %q", key)
 }

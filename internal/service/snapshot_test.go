@@ -82,7 +82,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 		t.Fatalf("cache:warm status %d: %s", resp.StatusCode, body)
 	}
 	var res WarmResult
-	if err := strictUnmarshal(body, &res); err != nil {
+	if err := scenario.UnmarshalStrict(body, &res); err != nil {
 		t.Fatalf("warm result: %v", err)
 	}
 	if res.Restored == 0 || res.CacheEntries != res.Restored {
@@ -126,7 +126,7 @@ func TestCacheWarmNeverClobbers(t *testing.T) {
 		t.Fatalf("cache:warm status %d: %s", wresp.StatusCode, wbody)
 	}
 	var res WarmResult
-	if err := strictUnmarshal(wbody, &res); err != nil {
+	if err := scenario.UnmarshalStrict(wbody, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.SkippedExisting == 0 {

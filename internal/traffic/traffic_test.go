@@ -70,11 +70,11 @@ func TestHalfLifeMatchesTable2(t *testing.T) {
 		t.Error("fallback map broken")
 	}
 	// Client sizes live in the paper's 60-90B band (middle 99%).
-	if q := m.Client[0].Size.Quantile(0.005); q < 55 {
-		t.Errorf("client size p0.5%% = %v", q)
+	if f := m.Client[0].Size.CDF(55); f > 0.005 {
+		t.Errorf("client size P(<= 55B) = %v, want p0.5%% >= 55B", f)
 	}
-	if q := m.Client[0].Size.Quantile(0.995); q > 95 {
-		t.Errorf("client size p99.5%% = %v", q)
+	if f := m.Client[0].Size.CDF(95); f < 0.995 {
+		t.Errorf("client size P(<= 95B) = %v, want p99.5%% <= 95B", f)
 	}
 }
 
@@ -106,15 +106,15 @@ func TestQuake3Bands(t *testing.T) {
 		t.Errorf("server tick %v, want 50ms", m.Server.IAT.Mean())
 	}
 	// Server sizes stay in the paper's 50-400B band for the bulk.
-	if q := m.Server.PacketSize.Quantile(0.99); q > 420 {
-		t.Errorf("server size p99 = %v", q)
+	if f := m.Server.PacketSize.CDF(420); f < 0.99 {
+		t.Errorf("server size P(<= 420B) = %v, want p99 <= 420B", f)
 	}
 	// Client sizes 50-70B.
-	if q := m.Client[0].Size.Quantile(0.01); q < 45 {
-		t.Errorf("client size p1 = %v", q)
+	if f := m.Client[0].Size.CDF(45); f > 0.01 {
+		t.Errorf("client size P(<= 45B) = %v, want p1 >= 45B", f)
 	}
-	if q := m.Client[0].Size.Quantile(0.99); q > 75 {
-		t.Errorf("client size p99 = %v", q)
+	if f := m.Client[0].Size.CDF(75); f < 0.99 {
+		t.Errorf("client size P(<= 75B) = %v, want p99 <= 75B", f)
 	}
 	// IAT clamped to the 10-30ms band.
 	if Quake3(2, 5).Client[0].IAT.Mean() != 0.010 {
