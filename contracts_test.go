@@ -44,10 +44,10 @@ var contracts = []contract{
 	},
 	{
 		id:   "warm-equals-cold",
-		what: "walked and cached evaluations are bit-identical to a cold evaluation",
+		what: "walked and cached evaluations are bit-identical to a cold evaluation; a quantile inversion starts from a point that depends only on the law and the level, and every Newton pass lands inside the live bracket",
 		tests: []string{
 			"internal/queueing:TestDEK1SolveFromBitIdenticalToSolve",
-			"internal/mgf:TestSeededWalkStaysInBracket",
+			"internal/mgf:TestNewtonStaysInBracket",
 			"internal/core:TestWarmStartBitIdentical",
 			"internal/core:TestLoadPathBitIdenticalToCold",
 			"internal/core:TestLoadPathWalksMatchCold",
@@ -138,8 +138,11 @@ var contracts = []contract{
 	},
 	{
 		id:   "finite-or-typed-error",
-		what: "any input the scenario vocabulary accepts yields a finite answer or a typed 400/422, never a panic or an unbounded run",
+		what: "any input the scenario vocabulary accepts yields a finite answer or a typed 400/422, never a panic or an unbounded run; a quantile inversion makes at most maxTailPasses tail passes, and a component whose inversion fails is a 422, never a 0 ms component",
 		tests: []string{
+			"internal/mgf:TestInvertTailCapsPasses",
+			"internal/mgf:TestTailPassesPerInversion",
+			"internal/core:TestDecomposePropagatesInvalidComponent",
 			"internal/scenario:FuzzFromQuery",
 			"internal/scenario:FuzzFromJSON",
 			"internal/service:TestRTTEndpointErrors",
@@ -149,6 +152,22 @@ var contracts = []contract{
 			"internal/service:TestRTTLargeErlangOrderFinishes",
 			"internal/service:TestSweepRangeBounded",
 			"cmd/fpsping:TestSweepRangeBounded",
+		},
+		jobs: []string{"verify", "fuzz"},
+	},
+	{
+		id:   "quantile-monotone-in-level",
+		what: "through an in-process server, the RTT quantile and each of its components do not decrease in the quantile level, over the scenario vocabulary, for levels whose tails differ by 1% or more",
+		tests: []string{
+			"internal/service:FuzzQuantileMonotoneInLevel",
+		},
+		jobs: []string{"verify", "fuzz"},
+	},
+	{
+		id:   "batch-equals-single",
+		what: "each /v1/rtt:batch item is the single /v1/rtt answer to its scenario, result bytes or error message, computed cold on separate servers",
+		tests: []string{
+			"internal/service:FuzzBatchItemEqualsSingle",
 		},
 		jobs: []string{"verify", "fuzz"},
 	},

@@ -108,6 +108,8 @@ func (cm *CompiledModel) MeanRTT() (float64, error) {
 
 // Decompose evaluates each delay component's quantile in isolation plus the
 // true total, reusing the compiled factors instead of rebuilding the queues.
+// A factor whose inversion fails is an error (mgf.ErrInvalid, served as a
+// 422), never a zero component.
 func (cm *CompiledModel) Decompose() (Components, error) {
 	m := cm.Model
 	c := Components{
@@ -116,13 +118,13 @@ func (cm *CompiledModel) Decompose() (Components, error) {
 	}
 	p := m.quantile()
 	var err error
-	if c.Upstream, err = quantileOrZero(cm.du, p); err != nil {
+	if c.Upstream, err = cm.du.Quantile(p); err != nil {
 		return c, err
 	}
-	if c.BurstWait, err = quantileOrZero(cm.w, p); err != nil {
+	if c.BurstWait, err = cm.w.Quantile(p); err != nil {
 		return c, err
 	}
-	if c.Position, err = quantileOrZero(cm.p, p); err != nil {
+	if c.Position, err = cm.p.Quantile(p); err != nil {
 		return c, err
 	}
 	if c.Total, err = cm.RTTQuantile(); err != nil {

@@ -2,11 +2,11 @@ package core
 
 // LoadPath evaluates one scenario at points along the load axis. It holds
 // only the model: each point compiles its own model cold, and the quantile
-// inversion seeds its bracket walk from its own law's factors (see
-// mgf.Quantile), so nothing is carried from point to point. A point
-// evaluated through a path is byte-identical to
-// WithDownlinkLoad(rho).RTTQuantile(). Sweeps (SweepGridWith chunks) and
-// dimensioning searches (MaxLoadWith) drive their points through one.
+// inversion starts from its own law's factor seed (see mgf.Sum.Quantile),
+// so nothing is carried from point to point. A point evaluated through a
+// path is byte-identical to WithDownlinkLoad(rho).RTTQuantile(). Sweeps
+// (SweepGridWith chunks) and dimensioning searches (MaxLoadWith) drive
+// their points through one.
 type LoadPath struct {
 	m Model
 }

@@ -246,17 +246,6 @@ func (m Model) Decompose() (Components, error) {
 	return cm.Decompose()
 }
 
-func quantileOrZero(mix mgf.Mix, p float64) (float64, error) {
-	q, err := mix.Quantile(p)
-	if err != nil {
-		if errors.Is(err, mgf.ErrInvalid) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return q, nil
-}
-
 // RTTQuantileDominantPole computes the quantile from only the dominant pole
 // of the product MGF: "a further approximation is to neglect all terms but
 // the dominant pole in eq. (35)". The residue is computed stably as the

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"fpsping/internal/mgf"
 )
 
 // figure3Model is the Figure 3 scenario: PS=125B, T=60ms, DSL defaults.
@@ -342,6 +344,30 @@ func TestDimensioningEdgeCases(t *testing.T) {
 	}
 	if res.MaxDownlinkLoad < 0.9 {
 		t.Errorf("huge bound: rho_max = %v", res.MaxDownlinkLoad)
+	}
+}
+
+// TestDecomposePropagatesInvalidComponent pins that a factor law whose
+// inversion fails makes Decompose fail with mgf.ErrInvalid, which the
+// service serves as a 422, instead of reporting a 0 ms component.
+func TestDecomposePropagatesInvalidComponent(t *testing.T) {
+	bad := mgf.NewExponential(math.NaN(), 1) // every tail value is NaN
+	for name, set := range map[string]func(*CompiledModel){
+		"upstream":   func(cm *CompiledModel) { cm.du = bad },
+		"burst wait": func(cm *CompiledModel) { cm.w = bad },
+		"position":   func(cm *CompiledModel) { cm.p = bad },
+	} {
+		cm, err := figure3Model(9).WithDownlinkLoad(0.5).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cm.Decompose(); err != nil {
+			t.Fatalf("%s: valid model: %v", name, err)
+		}
+		set(cm)
+		if c, err := cm.Decompose(); !errors.Is(err, mgf.ErrInvalid) {
+			t.Errorf("%s: Decompose = %+v, %v; want mgf.ErrInvalid", name, c, err)
+		}
 	}
 }
 

@@ -33,30 +33,6 @@ func (d Deterministic) CDF(x float64) float64 {
 	return 1
 }
 
-// Exponential is Exp(Rate): mean 1/Rate. It is both the Erlang order-1
-// special case and the inter-arrival law of the Poisson superposition limit
-// the M/E_K/1 validator relies on.
-type Exponential struct {
-	Rate float64
-}
-
-// Sample draws from Exp(Rate).
-func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() / e.Rate }
-
-// Mean returns 1/Rate.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Var returns 1/Rate^2.
-func (e Exponential) Var() float64 { return 1 / (e.Rate * e.Rate) }
-
-// CDF returns 1 - e^{-Rate x} for x >= 0.
-func (e Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return -math.Expm1(-e.Rate * x)
-}
-
 // Uniform is U(Lo, Hi), used for the injected-jitter extension ([23]'s
 // uniform downstream jitter) and as an intentionally wrong model in
 // goodness-of-fit tests.
@@ -220,12 +196,10 @@ func (g Gumbel) PDF(x float64) float64 {
 	return math.Exp(-z-math.Exp(-z)) / g.B
 }
 
-// String renders the laws in the paper's notation: Det(v), Exp(rate),
-// U(lo, hi), N(mu, sigma), LogN(mu, sigma) and Färber's Ext(a, b).
+// String renders the laws in the paper's notation: Det(v), U(lo, hi),
+// N(mu, sigma), LogN(mu, sigma) and Färber's Ext(a, b).
 
 func (d Deterministic) String() string { return fmt.Sprintf("Det(%g)", d.Value) }
-
-func (e Exponential) String() string { return fmt.Sprintf("Exp(%g)", e.Rate) }
 
 func (u Uniform) String() string { return fmt.Sprintf("U(%g, %g)", u.Lo, u.Hi) }
 

@@ -102,11 +102,28 @@ const stackOrders = 32
 //
 // with Q_0 = 0 and psi_0(z) = e^{-zx} carrying P's atom.
 func (s Sum) Tail(x float64) float64 {
+	t, _ := s.tailDensity(x)
+	return t
+}
+
+// tailDensity returns Tail(x) and the density of U+W+P at x > 0, from one
+// pass: the density is formed from the ladders Tail already sums. With
+// dQ_m/dx = -beta pw_{m-1}, d/dx psi_m(z) = -z psi_m(z) + beta pw_{m-1} and
+// d/dx [a,b]psi_m = -a [a,b]psi_m - psi_m(b), the derivative of each term
+// of Tail gives
+//
+//	-f = -B C D + sum_i D c_i (B - a_i L(a_i))
+//	     + sum_j d_j [ U.Atom (B - b_j L(b_j)) + sum_i c_i a_i (a_i D_ij + L(b_j)) ],
+//
+// with B = beta sum_{m>=1} pi_m pw_{m-1}, L(z) = sum_m pi_m psi_m(z) and
+// D_ij = sum_m pi_m [a_i,b_j]psi_m. At x <= 0, where the atom makes the
+// tail jump, the density returned is 0.
+func (s Sum) tailDensity(x float64) (tail, density float64) {
 	if x < 0 {
-		return s.TotalMass()
+		return s.TotalMass(), 0
 	}
 	if x == 0 {
-		return s.TotalMass() - s.Atom()
+		return s.TotalMass() - s.Atom(), 0
 	}
 	n := len(s.pi)
 	nu := len(s.u.Terms)
@@ -122,27 +139,44 @@ func (s Sum) Tail(x float64) float64 {
 	pw, q := fs[:n], fs[n:2*n]
 	poisson(pw, q, s.beta*x)
 
-	var base float64
+	var base, b float64
 	for m, w := range s.pi {
 		base += w * q[m]
+		if m > 0 {
+			b += w * pw[m-1]
+		}
 	}
-	tail := complex(s.massU*s.massW*base, 0)
+	b *= s.beta
+	bc := complex(b, 0)
+	cd := s.massU * s.massW
+	t := complex(cd*base, 0)
+	f := complex(cd*b, 0) // the density, -T'
 	psiU := cs[:nu*n]
-	for i, t := range s.u.Terms {
+	for i, tu := range s.u.Terms {
 		pu := psiU[i*n : (i+1)*n]
-		psi(pu, t.Pole, s.beta, x, pw)
-		tail += complex(s.massW, 0) * t.Coef[0] * s.ladder(pu)
+		psi(pu, tu.Pole, s.beta, x, pw)
+		l := s.ladder(pu)
+		c := complex(s.massW, 0) * tu.Coef[0]
+		t += c * l
+		f -= c * (bc - tu.Pole*l)
 	}
 	pb := cs[nu*n : (nu+1)*n]
 	for _, tw := range s.w.Terms {
 		psi(pb, tw.Pole, s.beta, x, pw)
-		acc := complex(s.u.Atom, 0) * s.ladder(pb)
+		l := s.ladder(pb)
+		u0 := complex(s.u.Atom, 0)
+		acc := u0 * l
+		dacc := u0 * (bc - tw.Pole*l)
 		for i, tu := range s.u.Terms {
-			acc -= tu.Coef[0] * tu.Pole * s.divDiff(tu.Pole, tw.Pole, psiU[i*n:(i+1)*n], pb, x, pw)
+			ca := tu.Coef[0] * tu.Pole
+			dd := s.divDiff(tu.Pole, tw.Pole, psiU[i*n:(i+1)*n], pb, x, pw)
+			acc -= ca * dd
+			dacc += ca * (tu.Pole*dd + l)
 		}
-		tail += tw.Coef[0] * acc
+		t += tw.Coef[0] * acc
+		f -= tw.Coef[0] * dacc
 	}
-	return real(tail)
+	return real(t), real(f)
 }
 
 // ladder returns sum_m pi_m v_m.

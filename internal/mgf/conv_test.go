@@ -207,24 +207,47 @@ func TestQuantileWorkspaceStartsCold(t *testing.T) {
 	}
 }
 
+// expTail is the tail and density of Exp(1).
+func expTail(x float64) (float64, float64) { return math.Exp(-x), math.Exp(-x) }
+
 // TestInvertTailRejectsNaN pins that a non-finite tail value is an error,
 // not a bracket end: a NaN compares as neither above nor under the target.
+// From a start below the NaN region the first Newton step lands in it; from
+// a start inside it the first pass does.
 func TestInvertTailRejectsNaN(t *testing.T) {
-	tail := func(x float64) float64 {
+	tail := func(x float64) (float64, float64) {
 		if x > 2 {
-			return math.NaN()
+			return math.NaN(), math.NaN()
 		}
-		return math.Exp(-x)
+		return expTail(x)
 	}
-	for _, seed := range []float64{0, 8} {
-		if x, err := invertTail(tail, 1, 0.99999, 1e-10, seed); !errors.Is(err, ErrInvalid) {
-			t.Errorf("seed %v: got %v, %v; want ErrInvalid", seed, x, err)
+	for _, start := range []float64{1, 8} {
+		if x, err := invertTail(tail, start, 0.99999, 1e-10); !errors.Is(err, ErrInvalid) {
+			t.Errorf("start %v: got %v, %v; want ErrInvalid", start, x, err)
 		}
 	}
 	// The same tail, finite everywhere, inverts to -ln(1e-5).
-	x, err := invertTail(func(x float64) float64 { return math.Exp(-x) }, 1, 0.99999, 1e-10, 8)
+	x, err := invertTail(expTail, 8, 0.99999, 1e-10)
 	if err != nil || math.Abs(x-11.512925464970229) > 1e-8 {
 		t.Errorf("finite tail: %v, %v", x, err)
+	}
+}
+
+// TestInvertTailCapsPasses pins maxTailPasses: a tail that never reaches
+// the target is an ErrInvalid after exactly maxTailPasses passes.
+func TestInvertTailCapsPasses(t *testing.T) {
+	passes := 0
+	flat := func(x float64) (float64, float64) {
+		if x > 0 {
+			passes++
+		}
+		return 0.5, 0
+	}
+	if x, err := invertTail(flat, 1, 0.99, 1e-10); !errors.Is(err, ErrInvalid) {
+		t.Errorf("flat tail: got %v, %v; want ErrInvalid", x, err)
+	}
+	if passes != maxTailPasses {
+		t.Errorf("flat tail: %d passes, want the cap %d", passes, maxTailPasses)
 	}
 }
 

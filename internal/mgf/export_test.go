@@ -6,7 +6,16 @@ package mgf
 // InvertTail is invertTail.
 var InvertTail = invertTail
 
-// SeedOf is the seed Sum.Quantile starts its bracket walk from.
+// MaxTailPasses is maxTailPasses.
+const MaxTailPasses = maxTailPasses
+
+// SumTailDensity is s's tail+density pass.
+func SumTailDensity(s Sum) func(float64) (float64, float64) { return s.tailDensity }
+
+// MixTailDensity is m's tail+density pass.
+func MixTailDensity(m Mix) func(float64) (float64, float64) { return m.tailDensity }
+
+// SeedOf is the factor seed of s's inversion at level p.
 func SeedOf(s Sum, p float64) float64 { return s.seed(p) }
 
 // FactorsOf returns the U, W and P factors of s.

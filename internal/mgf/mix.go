@@ -114,38 +114,49 @@ func (m Mix) Mean() float64 {
 // Tail returns P(X > x). For x <= 0 it returns the total non-negative mass
 // beyond zero (1 - Atom for a normalized mix).
 func (m Mix) Tail(x float64) float64 {
+	t, _ := m.tailDensity(x)
+	return t
+}
+
+// tailDensity returns Tail(x) and the density at x from one pass over the
+// terms (see termTail); for x < 0 the density is 0.
+func (m Mix) tailDensity(x float64) (tail, density float64) {
 	if x < 0 {
-		return m.TotalMass()
+		return m.TotalMass(), 0
 	}
-	var sum complex128
-	for _, t := range m.Terms {
-		px := t.Pole * complex(x, 0)
-		sum += termTail(t, px, cmplx.Exp(-px))
+	var t, f complex128
+	for _, term := range m.Terms {
+		px := term.Pole * complex(x, 0)
+		tt, tf := termTail(term, px, cmplx.Exp(-px))
+		t += tt
+		f += tf
 	}
-	return real(sum)
+	return real(t), real(f)
 }
 
 // termTail computes sum_i coef_i * P(Erlang(i+1, pole) > x) in complex
 // arithmetic, given px = pole*x and ex = e^{-px}: e^{-px} * sum_{r<=i}
-// (px)^r / r!, accumulated incrementally to avoid overflow. The ladder
-// advance past the last coefficient is dead and skipped; the division by the
-// real order uses the componentwise form (see divRe) — both bit-identical to
-// the plain loop.
-func termTail(t Term, px, ex complex128) complex128 {
+// (px)^r / r!, accumulated incrementally to avoid overflow. The Erlang
+// density is pole times the last ladder term, pole e^{-px} (px)^i/i!, so the
+// second result, the terms' density at x, costs one product per
+// coefficient. The ladder advance past the last coefficient is dead and
+// skipped; the division by the real order uses the componentwise form (see
+// divRe) — both bit-identical to the plain loop.
+func termTail(t Term, px, ex complex128) (tail, density complex128) {
 	// partial[i] after step i holds e^{-px} * sum_{r=0..i} (px)^r/r!.
 	term := ex // r = 0 term
 	partial := term
-	var sum complex128
 	last := len(t.Coef) - 1
 	for i, c := range t.Coef {
-		sum += c * partial
+		tail += c * partial
+		density += c * term
 		if i < last {
 			// Extend the inner sum for the next order.
 			term *= divRe(px, float64(i+1))
 			partial += term
 		}
 	}
-	return sum
+	return tail, t.Pole * density
 }
 
 // divRe divides z by a real divisor componentwise. For a divisor with exact
@@ -158,10 +169,10 @@ func divRe(z complex128, d float64) complex128 {
 }
 
 // Quantile returns the smallest x >= 0 with P(X <= x) >= p, assuming the mix
-// is a normalized probability law. The bracket walk starts at rung 0 (see
-// invert.go).
+// is a normalized probability law. The Newton iteration starts at the mean
+// (see invert.go).
 func (m Mix) Quantile(p float64) (float64, error) {
-	return invertTail(m.Tail, m.Mean(), p, 1e-12, 0)
+	return invertTail(m.tailDensity, m.Mean(), p, 1e-12)
 }
 
 // DominantPole returns the pole with the smallest real part (the slowest
@@ -243,7 +254,8 @@ func (m Mix) probeTails(mean float64) (span float64, tails [validateProbes + 1]f
 		ex := complex(1, 0)
 		for i := range sums {
 			x := span * float64(i) / validateProbes
-			sums[i] += termTail(t, t.Pole*complex(x, 0), ex)
+			tail, _ := termTail(t, t.Pole*complex(x, 0), ex)
+			sums[i] += tail
 			ex *= step
 		}
 	}

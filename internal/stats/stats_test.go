@@ -115,7 +115,7 @@ func TestECDF(t *testing.T) {
 
 func TestHistogramDensityNormalizes(t *testing.T) {
 	r := dist.NewRNG(3)
-	e := dist.Exponential{Rate: 1}
+	e := dist.Erlang{K: 1, Rate: 1} // Exp(1)
 	xs := dist.SampleN(e, r, 50_000)
 	h, err := HistogramFromData(xs)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestKolmogorovSmirnovAcceptsTrueModel(t *testing.T) {
 		t.Errorf("true model rejected: D=%v P=%v", res.D, res.P)
 	}
 	// And rejects a clearly wrong model.
-	e := dist.Exponential{Rate: 1.0 / 60}
+	e := dist.Erlang{K: 1, Rate: 1.0 / 60} // Exp(1/60)
 	res2, _ := KolmogorovSmirnov(xs, e.CDF)
 	if res2.P > 1e-6 {
 		t.Errorf("wrong model accepted: D=%v P=%v", res2.D, res2.P)

@@ -6,18 +6,8 @@ import "math"
 // interpolation with bisection fallback). f(lo) and f(hi) must bracket a
 // sign change.
 func Brent(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	return BrentBracketed(f, lo, hi, f(lo), f(hi), tol)
-}
-
-// BrentBracketed is Brent with the endpoint values supplied by the caller:
-// the warm-start form for pipelines that already evaluated f at the bracket
-// (a doubling search, a previous inversion) and must not pay for — or must
-// reproduce bit-exactly — those evaluations. flo and fhi must equal f(lo)
-// and f(hi); the iterates, and therefore the returned root, are a
-// deterministic function of (lo, hi, flo, fhi) and the interior evaluations.
-func BrentBracketed(f func(float64) float64, lo, hi, flo, fhi, tol float64) (float64, error) {
 	a, b := lo, hi
-	fa, fb := flo, fhi
+	fa, fb := f(lo), f(hi)
 	if fa == 0 {
 		return a, nil
 	}
