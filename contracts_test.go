@@ -73,13 +73,23 @@ var contracts = []contract{
 	},
 	{
 		id:   "factor-laws-validated",
-		what: "the wait law W passes Mix.Validate at serve time, whose probe grid matches Mix.Tail within 1e-12 and which rejects NaN and imaginary mass of either sign; the position law P is not validated at serve time, because one Erlang ladder at beta > 0 with K-1 weights 1/(K-1) is a probability law by construction, checked for K 2-200",
+		what: "the wait law W passes Mix.Validate at serve time, whose probe grid matches Mix.Tail within 1e-12 and which rejects NaN and imaginary mass of either sign; the position law P, which mgf.NewSum builds from (K, beta), is not validated at serve time, because one Erlang ladder at beta > 0 with K-1 weights 1/(K-1) is a probability law by construction, checked for K 2-200",
 		tests: []string{
 			"internal/mgf:TestValidateGridMatchesTail",
 			"internal/mgf:TestValidateRejectsNonFiniteAndImaginaryMass",
-			"internal/queueing:TestPositionMixValidByConstruction",
+			"internal/mgf:TestPositionMixValidByConstruction",
 		},
 		jobs: []string{"verify"},
+	},
+	{
+		id:   "factor-laws-by-construction",
+		what: "the wait law W is built one pole per root with no pole merged: it equals the pole-merging AddTerm reference field for field, or both are rejected, for D/E_K/1 at K 2-200 x rho 1e-6-0.98 and M/E_K/1 at K 2-200, where every reference that merged equal roots is a rejected law; every served W has poles more than 1e-9 apart, relative; and Compile's allocation count does not grow with K",
+		tests: []string{
+			"internal/mgf:TestWaitMixMatchesAddTerm",
+			"internal/mgf:FuzzWaitMixPolesDistinct",
+			"internal/core:TestCompileAllocsFlatInK",
+		},
+		jobs: []string{"verify", "fuzz"},
 	},
 	{
 		id:   "dimension-bracket",

@@ -13,7 +13,7 @@ import (
 // stages with distinct lifetimes:
 //
 //	Model           parameters only; free to copy and mutate
-//	CompiledModel   factors + combined law, built by Compile
+//	CompiledModel   combined law of the factors, built by Compile
 //	evaluations     Quantile/Tail/Mean over the compiled law
 //
 // Front ends cache CompiledModels (the daemon keeps them in its point memo).
@@ -60,7 +60,7 @@ func (c *CompiledLaw) Quantile(p float64) (float64, error) {
 }
 
 // CompiledModel is a scenario with its analytic pipeline fully staged: the
-// three delay-factor mixes of eq. (35) and their combined law, ready for
+// combined law of eq. (35), which keeps its three delay factors, ready for
 // repeated quantile/tail/mean evaluation. Build one with Model.Compile. A
 // CompiledModel is safe for concurrent use.
 type CompiledModel struct {
@@ -68,24 +68,19 @@ type CompiledModel struct {
 	// mutating them does not recompile).
 	Model Model
 
-	du, w, p mgf.Mix
-	law      *CompiledLaw
+	law *CompiledLaw
 }
 
 // Compile runs the expensive stages of the pipeline once: validates the
-// scenario, builds the upstream M/D/1 and downstream D/E_K/1 factor mixes
-// (factorMixes) and combines them into the total queueing-delay law, an
-// mgf.Sum. Everything after this is cheap arithmetic over the result.
+// scenario and builds the total queueing-delay law, an mgf.Sum over the
+// upstream M/D/1 and downstream D/E_K/1 factors (delayLaw). Everything after
+// this is cheap arithmetic over the result.
 func (m Model) Compile() (*CompiledModel, error) {
-	du, w, p, err := m.factorMixes()
+	law, err := m.delayLaw()
 	if err != nil {
 		return nil, err
 	}
-	law, err := mgf.NewSum(du, w, p)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledModel{Model: m, du: du, w: w, p: p, law: newCompiledLaw(law)}, nil
+	return &CompiledModel{Model: m, law: newCompiledLaw(law)}, nil
 }
 
 // Law returns the compiled total-delay law.
@@ -111,6 +106,11 @@ func (cm *CompiledModel) MeanRTT() (float64, error) {
 // A factor whose inversion fails is an error (mgf.ErrInvalid, served as a
 // 422), never a zero component.
 func (cm *CompiledModel) Decompose() (Components, error) {
+	return cm.components(cm.law.law.Factors())
+}
+
+// components is Decompose over the factors du, w and pos of the law.
+func (cm *CompiledModel) components(du, w, pos mgf.Mix) (Components, error) {
 	m := cm.Model
 	c := Components{
 		Serialization: m.SerializationDelay(),
@@ -118,13 +118,13 @@ func (cm *CompiledModel) Decompose() (Components, error) {
 	}
 	p := m.quantile()
 	var err error
-	if c.Upstream, err = cm.du.Quantile(p); err != nil {
+	if c.Upstream, err = du.Quantile(p); err != nil {
 		return c, err
 	}
-	if c.BurstWait, err = cm.w.Quantile(p); err != nil {
+	if c.BurstWait, err = w.Quantile(p); err != nil {
 		return c, err
 	}
-	if c.Position, err = cm.p.Quantile(p); err != nil {
+	if c.Position, err = pos.Quantile(p); err != nil {
 		return c, err
 	}
 	if c.Total, err = cm.RTTQuantile(); err != nil {

@@ -147,6 +147,28 @@ func TestCompiledEvaluatorAllocs(t *testing.T) {
 	}
 }
 
+// TestCompileAllocsFlatInK pins that Compile builds each factor law in one
+// piece: its allocation count does not grow with the Erlang order. W is
+// one set of poles and weights, and P is built once from (K, beta).
+func TestCompileAllocsFlatInK(t *testing.T) {
+	counts := map[int]float64{}
+	for _, k := range []int{9, 28, 200} {
+		m := figure3Model(k).WithDownlinkLoad(0.5)
+		if _, err := m.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		counts[k] = testing.AllocsPerRun(20, func() {
+			if _, err := m.Compile(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if counts[28] != counts[9] || counts[200] != counts[9] {
+		t.Errorf("Compile allocations at K = 9, 28, 200: %v, %v, %v; want them equal",
+			counts[9], counts[28], counts[200])
+	}
+}
+
 // BenchmarkModelCompiledVsCold measures the two ends of the pipeline: cold
 // is the full per-call recomputation (queues, roots, convolution,
 // inversion), compiled is the evaluate-many path over a staged model.

@@ -173,31 +173,30 @@ func (m Model) Downstream() (queueing.DEK1, error) {
 	return queueing.NewDEK1(m.ErlangOrder, 8*m.Gamers*m.ServerPacketBytes/m.AggregateRate, m.BurstInterval)
 }
 
-// factorMixes builds the three independent queueing-delay factors of
-// eq. (35): Du (upstream M/D/1, eq. 14), W (D/E_K/1 burst wait, eq. 18) and
-// P (in-burst position, eq. 34).
-func (m Model) factorMixes() (du, w, p mgf.Mix, err error) {
-	if err = m.Validate(); err != nil {
-		return du, w, p, err
+// delayLaw builds the queueing-delay law of eq. (35): the sum of Du
+// (upstream M/D/1, eq. 14), W (D/E_K/1 burst wait, eq. 18) and P (in-burst
+// position, eq. 34).
+func (m Model) delayLaw() (mgf.Sum, error) {
+	if err := m.Validate(); err != nil {
+		return mgf.Sum{}, err
 	}
 	up, err := m.Upstream()
 	if err != nil {
-		return du, w, p, fmt.Errorf("core: upstream: %w", err)
+		return mgf.Sum{}, fmt.Errorf("core: upstream: %w", err)
 	}
-	if du, err = up.WaitMixPaper(); err != nil {
-		return du, w, p, err
+	du, err := up.WaitMixPaper()
+	if err != nil {
+		return mgf.Sum{}, err
 	}
 	down, err := m.Downstream()
 	if err != nil {
-		return du, w, p, fmt.Errorf("core: downstream: %w", err)
+		return mgf.Sum{}, fmt.Errorf("core: downstream: %w", err)
 	}
-	if w, err = down.WaitMix(); err != nil {
-		return du, w, p, err
+	w, err := down.WaitMix()
+	if err != nil {
+		return mgf.Sum{}, err
 	}
-	if p, err = down.PositionMixUniform(); err != nil {
-		return du, w, p, err
-	}
-	return du, w, p, nil
+	return mgf.NewSum(du, w, down.K, down.Beta())
 }
 
 // RTTQuantile returns the RTT quantile (seconds): the queueing-delay quantile
@@ -254,10 +253,11 @@ func (m Model) Decompose() (Components, error) {
 // alpha_1 = beta(1-zeta_1) < beta always, the dominant pole is the simple
 // pole min(gamma, alpha_1).
 func (m Model) RTTQuantileDominantPole() (float64, error) {
-	du, w, p, err := m.factorMixes()
+	law, err := m.delayLaw()
 	if err != nil {
 		return 0, err
 	}
+	du, w, p := law.Factors()
 	type simplePole struct {
 		rate    float64
 		residue complex128
@@ -313,10 +313,11 @@ func (m Model) RTTQuantileDominantPole() (float64, error) {
 // target level. The bound is evaluated on real s strictly below the smallest
 // pole real part, where all three MGFs are finite.
 func (m Model) RTTQuantileChernoff() (float64, error) {
-	du, w, p, err := m.factorMixes()
+	law, err := m.delayLaw()
 	if err != nil {
 		return 0, err
 	}
+	du, w, p := law.Factors()
 	sMax := math.Inf(1)
 	for _, mix := range []mgf.Mix{du, w, p} {
 		if pole, ok := mix.DominantPole(); ok && real(pole) < sMax {

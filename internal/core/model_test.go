@@ -349,13 +349,15 @@ func TestDimensioningEdgeCases(t *testing.T) {
 
 // TestDecomposePropagatesInvalidComponent pins that a factor law whose
 // inversion fails makes Decompose fail with mgf.ErrInvalid, which the
-// service serves as a 422, instead of reporting a 0 ms component.
+// service serves as a 422, instead of reporting a 0 ms component. The bad
+// factor goes in through components, Decompose over given factors: NewSum
+// rejects a non-finite U or W and builds P itself.
 func TestDecomposePropagatesInvalidComponent(t *testing.T) {
 	bad := mgf.NewExponential(math.NaN(), 1) // every tail value is NaN
-	for name, set := range map[string]func(*CompiledModel){
-		"upstream":   func(cm *CompiledModel) { cm.du = bad },
-		"burst wait": func(cm *CompiledModel) { cm.w = bad },
-		"position":   func(cm *CompiledModel) { cm.p = bad },
+	for name, swap := range map[string]func(du, w, p *mgf.Mix){
+		"upstream":   func(du, _, _ *mgf.Mix) { *du = bad },
+		"burst wait": func(_, w, _ *mgf.Mix) { *w = bad },
+		"position":   func(_, _, p *mgf.Mix) { *p = bad },
 	} {
 		cm, err := figure3Model(9).WithDownlinkLoad(0.5).Compile()
 		if err != nil {
@@ -364,8 +366,9 @@ func TestDecomposePropagatesInvalidComponent(t *testing.T) {
 		if _, err := cm.Decompose(); err != nil {
 			t.Fatalf("%s: valid model: %v", name, err)
 		}
-		set(cm)
-		if c, err := cm.Decompose(); !errors.Is(err, mgf.ErrInvalid) {
+		du, w, p := cm.Law().Law().Factors()
+		swap(&du, &w, &p)
+		if c, err := cm.components(du, w, p); !errors.Is(err, mgf.ErrInvalid) {
 			t.Errorf("%s: Decompose = %+v, %v; want mgf.ErrInvalid", name, c, err)
 		}
 	}

@@ -70,8 +70,7 @@ func (ms MultiServer) DelayLaw() (mgf.Sum, error) {
 	if err != nil {
 		return mgf.Sum{}, fmt.Errorf("core: multiserver downstream: %w", err)
 	}
-	// One root solve of the M/E_K/1 denominator serves the waiting law (the
-	// position law depends only on the burst-size parameters).
+	// The position law depends only on the burst-size parameters (K, beta).
 	sol, err := down.Solve()
 	if err != nil {
 		return mgf.Sum{}, err
@@ -80,11 +79,7 @@ func (ms MultiServer) DelayLaw() (mgf.Sum, error) {
 	if err != nil {
 		return mgf.Sum{}, err
 	}
-	p, err := down.PositionMixUniform()
-	if err != nil {
-		return mgf.Sum{}, err
-	}
-	return mgf.NewSum(du, w, p)
+	return mgf.NewSum(du, w, down.K, down.Beta)
 }
 
 // Compile stages the multi-server pipeline once: the combined delay law is

@@ -8,11 +8,11 @@ import (
 
 // The queueing delay of eq. (35) is the sum U+W+P of three independent
 // factors: the upstream wait U and the burst wait W, each an atom plus
-// simple poles, and the in-burst position P, an atom plus one Erlang ladder
-// at the burst rate beta. Expanding the product by partial fractions is exact in exact
-// arithmetic but ill-conditioned in float64: at low downstream load the
-// D/E_K/1 poles alpha_j = beta(1-zeta_j) crowd beta, and the partial
-// fractions amplify rounding like (|p|/|p-q|)^order.
+// simple poles, and the in-burst position P, the uniform Erlang ladder of
+// eq. (34) at the burst rate beta. Expanding the product by partial
+// fractions is exact in exact arithmetic but ill-conditioned in float64: at
+// low downstream load the D/E_K/1 poles alpha_j = beta(1-zeta_j) crowd
+// beta, and the partial fractions amplify rounding like (|p|/|p-q|)^order.
 //
 // Sum keeps the three factors apart and evaluates the tail in closed form.
 // With Q_m the Poisson(beta x) tail below m, and for a pole z
@@ -35,21 +35,25 @@ import (
 // one evaluation.
 
 // Sum is the law of U+W+P for independent U, W and P: U and W are an atom
-// plus simple poles, P is an atom plus one Erlang ladder at a real rate.
-// Build one with NewSum. Tail is closed form and allocation-free for
-// ladders of up to stackOrders orders and one U pole.
+// plus simple poles, P is the position law of eq. (34), the uniform ladder
+// (1/(K-1)) sum_{m=1..K-1} Erlang(m, beta), which has no atom. Build one
+// with NewSum. Tail is closed form and allocation-free for ladders of up to
+// stackOrders orders and one U pole.
 type Sum struct {
 	u, w, p Mix
 	beta    float64
-	// pi[0] is P's atom and pi[m] the weight of Erlang(m, beta) in P.
-	pi           []float64
+	// n is the ladder length K: orders 0..K-1, each order m >= 1 of
+	// weight pim = pi_m = 1/(K-1); order 0 has weight 0, as P has no atom.
+	n            int
+	pim          float64
 	massU, massW float64
 }
 
-// NewSum returns the law of U+W+P, or ErrInvalid when a factor has another
-// shape: a U or W term of Erlang order above 1 or with a pole off the open
-// right half plane, or a P that is not one real ladder.
-func NewSum(u, w, p Mix) (Sum, error) {
+// NewSum returns the law of U+W+P with P the eq. (34) ladder of order k at
+// rate beta, or ErrInvalid when a factor has another shape: a U or W term
+// of Erlang order above 1 or with a pole off the open right half plane, or
+// k < 2 (K = 1 has a branch point, eq. 33) or beta not a positive rate.
+func NewSum(u, w Mix, k int, beta float64) (Sum, error) {
 	for _, f := range []struct {
 		name string
 		m    Mix
@@ -60,29 +64,33 @@ func NewSum(u, w, p Mix) (Sum, error) {
 			}
 		}
 	}
-	if len(p.Terms) != 1 {
-		return Sum{}, fmt.Errorf("%w: P has %d terms, want one Erlang ladder", ErrInvalid, len(p.Terms))
+	if k < 2 {
+		return Sum{}, fmt.Errorf("%w: uniform position law needs K >= 2 (got %d); see eq. (33)", ErrInvalid, k)
 	}
-	t := p.Terms[0]
-	beta := real(t.Pole)
-	if imag(t.Pole) != 0 || !(beta > 0) || math.IsInf(beta, 0) {
-		return Sum{}, fmt.Errorf("%w: P pole %v is not a positive rate", ErrInvalid, t.Pole)
+	if !(beta > 0) || math.IsInf(beta, 0) {
+		return Sum{}, fmt.Errorf("%w: position rate %v is not a positive rate", ErrInvalid, beta)
 	}
-	pi := make([]float64, len(t.Coef)+1)
-	pi[0] = p.Atom
-	for m, c := range t.Coef {
-		if imag(c) != 0 || !finite(c) {
-			return Sum{}, fmt.Errorf("%w: P coefficient %v is not real", ErrInvalid, c)
-		}
-		pi[m+1] = real(c)
+	return Sum{u: u, w: w, p: positionLaw(k, beta), beta: beta, n: k, pim: 1 / float64(k-1),
+		massU: u.TotalMass(), massW: w.TotalMass()}, nil
+}
+
+// positionLaw returns the packet-position delay of eq. (34) for a packet
+// uniformly placed in an Erlang(k, beta) burst, P(s) = (1/(k-1))
+// sum_{m=1..k-1} (beta/(beta-s))^m: one ladder, a probability law by
+// construction for k >= 2 and beta > 0, so it is not validated.
+func positionLaw(k int, beta float64) Mix {
+	coef := make([]complex128, k-1)
+	w := complex(1/float64(k-1), 0)
+	for i := range coef {
+		coef[i] = w
 	}
-	return Sum{u: u, w: w, p: p, beta: beta, pi: pi, massU: u.TotalMass(), massW: w.TotalMass()}, nil
+	return Mix{Terms: []Term{{Pole: complex(beta, 0), Coef: coef}}}
 }
 
 func finite(z complex128) bool { return !cmplx.IsNaN(z) && !cmplx.IsInf(z) }
 
-// Atom returns the probability mass at zero: every factor at zero.
-func (s Sum) Atom() float64 { return s.u.Atom * s.w.Atom * s.p.Atom }
+// Factors returns U, W and P.
+func (s Sum) Factors() (u, w, p Mix) { return s.u, s.w, s.p }
 
 // Mean returns E[U+W+P].
 func (s Sum) Mean() float64 { return s.u.Mean() + s.w.Mean() + s.p.Mean() }
@@ -97,10 +105,8 @@ const stackOrders = 32
 // present, with C and D the masses of U and W, c_i, a_i the U terms and
 // d_j, b_j the W terms:
 //
-//	sum_m pi_m [ C D Q_m + D sum_i c_i psi_m(a_i) + U.Atom sum_j d_j psi_m(b_j)
-//	             - sum_ij c_i d_j a_i [a_i,b_j]psi_m ],
-//
-// with Q_0 = 0 and psi_0(z) = e^{-zx} carrying P's atom.
+//	sum_{m>=1} pi_m [ C D Q_m + D sum_i c_i psi_m(a_i) + U.Atom sum_j d_j psi_m(b_j)
+//	                  - sum_ij c_i d_j a_i [a_i,b_j]psi_m ].
 func (s Sum) Tail(x float64) float64 {
 	t, _ := s.tailDensity(x)
 	return t
@@ -115,17 +121,14 @@ func (s Sum) Tail(x float64) float64 {
 //	-f = -B C D + sum_i D c_i (B - a_i L(a_i))
 //	     + sum_j d_j [ U.Atom (B - b_j L(b_j)) + sum_i c_i a_i (a_i D_ij + L(b_j)) ],
 //
-// with B = beta sum_{m>=1} pi_m pw_{m-1}, L(z) = sum_m pi_m psi_m(z) and
-// D_ij = sum_m pi_m [a_i,b_j]psi_m. At x <= 0, where the atom makes the
-// tail jump, the density returned is 0.
+// with B = beta sum_{m>=1} pi_m pw_{m-1}, L(z) = sum_{m>=1} pi_m psi_m(z)
+// and D_ij = sum_{m>=1} pi_m [a_i,b_j]psi_m. P has no atom, so U+W+P has
+// none: at x <= 0 the tail is the total mass and the density returned is 0.
 func (s Sum) tailDensity(x float64) (tail, density float64) {
-	if x < 0 {
+	if x <= 0 {
 		return s.TotalMass(), 0
 	}
-	if x == 0 {
-		return s.TotalMass() - s.Atom(), 0
-	}
-	n := len(s.pi)
+	n := s.n
 	nu := len(s.u.Terms)
 	var fstack [2 * stackOrders]float64
 	var cstack [3 * stackOrders]complex128
@@ -140,11 +143,9 @@ func (s Sum) tailDensity(x float64) (tail, density float64) {
 	poisson(pw, q, s.beta*x)
 
 	var base, b float64
-	for m, w := range s.pi {
-		base += w * q[m]
-		if m > 0 {
-			b += w * pw[m-1]
-		}
+	for m := 1; m < n; m++ {
+		base += s.pim * q[m]
+		b += s.pim * pw[m-1]
 	}
 	b *= s.beta
 	bc := complex(b, 0)
@@ -179,12 +180,12 @@ func (s Sum) tailDensity(x float64) (tail, density float64) {
 	return real(t), real(f)
 }
 
-// ladder returns sum_m pi_m v_m.
+// ladder returns sum_{m>=1} pi_m v_m.
 func (s Sum) ladder(v []complex128) complex128 {
 	var re, im float64
-	for m, w := range s.pi {
-		re += w * real(v[m])
-		im += w * imag(v[m])
+	for _, z := range v[1:] {
+		re += s.pim * real(z)
+		im += s.pim * imag(z)
 	}
 	return complex(re, im)
 }
@@ -277,11 +278,11 @@ func phiSeries(w complex128, top int) complex128 {
 	return sum
 }
 
-// divDiff returns sum_m pi_m delta_m for delta_m = [a,b]psi_m, the divided
-// difference over the poles a and b, given psi(a) and psi(b) in pa and pb.
-// Differencing the psi recurrence gives the same recurrence for delta with
-// psi of the other pole as its inhomogeneous term: around the node a with
-// the larger |beta-a| (the poles swap roles when b's is larger),
+// divDiff returns sum_{m>=1} pi_m delta_m for delta_m = [a,b]psi_m, the
+// divided difference over the poles a and b, given psi(a) and psi(b) in pa
+// and pb. Differencing the psi recurrence gives the same recurrence for
+// delta with psi of the other pole as its inhomogeneous term: around the
+// node a with the larger |beta-a| (the poles swap roles when b's is larger),
 //
 //	delta_{m+1} = beta/(beta-a) (delta_m + psi_{m+1}(b)/beta),
 //
@@ -300,22 +301,22 @@ func (s Sum) divDiff(a, b complex128, pa, pb []complex128, x float64, pw []float
 	ib := 1 / beta
 
 	d := expDivDiff(a, b, x)
-	sum := scale(d, s.pi[0])
+	var sum complex128
 	if m0 > 0 {
 		r := scale(inv(da), beta)
 		for m := 0; m < m0; m++ {
 			d = r * (d + scale(pb[m+1], ib))
-			sum += scale(d, s.pi[m+1])
+			sum += scale(d, s.pim)
 		}
 	}
 	if m0 == top {
 		return sum
 	}
 	d = scale(ddSeries(wa, scale(db, x), top), -x*pw[top])
-	sum += scale(d, s.pi[top])
+	sum += scale(d, s.pim)
 	for m := top - 1; m > m0; m-- {
 		d = zeta*d - scale(pb[m+1], ib)
-		sum += scale(d, s.pi[m])
+		sum += scale(d, s.pim)
 	}
 	return sum
 }

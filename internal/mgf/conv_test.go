@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"reflect"
 	"testing"
 )
 
-// newSum is NewSum for factors a test knows are well shaped.
-func newSum(t testing.TB, u, w, p Mix) Sum {
+// newSum is NewSum for factors a test knows are well shaped: U and W, and
+// the eq. (34) ladder of order k at rate beta as P.
+func newSum(t testing.TB, u, w Mix, k int, beta float64) Sum {
 	t.Helper()
-	s, err := NewSum(u, w, p)
+	s, err := NewSum(u, w, k, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,28 +49,45 @@ func estimateMulError(a, b Mix) float64 {
 	return eps * amp
 }
 
-// ladderMix returns an atom plus weights[m-1]*Erlang(m, rate), m = 1..len.
-func ladderMix(atom, rate float64, weights ...float64) Mix {
-	coef := make([]complex128, len(weights))
-	for i, w := range weights {
-		coef[i] = complex(w, 0)
+// shiftedLadder returns the eq. (34) ladder of order k at rate with every
+// Erlang order raised by shift: (1/(k-1)) sum_{m=1..k-1} Erlang(m+shift, rate).
+func shiftedLadder(k, shift int, rate float64) Mix {
+	coef := make([]complex128, k-1+shift)
+	for m := 1; m < k; m++ {
+		coef[m-1+shift] = complex(1/float64(k-1), 0)
 	}
-	m := Mix{Atom: atom}
-	m.AddTerm(complex(rate, 0), coef)
-	return m
+	return Mix{Terms: []Term{{Pole: complex(rate, 0), Coef: coef}}}
+}
+
+// TestPositionMixValidByConstruction validates the packet-position law of
+// eq. (34) for K 2-200 at several burst rates. NewSum does not validate it
+// at serve time: one Erlang ladder at beta > 0 with K-1 weights 1/(K-1) is
+// a probability law for every K and rate. The mean is half the burst,
+// K/(2 beta).
+func TestPositionMixValidByConstruction(t *testing.T) {
+	for k := 2; k <= 200; k++ {
+		for _, beta := range []float64{1e-3, 0.3, 450, 1e6} {
+			p := positionLaw(k, beta)
+			if err := p.Validate(); err != nil {
+				t.Errorf("K=%d beta=%g: %v", k, beta, err)
+			}
+			if got, want := p.Mean(), float64(k)/(2*beta); math.Abs(got-want) > 1e-12*want {
+				t.Errorf("K=%d beta=%g: mean %v, want %v", k, beta, got, want)
+			}
+			if _, _, got := newSum(t, NewAtom(1), NewAtom(1), k, beta).Factors(); !reflect.DeepEqual(got, p) {
+				t.Errorf("K=%d beta=%g: NewSum's P %v is not positionLaw's", k, beta, got)
+			}
+		}
+	}
 }
 
 func TestSumMatchesMulWhenWellConditioned(t *testing.T) {
 	u := NewExponential(0.3, 5)
 	u.Atom = 0.7
-	var w Mix
-	w.Atom = 0.4
-	w.AddTerm(complex(2, 1.5), []complex128{complex(0.2, -0.1)})
-	w.AddTerm(complex(2, -1.5), []complex128{complex(0.2, 0.1)})
-	w.AddTerm(complex(0.8, 0), []complex128{0.2})
-	p := ladderMix(0, 1.2, 0.25, 0.25, 0.25, 0.25)
-	mul := mulAll(u, w, p)
-	sum := newSum(t, u, w, p)
+	w := NewPoles(0.4, []complex128{complex(2, 1.5), complex(2, -1.5), 0.8},
+		[]complex128{complex(0.2, -0.1), complex(0.2, 0.1), 0.2})
+	mul := mulAll(u, w, positionLaw(5, 1.2))
+	sum := newSum(t, u, w, 5, 1.2)
 	if err := mul.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +118,11 @@ func TestSumMatchesMulWhenWellConditioned(t *testing.T) {
 }
 
 // TestSumNestsAsLaw pins U, W and P as three plain exponentials against
-// the closed-form hypoexponential law.
+// the closed-form hypoexponential law: the ladder of order K = 2 is one
+// Exp(beta).
 func TestSumNestsAsLaw(t *testing.T) {
 	a, b, c := 3.0, 5.0, 7.0
-	s := newSum(t, NewExponential(1, a), NewExponential(1, b), newErlang(1, 1, c))
+	s := newSum(t, NewExponential(1, a), NewExponential(1, b), 2, c)
 	direct := mulAll(NewExponential(1, a), NewExponential(1, b), NewExponential(1, c))
 	for _, x := range []float64{0.1, 0.5, 1.5, 6} {
 		// P(Exp(a)+Exp(b)+Exp(c) > x) for distinct rates.
@@ -116,8 +136,8 @@ func TestSumNestsAsLaw(t *testing.T) {
 			t.Errorf("mul tail(%v): %v vs %v", x, got, want)
 		}
 	}
-	if got := s.Atom(); got != 0 {
-		t.Errorf("atom of continuous sum = %v", got)
+	if got := s.Tail(0); got != 1 {
+		t.Errorf("tail at 0 of continuous sum = %v", got)
 	}
 	if got, want := s.Mean(), 1/a+1/b+1/c; math.Abs(got-want) > 1e-15 {
 		t.Errorf("mean %v, want %v", got, want)
@@ -127,56 +147,73 @@ func TestSumNestsAsLaw(t *testing.T) {
 func TestSumSurvivesIllConditionedPoles(t *testing.T) {
 	// A W pole 1e-5 relative from P's ladder and a U pole 1e-7 from the W
 	// pole: mul's Taylor amplification is ~(1e5)^orders. Every rate lies in
-	// [rate, fast], so the sum of the 2+5 exponentials is stochastically
-	// between Erlang(7, fast) and Erlang(7, rate).
+	// [rate, fast], so given P's order m the sum of the 2+m exponentials is
+	// stochastically between Erlang(m+2, fast) and Erlang(m+2, rate), and
+	// the Sum between the ladders with every order raised by 2.
 	rate := 100.0
 	fast := rate * (1 + 1e-5 + 1e-7)
 	u := NewExponential(1, fast)
 	w := NewExponential(1, rate*(1+1e-5))
-	p := newErlang(1, 5, rate)
-	if estimateMulError(w, p) < 1e-9 {
-		t.Fatal("pole-merge tolerance absorbed the near-collision")
-	}
-	sum := newSum(t, u, w, p)
-	for _, x := range []float64{0.01, 0.05, 0.1, 0.2, 1, 5} {
-		got := sum.Tail(x)
-		lo, hi := newErlang(1, 7, fast).Tail(x), newErlang(1, 7, rate).Tail(x)
-		if !(got >= lo*(1-1e-13) && got <= hi*(1+1e-13)) {
-			t.Errorf("tail(%v) = %v outside the Erlang-7 sandwich [%v, %v]", x, got, lo, hi)
+	for _, k := range []int{2, 6, 30} {
+		if estimateMulError(w, positionLaw(k, rate)) < 1e-9 {
+			t.Fatalf("K=%d: pole-merge tolerance absorbed the near-collision", k)
+		}
+		sum := newSum(t, u, w, k, rate)
+		lo, hi := shiftedLadder(k, 2, fast), shiftedLadder(k, 2, rate)
+		for _, x := range []float64{0.01, 0.05, 0.1, 0.2, 1, 5} {
+			got := sum.Tail(x)
+			if !(got >= lo.Tail(x)*(1-1e-13) && got <= hi.Tail(x)*(1+1e-13)) {
+				t.Errorf("K=%d tail(%v) = %v outside the shifted-ladder sandwich [%v, %v]",
+					k, x, got, lo.Tail(x), hi.Tail(x))
+			}
 		}
 	}
 }
 
 func TestNewSumRejectsOtherShapes(t *testing.T) {
 	exp := NewExponential(1, 2)
-	p := newErlang(1, 3, 4)
-	var complexP Mix
-	complexP.AddTerm(complex(4, 1), []complex128{1})
-	for name, f := range map[string][3]Mix{
-		"Erlang U":      {newErlang(1, 2, 2), exp, p},
-		"Erlang W":      {exp, newErlang(1, 2, 2), p},
-		"two P terms":   {exp, exp, mulAll(NewExponential(1, 3), NewExponential(1, 5))},
-		"atom P":        {exp, exp, NewAtom(1)},
-		"complex P":     {exp, exp, complexP},
-		"negative pole": {NewExponential(1, -2), exp, p},
+	for name, f := range map[string]struct {
+		u, w Mix
+		k    int
+		beta float64
+	}{
+		"Erlang U":      {newErlang(1, 2, 2), exp, 4, 4},
+		"Erlang W":      {exp, newErlang(1, 2, 2), 4, 4},
+		"negative pole": {NewExponential(1, -2), exp, 4, 4},
+		"NaN W weight":  {exp, NewExponential(math.NaN(), 2), 4, 4},
+		"K=1 ladder":    {exp, exp, 1, 4},
+		"K=0 ladder":    {exp, exp, 0, 4},
+		"zero rate":     {exp, exp, 4, 0},
+		"negative rate": {exp, exp, 4, -4},
+		"NaN rate":      {exp, exp, 4, math.NaN()},
+		"infinite rate": {exp, exp, 4, math.Inf(1)},
 	} {
-		if _, err := NewSum(f[0], f[1], f[2]); !errors.Is(err, ErrInvalid) {
+		if _, err := NewSum(f.u, f.w, f.k, f.beta); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: err %v, want ErrInvalid", name, err)
 		}
 	}
-	if _, err := NewSum(NewAtom(1), NewAtom(1), p); err != nil {
-		t.Errorf("atom U and W: %v", err)
+	for _, k := range []int{2, 3, 9, 200} {
+		if _, err := NewSum(NewAtom(1), NewAtom(1), k, 4); err != nil {
+			t.Errorf("atom U and W, K=%d: %v", k, err)
+		}
 	}
 }
 
 func TestSumQuantileErrorPaths(t *testing.T) {
-	s := newSum(t, NewAtom(1), NewAtom(1), ladderMix(1, 2, 0))
-	if _, err := s.Quantile(0); err == nil {
-		t.Error("accepted p=0")
+	s := newSum(t, NewAtom(1), NewAtom(1), 2, 2)
+	for _, p := range []float64{0, 1, math.NaN()} {
+		if _, err := s.Quantile(p); err == nil {
+			t.Errorf("accepted p=%v", p)
+		}
 	}
+	// U and W at zero and the K = 2 ladder: the law of Exp(2).
 	q, err := s.Quantile(0.5)
-	if err != nil || q != 0 {
-		t.Errorf("quantile of delta at 0: %v, %v", q, err)
+	if want := math.Ln2 / 2; err != nil || math.Abs(q-want) > 1e-9*want {
+		t.Errorf("median of Exp(2): %v, %v; want %v", q, err, want)
+	}
+	// A law of zero mass has its quantile at 0.
+	if q, err := newSum(t, NewAtom(0), NewAtom(1), 2, 2).Quantile(0.5); err != nil || q != 0 {
+		t.Errorf("quantile of a zero-mass law: %v, %v", q, err)
 	}
 }
 
@@ -184,13 +221,13 @@ func TestSumQuantileErrorPaths(t *testing.T) {
 // Quantile keeps no workspace or other state between calls, so inverting
 // other laws first never changes the bits a law's inversion returns.
 func TestQuantileWorkspaceStartsCold(t *testing.T) {
-	s := newSum(t, NewExponential(1, 0.4), NewExponential(1, 0.9), newErlang(1, 8, 0.3))
+	s := newSum(t, NewExponential(1, 0.4), NewExponential(1, 0.9), 9, 0.3)
 	want, err := s.Quantile(0.99999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rate := range []float64{0.12, 0.25, 0.6} {
-		other := newSum(t, NewExponential(1, rate), NewExponential(1, 0.9), newErlang(1, 8, 0.3))
+		other := newSum(t, NewExponential(1, rate), NewExponential(1, 0.9), 9, 0.3)
 		if _, err := other.Quantile(0.99); err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +294,7 @@ func sumTailLaw(t testing.TB, k int) Sum {
 	beta := float64(k) / 0.02
 	u := NewExponential(0.4, 30)
 	u.Atom = 0.6
-	var w Mix
+	poles, weights := make([]complex128, k), make([]complex128, k)
 	mass := 0.0
 	for j := 0; j < k; j++ {
 		zeta := 0.3 * cmplx.Exp(complex(0, 2*math.Pi*float64(j)/float64(k)))
@@ -265,15 +302,10 @@ func sumTailLaw(t testing.TB, k int) Sum {
 		if j == 0 {
 			c *= 2
 		}
-		w.AddTerm(complex(beta, 0)*(1-zeta), []complex128{complex(c, 0)})
+		poles[j], weights[j] = complex(beta, 0)*(1-zeta), complex(c, 0)
 		mass += c
 	}
-	w.Atom = 1 - mass
-	weights := make([]float64, k-1)
-	for i := range weights {
-		weights[i] = 1 / float64(k-1)
-	}
-	return newSum(t, u, w, ladderMix(0, beta, weights...))
+	return newSum(t, u, NewPoles(1-mass, poles, weights), k, beta)
 }
 
 // TestSumTailWSAllocs pins the allocation contract of the compiled

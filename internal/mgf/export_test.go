@@ -18,9 +18,6 @@ func MixTailDensity(m Mix) func(float64) (float64, float64) { return m.tailDensi
 // SeedOf is the factor seed of s's inversion at level p.
 func SeedOf(s Sum, p float64) float64 { return s.seed(p) }
 
-// FactorsOf returns the U, W and P factors of s.
-func FactorsOf(s Sum) (u, w, p Mix) { return s.u, s.w, s.p }
-
 // ValidateProbes returns the abscissae Validate probes m's tail at and the
 // tails its running-product grid computes there.
 func ValidateProbes(m Mix) (xs, tails []float64) {

@@ -5,15 +5,17 @@
 //
 // i.e. an atom at zero plus a weighted sum of (possibly complex) Erlang
 // terms. A Mix is one such law; its tail, and hence its quantile, is closed
-// form. The class is closed under products (= convolutions of independent
-// delays).
+// form. Every law is built in the shape it is used in: NewExponential, and
+// NewPoles for an atom plus simple poles that are distinct by construction
+// (the queueing wait laws). No constructor merges poles.
 //
 // The RTT law of §3.3 is the product of the upstream delay Du(s), the
 // downstream burst delay W(s) and the packet-position delay P(s). Sum keeps
-// those three factors apart and evaluates the tail of their convolution in
-// closed form through divided differences of the exponential (conv.go),
-// which stays accurate where the expanded product loses every digit to
-// crowding poles. Quantile inverts either law (invert.go).
+// those three factors apart, builds P itself from (K, beta) as the uniform
+// ladder of eq. (34), and evaluates the tail of their convolution in closed
+// form through divided differences of the exponential (conv.go), which
+// stays accurate where the expanded product loses every digit to crowding
+// poles. Quantile inverts either law (invert.go).
 //
 // Poles may be complex (the D/E_K/1 waiting time has K-1 complex-conjugate
 // pole pairs); coefficients come in conjugate pairs too, so tails and
@@ -31,12 +33,6 @@ import (
 // ErrInvalid reports a Mix that is not a plausible probability law.
 var ErrInvalid = errors.New("mgf: invalid mix")
 
-// poleMergeTol is the relative distance under which two poles are treated as
-// identical during a product (exact Erlang-order addition applies). Distinct
-// but nearly equal poles make partial fractions ill-conditioned; merging is
-// the numerically safe interpretation.
-const poleMergeTol = 1e-9
-
 // Term is one pole with its Erlang coefficient ladder: Coef[i] multiplies
 // (Pole/(Pole-s))^(i+1).
 type Term struct {
@@ -45,42 +41,31 @@ type Term struct {
 }
 
 // Mix is an atom at zero plus a sum of Erlang terms. The zero value is the
-// MGF of the constant 0 with total mass 0; use NewAtom or the queueing
-// constructors for valid distributions.
+// MGF of the constant 0 with total mass 0; Mix{Atom: 1} is the constant 0,
+// and the queueing constructors build the other valid distributions.
 type Mix struct {
 	Atom  float64
 	Terms []Term
 }
-
-// NewAtom returns the distribution of the constant 0 with mass w (w=1 is the
-// Dirac delta at zero).
-func NewAtom(w float64) Mix { return Mix{Atom: w} }
 
 // NewExponential returns the MGF mix of weight*Exp(rate).
 func NewExponential(weight, rate float64) Mix {
 	return Mix{Terms: []Term{{Pole: complex(rate, 0), Coef: []complex128{complex(weight, 0)}}}}
 }
 
-// AddTerm appends a term (merging with an existing equal pole).
-func (m *Mix) AddTerm(pole complex128, coef []complex128) {
-	for i := range m.Terms {
-		if samePole(m.Terms[i].Pole, pole) {
-			if len(coef) > len(m.Terms[i].Coef) {
-				grown := make([]complex128, len(coef))
-				copy(grown, m.Terms[i].Coef)
-				m.Terms[i].Coef = grown
-			}
-			for j, c := range coef {
-				m.Terms[i].Coef[j] += c
-			}
-			return
+// NewPoles returns the law atom + sum_j weights[j] * poles[j]/(poles[j]-s),
+// an atom plus simple poles, in one allocation: term j's one-element Coef
+// aliases weights[j], so the caller hands weights over. Nothing is merged or
+// checked; the poles are the caller's, distinct by construction.
+func NewPoles(atom float64, poles, weights []complex128) Mix {
+	m := Mix{Atom: atom}
+	if len(poles) > 0 {
+		m.Terms = make([]Term, len(poles))
+		for j, p := range poles {
+			m.Terms[j] = Term{Pole: p, Coef: weights[j : j+1 : j+1]}
 		}
 	}
-	m.Terms = append(m.Terms, Term{Pole: pole, Coef: append([]complex128(nil), coef...)})
-}
-
-func samePole(a, b complex128) bool {
-	return cmplx.Abs(a-b) <= poleMergeTol*math.Max(cmplx.Abs(a), cmplx.Abs(b))
+	return m
 }
 
 // Eval evaluates the MGF at s. Eval(0) is the total probability mass.

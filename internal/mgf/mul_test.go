@@ -1,10 +1,48 @@
 package mgf
 
-import "math/cmplx"
+import (
+	"math"
+	"math/cmplx"
+)
 
 // The partial-fraction product of Appendix A: the reference the Sum tests
 // compare the closed-form convolution against. The RTT law never expands a
-// product (see conv.go).
+// product (see conv.go), and no production constructor merges poles; the
+// product does, through AddTerm.
+
+// poleMergeTol is the relative distance under which two poles are treated as
+// identical during a product (exact Erlang-order addition applies). Distinct
+// but nearly equal poles make partial fractions ill-conditioned; merging is
+// the numerically safe interpretation.
+const poleMergeTol = 1e-9
+
+// AddTerm appends a term (merging with an existing equal pole). It is the
+// general term builder the product and the test laws use, and the reference
+// the constructed wait laws are compared against (poles_test.go).
+func (m *Mix) AddTerm(pole complex128, coef []complex128) {
+	for i := range m.Terms {
+		if samePole(m.Terms[i].Pole, pole) {
+			if len(coef) > len(m.Terms[i].Coef) {
+				grown := make([]complex128, len(coef))
+				copy(grown, m.Terms[i].Coef)
+				m.Terms[i].Coef = grown
+			}
+			for j, c := range coef {
+				m.Terms[i].Coef[j] += c
+			}
+			return
+		}
+	}
+	m.Terms = append(m.Terms, Term{Pole: pole, Coef: append([]complex128(nil), coef...)})
+}
+
+func samePole(a, b complex128) bool {
+	return cmplx.Abs(a-b) <= poleMergeTol*math.Max(cmplx.Abs(a), cmplx.Abs(b))
+}
+
+// NewAtom returns the distribution of the constant 0 with mass w (w=1 is the
+// Dirac delta at zero).
+func NewAtom(w float64) Mix { return Mix{Atom: w} }
 
 // newErlang returns the MGF mix of weight*Erlang(k, rate).
 func newErlang(weight float64, k int, rate float64) Mix {

@@ -247,7 +247,7 @@ type oracleLaw struct {
 }
 
 func newOracleLaw(s mgf.Sum) oracleLaw {
-	u, w, p := mgf.FactorsOf(s)
+	u, w, p := s.Factors()
 	var poles []complex128
 	order := 1
 	for _, f := range []mgf.Mix{u, w, p} {

@@ -162,27 +162,17 @@ func simpleMix(atomRaw uint8, rates, weights [3]uint8) Mix {
 }
 
 func TestSumMatchesMulProperty(t *testing.T) {
-	f := func(a1 uint8, r1, w1 [3]uint8, a2 uint8, r2, w2 [3]uint8, k, rate uint8, ladder [6]uint8) bool {
+	f := func(a1 uint8, r1, w1 [3]uint8, a2 uint8, r2, w2 [3]uint8, kRaw, rateRaw uint8) bool {
 		u := simpleMix(a1, r1, w1)
 		w := simpleMix(a2, r2, w2)
-		weights := make([]float64, 1+int(k%6))
-		var wsum float64
-		for i := range weights {
-			weights[i] = float64(ladder[i]%50) + 1
-			wsum += weights[i]
-		}
-		p := Mix{}
-		coef := make([]complex128, len(weights))
-		for i := range weights {
-			coef[i] = complex(weights[i]/wsum, 0)
-		}
-		p.AddTerm(complex(0.3*float64(1+rate%30), 0), coef)
+		k, rate := 2+int(kRaw%6), 0.3*float64(1+rateRaw%30)
+		p := positionLaw(k, rate)
 		up := mul(u, p)
 		if estimateMulError(u, p)+estimateMulError(w, up) > 1e-10 {
 			return true
 		}
 		m := mul(w, up)
-		s, err := NewSum(u, w, p)
+		s, err := NewSum(u, w, k, rate)
 		if err != nil {
 			return false
 		}

@@ -79,7 +79,7 @@ func TestValidateGridMatchesTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
-		u, w, p := mgf.FactorsOf(cm.Law().Law())
+		u, w, p := cm.Law().Law().Factors()
 		for _, f := range []struct {
 			name string
 			m    mgf.Mix
@@ -111,7 +111,7 @@ func compiledSum(tb testing.TB, m core.Model) mgf.Sum {
 // Figure 3 scenario at rho=0.5, the check every Compile runs on W.
 func BenchmarkMixValidate(b *testing.B) {
 	for _, k := range []int{9, 30} {
-		_, w, _ := mgf.FactorsOf(paperSum(b, k, 0.5))
+		_, w, _ := paperSum(b, k, 0.5).Factors()
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			for b.Loop() {
 				if err := w.Validate(); err != nil {

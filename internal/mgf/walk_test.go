@@ -162,7 +162,7 @@ func TestNewtonStaysInBracket(t *testing.T) {
 		if seed := mgf.SeedOf(s, pt.p); !(seed <= got) {
 			t.Errorf("%s: seed %v exceeds the answer %v", pt.name, seed, got)
 		}
-		u, w, p := mgf.FactorsOf(s)
+		u, w, p := s.Factors()
 		for j, f := range []mgf.Mix{u, w, p} {
 			got, n, escape, err := mixInversion(f, pt.p)
 			if err != nil {
@@ -200,7 +200,7 @@ func TestTailPassesPerInversion(t *testing.T) {
 		for i := range 32 {
 			rho := 0.05 + 0.03*float64(i)
 			s := compiledSum(t, m.WithDownlinkLoad(rho))
-			u, w, pos := mgf.FactorsOf(s)
+			u, w, pos := s.Factors()
 			for _, p := range levels {
 				_, n, _, err := sumInversion(s, p)
 				if err != nil {
@@ -260,7 +260,7 @@ func TestTailDensityMatchesCentralDifference(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(name+" Sum", mgf.SumTailDensity(s), q)
-			u, w, p := mgf.FactorsOf(s)
+			u, w, p := s.Factors()
 			for j, f := range []mgf.Mix{u, w, p} {
 				q, err := f.Quantile(0.99999)
 				if err != nil {
@@ -298,7 +298,7 @@ func BenchmarkSumQuantile(b *testing.B) {
 // Figure 3 law at K=9, rho=0.5: one op inverts U, W and P at each of
 // benchLevels.
 func BenchmarkMixQuantile(b *testing.B) {
-	u, w, p := mgf.FactorsOf(paperSum(b, 9, 0.5))
+	u, w, p := paperSum(b, 9, 0.5).Factors()
 	for b.Loop() {
 		for _, level := range benchLevels {
 			for _, f := range []mgf.Mix{u, w, p} {

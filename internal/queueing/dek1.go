@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"fpsping/internal/mgf"
 	"fpsping/internal/xmath"
@@ -187,50 +188,38 @@ func (q DEK1) WaitMix() (mgf.Mix, error) {
 // WaitMix builds the eq.-(18) waiting-time law over the solved roots; see
 // DEK1.WaitMix for the law and the low-load unit-atom regime.
 func (sol *DEK1Solution) WaitMix() (mgf.Mix, error) {
-	q := sol.q
+	m := mgf.NewPoles(sol.WaitPoles())
+	if err := m.Validate(); err != nil {
+		return mgf.Mix{}, fmt.Errorf("D/E%d/1 wait mix (rho=%g): %w", sol.q.K, sol.q.Load(), err)
+	}
+	return m, nil
+}
+
+// WaitPoles returns the atom, the poles alpha_j = beta(1-zeta_j) and the
+// weights a_j of the eq.-(18) law, one pole per root and so distinct by
+// construction, or the unit atom alone in the low-load regime.
+func (sol *DEK1Solution) WaitPoles() (atom float64, poles, weights []complex128) {
 	zs := sol.zs
 	// |zeta_1| bounds every |zeta_k| (Appendix C). Below the threshold the
 	// continuous part is smaller than any tail of interest by orders of
 	// magnitude, and the weight products are no longer computable in
 	// float64.
 	if cmplx.Abs(zs[0]) < 1e-8 {
-		return mgf.NewAtom(1), nil
+		return 1, nil, nil
 	}
-	ws := weightsFromZetas(zs)
-	beta := complex(q.Beta(), 0)
-	var m mgf.Mix
+	weights = weightsFromZetas(zs)
+	// At large K the weights underflow to zero a little above the
+	// threshold too, where the roots crowd within 1e-9 of each other: the
+	// law is the unit atom, and zero-weight poles would only cost work.
+	if !slices.ContainsFunc(weights, func(w complex128) bool { return w != 0 }) {
+		return 1, nil, nil
+	}
+	beta := complex(sol.q.Beta(), 0)
+	poles = make([]complex128, len(zs))
 	var mass complex128
 	for j, z := range zs {
-		pole := beta * (1 - z)
-		m.AddTerm(pole, []complex128{ws[j]})
-		mass += ws[j]
+		poles[j] = beta * (1 - z)
+		mass += weights[j]
 	}
-	m.Atom = 1 - real(mass)
-	if err := m.Validate(); err != nil {
-		return mgf.Mix{}, fmt.Errorf("D/E%d/1 wait mix (rho=%g): %w", q.K, q.Load(), err)
-	}
-	return m, nil
-}
-
-// PositionMixUniform returns the packet-position delay law of eq. (34): for
-// a tagged packet uniformly placed in the burst,
-//
-//	P(s) = (1/(K-1)) * sum_{m=1..K-1} (beta/(beta-s))^m,
-//
-// a uniform mixture of Erlang(m, beta) delays. The paper restricts this case
-// to K > 1 (K = 1 has a branch point, eq. 33). The law is one Erlang ladder
-// at the real rate beta > 0 with K-1 weights 1/(K-1), a probability law by
-// construction, so it is not validated.
-func (q DEK1) PositionMixUniform() (mgf.Mix, error) {
-	if q.K < 2 {
-		return mgf.Mix{}, fmt.Errorf("%w: uniform position law needs K >= 2 (got %d); see eq. (33)", ErrBadParam, q.K)
-	}
-	coef := make([]complex128, q.K-1)
-	w := complex(1/float64(q.K-1), 0)
-	for i := range coef {
-		coef[i] = w
-	}
-	var m mgf.Mix
-	m.AddTerm(complex(q.Beta(), 0), coef)
-	return m, nil
+	return 1 - real(mass), poles, weights
 }

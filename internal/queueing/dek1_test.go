@@ -108,36 +108,6 @@ func fixedPointSolve(q DEK1) ([]complex128, error) {
 	return zs, nil
 }
 
-// TestPositionMixValidByConstruction validates the packet-position law of
-// eq. (34) for K 2-200, D/E_K/1 and M/E_K/1 alike. Neither constructor
-// validates it at serve time: one Erlang ladder at beta > 0 with K-1
-// weights 1/(K-1) is a probability law for every K and load.
-func TestPositionMixValidByConstruction(t *testing.T) {
-	for k := 2; k <= 200; k++ {
-		for _, rho := range []float64{1e-6, 0.5, 0.999} {
-			d, err := NewDEK1(k, rho*0.05, 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := NewMEK1(rho*d.Beta()/float64(k), k, d.Beta())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, pos := range map[string]func() (mgf.Mix, error){
-				"D/E_K/1": d.PositionMixUniform, "M/E_K/1": m.PositionMixUniform,
-			} {
-				p, err := pos()
-				if err == nil {
-					err = p.Validate()
-				}
-				if err != nil {
-					t.Errorf("%s K=%d rho=%g: %v", name, k, rho, err)
-				}
-			}
-		}
-	}
-}
-
 // TestDEK1SolveMatchesFixedPoint pins Solve's g_k(0) Newton seed against
 // the full Appendix-C fixed-point iteration: root for root and bit for bit,
 // or both fail, from a vanishing load to 1e-9 below saturation.
@@ -238,12 +208,11 @@ func (q DEK1) positionMixSpot(theta float64) (mgf.Mix, error) {
 		return mgf.Mix{}, fmt.Errorf("%w: theta=%g outside [0,1]", ErrBadParam, theta)
 	}
 	if theta == 0 {
-		return mgf.NewAtom(1), nil
+		return mgf.Mix{Atom: 1}, nil
 	}
 	coef := make([]complex128, q.K)
 	coef[q.K-1] = 1
-	var m mgf.Mix
-	m.AddTerm(complex(q.Beta()/theta, 0), coef)
+	m := mgf.Mix{Terms: []mgf.Term{{Pole: complex(q.Beta()/theta, 0), Coef: coef}}}
 	if err := m.Validate(); err != nil {
 		return mgf.Mix{}, err
 	}

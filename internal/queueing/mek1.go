@@ -159,41 +159,37 @@ func (q MEK1) Solve() (*MEK1Solution, error) {
 //
 //	c_i = -(1-rho)(1-z_i)^K / (S'(z_i) z_i).
 func (sol *MEK1Solution) WaitMix() (mgf.Mix, error) {
-	q := sol.q
-	ds := xmath.PolyDeriv(q.scaledPoly())
-	rho := q.Load()
-	var m mgf.Mix
-	m.Atom = 1 - rho
-	for _, z := range sol.zs {
-		if real(z) <= 0 {
-			return mgf.Mix{}, fmt.Errorf("M/E%d/1: pole %v in left half plane (rho=%g)", q.K, z, q.Load())
-		}
-		den := xmath.PolyEval(ds, z) * z
-		if den == 0 {
-			return mgf.Mix{}, fmt.Errorf("M/E%d/1: repeated pole %v", q.K, z)
-		}
-		num := complex(1-rho, 0) * cmplx.Pow(1-z, complex(float64(q.K), 0))
-		m.AddTerm(complex(q.Beta, 0)*z, []complex128{-num / den})
+	atom, poles, weights, err := sol.WaitPoles()
+	if err != nil {
+		return mgf.Mix{}, err
 	}
+	m := mgf.NewPoles(atom, poles, weights)
 	if err := m.Validate(); err != nil {
-		return mgf.Mix{}, fmt.Errorf("M/E%d/1 wait mix (rho=%g): %w", q.K, q.Load(), err)
+		return mgf.Mix{}, fmt.Errorf("M/E%d/1 wait mix (rho=%g): %w", sol.q.K, sol.q.Load(), err)
 	}
 	return m, nil
 }
 
-// PositionMixUniform returns the in-burst position law for a uniformly
-// placed packet of an Erlang(K, Beta) burst: identical to the D/E_K/1 case
-// (eq. 34), since it depends only on the burst-size law.
-func (q MEK1) PositionMixUniform() (mgf.Mix, error) {
-	if q.K < 2 {
-		return mgf.Mix{}, fmt.Errorf("%w: uniform position law needs K >= 2 (got %d)", ErrBadParam, q.K)
+// WaitPoles returns the atom 1-rho, the poles p_i and the weights c_i of
+// WaitMix's law, one pole per root of the scaled denominator. A root off
+// the open right half plane or with a zero residue denominator is an error.
+func (sol *MEK1Solution) WaitPoles() (atom float64, poles, weights []complex128, err error) {
+	q := sol.q
+	ds := xmath.PolyDeriv(q.scaledPoly())
+	rho := q.Load()
+	poles = make([]complex128, len(sol.zs))
+	weights = make([]complex128, len(sol.zs))
+	for i, z := range sol.zs {
+		if real(z) <= 0 {
+			return 0, nil, nil, fmt.Errorf("M/E%d/1: pole %v in left half plane (rho=%g)", q.K, z, q.Load())
+		}
+		den := xmath.PolyEval(ds, z) * z
+		if den == 0 {
+			return 0, nil, nil, fmt.Errorf("M/E%d/1: repeated pole %v", q.K, z)
+		}
+		num := complex(1-rho, 0) * cmplx.Pow(1-z, complex(float64(q.K), 0))
+		poles[i] = complex(q.Beta, 0) * z
+		weights[i] = -num / den
 	}
-	coef := make([]complex128, q.K-1)
-	w := complex(1/float64(q.K-1), 0)
-	for i := range coef {
-		coef[i] = w
-	}
-	var m mgf.Mix
-	m.AddTerm(complex(q.Beta, 0), coef)
-	return m, nil
+	return 1 - rho, poles, weights, nil
 }

@@ -402,12 +402,8 @@ func TestDEK1PacketDelayMixAgainstLindley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := q.PositionMixUniform()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The served packet-delay law: burst wait plus position delay (eq. 29).
-	m, err := mgf.NewSum(mgf.Mix{Atom: 1}, w, p)
+	m, err := mgf.NewSum(mgf.Mix{Atom: 1}, w, q.K, q.Beta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,10 +434,12 @@ func TestDEK1PositionMixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := q.PositionMixUniform()
+	// The uniform position law of eq. (34), as NewSum builds it.
+	s, err := mgf.NewSum(mgf.Mix{Atom: 1}, mgf.Mix{Atom: 1}, q.K, q.Beta())
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, u := s.Factors()
 	// Mean position delay is half the mean burst (K/(2*beta)).
 	if math.Abs(u.Mean()-q.MeanBurst/2) > 1e-12 {
 		t.Errorf("uniform position mean = %v, want %v", u.Mean(), q.MeanBurst/2)
@@ -473,7 +471,7 @@ func TestDEK1PositionMixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q1.PositionMixUniform(); err == nil {
+	if _, err := mgf.NewSum(mgf.Mix{Atom: 1}, mgf.Mix{Atom: 1}, q1.K, q1.Beta()); err == nil {
 		t.Error("K=1 uniform position should be rejected")
 	}
 	if _, err := q.positionMixSpot(1.5); err == nil {
@@ -514,6 +512,18 @@ func BenchmarkDEK1WaitMixK9(b *testing.B) {
 func BenchmarkDEK1WaitMixK28(b *testing.B) {
 	q, _ := NewDEK1(28, 0.030, 0.060)
 	for i := 0; i < b.N; i++ {
+		if _, err := q.WaitMix(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDEK1WaitMixK200 measures the wait law, root solve included, at
+// the Erlang-order cap, with its allocations: W takes a constant number.
+func BenchmarkDEK1WaitMixK200(b *testing.B) {
+	q, _ := NewDEK1(200, 0.030, 0.060)
+	b.ReportAllocs()
+	for b.Loop() {
 		if _, err := q.WaitMix(); err != nil {
 			b.Fatal(err)
 		}
