@@ -57,7 +57,7 @@ var contracts = []contract{
 	},
 	{
 		id:   "root-solve-matches-appendix-c",
-		what: "the D/E_K/1 root solve seeded with g_k(0) returns the bits of the Appendix-C fixed-point iteration root for root, or both fail, over K 1-200 from a vanishing load to 1e-9 below saturation",
+		what: "the D/E_K/1 root solve succeeds where the Appendix-C fixed-point iteration does, over K 1-200 from a vanishing load to 1e-9 below saturation: its solved half, k <= floor(K/2)+1 and seeded with g_k(0), is the iteration's bits root for root, and each other root is exactly the conjugate of its partner and within 4e-15 relative of the iteration's own root",
 		tests: []string{
 			"internal/queueing:TestDEK1SolveMatchesFixedPoint",
 		},
@@ -83,11 +83,20 @@ var contracts = []contract{
 	},
 	{
 		id:   "factor-laws-by-construction",
-		what: "the wait law W is built one pole per root with no pole merged: it equals the pole-merging AddTerm reference field for field, or both are rejected, for D/E_K/1 at K 2-200 x rho 1e-6-0.98 and M/E_K/1 at K 2-200, where every reference that merged equal roots is a rejected law; every served W has poles more than 1e-9 apart, relative; and Compile's allocation count does not grow with K",
+		what: "the wait law W is built one pole per root with no pole merged (D/E_K/1 one term per conjugate pair): the law it stands for, each pair expanded, equals the pole-merging AddTerm reference field for field, or both are rejected, for D/E_K/1 at K 2-200 x rho 1e-6-0.98 and M/E_K/1 at K 2-200, where every reference that merged equal roots is a rejected law; every served W has poles more than 1e-9 apart, relative; and Compile's allocation count does not grow with K",
 		tests: []string{
 			"internal/mgf:TestWaitMixMatchesAddTerm",
 			"internal/mgf:FuzzWaitMixPolesDistinct",
 			"internal/core:TestCompileAllocsFlatInK",
+		},
+		jobs: []string{"verify", "fuzz"},
+	},
+	{
+		id:   "conjugate-fold",
+		what: "the D/E_K/1 wait law stored one term per conjugate pair evaluates as its expansion over K 1-200 x rho 1e-6-0.98: mass, mean, tail and density within 1e-13 of the sum of their terms' magnitudes, each quantile within Mix.Quantile's 1e-12(1+x), and the tail of a Sum over it within 1e-13 relative; its imaginary mass is exactly 0",
+		tests: []string{
+			"internal/mgf:TestFoldEqualsExpanded",
+			"internal/mgf:FuzzFoldEqualsExpanded",
 		},
 		jobs: []string{"verify", "fuzz"},
 	},

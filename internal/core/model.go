@@ -298,8 +298,7 @@ func (m Model) RTTQuantileDominantPole() (float64, error) {
 	}
 	// Residue of the product at the dominant simple pole d:
 	// c = res_d * F2(d) * F3(d); tail ~ Re(c) e^{-d x}.
-	s := complex(best.rate, 0)
-	c := best.residue * best.others[0].Eval(s) * best.others[1].Eval(s)
+	c := best.residue * best.others[0].Eval(best.rate) * best.others[1].Eval(best.rate)
 	amp := real(c)
 	target := 1 - m.quantile()
 	if !(amp > target) {
@@ -329,7 +328,7 @@ func (m Model) RTTQuantileChernoff() (float64, error) {
 	}
 	logBound := func(d float64) float64 {
 		f := func(s float64) float64 {
-			v := real(du.Eval(complex(s, 0)) * w.Eval(complex(s, 0)) * p.Eval(complex(s, 0)))
+			v := real(du.Eval(s) * w.Eval(s) * p.Eval(s))
 			if v <= 0 {
 				return math.Inf(1)
 			}

@@ -22,12 +22,27 @@ type MultiServer struct {
 	Servers int
 }
 
-// Validate checks the per-server scenario and the server count.
+// MaxMultiServerErlangOrder is the largest burst-size Erlang order K a
+// multi-server scenario accepts, below the single-server MaxErlangOrder.
+// The M/E_K/1 wait law factors a degree-(K+1) polynomial (xmath.PolyRoots),
+// whose roots lose accuracy as K grows: on the load grid 0.01-0.99 it is
+// served at every load up to K = 22, at 92 of 99 loads at K = 23 and at none
+// from K = 31, where the residual or the law's mass check rejects it.
+const MaxMultiServerErlangOrder = 22
+
+// Validate checks the per-server scenario, the server count and the Erlang
+// order's multi-server limit.
 func (ms MultiServer) Validate() error {
 	if ms.Servers < 1 {
 		return fmt.Errorf("%w: servers %d", ErrBadModel, ms.Servers)
 	}
-	return ms.PerServer.Validate()
+	if err := ms.PerServer.Validate(); err != nil {
+		return err
+	}
+	if k := ms.PerServer.ErlangOrder; k > MaxMultiServerErlangOrder {
+		return fmt.Errorf("%w: multi-server Erlang order %d above %d", ErrBadModel, k, MaxMultiServerErlangOrder)
+	}
+	return nil
 }
 
 // TotalGamers returns Servers * per-server gamers.

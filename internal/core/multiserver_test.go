@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fpsping/internal/queueing"
@@ -31,6 +34,26 @@ func TestMultiServerValidation(t *testing.T) {
 	}
 	if ms.TotalGamers() != 80 {
 		t.Errorf("total gamers %v", ms.TotalGamers())
+	}
+}
+
+// TestMultiServerErlangOrderLimit pins MaxMultiServerErlangOrder: at the
+// limit the M/E_K/1 law is served, one above it the scenario is an
+// ErrBadModel naming the limit, from Validate, before any root solve.
+func TestMultiServerErlangOrderLimit(t *testing.T) {
+	ms := multiServerScenario(4, 20)
+	ms.PerServer.ErlangOrder = MaxMultiServerErlangOrder
+	if _, err := ms.Compile(); err != nil {
+		t.Errorf("K=%d: %v", MaxMultiServerErlangOrder, err)
+	}
+	ms.PerServer.ErlangOrder = MaxMultiServerErlangOrder + 1
+	err := ms.Validate()
+	if !errors.Is(err, ErrBadModel) || !strings.Contains(err.Error(), fmt.Sprint(MaxMultiServerErlangOrder)) {
+		t.Errorf("K=%d: Validate err %v, want ErrBadModel naming %d",
+			MaxMultiServerErlangOrder+1, err, MaxMultiServerErlangOrder)
+	}
+	if _, cerr := ms.Compile(); cerr == nil || cerr.Error() != err.Error() {
+		t.Errorf("K=%d: Compile err %v, want Validate's %v", MaxMultiServerErlangOrder+1, cerr, err)
 	}
 }
 

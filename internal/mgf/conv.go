@@ -51,8 +51,11 @@ type Sum struct {
 
 // NewSum returns the law of U+W+P with P the eq. (34) ladder of order k at
 // rate beta, or ErrInvalid when a factor has another shape: a U or W term
-// of Erlang order above 1 or with a pole off the open right half plane, or
-// k < 2 (K = 1 has a branch point, eq. 33) or beta not a positive rate.
+// of Erlang order above 1 or with a pole off the open right half plane, a
+// Pair term in U, or k < 2 (K = 1 has a branch point, eq. 33) or beta not a
+// positive rate. W may fold its conjugate pairs; U may not, because Tail
+// folds each W pair's U×W cross terms, which is exact only while every U
+// term is stored (see tailDensity).
 func NewSum(u, w Mix, k int, beta float64) (Sum, error) {
 	for _, f := range []struct {
 		name string
@@ -61,6 +64,9 @@ func NewSum(u, w Mix, k int, beta float64) (Sum, error) {
 		for _, t := range f.m.Terms {
 			if len(t.Coef) != 1 || !(real(t.Pole) > 0) || !finite(t.Pole) || !finite(t.Coef[0]) {
 				return Sum{}, fmt.Errorf("%w: %s term %v is not a simple pole", ErrInvalid, f.name, t)
+			}
+			if t.Pair && f.name == "U" {
+				return Sum{}, fmt.Errorf("%w: U term %v is a folded conjugate pair", ErrInvalid, t)
 			}
 		}
 	}
@@ -124,6 +130,10 @@ func (s Sum) Tail(x float64) float64 {
 // with B = beta sum_{m>=1} pi_m pw_{m-1}, L(z) = sum_{m>=1} pi_m psi_m(z)
 // and D_ij = sum_{m>=1} pi_m [a_i,b_j]psi_m. P has no atom, so U+W+P has
 // none: at x <= 0 the tail is the total mass and the density returned is 0.
+//
+// A W Pair term stands for b_j and its conjugate. With every U term stored
+// (U is closed under conjugation as a set), the conjugate's summand is the
+// conjugate of b_j's, so the pair adds 2·Re of b_j's summand (Term.fold).
 func (s Sum) tailDensity(x float64) (tail, density float64) {
 	if x <= 0 {
 		return s.TotalMass(), 0
@@ -174,8 +184,8 @@ func (s Sum) tailDensity(x float64) (tail, density float64) {
 			acc -= ca * dd
 			dacc += ca * (tu.Pole*dd + l)
 		}
-		t += tw.Coef[0] * acc
-		f -= tw.Coef[0] * dacc
+		t += tw.fold(tw.Coef[0] * acc)
+		f -= tw.fold(tw.Coef[0] * dacc)
 	}
 	return real(t), real(f)
 }

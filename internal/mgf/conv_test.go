@@ -172,11 +172,16 @@ func TestSumSurvivesIllConditionedPoles(t *testing.T) {
 
 func TestNewSumRejectsOtherShapes(t *testing.T) {
 	exp := NewExponential(1, 2)
+	pair := NewConjugatePoles(0.5, []complex128{complex(2, 1)}, []complex128{0.25})
+	if _, err := NewSum(exp, pair, 4, 4); err != nil {
+		t.Errorf("paired W: %v", err)
+	}
 	for name, f := range map[string]struct {
 		u, w Mix
 		k    int
 		beta float64
 	}{
+		"paired U":      {pair, exp, 4, 4},
 		"Erlang U":      {newErlang(1, 2, 2), exp, 4, 4},
 		"Erlang W":      {exp, newErlang(1, 2, 2), 4, 4},
 		"negative pole": {NewExponential(1, -2), exp, 4, 4},
@@ -289,23 +294,30 @@ func TestInvertTailCapsPasses(t *testing.T) {
 }
 
 // sumTailLaw is a Sum shaped like an eq. (35) law at Erlang order k: an
-// upstream exponential, k W poles crowding beta and a uniform ladder.
+// upstream exponential, k W poles crowding beta, stored like the D/E_K/1
+// law as its real poles and one member per conjugate pair, and a uniform
+// ladder.
 func sumTailLaw(t testing.TB, k int) Sum {
 	beta := float64(k) / 0.02
 	u := NewExponential(0.4, 30)
 	u.Atom = 0.6
-	poles, weights := make([]complex128, k), make([]complex128, k)
+	poles, weights := make([]complex128, k/2+1), make([]complex128, k/2+1)
 	mass := 0.0
-	for j := 0; j < k; j++ {
+	for j := range poles {
 		zeta := 0.3 * cmplx.Exp(complex(0, 2*math.Pi*float64(j)/float64(k)))
 		c := 0.5 / float64(k)
-		if j == 0 {
+		switch {
+		case j == 0:
 			c *= 2
+		case 2*j == k: // the real pole at zeta = -0.3 of an even k
+			zeta = complex(real(zeta), 0)
+		default: // a conjugate pair
+			mass += c
 		}
 		poles[j], weights[j] = complex(beta, 0)*(1-zeta), complex(c, 0)
 		mass += c
 	}
-	return newSum(t, u, NewPoles(1-mass, poles, weights), k, beta)
+	return newSum(t, u, NewConjugatePoles(1-mass, poles, weights), k, beta)
 }
 
 // TestSumTailWSAllocs pins the allocation contract of the compiled
@@ -324,7 +336,7 @@ func TestSumTailWSAllocs(t *testing.T) {
 // BenchmarkSumTail measures one closed-form tail evaluation near the
 // 1e-5 quantile of an eq. (35)-shaped law.
 func BenchmarkSumTail(b *testing.B) {
-	for _, k := range []int{9, 30} {
+	for _, k := range []int{9, 30, 100} {
 		s := sumTailLaw(b, k)
 		x, err := s.Quantile(0.99999)
 		if err != nil {

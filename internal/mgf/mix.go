@@ -6,8 +6,9 @@
 // i.e. an atom at zero plus a weighted sum of (possibly complex) Erlang
 // terms. A Mix is one such law; its tail, and hence its quantile, is closed
 // form. Every law is built in the shape it is used in: NewExponential, and
-// NewPoles for an atom plus simple poles that are distinct by construction
-// (the queueing wait laws). No constructor merges poles.
+// NewPoles or NewConjugatePoles for an atom plus simple poles that are
+// distinct by construction (the queueing wait laws). No constructor merges
+// poles.
 //
 // The RTT law of §3.3 is the product of the upstream delay Du(s), the
 // downstream burst delay W(s) and the packet-position delay P(s). Sum keeps
@@ -17,10 +18,13 @@
 // stays accurate where the expanded product loses every digit to crowding
 // poles. Quantile inverts either law (invert.go).
 //
-// Poles may be complex (the D/E_K/1 waiting time has K-1 complex-conjugate
-// pole pairs); coefficients come in conjugate pairs too, so tails and
-// densities are real up to rounding. All evaluation methods return the real
-// part and the Validate method bounds the imaginary residue.
+// Poles may be complex: the D/E_K/1 waiting time has one real pole (two for
+// even K) and floor((K-1)/2) complex-conjugate pole pairs. Coefficients come
+// in conjugate pairs too, so tails and densities are real. A law may store
+// each conjugate pair as one Pair term (NewConjugatePoles), which every
+// evaluator folds to 2·Re of its member; a law stored unfolded (NewPoles) is
+// real only up to rounding. All evaluation methods return the real part and
+// the Validate method bounds the imaginary residue.
 package mgf
 
 import (
@@ -34,10 +38,24 @@ import (
 var ErrInvalid = errors.New("mgf: invalid mix")
 
 // Term is one pole with its Erlang coefficient ladder: Coef[i] multiplies
-// (Pole/(Pole-s))^(i+1).
+// (Pole/(Pole-s))^(i+1). A Pair term also stands for its conjugate, the term
+// with pole conj(Pole) and coefficients conj(Coef[i]): on the real axis the
+// two sum to twice the real part of one, so every evaluator adds 2·Re of
+// the stored member (fold) and pays for one term, not two.
 type Term struct {
 	Pole complex128
 	Coef []complex128
+	Pair bool
+}
+
+// fold returns v, a term's contribution to a real-axis evaluation, plus that
+// of its conjugate for a Pair term: 2·Re v, with an exactly zero imaginary
+// part.
+func (t Term) fold(v complex128) complex128 {
+	if t.Pair {
+		return complex(2*real(v), 0)
+	}
+	return v
 }
 
 // Mix is an atom at zero plus a sum of Erlang terms. The zero value is the
@@ -58,25 +76,38 @@ func NewExponential(weight, rate float64) Mix {
 // aliases weights[j], so the caller hands weights over. Nothing is merged or
 // checked; the poles are the caller's, distinct by construction.
 func NewPoles(atom float64, poles, weights []complex128) Mix {
+	return newPoles(atom, poles, weights, false)
+}
+
+// NewConjugatePoles is NewPoles for a law whose poles off the real axis come
+// in conjugate pairs with conjugate weights, handed over one member per
+// pair: each pole with a nonzero imaginary part becomes a Pair term and
+// stands for itself and its conjugate. A real pole stands for itself alone.
+func NewConjugatePoles(atom float64, poles, weights []complex128) Mix {
+	return newPoles(atom, poles, weights, true)
+}
+
+func newPoles(atom float64, poles, weights []complex128, pairs bool) Mix {
 	m := Mix{Atom: atom}
 	if len(poles) > 0 {
 		m.Terms = make([]Term, len(poles))
 		for j, p := range poles {
-			m.Terms[j] = Term{Pole: p, Coef: weights[j : j+1 : j+1]}
+			m.Terms[j] = Term{Pole: p, Coef: weights[j : j+1 : j+1], Pair: pairs && imag(p) != 0}
 		}
 	}
 	return m
 }
 
-// Eval evaluates the MGF at s. Eval(0) is the total probability mass.
-func (m Mix) Eval(s complex128) complex128 {
+// Eval evaluates the MGF at the real point s. Eval(0) is the total
+// probability mass.
+func (m Mix) Eval(s float64) complex128 {
 	sum := complex(m.Atom, 0)
 	for _, t := range m.Terms {
-		base := t.Pole / (t.Pole - s)
+		base := t.Pole / (t.Pole - complex(s, 0))
 		pw := complex(1, 0)
 		for _, c := range t.Coef {
 			pw *= base
-			sum += c * pw
+			sum += t.fold(c * pw)
 		}
 	}
 	return sum
@@ -90,7 +121,7 @@ func (m Mix) Mean() float64 {
 	var sum complex128
 	for _, t := range m.Terms {
 		for i, c := range t.Coef {
-			sum += c * complex(float64(i+1), 0) / t.Pole
+			sum += t.fold(c * complex(float64(i+1), 0) / t.Pole)
 		}
 	}
 	return real(sum)
@@ -113,8 +144,8 @@ func (m Mix) tailDensity(x float64) (tail, density float64) {
 	for _, term := range m.Terms {
 		px := term.Pole * complex(x, 0)
 		tt, tf := termTail(term, px, cmplx.Exp(-px))
-		t += tt
-		f += tf
+		t += term.fold(tt)
+		f += term.fold(tf)
 	}
 	return real(t), real(f)
 }
@@ -162,7 +193,8 @@ func (m Mix) Quantile(p float64) (float64, error) {
 
 // DominantPole returns the pole with the smallest real part (the slowest
 // exponential decay) and its total coefficient ladder, or ok=false for a
-// pure atom. The §3.3 dominant-pole approximation keeps only this term.
+// pure atom; of a Pair term, the stored member. The §3.3 dominant-pole
+// approximation keeps only this term.
 func (m Mix) DominantPole() (pole complex128, ok bool) {
 	best := math.Inf(1)
 	for _, t := range m.Terms {
@@ -240,7 +272,7 @@ func (m Mix) probeTails(mean float64) (span float64, tails [validateProbes + 1]f
 		for i := range sums {
 			x := span * float64(i) / validateProbes
 			tail, _ := termTail(t, t.Pole*complex(x, 0), ex)
-			sums[i] += tail
+			sums[i] += t.fold(tail)
 			ex *= step
 		}
 	}

@@ -209,7 +209,7 @@ func TestEvalAtZeroIsMass(t *testing.T) {
 		t.Errorf("mass = %v", m.TotalMass())
 	}
 	// MGF at a negative real s must be <= 1 for a nonneg rv.
-	v := m.Eval(complex(-1, 0))
+	v := m.Eval(-1)
 	if real(v) > 1 || math.Abs(imag(v)) > 1e-12 {
 		t.Errorf("Eval(-1) = %v", v)
 	}

@@ -44,6 +44,24 @@ func samePole(a, b complex128) bool {
 // Dirac delta at zero).
 func NewAtom(w float64) Mix { return Mix{Atom: w} }
 
+// Expanded returns the law m stands for with every term stored: each Pair
+// term becomes its member and then its conjugate, two unpaired terms. The
+// product and the reference laws the tests compare against are unfolded.
+func (m Mix) Expanded() Mix {
+	out := Mix{Atom: m.Atom}
+	for _, t := range m.Terms {
+		out.Terms = append(out.Terms, Term{Pole: t.Pole, Coef: t.Coef})
+		if t.Pair {
+			coef := make([]complex128, len(t.Coef))
+			for i, c := range t.Coef {
+				coef[i] = cmplx.Conj(c)
+			}
+			out.Terms = append(out.Terms, Term{Pole: cmplx.Conj(t.Pole), Coef: coef})
+		}
+	}
+	return out
+}
+
 // newErlang returns the MGF mix of weight*Erlang(k, rate).
 func newErlang(weight float64, k int, rate float64) Mix {
 	coef := make([]complex128, k)

@@ -108,6 +108,9 @@ type bmix struct {
 	terms []bterm
 }
 
+// fromMix returns m's law in big arithmetic, every term stored: a Pair term
+// becomes its member and the conjugate, formed here by negating the big
+// imaginary parts, so the oracle does not lean on the fold it checks.
 func (o oracle) fromMix(m mgf.Mix) bmix {
 	out := bmix{atom: o.c(complex(m.Atom, 0))}
 	for _, t := range m.Terms {
@@ -115,7 +118,15 @@ func (o oracle) fromMix(m mgf.Mix) bmix {
 		for i, c := range t.Coef {
 			coef[i] = o.c(c)
 		}
-		out.terms = append(out.terms, bterm{t.Pole, coef, o.c(t.Pole)})
+		bp := o.c(t.Pole)
+		out.terms = append(out.terms, bterm{t.Pole, coef, bp})
+		if t.Pair {
+			conj := make([]bigc, len(coef))
+			for i, c := range coef {
+				conj[i] = bigc{c.re, o.f().Neg(c.im)}
+			}
+			out.terms = append(out.terms, bterm{cmplx.Conj(t.Pole), conj, bigc{bp.re, o.f().Neg(bp.im)}})
+		}
 	}
 	return out
 }
@@ -253,6 +264,9 @@ func newOracleLaw(s mgf.Sum) oracleLaw {
 	for _, f := range []mgf.Mix{u, w, p} {
 		for _, t := range f.Terms {
 			poles = append(poles, t.Pole)
+			if t.Pair {
+				poles = append(poles, cmplx.Conj(t.Pole))
+			}
 			order = max(order, len(t.Coef)+2)
 		}
 	}

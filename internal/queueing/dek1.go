@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"slices"
 
 	"fpsping/internal/mgf"
 	"fpsping/internal/xmath"
@@ -99,13 +98,19 @@ func (q DEK1) finishZeta(k int, z complex128) (complex128, error) {
 	// imaginary rounding dust of size ~eps*|z| from sin(pi) inside cmplx.Exp
 	// that Newton cannot contract below its stopping threshold. Flush it so
 	// the stored root is exactly real, as the conjugate symmetry of eq. (26)
-	// requires; the residual check below still judges the flushed value.
+	// requires; checkZeta still judges the flushed value.
 	if k == 1 || 2*(k-1) == q.K {
 		z = complex(real(z), 0)
 	}
-	// Negated-form comparisons so a NaN residual or component (a seed the
-	// polish diverged from) fails validation rather than slipping past it.
-	if res := cmplx.Abs(z - g(z)); !(res <= zetaResidualTol) {
+	return q.checkZeta(k, z)
+}
+
+// checkZeta returns z if it is branch k's root: its eq.-(26) residual is
+// below zetaResidualTol and it lies in Re z < 1. Negated-form comparisons
+// make a NaN residual or component (a seed the polish diverged from) fail
+// validation rather than slip past it.
+func (q DEK1) checkZeta(k int, z complex128) (complex128, error) {
+	if res := cmplx.Abs(z - q.rootMap(k)(z)); !(res <= zetaResidualTol) {
 		return 0, fmt.Errorf("queueing: zeta_%d residual %g (rho=%g, K=%d)", k, res, q.Load(), q.K)
 	}
 	if !(real(z) < 1) {
@@ -123,7 +128,16 @@ type DEK1Solution struct {
 	zs []complex128
 }
 
-// Solve finds the K roots: each root's Newton polish (see finishZeta) is
+// solvedRoots returns the number of roots Solve solves, floor(K/2)+1: the
+// real root zeta_1, one member of each conjugate pair and, for even K, the
+// real root zeta_{K/2+1}. The others are mirrored.
+func solvedRoots(k int) int { return k/2 + 1 }
+
+// Solve finds the K roots. The roots of eq. (26) come in conjugate pairs:
+// g_{K+2-k}(conj z) = conj g_k(z), so zeta_{K+2-k} = conj(zeta_k). Solve
+// solves k <= floor(K/2)+1 and sets the others to the exact conjugates of
+// their partners; every stored root passes checkZeta's residual and
+// half-plane checks. Each solved root's Newton polish (see finishZeta) is
 // seeded with the first Appendix-C fixed-point iterate,
 // g_k(0) = exp(-1/rho + 2*pi*i*(k-1)/K). The full fixed-point iteration
 // contracts only at rate |zeta_k|/rho, which tends to 1 as rho -> 1; the
@@ -133,9 +147,17 @@ type DEK1Solution struct {
 // roots.
 func (q DEK1) Solve() (*DEK1Solution, error) {
 	zs := make([]complex128, q.K)
+	h := solvedRoots(q.K)
 	for k := 1; k <= q.K; k++ {
 		var err error
-		if zs[k-1], err = q.finishZeta(k, q.rootMap(k)(0)); err != nil {
+		if k <= h {
+			zs[k-1], err = q.finishZeta(k, q.rootMap(k)(0))
+		} else {
+			// Negating the imaginary part is exact, so the pair is
+			// conjugate bit for bit on any GOARCH.
+			zs[k-1], err = q.checkZeta(k, cmplx.Conj(zs[q.K+1-k]))
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -147,17 +169,34 @@ func (q DEK1) Solve() (*DEK1Solution, error) {
 // a neighbour's roots. The signature stays for existing callers.
 func (q DEK1) SolveFrom(prev *DEK1Solution) (*DEK1Solution, error) { return q.Solve() }
 
-// weightsFromZetas returns the residues a_j of eq. (27):
+// weightsFromZetas returns the residues a_j of eq. (27) of the solved roots,
+// j <= floor(K/2)+1:
 //
 //	a_j = zeta_j^K * prod_{k != j} (zeta_k - 1)/(zeta_k - zeta_j),
 //
 // the solution of the Vandermonde system sum_j a_j zeta_j^{-k} = 1
-// (k = 1..K) from Appendix D.
+// (k = 1..K) from Appendix D. Each product runs over all K roots; the
+// mirrored roots' residues are the conjugates a_{K+2-j} = conj(a_j).
+//
+// Where zeta_j^K is below the normal range (K >= ~40 at low load) it has
+// lost most of its bits, or all of them, while the product is huge: there
+// the K powers of zeta_j are spread over the product's factors instead,
+// which keeps every partial product near the size of a_j.
 func weightsFromZetas(zs []complex128) []complex128 {
 	k := len(zs)
-	out := make([]complex128, k)
-	for j := 0; j < k; j++ {
+	out := make([]complex128, solvedRoots(k))
+	for j := range out {
 		a := cmplx.Pow(zs[j], complex(float64(k), 0))
+		if math.Abs(real(a)) < 0x1p-1022 && math.Abs(imag(a)) < 0x1p-1022 {
+			a = zs[j]
+			for i := 0; i < k; i++ {
+				if i != j {
+					a *= zs[j] * (zs[i] - 1) / (zs[i] - zs[j])
+				}
+			}
+			out[j] = a
+			continue
+		}
 		for i := 0; i < k; i++ {
 			if i == j {
 				continue
@@ -188,7 +227,7 @@ func (q DEK1) WaitMix() (mgf.Mix, error) {
 // WaitMix builds the eq.-(18) waiting-time law over the solved roots; see
 // DEK1.WaitMix for the law and the low-load unit-atom regime.
 func (sol *DEK1Solution) WaitMix() (mgf.Mix, error) {
-	m := mgf.NewPoles(sol.WaitPoles())
+	m := mgf.NewConjugatePoles(sol.WaitPoles())
 	if err := m.Validate(); err != nil {
 		return mgf.Mix{}, fmt.Errorf("D/E%d/1 wait mix (rho=%g): %w", sol.q.K, sol.q.Load(), err)
 	}
@@ -196,8 +235,13 @@ func (sol *DEK1Solution) WaitMix() (mgf.Mix, error) {
 }
 
 // WaitPoles returns the atom, the poles alpha_j = beta(1-zeta_j) and the
-// weights a_j of the eq.-(18) law, one pole per root and so distinct by
-// construction, or the unit atom alone in the low-load regime.
+// weights a_j of the eq.-(18) law for the solved roots j <= floor(K/2)+1,
+// distinct by construction, or the unit atom alone in the low-load regime.
+// A complex pole stands for its conjugate pair too (mgf.NewConjugatePoles):
+// the mirrored roots' poles and weights are the conjugates. The weights of
+// the real roots are real; their imaginary rounding dust is flushed, which
+// changes no tail (real(a*r) = real(a)*r for a real r) and makes the law's
+// imaginary mass exactly 0.
 func (sol *DEK1Solution) WaitPoles() (atom float64, poles, weights []complex128) {
 	zs := sol.zs
 	// |zeta_1| bounds every |zeta_k| (Appendix C). Below the threshold the
@@ -207,19 +251,26 @@ func (sol *DEK1Solution) WaitPoles() (atom float64, poles, weights []complex128)
 	if cmplx.Abs(zs[0]) < 1e-8 {
 		return 1, nil, nil
 	}
-	weights = weightsFromZetas(zs)
-	// At large K the weights underflow to zero a little above the
-	// threshold too, where the roots crowd within 1e-9 of each other: the
-	// law is the unit atom, and zero-weight poles would only cost work.
-	if !slices.ContainsFunc(weights, func(w complex128) bool { return w != 0 }) {
+	// At large K, zeta_1^K underflows to zero a little above the threshold
+	// too, where the roots crowd within 1e-9 of each other. There
+	// K(1-zeta_1)/rho > 744, and for K <= 200 the Chernoff bound puts
+	// P(W>0) <= sum_n P(the work of n bursts > nT) below 1e-100: the law is
+	// the unit atom.
+	if math.Pow(real(zs[0]), float64(len(zs))) == 0 {
 		return 1, nil, nil
 	}
+	weights = weightsFromZetas(zs)
 	beta := complex(sol.q.Beta(), 0)
-	poles = make([]complex128, len(zs))
-	var mass complex128
-	for j, z := range zs {
+	poles = make([]complex128, len(weights))
+	mass := 0.0
+	for j, z := range zs[:len(weights)] {
 		poles[j] = beta * (1 - z)
-		mass += weights[j]
+		if imag(z) == 0 {
+			weights[j] = complex(real(weights[j]), 0)
+			mass += real(weights[j])
+		} else {
+			mass += 2 * real(weights[j])
+		}
 	}
-	return 1 - real(mass), poles, weights
+	return 1 - mass, poles, weights
 }

@@ -108,10 +108,17 @@ func fixedPointSolve(q DEK1) ([]complex128, error) {
 	return zs, nil
 }
 
-// TestDEK1SolveMatchesFixedPoint pins Solve's g_k(0) Newton seed against
-// the full Appendix-C fixed-point iteration: root for root and bit for bit,
-// or both fail, from a vanishing load to 1e-9 below saturation.
+// TestDEK1SolveMatchesFixedPoint pins Solve against the full Appendix-C
+// fixed-point iteration, which solves every branch on its own, from a
+// vanishing load to 1e-9 below saturation; both succeed or both fail. The
+// solved half, k <= floor(K/2)+1, is the reference's bit for bit, which
+// pins the g_k(0) Newton seed. Each mirrored root is exactly the conjugate
+// of its partner, and within 4e-15 relative of the reference's own polished
+// root for its branch: two independent polishes of one root agree only to a
+// few ulps (the worst is ~2.6e-15, at K = 200 and rho = 0.85).
 func TestDEK1SolveMatchesFixedPoint(t *testing.T) {
+	const mirrorTol = 4e-15
+	worst, mirrored, beyondEps := 0.0, 0, 0
 	loads := []float64{1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.02, 0.03}
 	for i := 1; i <= 19; i++ {
 		loads = append(loads, float64(i)/20)
@@ -132,23 +139,47 @@ func TestDEK1SolveMatchesFixedPoint(t *testing.T) {
 			if err != nil {
 				continue
 			}
+			h := solvedRoots(k)
 			for i, z := range sol.zs {
-				if z != want[i] {
-					t.Errorf("K=%d rho=%v root %d: Solve %v != fixed point %v", k, rho, i+1, z, want[i])
+				if i < h {
+					if z != want[i] {
+						t.Errorf("K=%d rho=%v root %d: Solve %v != fixed point %v", k, rho, i+1, z, want[i])
+					}
+					continue
+				}
+				if partner := cmplx.Conj(sol.zs[k-i]); z != partner {
+					t.Errorf("K=%d rho=%v root %d: %v is not the conjugate of root %d, %v",
+						k, rho, i+1, z, k-i+1, partner)
+				}
+				// Roots that underflow to 0 at a vanishing load are
+				// equal; the product form keeps 0/0 out of the test.
+				d, r := cmplx.Abs(z-want[i]), cmplx.Abs(want[i])
+				mirrored++
+				if d > 1e-15*r {
+					beyondEps++
+				}
+				if !(d <= mirrorTol*r) {
+					t.Errorf("K=%d rho=%v root %d: mirrored %v is %.3g from the fixed point's %v, relative",
+						k, rho, i+1, z, d/r, want[i])
+				} else if d > 0 {
+					worst = max(worst, d/r)
 				}
 			}
 		}
 	}
+	t.Logf("%d of %d mirrored roots beyond 1e-15 of the fixed point's, relative; worst %.3g",
+		beyondEps, mirrored, worst)
 }
 
 // BenchmarkDEK1Solve times the root solve at the paper's K=9 midpoint, near
-// saturation (where the fixed-point iteration would crawl) and at K=30.
+// saturation (where the fixed-point iteration would crawl), and at K=30 and
+// K=100.
 func BenchmarkDEK1Solve(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		k    int
 		rho  float64
-	}{{"K9_rho0.5", 9, 0.5}, {"K9_rho0.999", 9, 0.999}, {"K30_rho0.7", 30, 0.7}} {
+	}{{"K9_rho0.5", 9, 0.5}, {"K9_rho0.999", 9, 0.999}, {"K30_rho0.7", 30, 0.7}, {"K100_rho0.7", 100, 0.7}} {
 		q, err := NewDEK1(c.k, c.rho*0.060, 0.060)
 		if err != nil {
 			b.Fatal(err)
@@ -181,13 +212,18 @@ func (sol *DEK1Solution) zetas() []complex128 {
 	return append([]complex128(nil), sol.zs...)
 }
 
-// weights returns the eq.-(27) residues over the solved roots.
+// weights returns the eq.-(27) residues of all K roots, a_j at index j-1:
+// the solved half's and their conjugates for the mirrored roots.
 func (q DEK1) weights() ([]complex128, error) {
 	sol, err := q.Solve()
 	if err != nil {
 		return nil, err
 	}
-	return weightsFromZetas(sol.zs), nil
+	ws := weightsFromZetas(sol.zs)
+	for i := len(ws); i < q.K; i++ {
+		ws = append(ws, cmplx.Conj(ws[q.K-i]))
+	}
+	return ws, nil
 }
 
 // meanWait returns the exact mean burst waiting time from the MGF.
