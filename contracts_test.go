@@ -57,15 +57,16 @@ var contracts = []contract{
 	},
 	{
 		id:   "root-solve-matches-appendix-c",
-		what: "the D/E_K/1 root solve succeeds where the Appendix-C fixed-point iteration does, over K 1-200 from a vanishing load to 1e-9 below saturation: its solved half, k <= floor(K/2)+1 and seeded with g_k(0), is the iteration's bits root for root, and each other root is exactly the conjugate of its partner and within 4e-15 relative of the iteration's own root",
+		what: "both queues' root solves are accurate against a 256-bit math/big oracle over K 1-200 from a vanishing load to 1e-9 below saturation: each solved root, k <= floor(K/2)+1, is within 4 eps times its condition number of the oracle's, relative; the D/E_K/1 solve succeeds where the Appendix-C fixed-point iteration does and each mirrored root is exactly the conjugate of its partner; the M/E_K/1 oracle roots are K distinct roots, and its law is served at every load up to 1-1e-4",
 		tests: []string{
 			"internal/queueing:TestDEK1SolveMatchesFixedPoint",
+			"internal/queueing:TestMEK1SolveMatchesOracle",
 		},
 		jobs: []string{"verify", "race"},
 	},
 	{
 		id:   "tail-matches-oracle",
-		what: "the served delay-law tail is within 1e-12 relative of a math/big Appendix-A expansion over K 2-30 x rho 0.02-0.95, the multi-server law and the PS=75 uplink corner, and the served quantile brackets the oracle's root to 1e-9",
+		what: "the served delay-law tail is within 1e-12 relative of a math/big Appendix-A expansion over K 2-30 x rho 0.02-0.95, the multi-server law at K 2-200 and the PS=75 uplink corner, and the served quantile brackets the oracle's root to 1e-9",
 		tests: []string{
 			"internal/mgf:TestSumTailMatchesOracle",
 		},
@@ -83,7 +84,7 @@ var contracts = []contract{
 	},
 	{
 		id:   "factor-laws-by-construction",
-		what: "the wait law W is built one pole per root with no pole merged (D/E_K/1 one term per conjugate pair): the law it stands for, each pair expanded, equals the pole-merging AddTerm reference field for field, or both are rejected, for D/E_K/1 at K 2-200 x rho 1e-6-0.98 and M/E_K/1 at K 2-200, where every reference that merged equal roots is a rejected law; every served W has poles more than 1e-9 apart, relative; and Compile's allocation count does not grow with K",
+		what: "the wait law W is built one term per real root and conjugate pair with no pole merged: the law it stands for, each pair expanded, equals the pole-merging AddTerm reference field for field, or both are rejected, for D/E_K/1 at K 2-200 x rho 1e-6-0.98 and M/E_K/1 at K 2-200, and a reference that merged poles is a rejected law; every served W has poles more than 1e-9 apart, relative; and Compile's allocation count does not grow with K",
 		tests: []string{
 			"internal/mgf:TestWaitMixMatchesAddTerm",
 			"internal/mgf:FuzzWaitMixPolesDistinct",
@@ -93,7 +94,7 @@ var contracts = []contract{
 	},
 	{
 		id:   "conjugate-fold",
-		what: "the D/E_K/1 wait law stored one term per conjugate pair evaluates as its expansion over K 1-200 x rho 1e-6-0.98: mass, mean, tail and density within 1e-13 of the sum of their terms' magnitudes, each quantile within Mix.Quantile's 1e-12(1+x), and the tail of a Sum over it within 1e-13 relative; its imaginary mass is exactly 0",
+		what: "the D/E_K/1 and M/E_K/1 wait laws stored one term per conjugate pair evaluate as their expansions over K 1-200 x rho 1e-6-0.98: mass, mean, tail and density within 1e-13 of the sum of their terms' magnitudes, each quantile within Mix.Quantile's 1e-12(1+x) (for M/E_K/1 plus the shift that tail noise makes at its positive density), and the tail of a Sum over it within 1e-13 relative; their imaginary mass is exactly 0",
 		tests: []string{
 			"internal/mgf:TestFoldEqualsExpanded",
 			"internal/mgf:FuzzFoldEqualsExpanded",

@@ -13,7 +13,9 @@ import (
 // applies ... which is very well approximated by M/G/1, if the number of
 // servers is high enough". With Erlang burst work the downstream queue
 // becomes M/E_K/1 (queueing.MEK1); upstream, the client population of all
-// servers multiplexes into the same M/D/1 as before.
+// servers multiplexes into the same M/D/1 as before. The Erlang order is
+// bounded by MaxErlangOrder, as for one server: the M/E_K/1 wait law is
+// solved one root per branch like the D/E_K/1 one (queueing.MEK1.Solve).
 type MultiServer struct {
 	// PerServer describes ONE server's scenario: Gamers is the player count
 	// per server, and the burst/packet/rate parameters are shared.
@@ -22,27 +24,13 @@ type MultiServer struct {
 	Servers int
 }
 
-// MaxMultiServerErlangOrder is the largest burst-size Erlang order K a
-// multi-server scenario accepts, below the single-server MaxErlangOrder.
-// The M/E_K/1 wait law factors a degree-(K+1) polynomial (xmath.PolyRoots),
-// whose roots lose accuracy as K grows: on the load grid 0.01-0.99 it is
-// served at every load up to K = 22, at 92 of 99 loads at K = 23 and at none
-// from K = 31, where the residual or the law's mass check rejects it.
-const MaxMultiServerErlangOrder = 22
-
-// Validate checks the per-server scenario, the server count and the Erlang
-// order's multi-server limit.
+// Validate checks the per-server scenario, whose Erlang order is bounded by
+// MaxErlangOrder as for a single server, and the server count.
 func (ms MultiServer) Validate() error {
 	if ms.Servers < 1 {
 		return fmt.Errorf("%w: servers %d", ErrBadModel, ms.Servers)
 	}
-	if err := ms.PerServer.Validate(); err != nil {
-		return err
-	}
-	if k := ms.PerServer.ErlangOrder; k > MaxMultiServerErlangOrder {
-		return fmt.Errorf("%w: multi-server Erlang order %d above %d", ErrBadModel, k, MaxMultiServerErlangOrder)
-	}
-	return nil
+	return ms.PerServer.Validate()
 }
 
 // TotalGamers returns Servers * per-server gamers.

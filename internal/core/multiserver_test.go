@@ -37,23 +37,27 @@ func TestMultiServerValidation(t *testing.T) {
 	}
 }
 
-// TestMultiServerErlangOrderLimit pins MaxMultiServerErlangOrder: at the
-// limit the M/E_K/1 law is served, one above it the scenario is an
-// ErrBadModel naming the limit, from Validate, before any root solve.
+// TestMultiServerErlangOrderLimit pins the multi-server Erlang order
+// bound, the single-server MaxErlangOrder: at it the M/E_K/1 law is served
+// and has a quantile, one above it the scenario is an ErrBadModel naming
+// the limit, from Validate, before any root solve.
 func TestMultiServerErlangOrderLimit(t *testing.T) {
 	ms := multiServerScenario(4, 20)
-	ms.PerServer.ErlangOrder = MaxMultiServerErlangOrder
-	if _, err := ms.Compile(); err != nil {
-		t.Errorf("K=%d: %v", MaxMultiServerErlangOrder, err)
+	ms.PerServer.ErlangOrder = MaxErlangOrder
+	law, err := ms.Compile()
+	if err != nil {
+		t.Fatalf("K=%d: %v", MaxErlangOrder, err)
 	}
-	ms.PerServer.ErlangOrder = MaxMultiServerErlangOrder + 1
-	err := ms.Validate()
-	if !errors.Is(err, ErrBadModel) || !strings.Contains(err.Error(), fmt.Sprint(MaxMultiServerErlangOrder)) {
-		t.Errorf("K=%d: Validate err %v, want ErrBadModel naming %d",
-			MaxMultiServerErlangOrder+1, err, MaxMultiServerErlangOrder)
+	if _, err := law.Quantile(0.99999); err != nil {
+		t.Errorf("K=%d: quantile: %v", MaxErlangOrder, err)
+	}
+	ms.PerServer.ErlangOrder = MaxErlangOrder + 1
+	err = ms.Validate()
+	if !errors.Is(err, ErrBadModel) || !strings.Contains(err.Error(), fmt.Sprint(MaxErlangOrder)) {
+		t.Errorf("K=%d: Validate err %v, want ErrBadModel naming %d", MaxErlangOrder+1, err, MaxErlangOrder)
 	}
 	if _, cerr := ms.Compile(); cerr == nil || cerr.Error() != err.Error() {
-		t.Errorf("K=%d: Compile err %v, want Validate's %v", MaxMultiServerErlangOrder+1, cerr, err)
+		t.Errorf("K=%d: Compile err %v, want Validate's %v", MaxErlangOrder+1, cerr, err)
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 // Newton step that leaves (lo, hi) is replaced: by 2·lo while hi is still
 // +Inf, otherwise by the secant step on g between the bracket ends, or by
 // bisection when that leaves the bracket too. The iteration stops when a
-// step moves x by less than tol·(1+x), and a law that has not converged in
-// maxTailPasses passes is an ErrInvalid.
+// step moves x by less than tol·(1+x) and returns the step's end, kept in
+// [lo, hi]; a law that has not converged in maxTailPasses passes is an
+// ErrInvalid.
 //
 // A Sum's inversion starts from a seed found from its own factors. The
 // factors are independent and non-negative, so P(U+W+P > x) >=
@@ -120,8 +121,10 @@ func invertTail(f func(float64) (float64, float64), start, p, tol float64) (floa
 		newton := v > 0 && d > 0 && !math.IsInf(d, 1)
 		if newton && math.Abs(next-x) < tol*(1+x) {
 			// Converged. The step may end on x itself, a bracket end,
-			// when g rounds to zero there.
-			return next, nil
+			// when g rounds to zero there, or past one when the answer
+			// is at it: at lo = 0 where the law's mass beyond 0 is 1-p
+			// up to rounding. The answer lies in [lo, hi].
+			return min(max(next, lo), hi), nil
 		}
 		if !(newton && next > lo && next < hi) {
 			if math.IsInf(hi, 1) {

@@ -6,9 +6,8 @@
 // i.e. an atom at zero plus a weighted sum of (possibly complex) Erlang
 // terms. A Mix is one such law; its tail, and hence its quantile, is closed
 // form. Every law is built in the shape it is used in: NewExponential, and
-// NewPoles or NewConjugatePoles for an atom plus simple poles that are
-// distinct by construction (the queueing wait laws). No constructor merges
-// poles.
+// NewConjugatePoles for an atom plus simple poles that are distinct by
+// construction (the queueing wait laws). No constructor merges poles.
 //
 // The RTT law of §3.3 is the product of the upstream delay Du(s), the
 // downstream burst delay W(s) and the packet-position delay P(s). Sum keeps
@@ -18,13 +17,15 @@
 // stays accurate where the expanded product loses every digit to crowding
 // poles. Quantile inverts either law (invert.go).
 //
-// Poles may be complex: the D/E_K/1 waiting time has one real pole (two for
-// even K) and floor((K-1)/2) complex-conjugate pole pairs. Coefficients come
-// in conjugate pairs too, so tails and densities are real. A law may store
-// each conjugate pair as one Pair term (NewConjugatePoles), which every
-// evaluator folds to 2·Re of its member; a law stored unfolded (NewPoles) is
-// real only up to rounding. All evaluation methods return the real part and
-// the Validate method bounds the imaginary residue.
+// Poles may be complex: the D/E_K/1 and M/E_K/1 waiting times each have one
+// real pole (two for even K) and floor((K-1)/2) complex-conjugate pole
+// pairs. Coefficients come in conjugate pairs too, so tails and densities
+// are real. A wait law stores each conjugate pair as one Pair term
+// (NewConjugatePoles), which every evaluator folds to 2·Re of its member,
+// so its imaginary mass is exactly 0; a law that stores both members of a
+// pair (the tests' expanded references) is real only up to rounding. All
+// evaluation methods return the real part and the Validate method bounds
+// the imaginary residue.
 package mgf
 
 import (
@@ -71,28 +72,20 @@ func NewExponential(weight, rate float64) Mix {
 	return Mix{Terms: []Term{{Pole: complex(rate, 0), Coef: []complex128{complex(weight, 0)}}}}
 }
 
-// NewPoles returns the law atom + sum_j weights[j] * poles[j]/(poles[j]-s),
-// an atom plus simple poles, in one allocation: term j's one-element Coef
-// aliases weights[j], so the caller hands weights over. Nothing is merged or
-// checked; the poles are the caller's, distinct by construction.
-func NewPoles(atom float64, poles, weights []complex128) Mix {
-	return newPoles(atom, poles, weights, false)
-}
-
-// NewConjugatePoles is NewPoles for a law whose poles off the real axis come
-// in conjugate pairs with conjugate weights, handed over one member per
-// pair: each pole with a nonzero imaginary part becomes a Pair term and
-// stands for itself and its conjugate. A real pole stands for itself alone.
+// NewConjugatePoles returns the law atom + sum_j weights[j] *
+// poles[j]/(poles[j]-s), an atom plus simple poles whose poles off the real
+// axis come in conjugate pairs with conjugate weights, handed over one
+// member per pair: each pole with a nonzero imaginary part becomes a Pair
+// term and stands for itself and its conjugate. A real pole stands for
+// itself alone. The law is built in one allocation: term j's one-element
+// Coef aliases weights[j], so the caller hands weights over. Nothing is
+// merged or checked; the poles are the caller's, distinct by construction.
 func NewConjugatePoles(atom float64, poles, weights []complex128) Mix {
-	return newPoles(atom, poles, weights, true)
-}
-
-func newPoles(atom float64, poles, weights []complex128, pairs bool) Mix {
 	m := Mix{Atom: atom}
 	if len(poles) > 0 {
 		m.Terms = make([]Term, len(poles))
 		for j, p := range poles {
-			m.Terms[j] = Term{Pole: p, Coef: weights[j : j+1 : j+1], Pair: pairs && imag(p) != 0}
+			m.Terms[j] = Term{Pole: p, Coef: weights[j : j+1 : j+1], Pair: imag(p) != 0}
 		}
 	}
 	return m

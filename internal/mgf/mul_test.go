@@ -40,6 +40,17 @@ func samePole(a, b complex128) bool {
 	return cmplx.Abs(a-b) <= poleMergeTol*math.Max(cmplx.Abs(a), cmplx.Abs(b))
 }
 
+// NewPoles returns the law atom + sum_j weights[j] * poles[j]/(poles[j]-s)
+// with every pole stored as its own term, no Pair term: the unfolded form
+// of NewConjugatePoles, which the test laws use.
+func NewPoles(atom float64, poles, weights []complex128) Mix {
+	m := NewConjugatePoles(atom, poles, weights)
+	for j := range m.Terms {
+		m.Terms[j].Pair = false
+	}
+	return m
+}
+
 // NewAtom returns the distribution of the constant 0 with mass w (w=1 is the
 // Dirac delta at zero).
 func NewAtom(w float64) Mix { return Mix{Atom: w} }

@@ -67,14 +67,15 @@ func (o oracle) scaleBig(a bigc, s *big.Float) bigc {
 
 func (o oracle) isZero(a bigc) bool { return a.re.Sign() == 0 && a.im.Sign() == 0 }
 
-// exp returns e^z: the Taylor series at z/2^k with |z/2^k| < 2^-8, squared
+// exp returns e^z: the Taylor series at z/2^k with |z/2^k| < 2^-r, squared
 // k times. Each squaring doubles the relative error, so the series runs k
-// bits above the oracle's precision.
+// bits above the oracle's precision. r = sqrt(2 prec) balances the series'
+// ~prec/r terms, each about two multiplications, against the r squarings.
 func (o oracle) exp(z bigc) bigc {
 	mag := math.Max(math.Abs(bigF(z.re)), math.Abs(bigF(z.im)))
 	k := 0
 	if mag > 0 {
-		k = max(0, math.Ilogb(mag)+9)
+		k = max(0, math.Ilogb(mag)+1+int(math.Sqrt(2*float64(o.prec))))
 	}
 	w := oracle{o.prec + uint(k) + 32}
 	y := bigc{w.f().SetMantExp(z.re, -k), w.f().SetMantExp(z.im, -k)}
@@ -180,36 +181,44 @@ func (o oracle) mulMix(a, b bmix) bmix {
 					}
 				}
 				o.addTerm(&out, ta.pole, coef)
-				continue
 			}
-			o.principal(&out, ta, tb)
-			o.principal(&out, tb, ta)
 		}
+		o.principal(&out, ta, b.terms)
+	}
+	for _, tb := range b.terms {
+		o.principal(&out, tb, a.terms)
 	}
 	return out
 }
 
-// principal adds the principal part at ta's pole of ta x tb: with
-// g_m = sum_j B_j q^{j+1} C(j+m, m) (q-p)^{-(j+1+m)} the Taylor coefficients
-// of tb at p, order i+1 contributes A_i (-1)^m g_m p^m to order i+1-m.
-func (o oracle) principal(out *bmix, ta, tb bterm) {
+// principal adds the principal part at ta's pole of ta x (the sum of the
+// terms of others at other poles): with g_m = sum_j B_j q^{j+1} C(j+m, m)
+// (q-p)^{-(j+1+m)} the Taylor coefficients of such a term at p, summed over
+// them, order i+1 contributes A_i (-1)^m g_m p^m to order i+1-m.
+func (o oracle) principal(out *bmix, ta bterm, others []bterm) {
 	n := len(ta.coef)
-	p, q := ta.bpole, tb.bpole
-	iqx := o.inv(o.sub(q, p))
-	ratio := o.mul(q, iqx)
+	p := ta.bpole
 	g := make([]bigc, n)
 	for m := range g {
 		g[m] = o.zero()
 	}
-	base := o.c(1)
-	for j, bj := range tb.coef {
-		base = o.mul(base, ratio) // (q/(q-p))^{j+1}
-		term := o.mul(bj, base)
-		for m := 0; m < n; m++ {
-			if m > 0 {
-				term = o.scaleInt(o.mul(term, iqx), int64(j+m), int64(m)) // C(j+m, m) (q-p)^{-m}
+	for _, tb := range others {
+		if tb.pole == ta.pole {
+			continue
+		}
+		q := tb.bpole
+		iqx := o.inv(o.sub(q, p))
+		ratio := o.mul(q, iqx)
+		base := o.c(1)
+		for j, bj := range tb.coef {
+			base = o.mul(base, ratio) // (q/(q-p))^{j+1}
+			term := o.mul(bj, base)
+			for m := 0; m < n; m++ {
+				if m > 0 {
+					term = o.scaleInt(o.mul(term, iqx), int64(j+m), int64(m)) // C(j+m, m) (q-p)^{-m}
+				}
+				g[m] = o.add(g[m], term)
 			}
-			g[m] = o.add(g[m], term)
 		}
 	}
 	coef := make([]bigc, n)
@@ -231,13 +240,22 @@ func (o oracle) principal(out *bmix, ta, tb bterm) {
 }
 
 // tail returns the real part of the expanded mix's tail at x:
-// sum coef_i e^{-px} sum_{r<=i} (px)^r/r!.
+// sum coef_i e^{-px} sum_{r<=i} (px)^r/r!. The exponential at a pole whose
+// conjugate came earlier is the conjugate of that one's: the big arithmetic
+// is symmetric under conjugation, so it is the same bits exp returns.
 func (o oracle) tail(m bmix, x float64) *big.Float {
 	bx := o.f().SetFloat64(x)
 	sum := o.zero()
+	exps := make(map[complex128]bigc, len(m.terms))
 	for _, t := range m.terms {
 		px := o.scaleBig(t.bpole, bx)
-		term := o.exp(o.neg(px))
+		term, ok := exps[cmplx.Conj(t.pole)]
+		if ok {
+			term = bigc{term.re, o.f().Neg(term.im)}
+		} else {
+			term = o.exp(o.neg(px))
+		}
+		exps[t.pole] = term
 		partial := term
 		for i, c := range t.coef {
 			if i > 0 {
@@ -290,8 +308,12 @@ type oracleCase struct {
 	law  mgf.Sum
 }
 
-// oracleCases returns the paper grid K x rho, a multi-server law and the
-// PS=75 uplink corner, where the upstream pole nearly vanishes.
+// multiServerOrders are the Erlang orders of the oracle's multi-server laws.
+var multiServerOrders = []int{2, 9, 23, 60, 100, 200}
+
+// oracleCases returns the paper grid K x rho, the multi-server law at
+// multiServerOrders and the PS=75 uplink corner, where the upstream pole
+// nearly vanishes.
 func oracleCases(t *testing.T) []oracleCase {
 	var cases []oracleCase
 	for _, k := range []int{2, 3, 5, 8, 9, 12, 17, 18, 20, 25, 30} {
@@ -299,13 +321,19 @@ func oracleCases(t *testing.T) []oracleCase {
 			cases = append(cases, oracleCase{fmt.Sprintf("K=%d rho=%g", k, rho), paperSum(t, k, rho)})
 		}
 	}
-	ms := core.MultiServer{PerServer: paperModel(9), Servers: 4}
-	ms.PerServer.Gamers = 20
-	law, err := ms.DelayLaw()
-	if err != nil {
-		t.Fatalf("multi-server: %v", err)
+	for _, k := range multiServerOrders {
+		ms := core.MultiServer{PerServer: paperModel(k), Servers: 4}
+		ms.PerServer.Gamers = 20
+		law, err := ms.DelayLaw()
+		if err != nil {
+			t.Fatalf("multi-server K=%d: %v", k, err)
+		}
+		name := "multi-server S=4 N=20" // the paper's K = 9
+		if k != 9 {
+			name += fmt.Sprintf(" K=%d", k)
+		}
+		cases = append(cases, oracleCase{name, law})
 	}
-	cases = append(cases, oracleCase{"multi-server S=4 N=20", law})
 	corner := paperModel(9)
 	corner.ServerPacketBytes = 75
 	cases = append(cases, oracleCase{"PS=75 rho=0.93749", compiledSum(t, corner.WithDownlinkLoad(0.93749))})

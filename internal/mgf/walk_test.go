@@ -7,6 +7,7 @@ import (
 
 	"fpsping/internal/core"
 	"fpsping/internal/mgf"
+	"fpsping/internal/queueing"
 )
 
 // paperModel is the Figure 3 scenario (PS=125B, T=60ms) at Erlang order k.
@@ -180,6 +181,34 @@ func TestNewtonStaysInBracket(t *testing.T) {
 	}
 	t.Logf("%d Sum laws: %.2f passes each; %d factor Mixes: %.2f passes each",
 		len(points), float64(sumPasses)/float64(len(points)), mixes, float64(mixPasses)/float64(mixes))
+}
+
+// TestQuantileNotNegative pins that an inversion returns a point of its
+// final bracket, which starts at lo = 0. It inverts the M/E_K/1 wait law
+// at K 1-200 at the level p = 1-rho, where its mass beyond 0 is 1-p up to
+// rounding and the answer is 0: a converged Newton step from above can end
+// a few ulps below 0 (-4.3e-15 at K = 9, rho = 0.01, p = 0.99), which
+// Quantile must not return.
+func TestQuantileNotNegative(t *testing.T) {
+	for k := 1; k <= 200; k++ {
+		for _, rho := range []float64{1e-4, 1e-3, 0.01, 0.02} {
+			q, err := queueing.NewMEK1(rho, k, float64(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := q.Solve()
+			if err != nil {
+				t.Fatalf("K=%d rho=%g: %v", k, rho, err)
+			}
+			w, err := sol.WaitMix()
+			if err != nil {
+				t.Fatalf("K=%d rho=%g: %v", k, rho, err)
+			}
+			if x, err := w.Quantile(1 - rho); err != nil || !(x >= 0) {
+				t.Errorf("K=%d rho=%g p=%g: quantile %v, %v", k, rho, 1-rho, x, err)
+			}
+		}
+	}
 }
 
 // maxSumPasses is the most tail+density passes a Sum inversion of

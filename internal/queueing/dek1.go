@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 
 	"fpsping/internal/mgf"
-	"fpsping/internal/xmath"
 )
 
 // DEK1 is the D/E_K/1 queue of §3.2: bursts arrive every T seconds and bring
@@ -43,80 +42,16 @@ func (q DEK1) Load() float64 { return q.MeanBurst / q.T }
 // Beta returns the Erlang rate parameter beta = K/MeanBurst (1/s).
 func (q DEK1) Beta() float64 { return float64(q.K) / q.MeanBurst }
 
-// rootMap returns the contraction g_k of the paper's eq. (26) for root index
-// k (1-based): g(z) = exp((z-1)/rho + 2*pi*i*(k-1)/K). Roots solve z = g(z).
-func (q DEK1) rootMap(k int) func(complex128) complex128 {
-	rho := q.Load()
+// rootMap returns the map g_k of the paper's eq. (26) for root index k
+// (1-based), g(z) = exp((z-1)/rho + 2*pi*i*(k-1)/K), and its derivative
+// g(z)/rho. Roots solve z = g(z).
+func (q DEK1) rootMap(k int) branchMap {
+	rho := complex(q.Load(), 0)
 	phase := complex(0, 2*math.Pi*float64(k-1)/float64(q.K))
-	return func(z complex128) complex128 {
-		return cmplx.Exp((z-1)/complex(rho, 0) + phase)
+	return func(z complex128) (complex128, complex128) {
+		g := cmplx.Exp((z-1)/rho + phase)
+		return g, g / rho
 	}
-}
-
-// zetaResidualTol is the acceptance threshold on |z - g_k(z)|: a converged
-// root sits at machine precision (~1e-16), so 1e-10 flags genuine
-// misconvergence without tripping on rounding.
-const zetaResidualTol = 1e-10
-
-// polishZeta runs the Newton polish on h(z) = z - g(z), h'(z) = 1 - g(z)/rho
-// from the given start. The iterates are a deterministic function of
-// (start, rho, k), which is what makes seed canonicalization (see
-// xmath.SnapSeed) produce path-independent bits.
-func (q DEK1) polishZeta(g func(complex128) complex128, z complex128) complex128 {
-	rho := q.Load()
-	for i := 0; i < 50; i++ {
-		gz := g(z)
-		h := z - gz
-		dh := 1 - gz/complex(rho, 0)
-		if dh == 0 {
-			break
-		}
-		step := h / dh
-		z -= step
-		if cmplx.Abs(step) < 1e-16 {
-			break
-		}
-	}
-	return z
-}
-
-// finishZeta applies the canonical final stage of a root solve — polish
-// from the seed z, snap the converged value to the canonical seed grid,
-// re-polish from the snapped seed — and validates the result. Seeds that
-// converge to the same root reach the same snapped seed (their pre-snap
-// roots agree far below the grid spacing), so the returned bits do not
-// depend on how the iteration was seeded. Each branch has one root in
-// Re z < 1 (there |z| = e^{(Re z-1)/rho} < 1, and the K roots of eq. (26)
-// in the unit disc are one per branch), so the residual and half-plane
-// checks accept only that root and reject a seed the polish diverged from.
-func (q DEK1) finishZeta(k int, z complex128) (complex128, error) {
-	g := q.rootMap(k)
-	z = q.polishZeta(g, z)
-	z = q.polishZeta(g, xmath.SnapSeedC(z))
-	// Branches with a mathematically real root — k = 1 (phase 0) and, for
-	// even K, k = K/2+1 (phase pi, the negative real axis) — pick up
-	// imaginary rounding dust of size ~eps*|z| from sin(pi) inside cmplx.Exp
-	// that Newton cannot contract below its stopping threshold. Flush it so
-	// the stored root is exactly real, as the conjugate symmetry of eq. (26)
-	// requires; checkZeta still judges the flushed value.
-	if k == 1 || 2*(k-1) == q.K {
-		z = complex(real(z), 0)
-	}
-	return q.checkZeta(k, z)
-}
-
-// checkZeta returns z if it is branch k's root: its eq.-(26) residual is
-// below zetaResidualTol and it lies in Re z < 1. Negated-form comparisons
-// make a NaN residual or component (a seed the polish diverged from) fail
-// validation rather than slip past it.
-func (q DEK1) checkZeta(k int, z complex128) (complex128, error) {
-	if res := cmplx.Abs(z - q.rootMap(k)(z)); !(res <= zetaResidualTol) {
-		return 0, fmt.Errorf("queueing: zeta_%d residual %g (rho=%g, K=%d)", k, res, q.Load(), q.K)
-	}
-	if !(real(z) < 1) {
-		return 0, fmt.Errorf("queueing: zeta_%d = %v outside Re z < 1", k, z)
-	}
-	return z, nil
 }
 
 // DEK1Solution is a solved set of eq.-(26) roots, the expensive part of the
@@ -128,38 +63,30 @@ type DEK1Solution struct {
 	zs []complex128
 }
 
-// solvedRoots returns the number of roots Solve solves, floor(K/2)+1: the
-// real root zeta_1, one member of each conjugate pair and, for even K, the
-// real root zeta_{K/2+1}. The others are mirrored.
-func solvedRoots(k int) int { return k/2 + 1 }
-
 // Solve finds the K roots. The roots of eq. (26) come in conjugate pairs:
 // g_{K+2-k}(conj z) = conj g_k(z), so zeta_{K+2-k} = conj(zeta_k). Solve
-// solves k <= floor(K/2)+1 and sets the others to the exact conjugates of
-// their partners; every stored root passes checkZeta's residual and
-// half-plane checks. Each solved root's Newton polish (see finishZeta) is
-// seeded with the first Appendix-C fixed-point iterate,
-// g_k(0) = exp(-1/rho + 2*pi*i*(k-1)/K). The full fixed-point iteration
-// contracts only at rate |zeta_k|/rho, which tends to 1 as rho -> 1; the
-// snap stage returns its bits from this seed in a few Newton steps
-// (queueing:TestDEK1SolveMatchesFixedPoint keeps the iteration as the
-// reference). WaitMix on the solution is pure arithmetic over the stored
-// roots.
+// solves k <= floor(K/2)+1, each by one Newton polish seeded with the first
+// Appendix-C fixed-point iterate, g_k(0) = exp(-1/rho + 2*pi*i*(k-1)/K)
+// (solveBranch), and sets the others to the exact conjugates of their
+// partners; every stored root passes checkRoot's residual and half-plane
+// checks. The full fixed-point iteration contracts only at rate
+// |zeta_k|/rho, which tends to 1 as rho -> 1
+// (queueing:TestDEK1SolveMatchesFixedPoint keeps it as a reference).
+// WaitMix on the solution is pure arithmetic over the stored roots.
 func (q DEK1) Solve() (*DEK1Solution, error) {
 	zs := make([]complex128, q.K)
-	h := solvedRoots(q.K)
-	for k := 1; k <= q.K; k++ {
-		var err error
-		if k <= h {
-			zs[k-1], err = q.finishZeta(k, q.rootMap(k)(0))
+	var err error
+	for k := 1; k <= q.K && err == nil; k++ {
+		if k <= solvedRoots(q.K) {
+			zs[k-1], err = solveBranch(k, q.K, q.rootMap(k))
 		} else {
 			// Negating the imaginary part is exact, so the pair is
 			// conjugate bit for bit on any GOARCH.
-			zs[k-1], err = q.checkZeta(k, cmplx.Conj(zs[q.K+1-k]))
+			zs[k-1], err = checkRoot(k, q.rootMap(k), cmplx.Conj(zs[q.K+1-k]))
 		}
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("queueing: D/E%d/1 (rho=%g): %w", q.K, q.Load(), err)
 	}
 	return &DEK1Solution{q: q, zs: zs}, nil
 }

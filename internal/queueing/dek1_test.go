@@ -57,10 +57,9 @@ func TestDEK1SolveFromBitIdenticalToSolve(t *testing.T) {
 }
 
 // TestDEK1SelfConjugateBranchReal pins the even-K negative-axis branch
-// (k = K/2+1, phase pi): its root is mathematically real, and the canonical
-// snap stage must flush the e^{i*pi} rounding dust so the stored root is
-// exactly real — the property that makes the solve's bits independent of
-// its seed on that branch.
+// (k = K/2+1, phase pi): its root is mathematically real, and the solve
+// must flush the e^{i*pi} rounding dust (finishRoot) so the stored root is
+// exactly real, as the conjugate symmetry requires.
 func TestDEK1SelfConjugateBranchReal(t *testing.T) {
 	for _, k := range []int{2, 10, 20} {
 		for _, rho := range []float64{0.3, 0.45, 0.8} {
@@ -83,17 +82,17 @@ func TestDEK1SelfConjugateBranchReal(t *testing.T) {
 	}
 }
 
-// fixedPointSolve is the paper's Appendix-C root solve, kept as the
-// reference for Solve's seed: the fixed-point iteration z <- g_k(z) from
-// zero until a step is below 1e-15 (at most 20,000 iterations), then the
-// canonical polish stage.
+// fixedPointSolve is the paper's Appendix-C root solve, kept as a
+// reference: the fixed-point iteration z <- g_k(z) from zero until a step is
+// below 1e-15 (at most 20,000 iterations), then Solve's final polish and
+// checks (finishRoot).
 func fixedPointSolve(q DEK1) ([]complex128, error) {
 	zs := make([]complex128, q.K)
 	for k := 1; k <= q.K; k++ {
 		g := q.rootMap(k)
 		z := complex(0, 0)
 		for i := 0; i < 20000; i++ {
-			nz := g(z)
+			nz, _ := g(z)
 			if cmplx.Abs(nz-z) < 1e-15 {
 				z = nz
 				break
@@ -101,74 +100,62 @@ func fixedPointSolve(q DEK1) ([]complex128, error) {
 			z = nz
 		}
 		var err error
-		if zs[k-1], err = q.finishZeta(k, z); err != nil {
+		if zs[k-1], err = finishRoot(k, q.K, g, z); err != nil {
 			return nil, err
 		}
 	}
 	return zs, nil
 }
 
-// TestDEK1SolveMatchesFixedPoint pins Solve against the full Appendix-C
-// fixed-point iteration, which solves every branch on its own, from a
-// vanishing load to 1e-9 below saturation; both succeed or both fail. The
-// solved half, k <= floor(K/2)+1, is the reference's bit for bit, which
-// pins the g_k(0) Newton seed. Each mirrored root is exactly the conjugate
-// of its partner, and within 4e-15 relative of the reference's own polished
-// root for its branch: two independent polishes of one root agree only to a
-// few ulps (the worst is ~2.6e-15, at K = 200 and rho = 0.85).
+// TestDEK1SolveMatchesFixedPoint checks Solve over K 1-200, from a
+// vanishing load to 1e-9 below saturation. Solve succeeds where the full
+// Appendix-C fixed-point iteration does and fails where it fails. Each
+// mirrored root is exactly the conjugate of its partner. Each solved root,
+// k <= floor(K/2)+1, is within rootTol * eps * cond of the oracle's root of
+// its branch, relative, with cond = (1 + |(zeta-1)/rho + 2*pi*i*(k-1)/K|) /
+// |1 - zeta/rho|: the exponent g_k evaluates times the inverse Newton
+// derivative. Near saturation cond grows as 1/(1-rho), and so does the
+// error of 1-zeta_1, the pole's variable; the report gives the worst of
+// both per load region.
 func TestDEK1SolveMatchesFixedPoint(t *testing.T) {
-	const mirrorTol = 4e-15
-	worst, mirrored, beyondEps := 0.0, 0, 0
-	loads := []float64{1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.02, 0.03}
-	for i := 1; i <= 19; i++ {
-		loads = append(loads, float64(i)/20)
-	}
-	loads = append(loads, 0.35/1.05, 0.48, 0.97, 0.98, 0.99, 0.995)
-	for e := 3; e <= 9; e++ {
-		loads = append(loads, 1-math.Pow(10, -float64(e)))
-	}
-	for _, k := range []int{1, 2, 3, 5, 9, 12, 17, 18, 20, 30, 50, 100, 200} {
-		for _, rho := range loads {
+	log := &rootLog{}
+	for _, k := range rootOrders {
+		units := make([]bigc, solvedRoots(k))
+		for i := range units {
+			units[i] = bigUnitRoot(i, k)
+		}
+		for _, rho := range rootLoads() {
 			q := DEK1{K: k, MeanBurst: rho * 0.05, T: 0.05}
-			want, werr := fixedPointSolve(q)
+			name := fmt.Sprintf("K=%d rho=%v", k, rho)
+			_, werr := fixedPointSolve(q)
 			sol, err := q.Solve()
 			if (werr != nil) != (err != nil) {
-				t.Errorf("K=%d rho=%v: fixed point err %v, Solve err %v", k, rho, werr, err)
+				t.Errorf("%s: fixed point err %v, Solve err %v", name, werr, err)
 				continue
 			}
 			if err != nil {
 				continue
 			}
-			h := solvedRoots(k)
+			r := q.Load()
 			for i, z := range sol.zs {
-				if i < h {
-					if z != want[i] {
-						t.Errorf("K=%d rho=%v root %d: Solve %v != fixed point %v", k, rho, i+1, z, want[i])
+				if i >= solvedRoots(k) {
+					if partner := cmplx.Conj(sol.zs[k-i]); z != partner {
+						t.Errorf("%s root %d: %v is not the conjugate of root %d, %v", name, i+1, z, k-i+1, partner)
 					}
 					continue
 				}
-				if partner := cmplx.Conj(sol.zs[k-i]); z != partner {
-					t.Errorf("K=%d rho=%v root %d: %v is not the conjugate of root %d, %v",
-						k, rho, i+1, z, k-i+1, partner)
+				want, err := dek1OracleRoot(r, i+1, k, units[i])
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				// Roots that underflow to 0 at a vanishing load are
-				// equal; the product form keeps 0/0 out of the test.
-				d, r := cmplx.Abs(z-want[i]), cmplx.Abs(want[i])
-				mirrored++
-				if d > 1e-15*r {
-					beyondEps++
-				}
-				if !(d <= mirrorTol*r) {
-					t.Errorf("K=%d rho=%v root %d: mirrored %v is %.3g from the fixed point's %v, relative",
-						k, rho, i+1, z, d/r, want[i])
-				} else if d > 0 {
-					worst = max(worst, d/r)
-				}
+				w := want.complex128()
+				lg := (w-1)/complex(r, 0) + complex(0, 2*math.Pi*float64(i)/float64(k))
+				cond := (1 + cmplx.Abs(lg)) / cmplx.Abs(1-w/complex(r, 0))
+				log.check(t, r, fmt.Sprintf("%s root %d", name, i+1), z, want, cond)
 			}
 		}
 	}
-	t.Logf("%d of %d mirrored roots beyond 1e-15 of the fixed point's, relative; worst %.3g",
-		beyondEps, mirrored, worst)
+	log.report(t, "D/E_K/1")
 }
 
 // BenchmarkDEK1Solve times the root solve at the paper's K=9 midpoint, near

@@ -2,11 +2,10 @@ package queueing
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
-	"sort"
 
 	"fpsping/internal/mgf"
-	"fpsping/internal/xmath"
 )
 
 // MEK1 is the M/E_K/1 queue: Poisson arrivals at rate Lambda, Erlang(K,
@@ -46,150 +45,83 @@ func (q MEK1) MeanService() float64 { return float64(q.K) / q.Beta }
 // Load returns rho = Lambda*K/Beta.
 func (q MEK1) Load() float64 { return q.Lambda * q.MeanService() }
 
-// scaledPoly returns the coefficients (lowest degree first) of
+// rootMap returns the map of branch k (1-based) of the waiting-time
+// denominator's roots in u = 1 - z, z = s/beta the scaled pole:
+// (z+a)(1-z)^K = a, a = lambda/beta, reads u^K (1+a-u) = a, whose roots
+// other than u = 1 (the cancelled z = 0) solve
 //
-//	S(z) = [(z+a)(1-z)^K - a] / z,   a = lambda/beta,
+//	u = g_k(u) = omega_k (a/(1+a-u))^{1/K},  omega_k = e^{2*pi*i*(k-1)/K},
 //
-// the denominator of the waiting-time MGF in the scaled variable z = s/beta.
-// Working in z keeps every coefficient O(1), which the root finder needs
-// (the raw polynomial carries beta^K ~ 1e19 factors).
-func (q MEK1) scaledPoly() []complex128 {
-	k := q.K
-	a := complex(q.Lambda/q.Beta, 0)
-	// (1 - z)^K coefficients: b[j] = C(K,j)(-1)^j.
-	b := make([]complex128, k+1)
-	choose := 1.0
-	for j := 0; j <= k; j++ {
-		if j > 0 {
-			choose = choose * float64(k-j+1) / float64(j)
-		}
-		if j%2 == 1 {
-			b[j] = complex(-choose, 0)
-		} else {
-			b[j] = complex(choose, 0)
-		}
-	}
-	// R(z) = (z + a)*(1-z)^K - a: degree K+1, R(0) = 0 exactly.
-	r := make([]complex128, k+2)
-	for j := 0; j <= k; j++ {
-		r[j] += a * b[j]
-		r[j+1] += b[j]
-	}
-	r[0] -= a
-	// S = R/z.
-	return r[1:]
-}
-
-// polishScaledRoot runs the Newton polish on the factored identity
-// h(z) = (z+a)(1-z)^K - a, whose evaluation is far better conditioned than
-// the expanded polynomial (no binomial-coefficient cancellation). The
-// iterates are a deterministic function of (start, parameters).
-func (q MEK1) polishScaledRoot(z complex128) complex128 {
+// one per branch in Re u < 1, with g_k'(u) = g_k(u)/(K(1+a-u)). Working in
+// the scaled variable keeps every quantity O(1), where the raw denominator
+// carries beta^K ~ 1e19 factors.
+func (q MEK1) rootMap(k int) branchMap {
 	a := complex(q.Lambda/q.Beta, 0)
 	kk := complex(float64(q.K), 0)
-	for iter := 0; iter < 30; iter++ {
-		om := 1 - z
-		omk1 := cmplx.Pow(om, kk-1)
-		h := (z+a)*omk1*om - a
-		dh := omk1 * (om - kk*(z+a))
-		if dh == 0 {
-			break
-		}
-		step := h / dh
-		z -= step
-		if cmplx.Abs(step) < 1e-16*(1+cmplx.Abs(z)) {
-			break
-		}
+	phase := complex(0, 2*math.Pi*float64(k-1)/float64(q.K))
+	return func(u complex128) (complex128, complex128) {
+		w := a + (1 - u) // 1+a-u, exact where u is near 1
+		g := cmplx.Exp(cmplx.Log(a/w)/kk + phase)
+		return g, g / (kk * w)
 	}
-	return z
-}
-
-// finishScaledRoots applies the canonical final stage of the solve: polish
-// each root, snap it to the canonical seed grid, re-polish from the snapped
-// seed (see xmath.SnapSeed), then sort the set by (real, imag). The snap
-// makes each root's bits independent of the factorization's rounding, and
-// the sort makes the order independent of PolyRoots' deflation order —
-// term order is arithmetic order downstream.
-func (q MEK1) finishScaledRoots(zs []complex128) []complex128 {
-	for i, z := range zs {
-		z = q.polishScaledRoot(z)
-		zs[i] = q.polishScaledRoot(xmath.SnapSeedC(z))
-	}
-	sort.Slice(zs, func(i, j int) bool {
-		if real(zs[i]) != real(zs[j]) {
-			return real(zs[i]) < real(zs[j])
-		}
-		return imag(zs[i]) < imag(zs[j])
-	})
-	return zs
-}
-
-// scaledRoots solves the scaled denominator (PolyRoots factorization) and
-// applies the canonical polish stage.
-func (q MEK1) scaledRoots() ([]complex128, error) {
-	zs, err := xmath.PolyRoots(q.scaledPoly())
-	if err != nil {
-		return nil, fmt.Errorf("M/E%d/1 poles: %w", q.K, err)
-	}
-	return q.finishScaledRoots(zs), nil
 }
 
 // MEK1Solution is the one-shot root solve of the scaled waiting-time
-// denominator, from which both the pole list and the waiting-time mix derive
-// without re-running PolyRoots + Newton polish. Solve is the entry point.
+// denominator, from which the waiting-time law derives without re-running
+// the solve. Solve is the entry point.
 type MEK1Solution struct {
 	q  MEK1
-	zs []complex128 // polished scaled roots z_i = p_i/beta
+	us []complex128 // u_k = 1 - z_k of branches k <= floor(K/2)+1, at index k-1
 }
 
-// Solve factors the scaled denominator once and returns the reusable
-// solution. WaitMix on the solution is pure arithmetic over the stored
-// roots; MEK1.WaitMix is its one-shot wrapper.
+// Solve solves the branches k <= floor(K/2)+1 of the scaled denominator's
+// roots (rootMap), each by one Newton polish seeded with g_k(0), as
+// DEK1.Solve does; the other roots are their conjugates. Every stored root
+// passes the residual check and lies in Re z > 0. WaitMix on the solution
+// is pure arithmetic over the stored roots.
 func (q MEK1) Solve() (*MEK1Solution, error) {
-	zs, err := q.scaledRoots()
-	if err != nil {
-		return nil, err
+	us := make([]complex128, solvedRoots(q.K))
+	for k := range us {
+		var err error
+		if us[k], err = solveBranch(k+1, q.K, q.rootMap(k+1)); err != nil {
+			return nil, fmt.Errorf("queueing: M/E%d/1 (rho=%g): %w", q.K, q.Load(), err)
+		}
 	}
-	return &MEK1Solution{q: q, zs: zs}, nil
+	return &MEK1Solution{q: q, us: us}, nil
 }
 
-// WaitMix returns the exact waiting-time law as an Erlang-term mix:
-// W(s) = (1-rho) + sum_i c_i p_i/(p_i - s) with, in scaled coordinates
-// z_i = p_i/beta,
-//
-//	c_i = -(1-rho)(1-z_i)^K / (S'(z_i) z_i).
+// WaitMix returns the exact waiting-time law as an Erlang-term mix,
+// W(s) = (1-rho) + sum_i c_i p_i/(p_i - s), one term per solved root and
+// conjugate pair (mgf.NewConjugatePoles); see WaitPoles.
 func (sol *MEK1Solution) WaitMix() (mgf.Mix, error) {
-	atom, poles, weights, err := sol.WaitPoles()
-	if err != nil {
-		return mgf.Mix{}, err
-	}
-	m := mgf.NewPoles(atom, poles, weights)
+	m := mgf.NewConjugatePoles(sol.WaitPoles())
 	if err := m.Validate(); err != nil {
 		return mgf.Mix{}, fmt.Errorf("M/E%d/1 wait mix (rho=%g): %w", sol.q.K, sol.q.Load(), err)
 	}
 	return m, nil
 }
 
-// WaitPoles returns the atom 1-rho, the poles p_i and the weights c_i of
-// WaitMix's law, one pole per root of the scaled denominator. A root off
-// the open right half plane or with a zero residue denominator is an error.
-func (sol *MEK1Solution) WaitPoles() (atom float64, poles, weights []complex128, err error) {
+// WaitPoles returns the atom 1-rho, the poles p_i = beta z_i and the
+// weights c_i of WaitMix's law for the solved roots. A complex pole stands
+// for its conjugate pair too. At a root of R(z) = (z+a)(1-z)^K - a the
+// residue of W(s) = (1-rho)(1-z)^K z/R(z) gives, in closed form,
+//
+//	c_i = -(1-rho)(1-z_i) / ((1-z_i) - K(z_i+a)).
+//
+// A real root's weight is formed from real numbers only, so it is exactly
+// real, and the law's imaginary mass is exactly 0.
+func (sol *MEK1Solution) WaitPoles() (atom float64, poles, weights []complex128) {
 	q := sol.q
-	ds := xmath.PolyDeriv(q.scaledPoly())
-	rho := q.Load()
-	poles = make([]complex128, len(sol.zs))
-	weights = make([]complex128, len(sol.zs))
-	for i, z := range sol.zs {
-		if real(z) <= 0 {
-			return 0, nil, nil, fmt.Errorf("M/E%d/1: pole %v in left half plane (rho=%g)", q.K, z, q.Load())
-		}
-		den := xmath.PolyEval(ds, z) * z
-		if den == 0 {
-			return 0, nil, nil, fmt.Errorf("M/E%d/1: repeated pole %v", q.K, z)
-		}
-		num := complex(1-rho, 0) * cmplx.Pow(1-z, complex(float64(q.K), 0))
-		poles[i] = complex(q.Beta, 0) * z
-		weights[i] = -num / den
+	a := complex(q.Lambda/q.Beta, 0)
+	kk := complex(float64(q.K), 0)
+	scale := complex(-(1 - q.Load()), 0)
+	beta := complex(q.Beta, 0)
+	poles = make([]complex128, len(sol.us))
+	weights = make([]complex128, len(sol.us))
+	for i, u := range sol.us {
+		z := 1 - u
+		poles[i] = beta * z
+		weights[i] = scale * u / (u - kk*(z+a))
 	}
-	return 1 - rho, poles, weights, nil
+	return 1 - q.Load(), poles, weights
 }

@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-
-	"fpsping/internal/xmath"
 )
 
 func TestMEK1Validation(t *testing.T) {
@@ -92,7 +90,7 @@ func TestMEK1WaitMixAgainstLindley(t *testing.T) {
 	cases := []struct {
 		k   int
 		rho float64
-	}{{2, 0.5}, {9, 0.6}, {9, 0.85}, {20, 0.7}}
+	}{{2, 0.5}, {9, 0.6}, {9, 0.85}, {20, 0.7}, {60, 0.7}}
 	for _, c := range cases {
 		beta := 300.0
 		lambda := c.rho * beta / float64(c.k)
@@ -166,41 +164,18 @@ func TestMEK1VersusDEK1TailOrdering(t *testing.T) {
 	}
 }
 
-func TestPolyRootsKnownPolynomials(t *testing.T) {
-	// (z-1)(z-2)(z-3) = z^3 - 6z^2 + 11z - 6.
-	roots, err := xmath.PolyRoots([]complex128{-6, 11, -6, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := map[int]bool{}
-	for _, r := range roots {
-		for _, want := range []float64{1, 2, 3} {
-			if cmplx.Abs(r-complex(want, 0)) < 1e-8 {
-				found[int(want)] = true
-			}
-		}
-	}
-	if len(found) != 3 {
-		t.Errorf("roots %v", roots)
-	}
-	// z^2 + 1 = 0: conjugate pair.
-	roots, err = xmath.PolyRoots([]complex128{1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(roots[0]*roots[1]-complex(1, 0)) > 1e-9 {
-		t.Errorf("product of roots %v", roots[0]*roots[1])
-	}
-	if _, err := xmath.PolyRoots([]complex128{5}); err == nil {
-		t.Error("accepted degree 0")
-	}
-}
+// BenchmarkMEK1WaitMix times the M/E_K/1 root solve and wait law at K = 9,
+// rho = 0.6; BenchmarkMEK1WaitMixK100 at K = 100.
+func BenchmarkMEK1WaitMix(b *testing.B) { benchMEK1WaitMix(b, 10, 9, 150) }
 
-func BenchmarkMEK1WaitMix(b *testing.B) {
-	q, err := NewMEK1(10, 9, 150)
+func BenchmarkMEK1WaitMixK100(b *testing.B) { benchMEK1WaitMix(b, 10, 100, 100/0.06) }
+
+func benchMEK1WaitMix(b *testing.B, lambda float64, k int, beta float64) {
+	q, err := NewMEK1(lambda, k, beta)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sol, err := q.Solve()
 		if err != nil {
@@ -220,20 +195,24 @@ func (q MEK1) meanWait() float64 {
 	return q.Lambda * es2 / (2 * (1 - q.Load()))
 }
 
-// poles returns the K poles of the waiting-time MGF: beta times the roots of
-// the scaled denominator. All have positive real part for a stable queue.
+// poles returns the K poles of the waiting-time MGF, beta times the roots
+// z of the scaled denominator: the solved half and the conjugates of its
+// complex members. All have positive real part for a stable queue.
 func (q MEK1) poles() ([]complex128, error) {
 	sol, err := q.Solve()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]complex128, len(sol.zs))
-	for i, z := range sol.zs {
-		if real(z) <= 0 {
-			return nil, fmt.Errorf("M/E%d/1 pole %d = %v not in right half plane (rho=%g)",
-				q.K, i, complex(q.Beta, 0)*z, q.Load())
+	var out []complex128
+	for i, u := range sol.us {
+		p := complex(q.Beta, 0) * (1 - u)
+		if real(p) <= 0 {
+			return nil, fmt.Errorf("M/E%d/1 pole %d = %v not in right half plane (rho=%g)", q.K, i, p, q.Load())
 		}
-		out[i] = complex(q.Beta, 0) * z
+		out = append(out, p)
+		if imag(p) != 0 {
+			out = append(out, cmplx.Conj(p))
+		}
 	}
 	return out, nil
 }

@@ -93,44 +93,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestPolyEvalAndDeriv(t *testing.T) {
-	// p(z) = 1 + 2z + 3z^2 at z=2: 1+4+12 = 17.
-	c := []complex128{1, 2, 3}
-	if got := PolyEval(c, 2); got != 17 {
-		t.Errorf("eval = %v", got)
-	}
-	d := PolyDeriv(c) // 2 + 6z
-	if got := PolyEval(d, 2); got != 14 {
-		t.Errorf("deriv eval = %v", got)
-	}
-	if got := PolyDeriv([]complex128{5}); len(got) != 1 || got[0] != 0 {
-		t.Errorf("constant deriv = %v", got)
-	}
-}
-
-func TestPolyRootsHighDegree(t *testing.T) {
-	// Roots of z^6 - 1: sixth roots of unity.
-	c := make([]complex128, 7)
-	c[0], c[6] = -1, 1
-	roots, err := PolyRoots(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roots) != 6 {
-		t.Fatalf("%d roots", len(roots))
-	}
-	for _, r := range roots {
-		if math.Abs(real(r)*real(r)+imag(r)*imag(r)-1) > 1e-8 {
-			t.Errorf("root %v off the unit circle", r)
-		}
-	}
-	// Leading zeros trimmed.
-	roots2, err := PolyRoots([]complex128{-2, 1, 0, 0})
-	if err != nil || len(roots2) != 1 || math.Abs(real(roots2[0])-2) > 1e-10 {
-		t.Errorf("trimmed roots %v, %v", roots2, err)
-	}
-}
-
 func TestBrentNoBracket(t *testing.T) {
 	if _, err := Brent(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12); err != ErrBracket {
 		t.Errorf("want ErrBracket, got %v", err)
