@@ -213,6 +213,24 @@ var contracts = []contract{
 		jobs: []string{"verify", "race"},
 	},
 	{
+		id:   "point-memo-holds-answers",
+		what: "a cached point holds its answer only (gamers, RTT seconds, unstable marker), never the point's compiled laws: after cold sweeps at K = 30 and K = 200 and a GC, the engine retains at most 600 B of heap per cache entry",
+		tests: []string{
+			"internal/service:TestPointMemoRetention",
+		},
+		jobs: []string{"verify"},
+	},
+	{
+		id:   "stable-keys-and-records",
+		what: "canonical scenario keys and pt| snapshot records are byte-stable, since ring placement, snapshot keys and fpsload's hashing read them: the reference scenario's key is a literal, every key equals the %016x|...k%d form over a seeded grid that includes non-finite floats and extreme Erlang orders, and point records are pinned byte for byte",
+		tests: []string{
+			"internal/scenario:TestCanonicalGoldenKey",
+			"internal/scenario:TestCanonicalMatchesFmtForm",
+			"internal/service:TestPointRecordBytes",
+		},
+		jobs: []string{"verify"},
+	},
+	{
 		id:   "production-reachable",
 		what: "every top-level function and method in non-test Go, perfbench/ included, is reached from a binary's main or init, or is on a short allowlist with a reason; reachability is type-exact, following go/types objects and never method names, and its verdicts on a fixture module (a shared method name, an implicitly instantiated generic interface, an Unwrap reached only through errors.Is) are pinned",
 		tests: []string{

@@ -167,16 +167,25 @@ func TestRouterAffinityRouting(t *testing.T) {
 // Cached summed over sub-batches.
 func TestRouterBatchSplitMerge(t *testing.T) {
 	fakes, rt, front := newTestCluster(t, 3, nil)
-	// Pick gamer counts spanning at least two distinct owners.
-	gamers := []int{60, 61, 62, 63, 64, 60} // last item duplicates the first
+	// Pick gamer counts spanning at least two distinct owners. The ring
+	// hashes the fakes' URLs, whose ports change from run to run, so five
+	// counts can all land on one owner: extend the list until they do not.
+	gamers := []int{60, 61, 62, 63, 64}
 	owners := make(map[int]bool)
-	var req service.BatchRequest
 	for _, g := range gamers {
 		owners[rt.ring.Owner(keyFor(t, g))] = true
-		req.Scenarios = append(req.Scenarios, json.RawMessage(fmt.Sprintf(`{"gamers":%d}`, g)))
+	}
+	for g := 65; len(owners) < 2 && g < 200; g++ {
+		gamers = append(gamers, g)
+		owners[rt.ring.Owner(keyFor(t, g))] = true
 	}
 	if len(owners) < 2 {
 		t.Fatal("test scenarios all map to one owner; pick different gamer counts")
+	}
+	gamers = append(gamers, gamers[0]) // last item duplicates the first
+	var req service.BatchRequest
+	for _, g := range gamers {
+		req.Scenarios = append(req.Scenarios, json.RawMessage(fmt.Sprintf(`{"gamers":%d}`, g)))
 	}
 	payload, _ := json.Marshal(req)
 	resp, err := http.Post(front.URL+"/v1/rtt:batch", "application/json", strings.NewReader(string(payload)))

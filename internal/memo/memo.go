@@ -1,7 +1,7 @@
 // Package memo is the daemon's memoization core: a generic, fixed-capacity,
 // exact LRU cache with singleflight miss coalescing. It is the shared
-// machinery behind internal/service's Engine (where the compiled model's
-// seeded Sum tail inversions and ITP dimensioning searches are the hot
+// machinery behind internal/service's Engine (where the seeded Sum tail
+// inversions and ITP dimensioning searches behind each answer are the hot
 // path) and usable by any other layer that wants "compute once, share
 // forever" semantics.
 //
@@ -61,21 +61,6 @@ func New[V any](capacity, shards int) *Cache[V] {
 		items:  make(map[string]*list.Element, capacity),
 		flight: make(map[string]*call[V]),
 	}
-}
-
-// Peek returns the cached value without side effects: no hit/miss counting
-// and no recency update. It is for opportunistic reuse of auxiliary state a
-// value may carry (a compiled pipeline, a derived table) where a lookup by Do
-// would distort the client-visible cache statistics.
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return el.Value.(*entry[V]).val, true
 }
 
 // Put stores a value, evicting the least recently used entry when the cache

@@ -11,6 +11,20 @@ import (
 // errMiss is the failure get's compute returns, so a miss caches nothing.
 var errMiss = errors.New("miss")
 
+// Peek returns the cached value without side effects: no hit/miss counting
+// and no recency update, so a test can inspect what a cache holds without
+// disturbing the statistics or the eviction order it checks.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return el.Value.(*entry[V]).val, true
+}
+
 // get looks key up through Do: a hit counts and touches recency exactly as
 // every cached answer does, and a miss counts and leaves the cache as it
 // was.

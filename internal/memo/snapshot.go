@@ -59,7 +59,7 @@ var ErrSchemaMismatch = errors.New("memo: snapshot schema mismatch")
 
 // Codec translates cached values to and from snapshot bytes. Encode may
 // report ok=false to skip an entry whose value cannot (or should not) be
-// persisted — a compiled pipeline, an open handle — in which case the entry
+// persisted — a derived table, an open handle — in which case the entry
 // is simply re-derived after restore. Decode is only handed records Encode
 // produced under the same schema string, keyed identically.
 type Codec[V any] interface {

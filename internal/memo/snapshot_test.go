@@ -12,7 +12,8 @@ import (
 )
 
 // stringCodec snapshots string values verbatim; keys starting with "skip|"
-// are declined, modeling values (compiled pipelines) with no serialization.
+// are declined, modeling values (derived tables, open handles) with no
+// serialization.
 type stringCodec struct{}
 
 func (stringCodec) Encode(key, val string) ([]byte, bool, error) {

@@ -21,7 +21,6 @@ import (
 	"math"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"fpsping/internal/core"
 )
@@ -260,20 +259,30 @@ func (s Scenario) Canonical() string {
 	if m.Quantile == 0 {
 		m.Quantile = core.DefaultQuantile
 	}
-	vals := []float64{
+	vals := [...]float64{
 		m.Gamers, m.ClientPacketBytes, m.ServerPacketBytes,
 		m.BurstInterval, m.ClientInterval,
 		m.UplinkAccessRate, m.DownlinkAccessRate, m.AggregateRate,
 		m.Quantile, m.FixedDelay,
 	}
-	var b strings.Builder
-	b.Grow(16*len(vals) + 8)
+	// Each float is its 16 zero-padded lower-case hex digits and a '|', then
+	// "k" and K in decimal: the bytes fmt's "%016x|" and "k%d" would write,
+	// built in one stack buffer so the key costs one allocation.
+	var buf [17*len(vals) + 1 + 20]byte
+	b := buf[:0]
 	for _, v := range vals {
-		fmt.Fprintf(&b, "%016x|", math.Float64bits(v))
+		u := math.Float64bits(v)
+		for shift := 60; shift >= 0; shift -= 4 {
+			b = append(b, hexDigits[u>>shift&0xf])
+		}
+		b = append(b, '|')
 	}
-	fmt.Fprintf(&b, "k%d", m.ErlangOrder)
-	return b.String()
+	b = append(b, 'k')
+	b = strconv.AppendInt(b, int64(m.ErlangOrder), 10)
+	return string(b)
 }
+
+const hexDigits = "0123456789abcdef"
 
 // JSON returns the scenario's compact JSON encoding (the daemon's wire
 // form). Encoding a Scenario never fails.

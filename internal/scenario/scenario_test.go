@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 
+	"fpsping/internal/core"
 	"fpsping/internal/scenario"
 	"fpsping/internal/service"
 )
@@ -137,6 +139,77 @@ func TestCanonicalResolvesDefaults(t *testing.T) {
 	bumpK.ErlangOrder++
 	if base.Canonical() == bumpK.Canonical() {
 		t.Error("different Erlang orders must not share a cache key")
+	}
+}
+
+// fmtCanonical spells the canonical key format with fmt: "%016x|" per
+// resolved float, then "k%d". Ring placement, snapshot keys and fpsload's
+// hashing all read these bytes, so TestCanonicalMatchesFmtForm holds
+// Canonical to it.
+func fmtCanonical(s scenario.Scenario) string {
+	m := s.Model()
+	if m.ClientInterval == 0 {
+		m.ClientInterval = m.BurstInterval
+	}
+	if m.Quantile == 0 {
+		m.Quantile = core.DefaultQuantile
+	}
+	var b strings.Builder
+	for _, v := range []float64{
+		m.Gamers, m.ClientPacketBytes, m.ServerPacketBytes,
+		m.BurstInterval, m.ClientInterval,
+		m.UplinkAccessRate, m.DownlinkAccessRate, m.AggregateRate,
+		m.Quantile, m.FixedDelay,
+	} {
+		fmt.Fprintf(&b, "%016x|", math.Float64bits(v))
+	}
+	fmt.Fprintf(&b, "k%d", m.ErlangOrder)
+	return b.String()
+}
+
+// TestCanonicalGoldenKey pins the §4 reference scenario's key byte for byte.
+func TestCanonicalGoldenKey(t *testing.T) {
+	const want = "4054000000000000|4054000000000000|405f400000000000|3fa47ae147ae147b|3fa47ae147ae147b|" +
+		"40ff400000000000|412f400000000000|415312d000000000|3fefffeb074a771d|0000000000000000|k9"
+	if got := scenario.Default().Canonical(); got != want {
+		t.Errorf("Default().Canonical() =\n %s\nwant\n %s", got, want)
+	}
+}
+
+// TestCanonicalMatchesFmtForm compares Canonical with the fmt form over a
+// seeded grid: realistic scenarios, arbitrary float bit patterns (NaN, Inf,
+// negative zero, subnormals) and Erlang orders of every sign and width.
+func TestCanonicalMatchesFmtForm(t *testing.T) {
+	r := rand.New(rand.NewPCG(30, 1))
+	ks := []int{0, 1, 9, 200, -1, -42, math.MaxInt, math.MinInt}
+	for i := 0; i < 20000; i++ {
+		s := randomScenario(r)
+		if i%2 == 1 {
+			for _, f := range []*float64{&s.Gamers, &s.ClientPacketBytes, &s.ServerPacketBytes,
+				&s.BurstIntervalMs, &s.ClientIntervalMs, &s.UplinkKbit, &s.DownlinkKbit,
+				&s.AggregateKbit, &s.Quantile, &s.FixedMs} {
+				if r.IntN(3) == 0 {
+					*f = math.Float64frombits(r.Uint64())
+				}
+			}
+			s.ErlangOrder = ks[r.IntN(len(ks))]
+			if r.IntN(4) == 0 {
+				s.ErlangOrder = int(r.Int64())
+			}
+		}
+		if got, want := s.Canonical(), fmtCanonical(s); got != want {
+			t.Fatalf("scenario %+v:\nCanonical %s\nfmt form  %s", s, got, want)
+		}
+	}
+}
+
+// TestCanonicalAllocs pins the key at one allocation: every request and
+// every sweep or dimensioning probe builds one.
+func TestCanonicalAllocs(t *testing.T) {
+	s := scenario.Default()
+	s.Load = 0.5
+	if n := testing.AllocsPerRun(100, func() { _ = s.Canonical() }); n != 1 {
+		t.Errorf("Canonical allocates %v times per key, want 1", n)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package service puts the paper's ping model behind a long-lived daemon:
 // a concurrency-safe Engine layered over internal/core with an exact LRU
-// memo cache (internal/memo) keyed by canonical scenario (the compiled
-// model's seeded Sum tail inversions, ITP dimensioning searches and sweep
-// grids are the hot path, so repeated queries must not recompute them),
+// memo cache (internal/memo) keyed by canonical scenario (the seeded Sum
+// tail inversions, ITP dimensioning searches and sweep grids are the hot
+// path, so repeated queries must not recompute them),
 // batch fan-out over internal/runner, and an HTTP/JSON front end
 // (cmd/fpspingd) with counters and latency histograms via internal/stats.
 //
@@ -25,9 +25,9 @@ import (
 )
 
 // DefaultCacheSize is the engine's memo-cache capacity when the caller does
-// not choose one. At ~300 bytes per RTT entry this stays well under a
-// megabyte while covering far more distinct scenarios than a dimensioning
-// session touches.
+// not choose one. At ~330 bytes per point entry (more for a whole RTT,
+// sweep or dimensioning response) this stays around a few megabytes while
+// covering far more distinct scenarios than a dimensioning session touches.
 const DefaultCacheSize = 4096
 
 // Engine evaluates scenarios concurrently with memoization and singleflight
@@ -130,17 +130,17 @@ func (e *Engine) RTT(sc scenario.Scenario) (RTTResult, bool, error) {
 }
 
 // computeRTT is the cold path behind RTT. Besides the full result it stores
-// the scenario's sweep-point slice (quantile + gamers, bit-exact in seconds)
-// under the shared "pt|" key space, so a later /v1/sweep whose grid crosses
-// this scenario reuses the evaluation instead of recomputing it. The
-// scenario's analytic pipeline is staged once (core.Model.Compile) — or
-// reused outright when a sweep point already compiled it — and the
-// decomposition, quantile and mean all evaluate over that one compiled
-// model.
+// the scenario's sweep-point answer (quantile + gamers, bit-exact in
+// seconds) under the shared "pt|" key space, so a later /v1/sweep or
+// /v1/dimension whose probes cross this scenario reuses the evaluation
+// instead of recomputing it. The scenario's analytic pipeline is staged
+// once (core.Model.Compile), and the decomposition, quantile and mean all
+// evaluate over that one compiled model, which is dropped with the request:
+// the memo keeps answers, never compiled laws.
 func (e *Engine) computeRTT(sc scenario.Scenario, key string) (RTTResult, error) {
 	e.computes.Add(1)
 	m := sc.Model()
-	cm, err := e.compiledFor(m, key)
+	cm, err := m.Compile()
 	if err != nil {
 		return RTTResult{}, err
 	}
@@ -172,22 +172,8 @@ func (e *Engine) computeRTT(sc scenario.Scenario, key string) (RTTResult, error)
 			Position:      1000 * comp.Position,
 		},
 	}
-	e.cache.Put("pt|"+key, pointMemo{Gamers: m.Gamers, RTT: comp.Total, Compiled: cm})
+	e.cache.Put("pt|"+key, pointMemo{Gamers: m.Gamers, RTT: comp.Total})
 	return out, nil
-}
-
-// compiledFor stages the scenario's evaluation pipeline, reusing the
-// compiled model a previous point evaluation attached to the shared "pt|"
-// entry (compilation is paid once per scenario, not once per endpoint that
-// touches it). The Peek keeps the reuse invisible in cache statistics: only
-// client-level lookups count as hits or misses.
-func (e *Engine) compiledFor(m core.Model, key string) (*core.CompiledModel, error) {
-	if v, ok := e.cache.Peek("pt|" + key); ok {
-		if pm, ok := v.(pointMemo); ok && pm.Compiled != nil {
-			return pm.Compiled, nil
-		}
-	}
-	return m.Compile()
 }
 
 // SweepPoint is one point of an RTT-versus-load curve.
@@ -209,9 +195,12 @@ type SweepResult struct {
 // Sweep evaluates the RTT-vs-load curve over [from, to] in step increments,
 // parallelized over the engine's worker budget and memoized at two levels:
 // the grid as a whole (a repeated identical sweep is one lookup) and each
-// grid point in the per-scenario RTT memo shared with /v1/rtt, so
-// overlapping grids — and sweeps crossing scenarios /v1/rtt already
-// answered — reuse point evaluations instead of recomputing them. The curve
+// grid point's answer in the "pt|" point memo that /v1/rtt and
+// /v1/dimension write too, so overlapping grids — and sweeps crossing
+// scenarios /v1/rtt already answered — reuse point answers instead of
+// recomputing them. A point keeps its answer only: a /v1/rtt on a point a
+// sweep computed compiles the model again for its decomposition and mean,
+// the trade that keeps a cached point at ~330 B at every Erlang order. The curve
 // stops at the first unstable load (the asymptote), exactly like
 // core.SweepLoads. The range goes through core.CheckLoadGrid, so a
 // non-finite or over-long grid is core.ErrBadModel before any work starts.
@@ -235,18 +224,15 @@ func (e *Engine) Sweep(sc scenario.Scenario, from, to, step float64) (SweepResul
 
 // pointMemo is one sweep point's share of an RTT answer, keyed "pt|" +
 // canonical scenario: written by both computeRTT and pointAt, read by sweep
-// grids. RTT is kept in seconds (not the wire milliseconds) so a memoized
-// point is bit-identical to a recomputed one. An unstable scenario is a
-// cacheable answer too: every grid crossing it stops there. Compiled, when
-// set, carries the scenario's staged evaluation pipeline so a later
-// /v1/rtt on the same scenario (which additionally needs the decomposition
-// and the mean) evaluates over it instead of recompiling; CompiledModel is
-// concurrency-safe, as required of a value shared through the cache.
+// grids and dimensioning searches. RTT is kept in seconds (not the wire
+// milliseconds) so a memoized point is bit-identical to a recomputed one.
+// An unstable scenario is a cacheable answer too: every grid crossing it
+// stops there. It holds the answer only, so a cached point costs the same
+// at every Erlang order; the JSON tags are its snapshot record.
 type pointMemo struct {
-	Gamers   float64
-	RTT      float64
-	Unstable bool
-	Compiled *core.CompiledModel
+	Gamers   float64 `json:"gamers"`
+	RTT      float64 `json:"rtt"`
+	Unstable bool    `json:"unstable,omitempty"`
 }
 
 // pointAt answers the scenario at downlink load rho through the shared
@@ -266,7 +252,7 @@ func (e *Engine) pointAt(sc scenario.Scenario, rho float64) (pointMemo, error) {
 		if err == nil {
 			var rtt float64
 			if rtt, err = cm.RTTQuantile(); err == nil {
-				return pointMemo{Gamers: cm.Model.Gamers, RTT: rtt, Compiled: cm}, nil
+				return pointMemo{Gamers: cm.Model.Gamers, RTT: rtt}, nil
 			}
 		}
 		if errors.Is(err, core.ErrUnstable) {

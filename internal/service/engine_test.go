@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,43 @@ func TestRTTCacheHitIsByteIdentical(t *testing.T) {
 	// slice (shared with /v1/sweep grids).
 	if st := e.CacheStats(); st.Entries != 2 || st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("cache stats = %d entries, %d hits, %d misses", st.Entries, st.Hits, st.Misses)
+	}
+}
+
+// maxRetainedPerEntry bounds the heap a cached answer keeps alive. A point
+// memo entry holds its key (~190 B of canonical scenario plus the list and
+// map slots) and three scalars, whatever the Erlang order; an entry that
+// kept the point's compiled laws retained ~2.3 kB at K = 30 and ~8.5 kB at
+// K = 200.
+const maxRetainedPerEntry = 600
+
+// TestPointMemoRetention fills engines with cold sweep points at large
+// Erlang orders and bounds the live heap per cache entry after a GC.
+func TestPointMemoRetention(t *testing.T) {
+	for _, tc := range []struct{ k, sweeps int }{{30, 10}, {200, 6}} {
+		var before, after runtime.MemStats
+		e := NewEngine(1, 0)
+		runtime.GC() // twice: the second frees what sync.Pools dropped in the first
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < tc.sweeps; i++ {
+			sc := scenario.Default()
+			sc.ErlangOrder = tc.k
+			sc.FixedMs = float64(i)
+			if _, _, err := e.Sweep(sc, 0.05, 0.9, 0.05); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		n := e.CacheStats().Entries
+		per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+		runtime.KeepAlive(e)
+		t.Logf("K = %d: %d entries (%d computes), %.0f B retained per entry", tc.k, n, e.Computes(), per)
+		if per > maxRetainedPerEntry {
+			t.Errorf("K = %d: %.0f B retained per cache entry, want <= %d", tc.k, per, maxRetainedPerEntry)
+		}
 	}
 }
 

@@ -57,15 +57,6 @@ var schemaKey = sync.OnceValue(func() string {
 	return fmt.Sprintf("fpsping-cache|v%d|%s|%s|%s", cacheSchemaVersion, runtime.Version(), runtime.GOARCH, rev)
 })
 
-// pointSnapshot is pointMemo's wire form: the compiled pipeline is dropped
-// (it has no serialization and is cheap to re-derive on demand), the
-// bit-exact seconds and the unstable marker are kept.
-type pointSnapshot struct {
-	Gamers   float64 `json:"gamers"`
-	RTT      float64 `json:"rtt"`
-	Unstable bool    `json:"unstable,omitempty"`
-}
-
 // engineCodec translates the engine's memo entries to snapshot records,
 // dispatching on the memo key prefix. Every value is JSON: encoding/json
 // round-trips float64 bit-exactly (shortest-representation printing), so a
@@ -84,7 +75,7 @@ func (engineCodec) Encode(key string, val any) ([]byte, bool, error) {
 		}
 	case strings.HasPrefix(key, "pt|"):
 		if v, ok := val.(pointMemo); ok {
-			data, err := json.Marshal(pointSnapshot{Gamers: v.Gamers, RTT: v.RTT, Unstable: v.Unstable})
+			data, err := json.Marshal(v)
 			return data, err == nil, err
 		}
 	case strings.HasPrefix(key, "sweep|"):
@@ -104,28 +95,31 @@ func (engineCodec) Encode(key string, val any) ([]byte, bool, error) {
 func (engineCodec) Decode(key string, data []byte) (any, error) {
 	switch {
 	case strings.HasPrefix(key, "rtt|"):
-		var v RTTResult
-		return v, scenario.UnmarshalStrict(data, &v)
+		return decodeRecord[RTTResult](data)
 	case strings.HasPrefix(key, "pt|"):
-		var ps pointSnapshot
-		if err := scenario.UnmarshalStrict(data, &ps); err != nil {
-			return nil, err
-		}
-		return pointMemo{Gamers: ps.Gamers, RTT: ps.RTT, Unstable: ps.Unstable}, nil
+		return decodeRecord[pointMemo](data)
 	case strings.HasPrefix(key, "sweep|"):
-		var v SweepResult
-		return v, scenario.UnmarshalStrict(data, &v)
+		return decodeRecord[SweepResult](data)
 	case strings.HasPrefix(key, "dim|"):
-		var v DimensionResult
-		return v, scenario.UnmarshalStrict(data, &v)
+		return decodeRecord[DimensionResult](data)
 	}
 	return nil, fmt.Errorf("unknown memo key space %q", key)
 }
 
+// decodeRecord decodes one snapshot record strictly into a T. It reads the
+// value only after decoding returns: in `return v, decode(&v)` the Go spec
+// leaves unspecified whether v is read before or after the call.
+func decodeRecord[T any](data []byte) (any, error) {
+	var v T
+	if err := scenario.UnmarshalStrict(data, &v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // DumpCache streams a snapshot of the engine's memo cache: every entry the
 // codec can persist (RTT answers, sweep grids, dimensionings and the shared
-// point memo; compiled pipelines are skipped and re-derived), versioned,
-// checksummed and keyed by SchemaKey.
+// point memo), versioned, checksummed and keyed by SchemaKey.
 func (e *Engine) DumpCache(w io.Writer) (memo.DumpStats, error) {
 	return e.cache.Dump(w, SchemaKey(), engineCodec{})
 }

@@ -260,3 +260,32 @@ func TestScenarioKeyOf(t *testing.T) {
 		}
 	}
 }
+
+// TestPointRecordBytes pins the "pt|" snapshot record byte for byte: the
+// bit-exact seconds, the gamers and the unstable marker only when set. The
+// layout is part of cacheSchemaVersion 1; changing it needs a version bump.
+func TestPointRecordBytes(t *testing.T) {
+	key := "pt|" + scenario.Default().Canonical()
+	cases := []struct {
+		pm   pointMemo
+		want string
+	}{
+		{pointMemo{Gamers: 80, RTT: 0.048512345678901234}, `{"gamers":80,"rtt":0.04851234567890123}`},
+		{pointMemo{Gamers: 123.45678901234567, RTT: 1e-300}, `{"gamers":123.45678901234567,"rtt":1e-300}`},
+		{pointMemo{Unstable: true}, `{"gamers":0,"rtt":0,"unstable":true}`},
+	}
+	for _, tc := range cases {
+		data, ok, err := engineCodec{}.Encode(key, tc.pm)
+		if err != nil || !ok || string(data) != tc.want {
+			t.Errorf("Encode(%+v) = %s, %v, %v; want %s", tc.pm, data, ok, err, tc.want)
+			continue
+		}
+		back, err := engineCodec{}.Decode(key, data)
+		if err != nil || back != tc.pm {
+			t.Errorf("Decode(%s) = %+v, %v; want %+v", data, back, err, tc.pm)
+		}
+	}
+	if _, err := (engineCodec{}).Decode(key, []byte(`{"gamers":80,"rtt":0.05,"compiled":{}}`)); err == nil {
+		t.Error("a point record with an unknown field decoded")
+	}
+}
