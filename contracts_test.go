@@ -213,6 +213,15 @@ var contracts = []contract{
 		jobs: []string{"verify", "race"},
 	},
 	{
+		id:   "compiled-model-immutable",
+		what: "a compiled model keeps no state and takes no lock: 8 goroutines calling RTTQuantile, Decompose and MeanRTT on one model at K = 9 and K = 200 get the bits of a serial evaluation, and RTTQuantile on it allocates nothing at K = 9",
+		tests: []string{
+			"internal/core:TestCompiledModelConcurrentUse",
+			"internal/core:TestCompiledEvaluatorAllocs",
+		},
+		jobs: []string{"verify", "race"},
+	},
+	{
 		id:   "point-memo-holds-answers",
 		what: "a cached point holds its answer only (gamers, RTT seconds, unstable marker), never the point's compiled laws: after cold sweeps at K = 30 and K = 200 and a GC, the engine retains at most 600 B of heap per cache entry",
 		tests: []string{
@@ -232,7 +241,7 @@ var contracts = []contract{
 	},
 	{
 		id:   "production-reachable",
-		what: "every top-level function and method in non-test Go, perfbench/ included, is reached from a binary's main or init, or is on a short allowlist with a reason; reachability is type-exact, following go/types objects and never method names, and its verdicts on a fixture module (a shared method name, an implicitly instantiated generic interface, an Unwrap reached only through errors.Is) are pinned",
+		what: "every top-level function and method in non-test Go, perfbench/ included, is reached from a binary's main or init, or is on a short allowlist with a reason; the ones outside perfbench/ that only perfbench's binary reaches are exactly a register, each with a reason; reachability is type-exact, following go/types objects and never method names, and its verdicts on a fixture module (a shared method name, an implicitly instantiated generic interface, an Unwrap reached only through errors.Is) are pinned",
 		tests: []string{
 			".:TestProductionReachable",
 			".:TestReachabilityFixture",

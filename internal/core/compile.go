@@ -1,74 +1,41 @@
 package core
 
-import (
-	"sync"
-
-	"fpsping/internal/mgf"
-)
+import "fpsping/internal/mgf"
 
 // This file is the staged evaluation pipeline: everything expensive about a
 // scenario — queue construction, M/E_K/1 and D/E_K/1 root solving, the
 // factoring of the three delay laws — happens once, in Compile, and the
-// result is a value cheap to evaluate many times. The pipeline has three
-// stages with distinct lifetimes:
+// result is a plain value that every evaluation reads. The pipeline has
+// three stages:
 //
 //	Model           parameters only; free to copy and mutate
 //	CompiledModel   combined law of the factors, built by Compile
 //	evaluations     Quantile/Tail/Mean over the compiled law
 //
-// Front ends cache CompiledModels (the daemon keeps them in its point memo).
+// A CompiledModel lives for one evaluation of its scenario: front ends
+// cache answers, never compiled models.
 
-// CompiledLaw pairs a delay law with a per-level cache of solved quantiles.
-// It is safe for concurrent use: the underlying law is immutable and the
-// cache is mutex-guarded, so a CompiledLaw can live in a shared memo entry.
-type CompiledLaw struct {
-	law mgf.Sum
-
-	mu     sync.Mutex
-	solved map[float64]float64 // quantile level -> queueing-delay quantile
-}
-
-// newCompiledLaw wraps a delay law for repeated evaluation.
-func newCompiledLaw(l mgf.Sum) *CompiledLaw {
-	return &CompiledLaw{law: l, solved: make(map[float64]float64)}
-}
+// CompiledLaw is a compiled total-delay law: the mgf.Sum of eq. (35),
+// whose Quantile, Tail and Mean it promotes. Only perfbench's per-layer
+// replay reads it, through CompiledModel.Law (see perfbenchOnly in
+// reachable_test.go).
+type CompiledLaw struct{ mgf.Sum }
 
 // Law returns the underlying delay law.
-func (c *CompiledLaw) Law() mgf.Sum { return c.law }
-
-// Mean returns E[D].
-func (c *CompiledLaw) Mean() float64 { return c.law.Mean() }
-
-// Quantile returns the queueing-delay quantile at level p. Solved levels are
-// cached, so a level is inverted at most once per law; the cache changes
-// only the cost of an answer, never its value.
-func (c *CompiledLaw) Quantile(p float64) (float64, error) {
-	c.mu.Lock()
-	q, ok := c.solved[p]
-	c.mu.Unlock()
-	if ok {
-		return q, nil
-	}
-	q, err := c.law.Quantile(p)
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	c.solved[p] = q
-	c.mu.Unlock()
-	return q, nil
-}
+func (c CompiledLaw) Law() mgf.Sum { return c.Sum }
 
 // CompiledModel is a scenario with its analytic pipeline fully staged: the
 // combined law of eq. (35), which keeps its three delay factors, ready for
-// repeated quantile/tail/mean evaluation. Build one with Model.Compile. A
-// CompiledModel is safe for concurrent use.
+// quantile/tail/mean evaluation. Build one with Model.Compile, or with
+// MultiServer.Compile for several servers on one pipe. It is immutable, so
+// it is safe for concurrent use.
 type CompiledModel struct {
 	// Model echoes the compiled scenario parameters (read-only by convention:
-	// mutating them does not recompile).
+	// mutating them does not recompile). For several servers it is the
+	// per-server scenario.
 	Model Model
 
-	law *CompiledLaw
+	law CompiledLaw
 }
 
 // Compile runs the expensive stages of the pipeline once: validates the
@@ -80,11 +47,11 @@ func (m Model) Compile() (*CompiledModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledModel{Model: m, law: newCompiledLaw(law)}, nil
+	return &CompiledModel{Model: m, law: CompiledLaw{law}}, nil
 }
 
 // Law returns the compiled total-delay law.
-func (cm *CompiledModel) Law() *CompiledLaw { return cm.law }
+func (cm *CompiledModel) Law() CompiledLaw { return cm.law }
 
 // RTTQuantile returns the RTT quantile (seconds): the queueing-delay
 // quantile plus the deterministic part, exactly as Model.RTTQuantile.
@@ -97,8 +64,8 @@ func (cm *CompiledModel) RTTQuantile() (float64, error) {
 }
 
 // MeanRTT returns the mean round trip time.
-func (cm *CompiledModel) MeanRTT() (float64, error) {
-	return cm.law.Mean() + cm.Model.FixedPart(), nil
+func (cm *CompiledModel) MeanRTT() float64 {
+	return cm.law.Mean() + cm.Model.FixedPart()
 }
 
 // Decompose evaluates each delay component's quantile in isolation plus the
@@ -106,7 +73,7 @@ func (cm *CompiledModel) MeanRTT() (float64, error) {
 // A factor whose inversion fails is an error (mgf.ErrInvalid, served as a
 // 422), never a zero component.
 func (cm *CompiledModel) Decompose() (Components, error) {
-	return cm.components(cm.law.law.Factors())
+	return cm.components(cm.law.Factors())
 }
 
 // components is Decompose over the factors du, w and pos of the law.

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -30,11 +31,7 @@ func TestCompiledMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMean, err := cm.MeanRTT()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotMean != wantMean {
+		if gotMean := cm.MeanRTT(); gotMean != wantMean {
 			t.Errorf("K=%d: compiled mean %v != model %v", k, gotMean, wantMean)
 		}
 		d := wantQ * 0.8
@@ -126,15 +123,12 @@ func TestSweepLoadsWarmMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestCompiledEvaluatorAllocs is the allocation contract of the evaluate-
-// many path: once a level is solved, re-evaluating the compiled quantile
-// allocates nothing.
+// TestCompiledEvaluatorAllocs pins that RTTQuantile on a compiled model
+// allocates nothing at K = 9: the inversion's tail passes use stack
+// scratch at that order.
 func TestCompiledEvaluatorAllocs(t *testing.T) {
 	cm, err := figure3Model(9).WithDownlinkLoad(0.5).Compile()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cm.RTTQuantile(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -143,7 +137,53 @@ func TestCompiledEvaluatorAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("compiled RTTQuantile allocates %v per run after solve, want 0", allocs)
+		t.Errorf("compiled RTTQuantile allocates %v per run at K = 9, want 0", allocs)
+	}
+}
+
+// TestCompiledModelConcurrentUse pins that a compiled model is safe for
+// concurrent use because it is immutable: at K = 9 and at K = 200, where
+// each tail pass takes heap scratch, 8 goroutines calling RTTQuantile,
+// Decompose and MeanRTT on one model get the bits of a serial evaluation
+// of the same scenario. The race job runs it.
+func TestCompiledModelConcurrentUse(t *testing.T) {
+	for _, k := range []int{9, 200} {
+		m := figure3Model(k).WithDownlinkLoad(0.5)
+		wantQ, err := m.RTTQuantile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantC, err := m.Decompose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMean, err := m.MeanRTT()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := m.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2; i++ {
+					if q, err := cm.RTTQuantile(); err != nil || q != wantQ {
+						t.Errorf("K=%d goroutine %d: RTTQuantile %v, %v; want %v", k, g, q, err, wantQ)
+					}
+					if c, err := cm.Decompose(); err != nil || c != wantC {
+						t.Errorf("K=%d goroutine %d: Decompose %+v, %v; want %+v", k, g, c, err, wantC)
+					}
+					if mean := cm.MeanRTT(); mean != wantMean {
+						t.Errorf("K=%d goroutine %d: MeanRTT %v; want %v", k, g, mean, wantMean)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -167,35 +207,6 @@ func TestCompileAllocsFlatInK(t *testing.T) {
 		t.Errorf("Compile allocations at K = 9, 28, 200: %v, %v, %v; want them equal",
 			counts[9], counts[28], counts[200])
 	}
-}
-
-// BenchmarkModelCompiledVsCold measures the two ends of the pipeline: cold
-// is the full per-call recomputation (queues, roots, convolution,
-// inversion), compiled is the evaluate-many path over a staged model.
-func BenchmarkModelCompiledVsCold(b *testing.B) {
-	m := figure3Model(9).WithDownlinkLoad(0.5)
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.RTTQuantile(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		cm, err := m.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cm.RTTQuantile(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cm.RTTQuantile(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSweepPaperGridCold measures a cold paper-figure sweep: warm is
@@ -252,7 +263,7 @@ func (cm *CompiledModel) rttTail(d float64) (float64, error) {
 	if x < 0 {
 		return 1, nil
 	}
-	return cm.law.law.Tail(x), nil
+	return cm.law.Tail(x), nil
 }
 
 // rttTail returns P(RTT > d).

@@ -4,9 +4,9 @@ package core
 // only the model: each point compiles its own model cold, and the quantile
 // inversion starts from its own law's factor seed (see mgf.Sum.Quantile),
 // so nothing is carried from point to point. A point evaluated through a
-// path is byte-identical to WithDownlinkLoad(rho).RTTQuantile(). Sweeps
-// (SweepGridWith chunks) and dimensioning searches (MaxLoadWith) drive
-// their points through one.
+// path is byte-identical to WithDownlinkLoad(rho).RTTQuantile(). SweepLoads
+// drives its grid chunks through one; dimensioning searches (MaxLoadWith)
+// evaluate WithDownlinkLoad(rho).RTTQuantile() directly.
 type LoadPath struct {
 	m Model
 }

@@ -111,8 +111,9 @@ func TestSweepGridWithChunkedChains(t *testing.T) {
 
 // TestLoadPathWalksMatchCold is the handle's contract as a table: for each
 // Erlang order, the paper grid walked forward, walked in reverse, and
-// walked over memoized models (every other point compiled elsewhere, half
-// of them already solved) returns at every point the bits of a cold
+// walked over held compiled models (every other point compiled elsewhere,
+// half of those evaluated once before, so a second evaluation of one
+// model is checked too) returns at every point the bits of a cold
 // WithDownlinkLoad(rho).RTTQuantile().
 func TestLoadPathWalksMatchCold(t *testing.T) {
 	for _, k := range []int{2, 9, 20, 30} {

@@ -201,8 +201,8 @@ func (m Model) delayLaw() (mgf.Sum, error) {
 
 // RTTQuantile returns the RTT quantile (seconds): the queueing-delay quantile
 // plus the deterministic part. This is the paper's headline metric. One-shot
-// form of Compile().RTTQuantile(); callers needing several evaluations of
-// the same scenario should hold the CompiledModel.
+// form of Compile().RTTQuantile(); a caller that also needs the mean or the
+// decomposition compiles once and asks the CompiledModel for each.
 func (m Model) RTTQuantile() (float64, error) {
 	cm, err := m.Compile()
 	if err != nil {
@@ -217,7 +217,7 @@ func (m Model) MeanRTT() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cm.MeanRTT()
+	return cm.MeanRTT(), nil
 }
 
 // Components decomposes the RTT quantile into its constituents, each

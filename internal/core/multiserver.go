@@ -55,9 +55,9 @@ func (ms MultiServer) Downstream() (queueing.MEK1, error) {
 	return queueing.NewMEK1(float64(ms.Servers)/m.BurstInterval, m.ErlangOrder, beta)
 }
 
-// DelayLaw returns the total queueing-delay law Du*W*P with the downstream
+// delayLaw returns the total queueing-delay law Du*W*P with the downstream
 // factors taken from the M/E_K/1 queue.
-func (ms MultiServer) DelayLaw() (mgf.Sum, error) {
+func (ms MultiServer) delayLaw() (mgf.Sum, error) {
 	if err := ms.Validate(); err != nil {
 		return mgf.Sum{}, err
 	}
@@ -85,16 +85,16 @@ func (ms MultiServer) DelayLaw() (mgf.Sum, error) {
 	return mgf.NewSum(du, w, down.K, down.Beta)
 }
 
-// Compile stages the multi-server pipeline once: the combined delay law is
-// wrapped for repeated quantile/tail/mean evaluation, so callers needing
-// both a quantile and a mean (the experiments' study tables) build the law a
-// single time.
-func (ms MultiServer) Compile() (*CompiledLaw, error) {
-	law, err := ms.DelayLaw()
+// Compile stages the multi-server pipeline once, as Model.Compile does for
+// one server: the compiled model's Model is the per-server scenario and its
+// law the M/E_K/1 one, so RTTQuantile, MeanRTT and Decompose serve S
+// servers with no code of their own.
+func (ms MultiServer) Compile() (*CompiledModel, error) {
+	law, err := ms.delayLaw()
 	if err != nil {
 		return nil, err
 	}
-	return newCompiledLaw(law), nil
+	return &CompiledModel{Model: ms.PerServer, law: CompiledLaw{law}}, nil
 }
 
 // String summarizes the scenario.

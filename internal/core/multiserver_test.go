@@ -44,11 +44,11 @@ func TestMultiServerValidation(t *testing.T) {
 func TestMultiServerErlangOrderLimit(t *testing.T) {
 	ms := multiServerScenario(4, 20)
 	ms.PerServer.ErlangOrder = MaxErlangOrder
-	law, err := ms.Compile()
+	cm, err := ms.Compile()
 	if err != nil {
 		t.Fatalf("K=%d: %v", MaxErlangOrder, err)
 	}
-	if _, err := law.Quantile(0.99999); err != nil {
+	if _, err := cm.RTTQuantile(); err != nil {
 		t.Errorf("K=%d: quantile: %v", MaxErlangOrder, err)
 	}
 	ms.PerServer.ErlangOrder = MaxErlangOrder + 1
@@ -85,15 +85,14 @@ func TestMultiServerRTTBehaviour(t *testing.T) {
 		if math.Abs(down.Load()-0.5) > 1e-9 {
 			t.Fatalf("S=%d: aggregate load %v", servers, down.Load())
 		}
-		cl, err := ms.Compile()
+		cm, err := ms.Compile()
 		if err != nil {
 			t.Fatalf("S=%d: %v", servers, err)
 		}
-		q, err := cl.Quantile(ms.PerServer.quantile())
+		q, err := cm.RTTQuantile()
 		if err != nil {
 			t.Fatalf("S=%d: %v", servers, err)
 		}
-		q += ms.PerServer.FixedPart()
 		if q <= 0 {
 			t.Fatalf("S=%d: quantile %v", servers, q)
 		}

@@ -62,37 +62,26 @@ func MultiServerStudy(jobs int) (MultiServerResult, error) {
 
 			// Each row compiles its delay law once; quantile and mean are
 			// evaluations over the compiled pipeline, not separate rebuilds.
+			// S = 1 is the paper's own D/E_K/1 scenario.
 			var c cell
-			var q, mean float64
+			compile := core.MultiServer{PerServer: per, Servers: servers}.Compile
 			if servers == 1 {
-				cm, err := per.Compile()
-				if err != nil {
-					return c, err
-				}
-				if q, err = cm.RTTQuantile(); err != nil {
-					return c, err
-				}
-				if mean, err = cm.MeanRTT(); err != nil {
-					return c, err
-				}
+				compile = per.Compile
 				c.load = per.DownlinkLoad()
-			} else {
-				ms := core.MultiServer{PerServer: per, Servers: servers}
-				cl, err := ms.Compile()
-				if err != nil {
-					return c, err
-				}
-				if q, err = cl.Quantile(per.QuantileLevel()); err != nil {
-					return c, err
-				}
-				q += per.FixedPart()
-				mean = cl.Mean() + per.FixedPart()
+			}
+			cm, err := compile()
+			if err != nil {
+				return c, err
+			}
+			q, err := cm.RTTQuantile()
+			if err != nil {
+				return c, err
 			}
 			c.row = MultiServerRow{
 				Servers:       servers,
 				PerServer:     per.Gamers,
 				QuantileMilli: 1000 * q,
-				MeanMilli:     1000 * mean,
+				MeanMilli:     1000 * cm.MeanRTT(),
 			}
 			return c, nil
 		})

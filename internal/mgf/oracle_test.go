@@ -324,10 +324,11 @@ func oracleCases(t *testing.T) []oracleCase {
 	for _, k := range multiServerOrders {
 		ms := core.MultiServer{PerServer: paperModel(k), Servers: 4}
 		ms.PerServer.Gamers = 20
-		law, err := ms.DelayLaw()
+		cm, err := ms.Compile()
 		if err != nil {
 			t.Fatalf("multi-server K=%d: %v", k, err)
 		}
+		law := cm.Law().Law()
 		name := "multi-server S=4 N=20" // the paper's K = 9
 		if k != 9 {
 			name += fmt.Sprintf(" K=%d", k)

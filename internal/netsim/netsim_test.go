@@ -508,14 +508,14 @@ func TestMultiServerScenarioMatchesModel(t *testing.T) {
 		per.ErlangOrder = 9
 		per.DownlinkAccessRate = 1e9
 		per.Quantile = 0.999
-		cl, err := core.MultiServer{PerServer: per, Servers: servers}.Compile()
+		cm, err := core.MultiServer{PerServer: per, Servers: servers}.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if modelQ, err = cl.Quantile(per.Quantile); err != nil {
+		if modelQ, err = cm.RTTQuantile(); err != nil {
 			t.Fatal(err)
 		}
-		return simQ, modelQ + per.FixedPart()
+		return simQ, modelQ
 	}
 
 	sim4, model4 := run(4, 40)    // aggregate load 53.3%

@@ -2,8 +2,7 @@
 // deterministic fan-out over an indexed job set. Every sweep, replication and
 // artifact in the layers above (internal/experiments, internal/core, the CLI
 // report mode) funnels through Map/TryMap, so one place owns worker-pool
-// sizing, ordered result collection, error aggregation and progress
-// reporting.
+// sizing, ordered result collection and error aggregation.
 //
 // Determinism contract: results are collected by job index, never by
 // completion order, and jobs must derive any randomness from their own index
@@ -72,11 +71,6 @@ type Options struct {
 	// goroutine (no spawning), which keeps single-job callers and the
 	// -jobs=1 CLI path allocation-free.
 	Workers int
-	// Progress, when non-nil, is called after each job completes with the
-	// number of finished jobs and the total. Calls are serialized but
-	// arrive in completion order, so Progress must not be used to build
-	// deterministic output - it is for live reporting only.
-	Progress func(done, total int)
 }
 
 // JobError wraps a job's failure with its index, so aggregated errors name
@@ -123,16 +117,11 @@ func TryMap[T any](n int, o Options, fn func(job int) (T, error)) ([]T, []error)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			out[i], errs[i] = fn(i)
-			if o.Progress != nil {
-				o.Progress(i+1, n)
-			}
 		}
 		return out, errs
 	}
 
 	var next atomic.Int64
-	var mu sync.Mutex // serializes Progress
-	done := 0
 	runJobs := func() {
 		for {
 			i := int(next.Add(1)) - 1
@@ -140,12 +129,6 @@ func TryMap[T any](n int, o Options, fn func(job int) (T, error)) ([]T, []error)
 				return
 			}
 			out[i], errs[i] = fn(i)
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				o.Progress(done, n)
-				mu.Unlock()
-			}
 		}
 	}
 	// The caller is always a worker; add helpers up to this call's cap while

@@ -104,34 +104,6 @@ func TestTryMapKeepsPartialResults(t *testing.T) {
 	}
 }
 
-// TestProgressCountsEveryJob checks the callback fires once per job and ends
-// at (total, total).
-func TestProgressCountsEveryJob(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		var calls atomic.Int64
-		var lastDone atomic.Int64
-		_, err := Map(17, Options{
-			Workers: w,
-			Progress: func(done, total int) {
-				calls.Add(1)
-				if total != 17 {
-					t.Errorf("total = %d", total)
-				}
-				lastDone.Store(int64(done))
-			},
-		}, func(i int) (int, error) { return i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls.Load() != 17 {
-			t.Errorf("workers=%d: %d progress calls", w, calls.Load())
-		}
-		if lastDone.Load() != 17 {
-			t.Errorf("workers=%d: final done = %d", w, lastDone.Load())
-		}
-	}
-}
-
 // TestWorkerCap checks no more than Workers jobs run concurrently.
 func TestWorkerCap(t *testing.T) {
 	const w = 3

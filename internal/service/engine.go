@@ -148,21 +148,13 @@ func (e *Engine) computeRTT(sc scenario.Scenario, key string) (RTTResult, error)
 	if err != nil {
 		return RTTResult{}, err
 	}
-	mean, err := cm.MeanRTT()
-	if err != nil {
-		return RTTResult{}, err
-	}
-	level := sc.Quantile
-	if level == 0 {
-		level = core.DefaultQuantile
-	}
 	out := RTTResult{
 		Scenario:     sc,
 		Gamers:       m.Gamers,
 		DownlinkLoad: m.DownlinkLoad(),
 		UplinkLoad:   m.UplinkLoad(),
-		MeanMs:       1000 * mean,
-		Quantile:     level,
+		MeanMs:       1000 * cm.MeanRTT(),
+		Quantile:     m.QuantileLevel(),
 		QuantileMs:   1000 * comp.Total,
 		Components: ComponentsMs{
 			Serialization: 1000 * comp.Serialization,

@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path"
@@ -43,14 +44,53 @@ var stdlibProbes = map[string][]string{
 // probeImports are the packages stdlibProbes' type expressions name.
 var probeImports = []string{"encoding", "encoding/json", "fmt"}
 
+// perfbenchOnly lists the functions and methods outside perfbench/ that
+// only perfbench's binary reaches, each with the reason perfbench calls it.
+// perfbench times both sides of a comparison with one program, so it
+// changes only in a change of its own; these stay until such a change
+// stops calling them.
+var perfbenchOnly = map[string]string{
+	"internal/queueing.DEK1.SolveFrom": "timed as queueing.solve_from_us; it ignores its argument and runs Solve",
+	"internal/core.LoadGrid":           "builds perfbench's walk grid; the front ends take grids through CheckLoadGrid",
+	"internal/core.CompiledModel.Law":  "hands perfbench the compiled law it times as mgf.quantile_us",
+	"internal/core.CompiledLaw.Law":    "unwraps that law to the mgf.Sum whose Tail perfbench times",
+	"internal/mgf.Sum.Tail":            "timed as mgf.tail_us; the served inversion calls tailDensity",
+}
+
 // TestProductionReachable checks that every top-level function and method
 // in the repository's non-test Go files, perfbench/ included, is reached
 // from a binary or is on reachAllow. Code that only tests call belongs in a
 // _test.go file. What an allowlisted function reaches counts as reached
 // too. loadProgram says how reachability is decided.
+//
+// It walks first from every root outside perfbench/, then adds perfbench's:
+// the functions outside perfbench/ that only the second walk reaches must
+// be exactly perfbenchOnly's keys.
 func TestProductionReachable(t *testing.T) {
 	p := loadProgram(t, ".")
+	p.reachRoots(func(dir string) bool { return !inPerfbench(dir) })
 	p.walk()
+	withoutPerfbench := make(map[string]bool)
+	for key, fn := range p.byKey {
+		withoutPerfbench[key] = fn.reached
+	}
+	p.reachRoots(inPerfbench)
+	p.walk()
+	var only []string
+	for key, fn := range p.byKey {
+		if fn.reached && !withoutPerfbench[key] && !inPerfbench(fn.dir) {
+			only = append(only, key)
+		}
+	}
+	sort.Strings(only)
+	for key, why := range perfbenchOnly {
+		if why == "" {
+			t.Errorf("perfbenchOnly[%q] needs a reason", key)
+		}
+	}
+	if want := slices.Sorted(maps.Keys(perfbenchOnly)); !slices.Equal(only, want) {
+		t.Errorf("reached only from perfbench: %q\nperfbenchOnly: %q", only, want)
+	}
 	for key, why := range reachAllow {
 		fn := p.byKey[key]
 		switch {
@@ -79,6 +119,7 @@ func TestProductionReachable(t *testing.T) {
 // instantiated generic interface, or only by errors.Is, are live.
 func TestReachabilityFixture(t *testing.T) {
 	p := loadProgram(t, "testdata/reach")
+	p.reachRoots(func(string) bool { return true })
 	p.walk()
 	var got []string
 	for _, fn := range p.dead() {
@@ -92,10 +133,22 @@ func TestReachabilityFixture(t *testing.T) {
 
 // funcDecl is one top-level function or method of non-test code.
 type funcDecl struct {
-	key, pos string
-	body     *ast.BlockStmt
-	info     *types.Info
-	reached  bool
+	key, pos, dir string
+	body          *ast.BlockStmt
+	info          *types.Info
+	reached       bool
+}
+
+// root is one reachability root: a main or init function, or a
+// package-level var declaration, in directory dir.
+type root struct {
+	dir   string
+	reach func()
+}
+
+// inPerfbench reports whether dir is perfbench/ or below it.
+func inPerfbench(dir string) bool {
+	return dir == "perfbench" || strings.HasPrefix(dir, "perfbench/")
 }
 
 // program is the type-checked non-test code of every module under a root,
@@ -110,6 +163,7 @@ type program struct {
 
 	funcs map[*types.Func]*funcDecl
 	byKey map[string]*funcDecl
+	roots []root
 	queue []*funcDecl
 
 	probes   map[string][]types.Type // stdlibProbes, type-checked
@@ -121,9 +175,9 @@ type program struct {
 
 // loadProgram type-checks every package of every module under root,
 // skipping testdata and hidden directories, each from source exactly once
-// and with the standard library imported from export data, and reaches the
-// roots: every main and init function and every package-level var
-// declaration.
+// and with the standard library imported from export data, and records the
+// roots, which reachRoots reaches: every main and init function and every
+// package-level var declaration.
 //
 // Reachability follows go/types objects, never names. A reached body
 // reaches every module function and method its identifiers denote, a
@@ -234,6 +288,7 @@ func (p *program) Import(ip string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	rel = filepath.ToSlash(rel)
 	var vars []*ast.GenDecl
 	for _, f := range p.files[dir] {
 		for _, decl := range f.Decls {
@@ -245,14 +300,14 @@ func (p *program) Import(ip string) (*types.Package, error) {
 				continue
 			}
 			obj := info.Defs[d.Name].(*types.Func)
-			fn := &funcDecl{key: filepath.ToSlash(rel) + ".", pos: p.fset.Position(d.Pos()).String(), body: d.Body, info: info}
+			fn := &funcDecl{key: rel + ".", pos: p.fset.Position(d.Pos()).String(), dir: rel, body: d.Body, info: info}
 			p.funcs[obj] = fn
 			if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
 				fn.key += namedOf(recv.Type()).Obj().Name() + "."
 			}
 			fn.key += obj.Name()
 			if obj.Name() == "init" || obj.Name() == "main" && pkg.Name() == "main" {
-				p.reach(fn)
+				p.roots = append(p.roots, root{rel, func() { p.reach(fn) }})
 			} else {
 				p.byKey[fn.key] = fn
 			}
@@ -267,7 +322,7 @@ func (p *program) Import(ip string) (*types.Package, error) {
 		}
 	}
 	for _, d := range vars {
-		p.scan(d, info)
+		p.roots = append(p.roots, root{rel, func() { p.scan(d, info) }})
 	}
 	return pkg, nil
 }
@@ -308,6 +363,15 @@ func stdImporter(t *testing.T, p *program) types.Importer {
 	return importer.ForCompiler(p.fset, "gc", func(ip string) (io.ReadCloser, error) {
 		return os.Open(exports[ip])
 	})
+}
+
+// reachRoots reaches the roots in the directories keep accepts.
+func (p *program) reachRoots(keep func(dir string) bool) {
+	for _, r := range p.roots {
+		if keep(r.dir) {
+			r.reach()
+		}
+	}
 }
 
 // walk propagates reachability until no new function is reached.
