@@ -93,6 +93,16 @@ same scenario definition works on both (see internal/scenario and README).
 `)
 }
 
+// parseScenario parses the command's flags and validates the scenario they
+// set exactly as the daemon validates a request's, so a negative load or a
+// NaN parameter fails here instead of modelling something else.
+func parseScenario(fs *flag.FlagSet, args []string, sc *scenario.Scenario) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return sc.Validate()
+}
+
 // jobsFlag installs the shared -jobs worker-pool flag.
 func jobsFlag(fs *flag.FlagSet) *int {
 	return fs.Int("jobs", runner.DefaultWorkers(),
@@ -151,23 +161,23 @@ func cmdRTT(args []string) error {
 	fs := flag.NewFlagSet("rtt", flag.ExitOnError)
 	sc := scenario.Flags(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseScenario(fs, args, sc); err != nil {
 		return err
 	}
 	return prof.run(func() error {
 		m := sc.Model()
-		comp, err := m.Decompose()
+		cm, err := m.Compile()
 		if err != nil {
 			return err
 		}
-		mean, err := m.MeanRTT()
+		comp, err := cm.Decompose()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("scenario      %s\n", m)
 		fmt.Printf("downlink load %.1f%%   uplink load %.1f%%\n", 100*m.DownlinkLoad(), 100*m.UplinkLoad())
-		fmt.Printf("mean RTT      %8.2f ms\n", 1000*mean)
-		fmt.Printf("RTT quantile  %8.2f ms at %g\n", 1000*comp.Total, m.Quantile)
+		fmt.Printf("mean RTT      %8.2f ms\n", 1000*cm.MeanRTT())
+		fmt.Printf("RTT quantile  %8.2f ms at %g\n", 1000*comp.Total, m.QuantileLevel())
 		fmt.Printf("  serialization  %8.3f ms\n", 1000*comp.Serialization)
 		if comp.Fixed > 0 {
 			fmt.Printf("  fixed          %8.3f ms\n", 1000*comp.Fixed)
@@ -187,7 +197,7 @@ func cmdSweep(args []string) error {
 	step := fs.Float64("step", 0.05, "load step")
 	jobs := jobsFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseScenario(fs, args, sc); err != nil {
 		return err
 	}
 	loads, err := core.CheckLoadGrid(*from, *to, *step)
@@ -213,7 +223,7 @@ func cmdDimension(args []string) error {
 	sc := scenario.Flags(fs)
 	bound := fs.Float64("bound", 50, "RTT bound [ms]")
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseScenario(fs, args, sc); err != nil {
 		return err
 	}
 	return prof.run(func() error {
@@ -328,7 +338,7 @@ func cmdSimulate(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	level := fs.Float64("simq", 0.999, "quantile level to compare (sim needs samples)")
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseScenario(fs, args, &sc); err != nil {
 		return err
 	}
 	return prof.run(func() error {

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -164,5 +165,56 @@ func TestSweepRangeBounded(t *testing.T) {
 	}
 	if lines := strings.Count(string(data), "\n"); lines != 1001 {
 		t.Errorf("1000-point sweep printed %d lines, want a header and 1000 points", lines)
+	}
+}
+
+// TestScenarioCommandsValidate: rtt, sweep, dimension and simulate reject
+// the scenarios the daemon rejects, instead of silently modelling the
+// default population for a negative load or printing a NaN delay.
+func TestScenarioCommandsValidate(t *testing.T) {
+	cmds := map[string]func([]string) error{
+		"rtt": cmdRTT, "sweep": cmdSweep, "dimension": cmdDimension, "simulate": cmdSimulate,
+	}
+	for name, cmd := range cmds {
+		for _, bad := range [][]string{
+			{"-load", "-1"},
+			{"-fixed", "NaN"},
+			{"-q", "NaN"},
+			{"-d", "-5"},
+			{"-k", "201"},
+		} {
+			args := bad
+			if name == "simulate" {
+				args = append([]string{"-duration", "1"}, bad...)
+			}
+			if err := cmd(args); !errors.Is(err, core.ErrBadModel) {
+				t.Errorf("%s %v: err %v, want core.ErrBadModel", name, args, err)
+			}
+		}
+	}
+}
+
+// TestRTTPrintsEffectiveLevel: -q 0 selects the default level, and the
+// report names the level it evaluated, not the flag's 0.
+func TestRTTPrintsEffectiveLevel(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "rtt.txt")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = cmdRTT([]string{"-q", "0"})
+	os.Stdout = stdout
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("ms at %g\n", core.DefaultQuantile); !strings.Contains(string(data), want) {
+		t.Errorf("rtt -q 0 output lacks %q:\n%s", want, data)
 	}
 }

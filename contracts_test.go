@@ -201,6 +201,17 @@ var contracts = []contract{
 		jobs: []string{"verify", "fuzz"},
 	},
 	{
+		id:   "one-outbound-exchange",
+		what: "internal/client is the only non-test code outside perfbench/ that sends HTTP requests, holds an http.Client or http.Transport, or reads a response body; a response body over the client's cap is an error naming the cap, for a JSON answer and a /metrics page alike, and the router, which forwards through the client, fails over on it and answers 502 when no replica's answer fits",
+		tests: []string{
+			".:TestOutboundHTTPOnlyInClient",
+			"internal/client:TestOverCapResponseIsAnError",
+			"internal/cluster:TestRouterRejectsTruncatedReplicaBody",
+			"internal/cluster:TestRouterFailsOverOnTruncatedReplicaBody",
+		},
+		jobs: []string{"verify"},
+	},
+	{
 		id:   "exact-lru",
 		what: "the memo cache holds exactly its capacity, evicts the cache-wide least recently used entry, and a snapshot restores whole in the same eviction order",
 		tests: []string{

@@ -1,10 +1,11 @@
 // Package client is the typed Go client for fpspingd: one method per
 // endpoint (RTT, Batch, Sweep, Dimension, Models, Health, Metrics) plus the
-// generic Do primitive they are built on. Requests and responses are the
-// daemon's own wire types — scenario.Scenario going out, the service
-// package's result structs coming back — so client and server cannot drift
-// apart, and a value that round-trips through the daemon is the value the
-// engine computed.
+// generic Do primitive they are built on. Under Do sits Exchange, the one
+// outbound HTTP exchange, which fpsrouter forwards through too. Requests
+// and responses are the daemon's own wire types — scenario.Scenario going
+// out, the service package's result structs coming back — so client and
+// server cannot drift apart, and a value that round-trips through the
+// daemon is the value the engine computed.
 //
 // A Client is safe for concurrent use and reuses connections: the default
 // transport keeps enough idle keep-alive connections per host for a load
@@ -33,9 +34,11 @@ import (
 // inversions, so the default is generous.
 const DefaultTimeout = 60 * time.Second
 
-// maxResponseBytes bounds response bodies read into memory; the largest
-// legitimate response (a few thousand batch items) stays far below it.
-const maxResponseBytes = 64 << 20
+// MaxResponseBytes caps a response body read into memory; the largest
+// legitimate response (a few thousand batch items) stays far below it. A
+// body over the cap is an error, never a silently truncated answer. A
+// variable so tests can lower it instead of serving 64 MiB.
+var MaxResponseBytes int64 = 64 << 20
 
 // Client talks to one fpspingd base URL.
 type Client struct {
@@ -97,45 +100,62 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("fpspingd: %s (HTTP %d)", e.Message, e.StatusCode)
 }
 
-// raw performs one request and returns the response body and header.
-// Non-2xx statuses decode the daemon's error envelope into an *APIError.
-func (c *Client) raw(ctx context.Context, method, path string, body any) ([]byte, http.Header, error) {
+// Response is one exchange's answer, whatever its status.
+type Response struct {
+	Status int
+	Header http.Header
+	Body   []byte
+}
+
+// Exchange performs one request against path (query strings allowed) and
+// reads the whole answer for any status. A non-empty body is sent as
+// contentType. A response body over MaxResponseBytes is an error naming the
+// cap. Every outbound request of the daemon's clients, the router's
+// forwarding included, goes through it.
+func (c *Client) Exchange(ctx context.Context, method, path, contentType string, body []byte) (Response, error) {
 	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("client: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(data)
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: %w", err)
+		return Response{}, fmt.Errorf("client: %w", err)
 	}
-	req.Header.Set("Accept", "application/json")
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if rd != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+		return Response{}, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	res := Response{Status: resp.StatusCode, Header: resp.Header}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBytes+1))
 	if err != nil {
-		return nil, resp.Header, fmt.Errorf("client: reading %s response: %w", path, err)
+		return res, fmt.Errorf("client: reading %s response: %w", path, err)
 	}
-	if resp.StatusCode/100 != 2 {
-		var envelope struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &envelope) == nil && envelope.Error != "" {
-			msg = envelope.Error
-		}
-		return data, resp.Header, &APIError{StatusCode: resp.StatusCode, Message: msg}
+	if int64(len(data)) > MaxResponseBytes {
+		return res, fmt.Errorf("client: %s%s response over the %d-byte cap", c.base, path, MaxResponseBytes)
 	}
-	return data, resp.Header, nil
+	res.Body = data
+	return res, nil
+}
+
+// call is Exchange with a non-2xx answer turned into an *APIError carrying
+// the daemon's error envelope message.
+func (c *Client) call(ctx context.Context, method, path, contentType string, body []byte) (Response, error) {
+	res, err := c.Exchange(ctx, method, path, contentType, body)
+	if err != nil || res.Status/100 == 2 {
+		return res, err
+	}
+	var envelope struct {
+		Error string `json:"error"`
+	}
+	msg := strings.TrimSpace(string(res.Body))
+	if json.Unmarshal(res.Body, &envelope) == nil && envelope.Error != "" {
+		msg = envelope.Error
+	}
+	return res, &APIError{StatusCode: res.Status, Message: msg}
 }
 
 // Do performs one JSON request against path ("/v1/rtt", query strings
@@ -144,16 +164,29 @@ func (c *Client) raw(ctx context.Context, method, path string, body any) ([]byte
 // response header is returned either way so callers can read CacheHeader.
 // The typed endpoint methods below are Do with the wire types filled in.
 func (c *Client) Do(ctx context.Context, method, path string, body, out any) (http.Header, error) {
-	data, header, err := c.raw(ctx, method, path, body)
-	if err != nil {
-		return header, err
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return header, fmt.Errorf("client: decoding %s response: %w", path, err)
+	var data []byte
+	if body != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
+			return nil, fmt.Errorf("client: encoding request: %w", err)
 		}
 	}
-	return header, nil
+	res, err := c.call(ctx, method, path, "application/json", data)
+	if err != nil {
+		return res.Header, err
+	}
+	return res.Header, decode(path, res.Body, out)
+}
+
+// decode unmarshals a 2xx response body into out when out is non-nil.
+func decode(path string, data []byte, out any) error {
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("client: decoding %s response: %w", path, err)
+	}
+	return nil
 }
 
 // cachedHeader reads the daemon's cache disposition from a response header.
@@ -218,11 +251,11 @@ func (c *Client) Health(ctx context.Context) (service.Health, error) {
 // instrumented by the daemon, so snapshotting around a run does not distort
 // the counters it reads.
 func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
-	data, _, err := c.raw(ctx, http.MethodGet, "/metrics", nil)
+	res, err := c.call(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		return MetricsSnapshot{}, err
 	}
-	return ParseMetrics(data)
+	return ParseMetrics(res.Body)
 }
 
 // WaitReady polls /healthz until the daemon answers and reports Ready, the

@@ -280,3 +280,35 @@ func TestDoGenericQueryPath(t *testing.T) {
 		t.Errorf("decoded %+v", res)
 	}
 }
+
+// TestOverCapResponseIsAnError: a JSON answer or a /metrics page longer
+// than the response cap is an error naming the cap, never a silently
+// truncated answer or a partial snapshot.
+func TestOverCapResponseIsAnError(t *testing.T) {
+	old := MaxResponseBytes
+	MaxResponseBytes = 1024
+	t.Cleanup(func() { MaxResponseBytes = old })
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			// Comment lines parse at any cut, so a truncated page would
+			// pass as an empty snapshot.
+			w.Write([]byte(strings.Repeat("# padding\n", 200)))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"status":"ok","pad":"` + strings.Repeat("x", 2000) + `"}`))
+	}))
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, jsonErr := c.Health(ctx)
+	_, metricsErr := c.Metrics(ctx)
+	for name, err := range map[string]error{"JSON": jsonErr, "/metrics": metricsErr} {
+		if err == nil || !strings.Contains(err.Error(), "1024-byte cap") {
+			t.Errorf("over-cap %s response: err = %v, want one naming the 1024-byte cap", name, err)
+		}
+	}
+}

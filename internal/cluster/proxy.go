@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,12 +8,12 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"fpsping/internal/client"
 	"fpsping/internal/metrics"
 	"fpsping/internal/service"
 )
@@ -22,10 +21,6 @@ import (
 // ReplicaHeader names the response header the router adds carrying the
 // replica that answered — the observable trace of every routing decision.
 const ReplicaHeader = "X-Fpsping-Replica"
-
-// maxReplicaBody bounds buffered replica responses. A variable so the
-// truncation regression test can lower it instead of serving 64 MB.
-var maxReplicaBody int64 = 64 << 20
 
 // RouterConfig parameterizes a Router.
 type RouterConfig struct {
@@ -58,12 +53,6 @@ type RouterConfig struct {
 func (c *RouterConfig) normalize() error {
 	if len(c.Replicas) == 0 {
 		return errors.New("cluster: router needs at least one replica")
-	}
-	for _, r := range c.Replicas {
-		u, err := url.Parse(r)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return fmt.Errorf("cluster: replica %q must be http(s)://host[:port]", r)
-		}
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyAffinity
@@ -139,6 +128,7 @@ func (b *breaker) State(now time.Time) string {
 // replicaState is the router's live view of one replica.
 type replicaState struct {
 	name     string
+	cli      *client.Client
 	alive    atomic.Bool
 	ready    atomic.Bool
 	readyGen atomic.Uint64
@@ -161,7 +151,6 @@ type Router struct {
 	cfg      RouterConfig
 	ring     *Ring
 	policy   Policy
-	hc       *http.Client
 	replicas []*replicaState
 	rr       atomic.Uint64 // round-robin cursor for key-less forwarding
 
@@ -188,22 +177,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Router{
-		cfg:    cfg,
-		ring:   ring,
-		policy: pol,
-		hc: &http.Client{
-			Timeout: cfg.Timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 256,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
-		rec: metrics.NewRecorder(),
-	}
+	rt := &Router{cfg: cfg, ring: ring, policy: pol, rec: metrics.NewRecorder()}
 	for _, name := range cfg.Replicas {
-		st := &replicaState{name: name}
+		cli, err := client.New(name, client.WithTimeout(cfg.Timeout))
+		if err != nil {
+			return nil, err
+		}
+		st := &replicaState{name: name, cli: cli}
 		st.alive.Store(true)
 		st.ready.Store(true)
 		st.lastErr.Store("")
@@ -247,27 +227,10 @@ func (rt *Router) CheckReplicas(ctx context.Context) {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, st.name+"/healthz", nil)
+			h, err := st.cli.Health(pctx)
 			if err != nil {
 				st.alive.Store(false)
 				st.lastErr.Store(err.Error())
-				return
-			}
-			resp, err := rt.hc.Do(req)
-			if err != nil {
-				st.alive.Store(false)
-				st.lastErr.Store(err.Error())
-				return
-			}
-			defer resp.Body.Close()
-			var h service.Health
-			data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			if err == nil {
-				err = json.Unmarshal(data, &h)
-			}
-			if err != nil || resp.StatusCode != http.StatusOK {
-				st.alive.Store(false)
-				st.lastErr.Store(fmt.Sprintf("healthz status %d", resp.StatusCode))
 				return
 			}
 			st.alive.Store(true)
@@ -367,9 +330,7 @@ func (rt *Router) order(candidates []int, now time.Time) []int {
 
 // forwardResult is one replica's answer to a forwarded request.
 type forwardResult struct {
-	status  int
-	header  http.Header
-	body    []byte
+	client.Response
 	replica int
 }
 
@@ -387,13 +348,12 @@ func (rt *Router) tryOrder(ctx context.Context, candidates []int, method, path, 
 		}
 		st := rt.replicas[idx]
 		res, err := rt.forwardOne(ctx, st, method, path, rawQuery, body)
-		if err == nil && res.status < http.StatusInternalServerError {
+		if err == nil && res.Status < http.StatusInternalServerError {
 			st.breaker.Success()
-			res.replica = idx
-			return res, nil
+			return forwardResult{res, idx}, nil
 		}
 		if err == nil {
-			err = fmt.Errorf("replica %s answered %d", st.name, res.status)
+			err = fmt.Errorf("replica %s answered %d", st.name, res.Status)
 		}
 		st.errors.Add(1)
 		st.lastErr.Store(err.Error())
@@ -404,58 +364,31 @@ func (rt *Router) tryOrder(ctx context.Context, candidates []int, method, path, 
 	return forwardResult{}, fmt.Errorf("cluster: no replica answered %s: %w", path, lastErr)
 }
 
-// forwardOne sends the buffered request to one replica.
-func (rt *Router) forwardOne(ctx context.Context, st *replicaState, method, path, rawQuery string, body []byte) (forwardResult, error) {
-	target := st.name + path
+// forwardOne sends the buffered request to one replica, counting it in
+// the replica's in-flight and request totals. An over-cap answer is an
+// error, so tryOrder fails over instead of relaying a truncated body.
+func (rt *Router) forwardOne(ctx context.Context, st *replicaState, method, path, rawQuery string, body []byte) (client.Response, error) {
 	if rawQuery != "" {
-		target += "?" + rawQuery
-	}
-	var rd io.Reader
-	if len(body) > 0 {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, target, rd)
-	if err != nil {
-		return forwardResult{}, err
-	}
-	req.Header.Set("Accept", "application/json")
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
+		path += "?" + rawQuery
 	}
 	st.inflight.Add(1)
 	st.requests.Add(1)
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		st.inflight.Add(-1)
-		return forwardResult{}, err
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReplicaBody+1))
-	resp.Body.Close()
-	st.inflight.Add(-1)
-	if err != nil {
-		return forwardResult{}, err
-	}
-	if int64(len(data)) > maxReplicaBody {
-		// Forwarding the first maxReplicaBody bytes as a complete body would
-		// hand the client a silently truncated answer; treat the oversized
-		// response as a transport failure so tryOrder fails over.
-		return forwardResult{}, fmt.Errorf("replica %s response over %d bytes", st.name, maxReplicaBody)
-	}
-	return forwardResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	defer st.inflight.Add(-1)
+	return st.cli.Exchange(ctx, method, path, "application/json", body)
 }
 
 // copyResponse relays a replica's answer, preserving its bytes and cache
 // disposition and stamping which replica answered.
 func (rt *Router) copyResponse(w http.ResponseWriter, res forwardResult) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
+	if ct := res.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if cache := res.header.Get(service.CacheHeader); cache != "" {
+	if cache := res.Header.Get(service.CacheHeader); cache != "" {
 		w.Header().Set(service.CacheHeader, cache)
 	}
 	w.Header().Set(ReplicaHeader, rt.replicas[res.replica].name)
-	w.WriteHeader(res.status)
-	w.Write(res.body)
+	w.WriteHeader(res.Status)
+	w.Write(res.Body)
 }
 
 // keyed routes one single-scenario endpoint by the canonical key of the
@@ -487,7 +420,7 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, candidates []int
 		return false
 	}
 	rt.copyResponse(w, res)
-	return res.header.Get(service.CacheHeader) == "hit"
+	return res.Header.Get(service.CacheHeader) == "hit"
 }
 
 // handleBatch splits a batch by per-item canonical key so every item lands
@@ -557,8 +490,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) (bool, err
 				return
 			}
 			subs[gi].fwd = fwd
-			if fwd.status == http.StatusOK {
-				subs[gi].err = json.Unmarshal(fwd.body, &subs[gi].res)
+			if fwd.Status == http.StatusOK {
+				subs[gi].err = json.Unmarshal(fwd.Body, &subs[gi].res)
 			}
 		}(gi, groups[owner])
 	}
@@ -571,7 +504,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) (bool, err
 			service.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: batch shard: %w", sub.err))
 			return false, nil
 		}
-		if sub.fwd.status != http.StatusOK {
+		if sub.fwd.Status != http.StatusOK {
 			// An authoritative non-200 from a replica answers the whole batch.
 			rt.copyResponse(w, sub.fwd)
 			return false, nil

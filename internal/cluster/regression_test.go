@@ -7,10 +7,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fpsping/internal/client"
 )
 
-// oversizedReplica answers /v1/rtt with a body larger than the router's
-// replica-response cap.
+// oversizedReplica answers /v1/rtt with a body of the given size, larger
+// than the response cap the router's forwarding reads through.
 func oversizedReplica(t *testing.T, size int) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -21,22 +23,24 @@ func oversizedReplica(t *testing.T, size int) *httptest.Server {
 	return srv
 }
 
-// capReplicaBody lowers the replica-response cap for the duration of the
-// test so an "oversized" body is kilobytes, not 64 MB.
+// capReplicaBody lowers the client's response cap, which the router's
+// forwarding reads through, for the duration of the test so an
+// "oversized" body is kilobytes, not 64 MB.
 func capReplicaBody(t *testing.T, n int64) {
 	t.Helper()
-	old := maxReplicaBody
-	maxReplicaBody = n
-	t.Cleanup(func() { maxReplicaBody = old })
+	old := client.MaxResponseBytes
+	client.MaxResponseBytes = n
+	t.Cleanup(func() { client.MaxResponseBytes = old })
 }
 
-// TestRouterRejectsTruncatedReplicaBody pins the over-limit check in
-// forwardOne: a replica response at the cap used to be silently truncated
-// and forwarded as a complete body; it must instead be a transport error —
-// a 502 when no other replica can answer.
+// TestRouterRejectsTruncatedReplicaBody pins the over-limit check the
+// router's forwarding gets from client.Exchange: a replica response at the
+// cap used to be silently truncated and forwarded as a complete body; it
+// must instead be a transport error — a 502 when no other replica can
+// answer.
 func TestRouterRejectsTruncatedReplicaBody(t *testing.T) {
 	capReplicaBody(t, 4096)
-	big := oversizedReplica(t, int(maxReplicaBody)+100)
+	big := oversizedReplica(t, int(client.MaxResponseBytes)+100)
 	rt, err := NewRouter(RouterConfig{Replicas: []string{big.URL}, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +62,7 @@ func TestRouterRejectsTruncatedReplicaBody(t *testing.T) {
 // body wins.
 func TestRouterFailsOverOnTruncatedReplicaBody(t *testing.T) {
 	capReplicaBody(t, 4096)
-	big := oversizedReplica(t, int(maxReplicaBody)+100)
+	big := oversizedReplica(t, int(client.MaxResponseBytes)+100)
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"replica":"good"}`))

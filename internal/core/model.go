@@ -31,10 +31,11 @@ const DefaultQuantile = 0.99999
 // MaxErlangOrder is the largest burst-size Erlang order K a model accepts.
 // It bounds the cost of one evaluation: K sets the number of D/E_K/1 roots
 // and the length of the position ladder, so a cold RTT quantile costs
-// O(K^2) per tail evaluation on top of a K-root solve. At K = 200 one cold
-// /v1/rtt costs up to ~30 ms on a 2-vCPU VM, while K = 1000 costs ~270 ms;
-// from K ~ 180 the D/E_K/1 waiting law already fails validation at high
-// loads, and at K = 400 at most loads.
+// O(K^2) per tail evaluation on top of a K-root solve. On a 2-vCPU VM a
+// cold Decompose of the reference scenario at K = 200 takes ~0.1 ms at
+// load 0.1 and 1.6-2.7 ms at loads 0.3-0.98. Every law of that scenario
+// over K 2-200 and loads 0.01-0.99 in steps of 0.01 (19,701 laws) passes
+// validation and is served.
 const MaxErlangOrder = 200
 
 // ErrBadModel reports invalid model parameters.
@@ -101,7 +102,7 @@ func (m Model) Validate() error {
 		return fmt.Errorf("%w: server packet %g bytes", ErrBadModel, m.ServerPacketBytes)
 	case !(m.BurstInterval > 0):
 		return fmt.Errorf("%w: burst interval %g", ErrBadModel, m.BurstInterval)
-	case m.ClientInterval < 0:
+	case !(m.ClientInterval >= 0):
 		return fmt.Errorf("%w: client interval %g", ErrBadModel, m.ClientInterval)
 	case !(m.UplinkAccessRate > 0) || !(m.DownlinkAccessRate > 0) || !(m.AggregateRate > 0):
 		return fmt.Errorf("%w: rates up=%g down=%g agg=%g", ErrBadModel,
@@ -110,9 +111,9 @@ func (m Model) Validate() error {
 		return fmt.Errorf("%w: Erlang order %d (the uniform position law needs K >= 2)", ErrBadModel, m.ErlangOrder)
 	case m.ErlangOrder > MaxErlangOrder:
 		return fmt.Errorf("%w: Erlang order %d above %d", ErrBadModel, m.ErlangOrder, MaxErlangOrder)
-	case m.Quantile < 0 || m.Quantile >= 1:
+	case !(m.Quantile >= 0 && m.Quantile < 1):
 		return fmt.Errorf("%w: quantile %g", ErrBadModel, m.Quantile)
-	case m.FixedDelay < 0:
+	case !(m.FixedDelay >= 0):
 		return fmt.Errorf("%w: fixed delay %g", ErrBadModel, m.FixedDelay)
 	}
 	return nil

@@ -54,6 +54,34 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNaN: every parameter rejects NaN, which slips
+// through an ordered comparison such as x < 0.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		set  func(*Model)
+	}{
+		{"gamers", func(m *Model) { m.Gamers = nan }},
+		{"client packet", func(m *Model) { m.ClientPacketBytes = nan }},
+		{"server packet", func(m *Model) { m.ServerPacketBytes = nan }},
+		{"burst interval", func(m *Model) { m.BurstInterval = nan }},
+		{"client interval", func(m *Model) { m.ClientInterval = nan }},
+		{"uplink rate", func(m *Model) { m.UplinkAccessRate = nan }},
+		{"downlink rate", func(m *Model) { m.DownlinkAccessRate = nan }},
+		{"aggregate rate", func(m *Model) { m.AggregateRate = nan }},
+		{"quantile", func(m *Model) { m.Quantile = nan }},
+		{"fixed delay", func(m *Model) { m.FixedDelay = nan }},
+	} {
+		m := figure3Model(9)
+		m.Gamers = 40
+		tc.set(&m)
+		if err := m.Validate(); !errors.Is(err, ErrBadModel) {
+			t.Errorf("%s NaN: err %v, want ErrBadModel", tc.name, err)
+		}
+	}
+}
+
 func TestLoadsMatchEquation37(t *testing.T) {
 	m := figure3Model(9)
 	m.Gamers = 100

@@ -3,9 +3,9 @@ package memo
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // errMiss is the failure get's compute returns, so a miss caches nothing.
@@ -172,20 +172,40 @@ func TestDoErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestDoPanicDoesNotWedgeKey pins panic safety: a compute that panics still
-// retires its flight entry (the panic propagates to its caller), joiners of
-// the doomed flight get an error rather than a zero-value success, and the
-// key stays answerable afterwards.
+// TestDoPanicDoesNotWedgeKey: a panicking compute reaches the leader's
+// caller, hands its joiner an error instead of a zero success, and leaves
+// the key computable. The leader panics only once the joiner has counted
+// its miss, which Do does under the lock it finds the flight with, so the
+// joiner always joins. Every wait is bounded: a Do that blocks after the
+// panic fails the test instead of hanging it.
 func TestDoPanicDoesNotWedgeKey(t *testing.T) {
 	c := New[int](8, 2)
-	joined := make(chan struct{})
-	joinerDone := make(chan error, 1)
-	go func() {
-		// Joins the panicking leader's flight once it is registered.
-		<-joined
-		_, _, err := c.Do("k", func() (int, error) { return 7, nil })
-		joinerDone <- err
-	}()
+	type result struct {
+		v      int
+		shared bool
+		err    error
+	}
+	do := func(v int) <-chan result {
+		ch := make(chan result, 1)
+		go func() {
+			var r result
+			r.v, r.shared, r.err = c.Do("k", func() (int, error) { return v, nil })
+			ch <- r
+		}()
+		return ch
+	}
+	wait := func(what string, ch <-chan result) result {
+		t.Helper()
+		select {
+		case r := <-ch:
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Do still blocked after 5s", what)
+			return result{}
+		}
+	}
+
+	var joiner <-chan result
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -193,24 +213,20 @@ func TestDoPanicDoesNotWedgeKey(t *testing.T) {
 			}
 		}()
 		c.Do("k", func() (int, error) {
-			close(joined)
-			// Give the joiner a beat to register on the flight; even if it
-			// misses the window and recomputes instead, it must not hang.
-			for i := 0; i < 1000; i++ {
-				runtime.Gosched()
+			joiner = do(7)
+			for deadline := time.Now().Add(5 * time.Second); c.Stats().Misses < 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("joiner never reached the flight")
+				}
 			}
 			panic("boom")
 		})
 	}()
-	if err := <-joinerDone; err != nil {
-		// A joiner of the panicked flight sees an error — acceptable; a
-		// late arrival recomputes and succeeds — also acceptable. Either
-		// way the next call must work:
-		t.Logf("joiner observed: %v", err)
+	if r := wait("joiner", joiner); r.err == nil || !r.shared {
+		t.Errorf("joiner of the panicked flight: v=%d shared=%v err=%v, want a shared error", r.v, r.shared, r.err)
 	}
-	v, _, err := c.Do("k", func() (int, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("key wedged after panic: v=%d err=%v", v, err)
+	if r := wait("next call", do(42)); r.err != nil || r.v != 42 {
+		t.Fatalf("key wedged after panic: v=%d err=%v", r.v, r.err)
 	}
 }
 

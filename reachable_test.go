@@ -160,6 +160,7 @@ type program struct {
 	dirs  map[string]string      // import path -> directory, module packages
 	files map[string][]*ast.File // directory -> parsed non-test files
 	pkgs  map[string]*types.Package
+	infos map[string]*types.Info // root-relative directory -> type info
 
 	funcs map[*types.Func]*funcDecl
 	byKey map[string]*funcDecl
@@ -196,6 +197,7 @@ func loadProgram(t *testing.T, root string) *program {
 		dirs:   make(map[string]string),
 		files:  make(map[string][]*ast.File),
 		pkgs:   make(map[string]*types.Package),
+		infos:  make(map[string]*types.Info),
 		funcs:  make(map[*types.Func]*funcDecl),
 		byKey:  make(map[string]*funcDecl),
 		seen:   make(map[types.Type]bool),
@@ -289,6 +291,7 @@ func (p *program) Import(ip string) (*types.Package, error) {
 		return nil, err
 	}
 	rel = filepath.ToSlash(rel)
+	p.infos[rel] = info
 	var vars []*ast.GenDecl
 	for _, f := range p.files[dir] {
 		for _, decl := range f.Decls {
