@@ -93,6 +93,17 @@ var contracts = []contract{
 		jobs: []string{"verify", "fuzz"},
 	},
 	{
+		id:   "negligible-wait-is-atom",
+		what: "the D/E_K/1 wait W is the unit atom exactly where one rule of (K, rho) decided before any root is solved says so, B = P(B > T) + r^2/(1 - r) <= 4e-15 with r = (e^{1-1/rho}/rho)^K: over K 2-200 x rho 0.001-0.999 in steps of 0.001 plus the rule's boundary at each K, every law that |zeta_1| < 1e-8 or zeta_1^K = 0 made the unit atom is dropped, no kept law has a solved |zeta_j^K| below 2^-1022, and every dropped W is exactly the unit atom, whose quantile (the BurstWait component) is 0 at levels 0.99-0.999999, from a DEK1.WaitMix that allocates nothing; for dropped laws at K 2-200 up to the boundary, P(W > 0) from the 256-bit oracle roots with the eq.-(27) weights is at most 4e-15; at the boundary law of every K the reference scenario's RTT quantile at levels 0.99-0.999999 and its mean RTT move by at most 1e-12 relative against W's eq.-(27) law; a fuzzed kept law passes Validate",
+		tests: []string{
+			"internal/queueing:TestNegligibleWaitIsAtom",
+			"internal/queueing:TestNegligibleWaitMatchesOracle",
+			"internal/queueing:TestNegligibleWaitKeepsAnswers",
+			"internal/queueing:FuzzNegligibleWaitIsAtom",
+		},
+		jobs: []string{"verify", "fuzz"},
+	},
+	{
 		id:   "conjugate-fold",
 		what: "the D/E_K/1 and M/E_K/1 wait laws stored one term per conjugate pair evaluate as their expansions over K 1-200 x rho 1e-6-0.98: mass, mean, tail and density within 1e-13 of the sum of their terms' magnitudes, each quantile within Mix.Quantile's 1e-12(1+x) (for M/E_K/1 plus the shift that tail noise makes at its positive density), and the tail of a Sum over it within 1e-13 relative; their imaginary mass is exactly 0",
 		tests: []string{

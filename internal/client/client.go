@@ -268,12 +268,16 @@ func (c *Client) WaitReady(ctx context.Context, timeout time.Duration) error {
 	defer cancel()
 	var lastErr error
 	for {
-		var h service.Health
-		if h, lastErr = c.Health(ctx); lastErr == nil && h.Ready {
+		h, err := c.Health(ctx)
+		switch {
+		case err == nil && h.Ready:
 			return nil
-		}
-		if lastErr == nil {
+		case err == nil:
 			lastErr = fmt.Errorf("daemon alive but not ready (status %q, generation %d)", h.Status, h.ReadyGeneration)
+		case ctx.Err() == nil || lastErr == nil:
+			// A poll the deadline cut short says nothing about the daemon:
+			// the last answer it gave stays the reason.
+			lastErr = err
 		}
 		select {
 		case <-ctx.Done():

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"strings"
 
 	"fpsping/internal/dist"
+	"fpsping/internal/memo"
 	"fpsping/internal/netsim"
 	"fpsping/internal/runner"
 	"fpsping/internal/stats"
@@ -146,40 +146,6 @@ func (c SimConfig) workload() []simRequest {
 	return wl
 }
 
-// simLRU is a minimal deterministic LRU set (capacity 0 = unlimited).
-type simLRU struct {
-	capacity int
-	order    *list.List
-	index    map[string]*list.Element
-}
-
-func newSimLRU(capacity int) *simLRU {
-	return &simLRU{capacity: capacity, order: list.New(), index: make(map[string]*list.Element)}
-}
-
-// touch reports whether key is cached, marking it most-recently-used.
-func (l *simLRU) touch(key string) bool {
-	el, ok := l.index[key]
-	if ok {
-		l.order.MoveToFront(el)
-	}
-	return ok
-}
-
-// put inserts key, evicting the least-recently-used entry over capacity.
-func (l *simLRU) put(key string) {
-	if el, ok := l.index[key]; ok {
-		l.order.MoveToFront(el)
-		return
-	}
-	l.index[key] = l.order.PushFront(key)
-	if l.capacity > 0 && l.order.Len() > l.capacity {
-		oldest := l.order.Back()
-		l.order.Remove(oldest)
-		delete(l.index, oldest.Value.(string))
-	}
-}
-
 // ReplicaSim is one replica's slice of a simulation.
 type ReplicaSim struct {
 	Requests int `json:"requests"`
@@ -214,7 +180,7 @@ type SimResult struct {
 type simReplica struct {
 	busy  bool
 	queue []simQueued
-	cache *simLRU
+	cache *memo.Cache[struct{}]
 	stats ReplicaSim
 }
 
@@ -231,10 +197,17 @@ type simQueued struct {
 // service start.
 func SimulatePolicy(cfg SimConfig, pol Policy, wl []simRequest) SimResult {
 	eng := netsim.NewEngine()
+	// Each replica's LRU is the daemon's own (memo.Cache). An unlimited one
+	// never holds more keys than the workload has requests.
+	capacity := cfg.CacheCapacity
+	if capacity < 1 {
+		capacity = len(wl)
+	}
 	reps := make([]*simReplica, cfg.Replicas)
 	for i := range reps {
-		reps[i] = &simReplica{cache: newSimLRU(cfg.CacheCapacity)}
+		reps[i] = &simReplica{cache: memo.New[struct{}](capacity, 1)}
 	}
+	compute := func() (struct{}, error) { return struct{}{}, nil }
 	res := SimResult{Policy: pol.Name(), Requests: len(wl)}
 	sojourns := make([]float64, 0, len(wl))
 
@@ -242,14 +215,13 @@ func SimulatePolicy(cfg SimConfig, pol Policy, wl []simRequest) SimResult {
 	start = func(rep *simReplica, q simQueued) {
 		rep.busy = true
 		svc := cfg.ColdService
-		if rep.cache.touch(q.key) {
+		if _, hit, _ := rep.cache.Do(q.key, compute); hit {
 			rep.stats.Hits++
 			res.Hits++
 			svc = cfg.HotService
 		} else {
 			rep.stats.Computes++
 			res.Computes++
-			rep.cache.put(q.key)
 		}
 		eng.Schedule(svc, func() {
 			sojourns = append(sojourns, eng.Now()-q.arrival)

@@ -145,10 +145,16 @@ func TestCompiledEvaluatorAllocs(t *testing.T) {
 // concurrent use because it is immutable: at K = 9 and at K = 200, where
 // each tail pass takes heap scratch, 8 goroutines calling RTTQuantile,
 // Decompose and MeanRTT on one model get the bits of a serial evaluation
-// of the same scenario. The race job runs it.
+// of the same scenario. K = 200 runs at load 0.5, where the burst wait is
+// the unit atom, and at 0.75, where it keeps its poles. The race job runs
+// it.
 func TestCompiledModelConcurrentUse(t *testing.T) {
-	for _, k := range []int{9, 200} {
-		m := figure3Model(k).WithDownlinkLoad(0.5)
+	for _, c := range []struct {
+		k   int
+		rho float64
+	}{{9, 0.5}, {200, 0.5}, {200, 0.75}} {
+		k := c.k
+		m := figure3Model(k).WithDownlinkLoad(c.rho)
 		wantQ, err := m.RTTQuantile()
 		if err != nil {
 			t.Fatal(err)
@@ -189,11 +195,14 @@ func TestCompiledModelConcurrentUse(t *testing.T) {
 
 // TestCompileAllocsFlatInK pins that Compile builds each factor law in one
 // piece: its allocation count does not grow with the Erlang order. W is
-// one set of poles and weights, and P is built once from (K, beta).
+// one set of poles and weights, and P is built once from (K, beta). The
+// load, 0.75, is one where W keeps its poles at every K: at 0.5, W at
+// K = 200 is the unit atom (queueing's negligible-wait rule) and Compile
+// allocates less.
 func TestCompileAllocsFlatInK(t *testing.T) {
 	counts := map[int]float64{}
 	for _, k := range []int{9, 28, 200} {
-		m := figure3Model(k).WithDownlinkLoad(0.5)
+		m := figure3Model(k).WithDownlinkLoad(0.75)
 		if _, err := m.Compile(); err != nil {
 			t.Fatal(err)
 		}

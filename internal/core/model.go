@@ -33,7 +33,8 @@ const DefaultQuantile = 0.99999
 // and the length of the position ladder, so a cold RTT quantile costs
 // O(K^2) per tail evaluation on top of a K-root solve. On a 2-vCPU VM a
 // cold Decompose of the reference scenario at K = 200 takes ~0.1 ms at
-// load 0.1 and 1.6-2.7 ms at loads 0.3-0.98. Every law of that scenario
+// loads up to 0.6, where the burst wait is the unit atom and no root is
+// solved, and 1.6-2.7 ms at loads 0.65-0.98. Every law of that scenario
 // over K 2-200 and loads 0.01-0.99 in steps of 0.01 (19,701 laws) passes
 // validation and is served.
 const MaxErlangOrder = 200

@@ -139,8 +139,8 @@ func FuzzWaitMixPolesDistinct(f *testing.F) {
 	f.Add(uint8(198), 0.95, false)
 	f.Add(uint8(150), 0.25, false)
 	f.Add(uint8(0), 1e-6, false)
-	// K = 156: the roots crowd within 5e-10 of each other, relative, and
-	// every weight underflows to zero, so W is the unit atom.
+	// K = 156: the poles would crowd within 5e-10 of each other,
+	// relative, but the negligible-wait rule makes W the unit atom.
 	f.Add(uint8(154), 0.0546875, false)
 	f.Add(uint8(7), 0.5, true)
 	f.Add(uint8(31), 0.98, true)

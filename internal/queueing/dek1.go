@@ -104,26 +104,11 @@ func (q DEK1) SolveFrom(prev *DEK1Solution) (*DEK1Solution, error) { return q.So
 // the solution of the Vandermonde system sum_j a_j zeta_j^{-k} = 1
 // (k = 1..K) from Appendix D. Each product runs over all K roots; the
 // mirrored roots' residues are the conjugates a_{K+2-j} = conj(a_j).
-//
-// Where zeta_j^K is below the normal range (K >= ~40 at low load) it has
-// lost most of its bits, or all of them, while the product is huge: there
-// the K powers of zeta_j are spread over the product's factors instead,
-// which keeps every partial product near the size of a_j.
 func weightsFromZetas(zs []complex128) []complex128 {
 	k := len(zs)
 	out := make([]complex128, solvedRoots(k))
 	for j := range out {
 		a := cmplx.Pow(zs[j], complex(float64(k), 0))
-		if math.Abs(real(a)) < 0x1p-1022 && math.Abs(imag(a)) < 0x1p-1022 {
-			a = zs[j]
-			for i := 0; i < k; i++ {
-				if i != j {
-					a *= zs[j] * (zs[i] - 1) / (zs[i] - zs[j])
-				}
-			}
-			out[j] = a
-			continue
-		}
 		for i := 0; i < k; i++ {
 			if i == j {
 				continue
@@ -135,15 +120,41 @@ func weightsFromZetas(zs []complex128) []complex128 {
 	return out
 }
 
+// negligibleWaitMass is delta, the bound on P(W > 0) under which the
+// D/E_K/1 wait W is the unit atom: 4e-9 of the smallest tail a served level
+// inverts (1e-6), and enough to cover every law with |zeta_1| < 1e-8.
+const negligibleWaitMass = 4e-15
+
+// negligibleWait reports whether B(K, rho) = P(B_1 > T) + r^2/(1-r) <=
+// negligibleWaitMass, r = (e^{1-1/rho}/rho)^K, a bound on P(W > 0) from
+// (K, rho) alone. W is the supremum over n >= 0 of S_n = sum_{i<=n}
+// (B_i - T), B_i the Erlang(K) work of burst i with mean rho*T, so
+// P(W > 0) <= sum_{n>=1} P(S_n > 0). The n = 1 term is exact: the
+// Poisson(K/rho) probability of at most K-1 events, summed down from its
+// largest term, whose logarithm is formed first so that underflow hides
+// only values far below delta. For n >= 2, Chernoff gives r^n. B grows
+// with rho: the rule drops rho <= 0.054 at K = 2 and <= 0.605 at K = 200,
+// and every law it keeps has each zeta_j^K in float64's normal range.
+func negligibleWait(k int, rho float64) bool {
+	lam := min(float64(k)/rho, math.MaxFloat64)
+	sum, term := 1.0, 1.0
+	for n := k - 1; n > 0; n-- {
+		term *= float64(n) / lam
+		sum += term
+	}
+	lg, _ := math.Lgamma(float64(k))
+	r := math.Exp(float64(k) * (1 - 1/rho - math.Log(rho)))
+	return math.Exp(float64(k-1)*math.Log(lam)-lam-lg)*sum+r*r/(1-r) <= negligibleWaitMass
+}
+
 // WaitMix returns the exact burst waiting-time law of eq. (18):
 // W(s) = (1 - sum a_j) + sum a_j * alpha_j/(alpha_j - s).
-// Its atom is the probability an arriving burst finds the queue empty.
-//
-// At very low load the roots zeta_k underflow toward zero (|zeta_1| =
-// e^{-(1-zeta_1)/rho}), the poles become numerically indistinguishable and
-// the waiting probability P(W>0) <= P(burst > T) is below ~1e-14; the exact
-// unit atom is returned in that regime.
+// Its atom is the probability an arriving burst finds the queue empty. Where
+// negligibleWait holds, W is the unit atom, returned without a root solve.
 func (q DEK1) WaitMix() (mgf.Mix, error) {
+	if negligibleWait(q.K, q.Load()) {
+		return mgf.Mix{Atom: 1}, nil
+	}
 	sol, err := q.Solve()
 	if err != nil {
 		return mgf.Mix{}, err
@@ -152,7 +163,7 @@ func (q DEK1) WaitMix() (mgf.Mix, error) {
 }
 
 // WaitMix builds the eq.-(18) waiting-time law over the solved roots; see
-// DEK1.WaitMix for the law and the low-load unit-atom regime.
+// DEK1.WaitMix for the law and the unit atom where the wait is negligible.
 func (sol *DEK1Solution) WaitMix() (mgf.Mix, error) {
 	m := mgf.NewConjugatePoles(sol.WaitPoles())
 	if err := m.Validate(); err != nil {
@@ -163,34 +174,21 @@ func (sol *DEK1Solution) WaitMix() (mgf.Mix, error) {
 
 // WaitPoles returns the atom, the poles alpha_j = beta(1-zeta_j) and the
 // weights a_j of the eq.-(18) law for the solved roots j <= floor(K/2)+1,
-// distinct by construction, or the unit atom alone in the low-load regime.
+// distinct by construction, or the unit atom alone where negligibleWait holds.
 // A complex pole stands for its conjugate pair too (mgf.NewConjugatePoles):
 // the mirrored roots' poles and weights are the conjugates. The weights of
 // the real roots are real; their imaginary rounding dust is flushed, which
 // changes no tail (real(a*r) = real(a)*r for a real r) and makes the law's
 // imaginary mass exactly 0.
 func (sol *DEK1Solution) WaitPoles() (atom float64, poles, weights []complex128) {
-	zs := sol.zs
-	// |zeta_1| bounds every |zeta_k| (Appendix C). Below the threshold the
-	// continuous part is smaller than any tail of interest by orders of
-	// magnitude, and the weight products are no longer computable in
-	// float64.
-	if cmplx.Abs(zs[0]) < 1e-8 {
+	if negligibleWait(sol.q.K, sol.q.Load()) {
 		return 1, nil, nil
 	}
-	// At large K, zeta_1^K underflows to zero a little above the threshold
-	// too, where the roots crowd within 1e-9 of each other. There
-	// K(1-zeta_1)/rho > 744, and for K <= 200 the Chernoff bound puts
-	// P(W>0) <= sum_n P(the work of n bursts > nT) below 1e-100: the law is
-	// the unit atom.
-	if math.Pow(real(zs[0]), float64(len(zs))) == 0 {
-		return 1, nil, nil
-	}
-	weights = weightsFromZetas(zs)
+	weights = weightsFromZetas(sol.zs)
 	beta := complex(sol.q.Beta(), 0)
 	poles = make([]complex128, len(weights))
 	mass := 0.0
-	for j, z := range zs[:len(weights)] {
+	for j, z := range sol.zs[:len(weights)] {
 		poles[j] = beta * (1 - z)
 		if imag(z) == 0 {
 			weights[j] = complex(real(weights[j]), 0)

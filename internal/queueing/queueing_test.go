@@ -518,10 +518,24 @@ func BenchmarkDEK1WaitMixK28(b *testing.B) {
 	}
 }
 
-// BenchmarkDEK1WaitMixK200 measures the wait law, root solve included, at
-// the Erlang-order cap, with its allocations: W takes a constant number.
+// BenchmarkDEK1WaitMixK200 measures the wait law at the Erlang-order cap
+// and load 0.5, with its allocations. There the negligible-wait rule makes
+// W the unit atom, so it times the rule alone: no solve, no allocation.
 func BenchmarkDEK1WaitMixK200(b *testing.B) {
 	q, _ := NewDEK1(200, 0.030, 0.060)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := q.WaitMix(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDEK1WaitMixK200Kept measures the wait law, root solve and
+// weights included, at the Erlang-order cap and load 0.75, where W keeps
+// its poles, with its allocations: W takes a constant number.
+func BenchmarkDEK1WaitMixK200Kept(b *testing.B) {
+	q, _ := NewDEK1(200, 0.045, 0.060)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := q.WaitMix(); err != nil {

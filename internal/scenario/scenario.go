@@ -20,6 +20,7 @@ import (
 	"io"
 	"math"
 	"net/url"
+	"slices"
 	"strconv"
 
 	"fpsping/internal/core"
@@ -152,7 +153,9 @@ func (s *Scenario) Set(name, value string) error {
 // Default(); repeated keys take the last value. Keys outside the scenario
 // vocabulary are rejected unless listed in extra (endpoints stack their own
 // keys, like from/to/step, on the same query), so a typoed parameter fails
-// loudly instead of silently evaluating the default scenario.
+// loudly instead of silently evaluating the default scenario. The error
+// names the first unknown key in sorted order, so one query always gets one
+// answer.
 func FromQuery(values url.Values, extra ...string) (Scenario, error) {
 	s := Default()
 	known := make(map[string]bool, len(extra))
@@ -167,10 +170,14 @@ func FromQuery(values url.Values, extra ...string) (Scenario, error) {
 			}
 		}
 	}
+	var unknown []string
 	for key := range values {
 		if !known[key] {
-			return s, fmt.Errorf("scenario: unknown parameter %q", key)
+			unknown = append(unknown, key)
 		}
+	}
+	if len(unknown) > 0 {
+		return s, fmt.Errorf("scenario: unknown parameter %q", slices.Min(unknown))
 	}
 	return s, nil
 }

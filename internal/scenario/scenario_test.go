@@ -259,6 +259,22 @@ func TestFromQueryAndSetErrors(t *testing.T) {
 	}
 }
 
+// TestFromQueryNamesFirstUnknownKey pins one answer per query: with several
+// unknown keys the error names the first in sorted order, whatever order
+// the query's map yields them in.
+func TestFromQueryNamesFirstUnknownKey(t *testing.T) {
+	v, err := url.ParseQuery("bound30k=&4=&zz=1&gamers=40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 100 {
+		_, err := scenario.FromQuery(v, "bound", "bound_ms")
+		if err == nil || err.Error() != `scenario: unknown parameter "4"` {
+			t.Fatalf("error %v; want the sorted-first unknown key \"4\"", err)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	s := scenario.Default()
 	if err := s.Validate(); err != nil {

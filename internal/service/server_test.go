@@ -401,10 +401,13 @@ func rttOK(t *testing.T, ts *httptest.Server, query string) RTTResult {
 }
 
 // TestRTTAtErlangOrderCap pins that the largest accepted Erlang order
-// answers the default scenario.
+// answers the default scenario, where the burst wait is the unit atom
+// (load 0.4), and the same scenario at load 0.75, where it keeps its
+// poles.
 func TestRTTAtErlangOrderCap(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	rttOK(t, ts, fmt.Sprintf("k=%d", core.MaxErlangOrder))
+	rttOK(t, ts, fmt.Sprintf("k=%d&load=0.75", core.MaxErlangOrder))
 }
 
 // TestRTTAboveErlangOrderCap pins that an order past the cap is the
@@ -418,20 +421,25 @@ func TestRTTAboveErlangOrderCap(t *testing.T) {
 }
 
 // TestRTTLargeErlangOrderFinishes pins a K=100 quantile, where the position
-// ladder and the D/E_K/1 poles crowd, to a bounded run.
+// ladder crowds, to a bounded run: at the default load 0.4, where the
+// burst wait is the unit atom, and at load 0.75, where the D/E_K/1 poles
+// crowd too.
 func TestRTTLargeErlangOrderFinishes(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Get(ts.URL + "/v1/rtt?k=100")
-	if err != nil {
-		t.Fatalf("k=100: %v", err)
-	}
-	defer resp.Body.Close()
-	var res RTTResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !(res.QuantileMs > 0) || math.IsInf(res.QuantileMs, 0) {
-		t.Errorf("k=100: status %d, quantile %v ms", resp.StatusCode, res.QuantileMs)
+	for _, query := range []string{"k=100", "k=100&load=0.75"} {
+		resp, err := client.Get(ts.URL + "/v1/rtt?" + query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		var res RTTResult
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !(res.QuantileMs > 0) || math.IsInf(res.QuantileMs, 0) {
+			t.Errorf("%s: status %d, quantile %v ms", query, resp.StatusCode, res.QuantileMs)
+		}
 	}
 }
