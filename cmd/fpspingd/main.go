@@ -263,7 +263,6 @@ func writeSnapshot(engine *service.Engine, path string) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	log.Printf("fpspingd: wrote snapshot %s (%d entries, %d skipped, %d bytes)",
-		path, st.Entries, st.Skipped, st.Bytes)
+	log.Printf("fpspingd: wrote snapshot %s (%d entries, %d bytes)", path, st.Entries, st.Bytes)
 	return nil
 }

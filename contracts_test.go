@@ -235,6 +235,17 @@ var contracts = []contract{
 		jobs: []string{"verify", "race"},
 	},
 	{
+		id:   "snapshot-stream-stable",
+		what: "the FPSMEMO1 snapshot stream is byte-stable and its reader total: a four-key cache dumps to a literal stream and filters to a literal output, a value the codec cannot encode fails the dump naming its key, no upload panics the reader, a rejected stream leaves the cache's entries and recency order unchanged, an accepted stream re-encodes to its own bytes, and a /v1/cache:warm upload over the cap is a 400 naming the cap",
+		tests: []string{
+			"internal/memo:TestSnapshotStreamBytes",
+			"internal/memo:TestDumpFailsOnUnencodableValue",
+			"internal/memo:FuzzRestoreSnapshot",
+			"internal/service:TestCacheWarmRejectsOverCapUpload",
+		},
+		jobs: []string{"verify", "fuzz"},
+	},
+	{
 		id:   "compiled-model-immutable",
 		what: "a compiled model keeps no state and takes no lock: 8 goroutines calling RTTQuantile, Decompose and MeanRTT on one model at K = 9 and K = 200 get the bits of a serial evaluation, and RTTQuantile on it allocates nothing at K = 9",
 		tests: []string{

@@ -1,8 +1,10 @@
 package memo
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -31,4 +33,28 @@ func BenchmarkMemoGetPut(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSnapshotDumpRestore is one snapshot round trip of a full default
+// cache: Dump 4,096 records of 330 B (key and value) into a buffer, then
+// Restore the stream into an empty cache.
+func BenchmarkSnapshotDumpRestore(b *testing.B) {
+	const entries = 4096
+	src := New[string](entries, 0)
+	for i := 0; i < entries; i++ {
+		key := fmt.Sprintf("pt|%016x", i)
+		src.Put(key, strings.Repeat("v", 330-len(key)))
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if _, err := src.Dump(&buf, "s", stringCodec{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := New[string](entries, 0).Restore(&buf, "s", stringCodec{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

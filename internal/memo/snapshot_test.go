@@ -3,6 +3,7 @@ package memo
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -11,19 +12,21 @@ import (
 	"testing"
 )
 
-// stringCodec snapshots string values verbatim; keys starting with "skip|"
-// are declined, modeling values (derived tables, open handles) with no
-// serialization.
+// stringCodec snapshots string values verbatim; keys starting with "bad|"
+// hold values it can neither encode nor decode.
 type stringCodec struct{}
 
-func (stringCodec) Encode(key, val string) ([]byte, bool, error) {
-	if strings.HasPrefix(key, "skip|") {
-		return nil, false, nil
+func (stringCodec) Encode(key, val string) ([]byte, error) {
+	if strings.HasPrefix(key, "bad|") {
+		return nil, errors.New("no encoding")
 	}
-	return []byte(val), true, nil
+	return []byte(val), nil
 }
 
 func (stringCodec) Decode(key string, data []byte) (string, error) {
+	if strings.HasPrefix(key, "bad|") {
+		return "", errors.New("no decoding")
+	}
 	return string(data), nil
 }
 
@@ -122,31 +125,21 @@ func assertStatsEqual(t *testing.T, msg string, a, b Stats) {
 	}
 }
 
-// TestSnapshotSkipsUncodableEntries pins the codec skip contract: entries
-// the codec declines are absent from the stream and counted, everything
-// else round-trips.
-func TestSnapshotSkipsUncodableEntries(t *testing.T) {
+// TestDumpFailsOnUnencodableValue: a value the codec cannot encode fails
+// the whole Dump with an error naming its key, and nothing is written, so
+// a snapshot never silently lacks an entry.
+func TestDumpFailsOnUnencodableValue(t *testing.T) {
 	c := New[string](16, 2)
-	c.Put("skip|compiled", "not serializable")
 	c.Put("rtt|a", "1")
+	c.Put("bad|compiled", "not serializable")
 	c.Put("rtt|b", "2")
 	var buf bytes.Buffer
 	st, err := c.Dump(&buf, "s", stringCodec{})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), `"bad|compiled"`) {
+		t.Fatalf("Dump error %v, want one naming \"bad|compiled\"", err)
 	}
-	if st.Entries != 2 || st.Skipped != 1 {
-		t.Fatalf("DumpStats %+v, want 2 entries 1 skipped", st)
-	}
-	dst := New[string](16, 2)
-	if _, err := dst.Restore(bytes.NewReader(buf.Bytes()), "s", stringCodec{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := dst.Peek("skip|compiled"); ok {
-		t.Fatal("skipped entry resurfaced after restore")
-	}
-	if dst.Stats().Entries != 2 {
-		t.Fatalf("restored %d entries, want 2", dst.Stats().Entries)
+	if buf.Len() != 0 || st != (DumpStats{}) {
+		t.Fatalf("failed Dump wrote %d bytes, stats %+v", buf.Len(), st)
 	}
 }
 
@@ -396,4 +389,107 @@ func TestSnapshotEmptyCache(t *testing.T) {
 	if err != nil || st.Restored != 0 || dst.Stats().Entries != 0 {
 		t.Fatalf("empty round trip: stats %+v len %d err %v", st, dst.Stats().Entries, err)
 	}
+}
+
+// TestSnapshotStreamBytes pins the wire format byte for byte: a four-key
+// cache (one key per engine key space, values shaped like their JSON
+// records) dumps to a literal stream, and a FilterSnapshot of that stream
+// to a literal output. Any change to the magic, the length prefixes, the
+// record order, the end tag or the checksum fails here, so snapshots
+// written by one build keep restoring under the next.
+func TestSnapshotStreamBytes(t *testing.T) {
+	c := New[string](8, 1)
+	c.Put("dim|k9|50", `{"max_load":0.7}`)
+	c.Put("sweep|k9|0.1|0.9|0.4", `[1,2,3]`)
+	c.Put("pt|k9", `{"gamers":40}`)
+	c.Put("rtt|k9", `{"rtt_ms":48.5}`)
+
+	// Hex fields: tag, u32 little-endian length, bytes.
+	const (
+		header = "4650534d454d4f31" + // "FPSMEMO1"
+			"15000000" + "66707370696e672d63616368657c76317c74657374" // "fpsping-cache|v1|test"
+		recRTT = "01" + "06000000" + "7274747c6b39" + // "rtt|k9"
+			"0f000000" + "7b227274745f6d73223a34382e357d" // {"rtt_ms":48.5}
+		recPt = "01" + "05000000" + "70747c6b39" + // "pt|k9"
+			"0d000000" + "7b2267616d657273223a34307d" // {"gamers":40}
+		recSweep = "01" + "14000000" + "73776565707c6b397c302e317c302e397c302e34" + // "sweep|k9|0.1|0.9|0.4"
+			"07000000" + "5b312c322c335d" // [1,2,3]
+		recDim = "01" + "09000000" + "64696d7c6b397c3530" + // "dim|k9|50"
+			"10000000" + "7b226d61785f6c6f6164223a302e377d" // {"max_load":0.7}
+		end = "00"
+
+		// Most recently used first; the trailing u32 is the CRC-32.
+		want         = header + recRTT + recPt + recSweep + recDim + end + "631dca22"
+		wantFiltered = header + recRTT + recSweep + recDim + end + "18c19772"
+	)
+	got := dump(t, c, "fpsping-cache|v1|test")
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("dump stream changed:\n got %x\nwant %s", got, want)
+	}
+	var out bytes.Buffer
+	st, err := FilterSnapshot(bytes.NewReader(got), &out, func(key string) bool {
+		return !strings.HasPrefix(key, "pt|")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Kept != 3 || st.Dropped != 1 {
+		t.Fatalf("FilterStats %+v, want 3 kept 1 dropped", st)
+	}
+	if hex.EncodeToString(out.Bytes()) != wantFiltered {
+		t.Fatalf("filtered stream changed:\n got %x\nwant %s", out.Bytes(), wantFiltered)
+	}
+}
+
+// FuzzRestoreSnapshot fuzzes the reader behind /v1/cache:warm uploads. The
+// input is a stream without its trailing CRC-32, which the target appends,
+// so mutations reach the parser instead of stopping at the checksum. No
+// input may panic; a rejected stream must leave a live cache's entries and
+// recency order as they were; an accepted stream, passed through a
+// keep-all FilterSnapshot, must come back as exactly its own bytes.
+func FuzzRestoreSnapshot(f *testing.F) {
+	const schema = "fpsping-cache|v1|test"
+	for _, keys := range [][]string{nil, {"rtt|k9"}, {"rtt|k9", "live|a", "pt|k9", "dim|k9|50"}} {
+		c := New[string](8, 1)
+		for i, key := range keys {
+			c.Put(key, strings.Repeat("v", i))
+		}
+		var buf bytes.Buffer
+		if _, err := c.Dump(&buf, schema, stringCodec{}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes()[:buf.Len()-4])
+	}
+	// A well-formed stream whose second record the codec cannot decode.
+	undecodable := encodeSnapshot(schema, []rawRecord{{"rtt|k9", []byte("v")}, {"bad|k9", []byte("v")}})
+	f.Add(undecodable[:len(undecodable)-4])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+
+		var out bytes.Buffer
+		_, filterErr := FilterSnapshot(bytes.NewReader(data), &out, func(string) bool { return true })
+		if filterErr == nil && !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("keep-all filter changed an accepted stream:\n in %x\nout %x", data, out.Bytes())
+		}
+
+		c := New[string](3, 1)
+		c.Put("live|a", "1")
+		c.Put("live|b", "2")
+		before := recencyOrder(c)
+		_, err := c.Restore(bytes.NewReader(data), schema, stringCodec{})
+		if err == nil {
+			if filterErr != nil {
+				t.Fatalf("Restore accepted a stream FilterSnapshot rejected: %v", filterErr)
+			}
+			return
+		}
+		if after := recencyOrder(c); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("rejected stream (%v) changed the cache: %v, was %v", err, after, before)
+		}
+		for key, want := range map[string]string{"live|a": "1", "live|b": "2"} {
+			if got, _ := c.Peek(key); got != want {
+				t.Fatalf("rejected stream (%v) changed %q to %q", err, key, got)
+			}
+		}
+	})
 }

@@ -28,8 +28,8 @@ const maxBodyBytes = 4 << 20
 
 // maxSnapshotBody bounds /v1/cache:warm uploads separately from the JSON
 // request cap: a snapshot of a well-filled cache is legitimately far larger
-// than any scenario batch.
-const maxSnapshotBody = 256 << 20
+// than any scenario batch. A variable only so tests can lower it.
+var maxSnapshotBody int64 = 256 << 20
 
 // CacheHeader reports on every model endpoint whether the engine cache (or
 // a joined in-flight computation) answered: "hit" or "miss". The body is
@@ -234,17 +234,21 @@ func Instrument(rec *metrics.Recorder, name string, h Endpoint) http.HandlerFunc
 
 // ReadBody reads a request body of at most 4 MiB (empty for a bodiless
 // GET); a longer one is the client's fault.
-func ReadBody(r *http.Request) ([]byte, error) {
+func ReadBody(r *http.Request) ([]byte, error) { return readCapped(r, maxBodyBytes) }
+
+// readCapped reads a request body of at most limit bytes; a longer one is a
+// bad request naming the cap.
+func readCapped(r *http.Request, limit int64) ([]byte, error) {
 	if r.Body == nil {
 		return nil, nil
 	}
 	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
 		return nil, fmt.Errorf("service: reading body: %w", err)
 	}
-	if len(data) > maxBodyBytes {
-		return nil, badRequest(fmt.Errorf("body over %d bytes", maxBodyBytes))
+	if int64(len(data)) > limit {
+		return nil, badRequest(fmt.Errorf("body over %d bytes", limit))
 	}
 	return data, nil
 }
@@ -529,16 +533,20 @@ type WarmResult struct {
 
 // handleCacheWarm restores an uploaded snapshot under never-clobber
 // semantics: live entries win, a full cache skips rather than evicts, and a
-// corrupt or schema-mismatched snapshot is rejected whole (400) with the
-// cache untouched.
+// corrupt, schema-mismatched or over-cap snapshot is rejected whole (400)
+// with the cache untouched.
 func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
-	defer r.Body.Close()
-	st, err := s.engine.WarmCache(io.LimitReader(r.Body, maxSnapshotBody))
+	data, err := readCapped(r, maxSnapshotBody)
+	if err != nil {
+		WriteError(w, errStatus(err), err)
+		return
+	}
+	st, err := s.engine.WarmCache(bytes.NewReader(data))
 	if err != nil {
 		WriteError(w, errStatus(err), err)
 		return

@@ -57,39 +57,21 @@ var schemaKey = sync.OnceValue(func() string {
 	return fmt.Sprintf("fpsping-cache|v%d|%s|%s|%s", cacheSchemaVersion, runtime.Version(), runtime.GOARCH, rev)
 })
 
-// engineCodec translates the engine's memo entries to snapshot records,
-// dispatching on the memo key prefix. Every value is JSON: encoding/json
-// round-trips float64 bit-exactly (shortest-representation printing), so a
-// restored entry re-marshals to the byte-identical response a live entry
-// would produce. Unknown prefixes are skipped on dump (forward compatible
-// with new key spaces) and rejected on restore (a same-schema snapshot
-// cannot contain them).
+// engineCodec translates the engine's memo entries to snapshot records.
+// Every value is JSON: encoding/json round-trips float64 bit-exactly
+// (shortest-representation printing), so a restored entry re-marshals to
+// the byte-identical response a live entry would produce. Encode knows the
+// four value types the engine caches; Decode dispatches on the memo key
+// prefix and rejects unknown prefixes (a same-schema snapshot cannot
+// contain them).
 type engineCodec struct{}
 
-func (engineCodec) Encode(key string, val any) ([]byte, bool, error) {
-	switch {
-	case strings.HasPrefix(key, "rtt|"):
-		if v, ok := val.(RTTResult); ok {
-			data, err := json.Marshal(v)
-			return data, err == nil, err
-		}
-	case strings.HasPrefix(key, "pt|"):
-		if v, ok := val.(pointMemo); ok {
-			data, err := json.Marshal(v)
-			return data, err == nil, err
-		}
-	case strings.HasPrefix(key, "sweep|"):
-		if v, ok := val.(SweepResult); ok {
-			data, err := json.Marshal(v)
-			return data, err == nil, err
-		}
-	case strings.HasPrefix(key, "dim|"):
-		if v, ok := val.(DimensionResult); ok {
-			data, err := json.Marshal(v)
-			return data, err == nil, err
-		}
+func (engineCodec) Encode(key string, val any) ([]byte, error) {
+	switch val.(type) {
+	case RTTResult, pointMemo, SweepResult, DimensionResult:
+		return json.Marshal(val)
 	}
-	return nil, false, nil
+	return nil, fmt.Errorf("no snapshot encoding for %T", val)
 }
 
 func (engineCodec) Decode(key string, data []byte) (any, error) {
@@ -117,9 +99,9 @@ func decodeRecord[T any](data []byte) (any, error) {
 	return v, nil
 }
 
-// DumpCache streams a snapshot of the engine's memo cache: every entry the
-// codec can persist (RTT answers, sweep grids, dimensionings and the shared
-// point memo), versioned, checksummed and keyed by SchemaKey.
+// DumpCache writes a snapshot of the engine's memo cache: every entry (RTT
+// answers, sweep grids, dimensionings and the shared point memo),
+// versioned, checksummed and keyed by SchemaKey.
 func (e *Engine) DumpCache(w io.Writer) (memo.DumpStats, error) {
 	return e.cache.Dump(w, SchemaKey(), engineCodec{})
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"runtime"
 	"slices"
@@ -191,6 +192,51 @@ func TestCacheWarmRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
+// TestCacheWarmRejectsOverCapUpload: an upload longer than the snapshot
+// cap is a 400 that names the cap, not a checksum failure of the cut-off
+// prefix, and the cache stays untouched.
+func TestCacheWarmRejectsOverCapUpload(t *testing.T) {
+	_, donor := newTestServer(t, 1)
+	fill(t, donor.URL)
+	snap := dumpCache(t, donor.URL)
+
+	old := maxSnapshotBody
+	maxSnapshotBody = int64(len(snap)) - 1
+	t.Cleanup(func() { maxSnapshotBody = old })
+	srv, ts := newTestServer(t, 1)
+	resp, body := warmCache(t, ts.URL, snap)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if want := fmt.Sprintf("over %d bytes", maxSnapshotBody); !strings.Contains(string(body), want) {
+		t.Errorf("body %s does not name the %d-byte cap", body, maxSnapshotBody)
+	}
+	if n := srv.engine.CacheStats().Entries; n != 0 {
+		t.Errorf("over-cap snapshot left %d cache entries", n)
+	}
+
+	maxSnapshotBody = int64(len(snap))
+	if resp, body := warmCache(t, ts.URL, snap); resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot exactly at the cap: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestDumpCacheRejectsUnknownValue: a memo value of a type the engine
+// codec does not know fails the dump with an error naming its key, rather
+// than dropping the entry from the snapshot.
+func TestDumpCacheRejectsUnknownValue(t *testing.T) {
+	e := NewEngine(1, 16)
+	e.cache.Put("rtt|odd", 42)
+	var buf bytes.Buffer
+	_, err := e.DumpCache(&buf)
+	if err == nil || !strings.Contains(err.Error(), `"rtt|odd"`) || !strings.Contains(err.Error(), "int") {
+		t.Fatalf("DumpCache error %v, want one naming the key and the type", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("failed dump wrote %d bytes", buf.Len())
+	}
+}
+
 // TestSchemaKeyCarriesArch pins the architecture stamp: the key names the
 // GOARCH this binary was built for.
 func TestSchemaKeyCarriesArch(t *testing.T) {
@@ -275,9 +321,9 @@ func TestPointRecordBytes(t *testing.T) {
 		{pointMemo{Unstable: true}, `{"gamers":0,"rtt":0,"unstable":true}`},
 	}
 	for _, tc := range cases {
-		data, ok, err := engineCodec{}.Encode(key, tc.pm)
-		if err != nil || !ok || string(data) != tc.want {
-			t.Errorf("Encode(%+v) = %s, %v, %v; want %s", tc.pm, data, ok, err, tc.want)
+		data, err := engineCodec{}.Encode(key, tc.pm)
+		if err != nil || string(data) != tc.want {
+			t.Errorf("Encode(%+v) = %s, %v; want %s", tc.pm, data, err, tc.want)
 			continue
 		}
 		back, err := engineCodec{}.Decode(key, data)
