@@ -74,13 +74,14 @@ var contracts = []contract{
 	},
 	{
 		id:   "factor-laws-validated",
-		what: "the wait law W passes Mix.Validate at serve time, whose probe grid matches Mix.Tail within 1e-12 and which rejects NaN and imaginary mass of either sign; the position law P, which mgf.NewSum builds from (K, beta), is not validated at serve time, because one Erlang ladder at beta > 0 with K-1 weights 1/(K-1) is a probability law by construction, checked for K 2-200",
+		what: "the wait law W passes Mix.Validate at serve time, whose checks cost O(poles): total mass 1, atom in [0, 1], imaginary mass within 1e-8 of zero on either side and a finite non-negative mean, each failing on NaN; the tail's shape is checked at test time, not at serve time: over both queues' W laws as served, K 1-200 x rho 0.001-0.999 in steps of 0.001 plus 1-10^-e for e = 4-9, and at fuzzed (K, rho), every law Validate accepts has a tail in [-1e-7, 1+1e-7] that rises by at most 1e-7 over 65 uniform probes out to ten means, and the grid's rejected laws are pinned (0 for D/E_K/1, 993 for M/E_K/1, each a total-mass ErrInvalid); the position law P, which mgf.NewSum builds from (K, beta), is not validated at serve time, because one Erlang ladder at beta > 0 with K-1 weights 1/(K-1) is a probability law by construction, checked with its tail scan for K 2-200",
 		tests: []string{
-			"internal/mgf:TestValidateGridMatchesTail",
+			"internal/mgf:TestWaitTailScanOverVocabulary",
+			"internal/mgf:FuzzWaitMixPolesDistinct",
 			"internal/mgf:TestValidateRejectsNonFiniteAndImaginaryMass",
 			"internal/mgf:TestPositionMixValidByConstruction",
 		},
-		jobs: []string{"verify"},
+		jobs: []string{"verify", "fuzz"},
 	},
 	{
 		id:   "factor-laws-by-construction",

@@ -60,15 +60,18 @@ func shiftedLadder(k, shift int, rate float64) Mix {
 }
 
 // TestPositionMixValidByConstruction validates the packet-position law of
-// eq. (34) for K 2-200 at several burst rates. NewSum does not validate it
-// at serve time: one Erlang ladder at beta > 0 with K-1 weights 1/(K-1) is
-// a probability law for every K and rate. The mean is half the burst,
-// K/(2 beta).
+// eq. (34) for K 2-200 at several burst rates and scans its tail
+// (tailScan). NewSum does not validate it at serve time: one Erlang ladder
+// at beta > 0 with K-1 weights 1/(K-1) is a probability law for every K
+// and rate. The mean is half the burst, K/(2 beta).
 func TestPositionMixValidByConstruction(t *testing.T) {
 	for k := 2; k <= 200; k++ {
 		for _, beta := range []float64{1e-3, 0.3, 450, 1e6} {
 			p := positionLaw(k, beta)
 			if err := p.Validate(); err != nil {
+				t.Errorf("K=%d beta=%g: %v", k, beta, err)
+			}
+			if err := tailScan(p); err != nil {
 				t.Errorf("K=%d beta=%g: %v", k, beta, err)
 			}
 			if got, want := p.Mean(), float64(k)/(2*beta); math.Abs(got-want) > 1e-12*want {
@@ -88,9 +91,7 @@ func TestSumMatchesMulWhenWellConditioned(t *testing.T) {
 		[]complex128{complex(0.2, -0.1), complex(0.2, 0.1), 0.2})
 	mul := mulAll(u, w, positionLaw(5, 1.2))
 	sum := newSum(t, u, w, 5, 1.2)
-	if err := mul.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, mul)
 	if math.Abs(sum.TotalMass()-1) > 1e-12 {
 		t.Fatalf("sum mass = %v", sum.TotalMass())
 	}

@@ -1,7 +1,9 @@
 package mgf
 
 // Hooks for the external test package (walk_test.go, oracle_test.go), which
-// drives the inversion and the tail with laws compiled by internal/core.
+// drives the inversion and the tail with laws compiled by internal/core, and
+// scans the tails of the wait laws internal/queueing serves
+// (validate_test.go, poles_test.go).
 
 // InvertTail is invertTail.
 var InvertTail = invertTail
@@ -18,13 +20,5 @@ func MixTailDensity(m Mix) func(float64) (float64, float64) { return m.tailDensi
 // SeedOf is the factor seed of s's inversion at level p.
 func SeedOf(s Sum, p float64) float64 { return s.seed(p) }
 
-// ValidateProbes returns the abscissae Validate probes m's tail at and the
-// tails its running-product grid computes there.
-func ValidateProbes(m Mix) (xs, tails []float64) {
-	span, grid := m.probeTails(m.Mean())
-	for i, v := range grid {
-		xs = append(xs, span*float64(i)/validateProbes)
-		tails = append(tails, v)
-	}
-	return xs, tails
-}
+// TailScan is tailScan.
+var TailScan = tailScan

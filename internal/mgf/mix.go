@@ -135,8 +135,7 @@ func (m Mix) tailDensity(x float64) (tail, density float64) {
 	}
 	var t, f complex128
 	for _, term := range m.Terms {
-		px := term.Pole * complex(x, 0)
-		tt, tf := termTail(term, px, cmplx.Exp(-px))
+		tt, tf := termTail(term, term.Pole*complex(x, 0))
 		t += term.fold(tt)
 		f += term.fold(tf)
 	}
@@ -144,16 +143,16 @@ func (m Mix) tailDensity(x float64) (tail, density float64) {
 }
 
 // termTail computes sum_i coef_i * P(Erlang(i+1, pole) > x) in complex
-// arithmetic, given px = pole*x and ex = e^{-px}: e^{-px} * sum_{r<=i}
-// (px)^r / r!, accumulated incrementally to avoid overflow. The Erlang
-// density is pole times the last ladder term, pole e^{-px} (px)^i/i!, so the
-// second result, the terms' density at x, costs one product per
-// coefficient. The ladder advance past the last coefficient is dead and
-// skipped; the division by the real order uses the componentwise form (see
-// divRe) — both bit-identical to the plain loop.
-func termTail(t Term, px, ex complex128) (tail, density complex128) {
+// arithmetic, given px = pole*x: e^{-px} * sum_{r<=i} (px)^r / r!,
+// accumulated incrementally to avoid overflow. The Erlang density is pole
+// times the last ladder term, pole e^{-px} (px)^i/i!, so the second result,
+// the terms' density at x, costs one product per coefficient. The ladder
+// advance past the last coefficient is dead and skipped; the division by the
+// real order uses the componentwise form (see divRe) — both bit-identical to
+// the plain loop.
+func termTail(t Term, px complex128) (tail, density complex128) {
 	// partial[i] after step i holds e^{-px} * sum_{r=0..i} (px)^r/r!.
-	term := ex // r = 0 term
+	term := cmplx.Exp(-px) // r = 0 term
 	partial := term
 	last := len(t.Coef) - 1
 	for i, c := range t.Coef {
@@ -210,16 +209,13 @@ func (m Mix) DominantPole() (pole complex128, ok bool) {
 	return pole, ok
 }
 
-// validateProbes is the number of intervals of Validate's probe grid.
-const validateProbes = 64
-
-// Validate checks that m plausibly is a probability distribution: total mass
-// 1, atom in [0,1], imaginary mass within 1e-8 of zero, a finite
-// non-negative mean, and a tail in [0,1] that does not increase on a uniform
-// grid of 65 probes from 0 to ten means. Every check is written so that a
-// NaN fails it. The probes cost one complex exponential per pole, not one
-// per pole and probe (see probeTails). It returns a descriptive error for
-// the first check that fails.
+// Validate checks, in O(poles), that m plausibly is a probability
+// distribution: total mass 1, atom in [0,1], imaginary mass within 1e-8 of
+// zero and a finite non-negative mean. Every check is written so that a NaN
+// fails it. It returns a descriptive error for the first check that fails.
+// It does not evaluate the tail: each queue's wait law is fixed by (K, rho)
+// up to its time scale, so the tests scan the tails of both queues' laws
+// over that whole vocabulary instead.
 func (m Mix) Validate() error {
 	mass := m.Eval(0)
 	if !(math.Abs(real(mass)-1) <= 1e-6) {
@@ -231,48 +227,10 @@ func (m Mix) Validate() error {
 	if !(math.Abs(imag(mass)) <= 1e-8) {
 		return fmt.Errorf("%w: imaginary mass %v", ErrInvalid, imag(mass))
 	}
-	mean := m.Mean()
-	if !(-1e-9 <= mean && mean <= math.MaxFloat64) {
+	if mean := m.Mean(); !(-1e-9 <= mean && mean <= math.MaxFloat64) {
 		return fmt.Errorf("%w: mean %v", ErrInvalid, mean)
 	}
-	span, tails := m.probeTails(mean)
-	prev := math.Inf(1)
-	for i, ta := range tails {
-		x := span * float64(i) / validateProbes
-		if !(ta <= prev+1e-7) {
-			return fmt.Errorf("%w: tail increases at x=%v (%v -> %v)", ErrInvalid, x, prev, ta)
-		}
-		if !(-1e-7 <= ta && ta <= 1+1e-7) {
-			return fmt.Errorf("%w: tail %v at x=%v", ErrInvalid, ta, x)
-		}
-		prev = ta
-	}
 	return nil
-}
-
-// probeTails returns the span 10·(mean+1e-9) of Validate's grid and the
-// tail at its abscissae x_i = span·i/validateProbes. The grid is uniform, so
-// e^{-p·x_i} = (e^{-p·Δx})^i: one complex exponential per pole and a running
-// product give the exponential at every probe, which termTail then expands
-// exactly as Tail does.
-func (m Mix) probeTails(mean float64) (span float64, tails [validateProbes + 1]float64) {
-	span = 10 * (mean + 1e-9)
-	dx := complex(span/validateProbes, 0)
-	var sums [validateProbes + 1]complex128
-	for _, t := range m.Terms {
-		step := cmplx.Exp(-t.Pole * dx)
-		ex := complex(1, 0)
-		for i := range sums {
-			x := span * float64(i) / validateProbes
-			tail, _ := termTail(t, t.Pole*complex(x, 0), ex)
-			sums[i] += t.fold(tail)
-			ex *= step
-		}
-	}
-	for i, v := range sums {
-		tails[i] = real(v)
-	}
-	return span, tails
 }
 
 // String summarizes the mix (atom, number of terms, dominant pole).

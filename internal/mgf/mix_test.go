@@ -2,6 +2,7 @@ package mgf
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -57,11 +58,43 @@ func (m Mix) PDF(x float64) float64 {
 	return real(sum)
 }
 
-func TestExponentialMixBasics(t *testing.T) {
-	m := NewExponential(1, 2) // Exp(2)
+// tailScan checks the shape Validate does not: at 65 uniform probes x_i on
+// [0, 10·(mean+1e-9)], each m.Tail(x_i) lies in [-1e-7, 1+1e-7] and exceeds
+// the one before by at most 1e-7. Validate checks the poles and
+// coefficients alone, so every test that calls a law a probability law
+// scans its tail too.
+func tailScan(m Mix) error {
+	const intervals = 64
+	span := 10 * (m.Mean() + 1e-9)
+	prev := math.Inf(1)
+	for i := 0; i <= intervals; i++ {
+		x := span * float64(i) / intervals
+		ta := m.Tail(x)
+		if !(ta <= prev+1e-7) {
+			return fmt.Errorf("%w: tail increases at x=%v (%v -> %v)", ErrInvalid, x, prev, ta)
+		}
+		if !(-1e-7 <= ta && ta <= 1+1e-7) {
+			return fmt.Errorf("%w: tail %v at x=%v", ErrInvalid, ta, x)
+		}
+		prev = ta
+	}
+	return nil
+}
+
+// checkLaw fails t unless m passes Validate and tailScan.
+func checkLaw(t *testing.T, m Mix) {
+	t.Helper()
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if err := tailScan(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestExponentialMixBasics(t *testing.T) {
+	m := NewExponential(1, 2) // Exp(2)
+	checkLaw(t, m)
 	if math.Abs(m.Mean()-0.5) > 1e-12 {
 		t.Errorf("mean = %v", m.Mean())
 	}
@@ -83,9 +116,7 @@ func TestExponentialMixBasics(t *testing.T) {
 func TestErlangMixMatchesDist(t *testing.T) {
 	m := newErlang(1, 9, 0.3)
 	e, _ := dist.NewErlang(9, 0.3)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, m)
 	for _, x := range []float64{0, 1, 10, 30, 60, 120} {
 		if got, want := m.Tail(x), e.Tail(x); math.Abs(got-want) > 1e-10 {
 			t.Errorf("tail(%v) = %v, want %v", x, got, want)
@@ -99,9 +130,7 @@ func TestErlangMixMatchesDist(t *testing.T) {
 func TestMulSamePoleGivesErlang(t *testing.T) {
 	// Exp(l) * Exp(l) = Erlang(2, l).
 	m := mul(NewExponential(1, 1.7), NewExponential(1, 1.7))
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, m)
 	for _, x := range []float64{0.1, 1, 3} {
 		want := math.Exp(-1.7*x) * (1 + 1.7*x)
 		if got := m.Tail(x); math.Abs(got-want) > 1e-10 {
@@ -114,9 +143,7 @@ func TestMulDistinctPolesHypoexponential(t *testing.T) {
 	// Exp(a) * Exp(b), a != b: tail = (b e^{-ax} - a e^{-bx})/(b-a).
 	a, b := 1.0, 2.5
 	m := mul(NewExponential(1, a), NewExponential(1, b))
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, m)
 	for _, x := range []float64{0, 0.2, 1, 4} {
 		want := (b*math.Exp(-a*x) - a*math.Exp(-b*x)) / (b - a)
 		if got := m.Tail(x); math.Abs(got-want) > 1e-10 {
@@ -129,9 +156,7 @@ func TestMulErlangCrossAgainstMonteCarlo(t *testing.T) {
 	// Erlang(3, 1.2) + Erlang(5, 0.4): no simple closed form; cross-check the
 	// partial-fraction product against Monte Carlo.
 	m := mul(newErlang(1, 3, 1.2), newErlang(1, 5, 0.4))
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, m)
 	wantMean := 3/1.2 + 5/0.4
 	if math.Abs(m.Mean()-wantMean) > 1e-9 {
 		t.Fatalf("mean = %v, want %v", m.Mean(), wantMean)
@@ -167,9 +192,7 @@ func TestMulWithAtomMM1Waiting(t *testing.T) {
 	exp := NewExponential(rho, mu*(1-rho))
 	w.Atom += 0 // keep explicit
 	m := Mix{Atom: w.Atom, Terms: exp.Terms}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, m)
 	for _, x := range []float64{0.01, 0.5, 2} {
 		want := rho * math.Exp(-mu*(1-rho)*x)
 		if got := m.Tail(x); math.Abs(got-want) > 1e-12 {
@@ -178,9 +201,7 @@ func TestMulWithAtomMM1Waiting(t *testing.T) {
 	}
 	// Convolving two of them: mean adds, mass stays 1.
 	conv := mul(m, m)
-	if err := conv.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, conv)
 	if math.Abs(conv.Mean()-2*m.Mean()) > 1e-12 {
 		t.Errorf("mean not additive: %v vs %v", conv.Mean(), 2*m.Mean())
 	}
@@ -194,9 +215,7 @@ func TestMeanAdditivityUnderMul(t *testing.T) {
 	a.Atom = 0.6
 	b := newErlang(1, 4, 2.2)
 	c := mul(a, b)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, c)
 	if math.Abs(c.Mean()-(a.Mean()+b.Mean())) > 1e-10 {
 		t.Errorf("mean %v, want %v", c.Mean(), a.Mean()+b.Mean())
 	}
@@ -233,9 +252,7 @@ func TestComplexConjugatePairRealTail(t *testing.T) {
 	}}
 	mass := m.TotalMass()
 	m = m.Scale(1 / mass)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, m)
 	// Density must be nonnegative and real on a grid.
 	for x := 0.0; x < 8; x += 0.05 {
 		if f := m.PDF(x); f < -1e-9 {
@@ -284,9 +301,7 @@ func TestQuantileInverseOfTail(t *testing.T) {
 
 func TestMulAllUnit(t *testing.T) {
 	m := mulAll(NewAtom(1), NewExponential(1, 2), NewAtom(1))
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkLaw(t, m)
 	if math.Abs(m.Tail(1)-math.Exp(-2)) > 1e-12 {
 		t.Errorf("mulAll changed the law: tail(1)=%v", m.Tail(1))
 	}

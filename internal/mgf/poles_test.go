@@ -130,10 +130,11 @@ func poleGap(m mgf.Mix) float64 {
 	return gap
 }
 
-// FuzzWaitMixPolesDistinct pins that every wait law a queue serves has
-// pairwise distinct poles: more than 1e-9 apart, relative, the distance
-// under which AddTerm would have merged them. K is mapped to 2-200 and
-// rho must lie in (0, 1).
+// FuzzWaitMixPolesDistinct pins two properties of every wait law a queue
+// serves: pairwise distinct poles, more than 1e-9 apart, relative, the
+// distance under which AddTerm would have merged them; and a tail that
+// passes tailScan whenever Validate accepts the law, as served
+// (servedWait). K is mapped to 2-200 and rho must lie in (0, 1).
 func FuzzWaitMixPolesDistinct(f *testing.F) {
 	f.Add(uint8(7), 0.5, false)
 	f.Add(uint8(198), 0.95, false)
@@ -149,12 +150,15 @@ func FuzzWaitMixPolesDistinct(f *testing.F) {
 		if !(rho > 0 && rho < 1) {
 			return
 		}
-		p := waitLaw(k, rho, mek1)
-		if p.err != nil {
-			return
+		if p := waitLaw(k, rho, mek1); p.err == nil {
+			if gap := poleGap(p.w); !(gap > 1e-9) {
+				t.Errorf("K=%d rho=%g M/E_K/1=%v: served wait law has poles %g apart, relative", k, rho, mek1, gap)
+			}
 		}
-		if gap := poleGap(p.w); !(gap > 1e-9) {
-			t.Errorf("K=%d rho=%g M/E_K/1=%v: served wait law has poles %g apart, relative", k, rho, mek1, gap)
+		if w, err := servedWait(k, rho, mek1); err == nil {
+			if err := mgf.TailScan(w); err != nil {
+				t.Errorf("K=%d rho=%g M/E_K/1=%v: Validate accepts W, but %v", k, rho, mek1, err)
+			}
 		}
 	})
 }

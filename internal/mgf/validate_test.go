@@ -3,91 +3,109 @@ package mgf_test
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
-	"net/url"
+	"strings"
 	"testing"
 
 	"fpsping/internal/core"
 	"fpsping/internal/mgf"
 	"fpsping/internal/queueing"
-	"fpsping/internal/scenario"
+	"fpsping/internal/runner"
 )
 
-// fuzzRTTSeeds are the /v1/rtt queries service's FuzzRTT seeds map to: the
-// default scenario at mid load, the PS=75 uplink corner, K=14 at rho=0.1,
-// the Erlang-order cap at high load and the lowest load.
-var fuzzRTTSeeds = []string{
-	"k=9&ps=124.932&t=40.0025&load=0.5&q=0.9949995",
-	"k=9&ps=75&t=40.0025&load=0.9374890000213334&q=0.9949995",
-	"k=14&ps=124.932&t=40.0025&load=0.10000080000000001&q=0.9989991",
-	"k=200&ps=124.932&t=40.0025&load=0.9499991&q=0.99989901",
-	"k=2&ps=1352&t=6.95&load=1e-06&q=0.99",
+// gridLoads is the load grid of TestWaitTailScanOverVocabulary: 0.001 to
+// 0.999 in steps of 0.001, then 1-10^-e for e = 4...9.
+func gridLoads() []float64 {
+	var loads []float64
+	for i := 1; i <= 999; i++ {
+		loads = append(loads, float64(i)/1000)
+	}
+	for e := 4; e <= 9; e++ {
+		loads = append(loads, 1-math.Pow10(-e))
+	}
+	return loads
 }
 
-// TestValidateGridMatchesTail checks the tails Validate probes, one complex
-// exponential per pole carried across the grid by a running product,
-// against direct Mix.Tail at the same abscissae, within 1e-12 absolute. It
-// covers the D/E_K/1 wait laws of K 2-200 from a vanishing load to 0.999
-// and the three factors of every FuzzRTT seed.
-func TestValidateGridMatchesTail(t *testing.T) {
-	check := func(name string, m mgf.Mix) {
-		t.Helper()
-		xs, tails := mgf.ValidateProbes(m)
-		for i, x := range xs {
-			if d := math.Abs(tails[i] - m.Tail(x)); !(d <= 1e-12) {
-				t.Errorf("%s: probe %d (x=%g): grid tail %v, Tail %v", name, i, x, tails[i], m.Tail(x))
-				return
-			}
-		}
-	}
-	const period = 0.05
-	ks := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 20, 25, 30, 40, 50, 64, 80, 100, 128, 156, 180, 200}
-	loads := []float64{1e-6, 1e-4, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 0.95, 0.999}
-	laws, rejected := 0, 0
-	for _, k := range ks {
-		for _, rho := range loads {
-			q, err := queueing.NewDEK1(k, rho*period, period)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := q.WaitMix()
-			if errors.Is(err, mgf.ErrInvalid) {
-				// Validate's own verdict on the grid: no law to compare.
-				rejected++
-				continue
-			}
-			if err != nil {
-				t.Fatalf("K=%d rho=%g: %v", k, rho, err)
-			}
-			laws++
-			check(fmt.Sprintf("W K=%d rho=%g", k, rho), w)
-		}
-	}
-	if laws < len(ks)*len(loads)*9/10 {
-		t.Errorf("only %d of %d W laws validate", laws, len(ks)*len(loads))
-	}
-	for _, query := range fuzzRTTSeeds {
-		v, err := url.ParseQuery(query)
+// servedWait returns the D/E_K/1 (mek1 false) or M/E_K/1 wait law at Erlang
+// order k and load rho as the queue serves it: DEK1.WaitMix, which returns
+// the unit atom without a solve where the wait is negligible, or
+// MEK1.Solve followed by WaitMix.
+func servedWait(k int, rho float64, mek1 bool) (mgf.Mix, error) {
+	if !mek1 {
+		q, err := queueing.NewDEK1(k, rho*0.05, 0.05)
 		if err != nil {
-			t.Fatal(err)
+			return mgf.Mix{}, err
 		}
-		sc, err := scenario.FromQuery(v)
-		if err != nil {
-			t.Fatalf("%s: %v", query, err)
-		}
-		cm, err := sc.Model().Compile()
-		if err != nil {
-			t.Fatalf("%s: %v", query, err)
-		}
-		u, w, p := cm.Law().Law().Factors()
-		for _, f := range []struct {
-			name string
-			m    mgf.Mix
-		}{{"U", u}, {"W", w}, {"P", p}} {
-			check(query+" "+f.name, f.m)
-		}
+		return q.WaitMix()
 	}
-	t.Logf("%d W laws checked, %d rejected by Validate", laws, rejected)
+	sol, err := solveWait(k, rho, true)
+	if err != nil {
+		return mgf.Mix{}, err
+	}
+	return sol.WaitMix()
+}
+
+// TestWaitTailScanOverVocabulary scans the tail of every wait law either
+// queue can serve. (K, rho) fix each queue's W up to its time scale, so
+// K 1-200 x gridLoads, 201,000 laws per queue, covers the vocabulary that
+// Validate's O(poles) checks stand for at serve time. Every law Validate
+// accepts passes tailScan. The rejected laws are pinned: none for D/E_K/1;
+// for M/E_K/1 993, all near saturation (rho >= 1-1e-4), each an
+// mgf.ErrInvalid from the total-mass check, and their (K, rho) list by its
+// FNV-64a digest. The K values run in parallel.
+func TestWaitTailScanOverVocabulary(t *testing.T) {
+	loads := gridLoads()
+	for _, queue := range []struct {
+		name     string
+		mek1     bool
+		rejected int
+		digest   uint64
+	}{
+		{"DEK1", false, 0, 0xcbf29ce484222325}, // FNV-64a of nothing
+		{"MEK1", true, 993, 0x927a0921bd59ae45},
+	} {
+		t.Run(queue.name, func(t *testing.T) {
+			type verdicts struct {
+				rejected []float64 // the loads whose W Validate rejects
+				atoms    int       // the laws served as the unit atom
+			}
+			perK, _ := runner.TryMap(200, runner.Options{}, func(j int) (verdicts, error) {
+				var v verdicts
+				k := j + 1
+				for _, rho := range loads {
+					w, err := servedWait(k, rho, queue.mek1)
+					if err != nil {
+						if !errors.Is(err, mgf.ErrInvalid) || !strings.Contains(err.Error(), "total mass") || rho < 1-1e-4 {
+							t.Errorf("K=%d rho=%g: %v", k, rho, err)
+						}
+						v.rejected = append(v.rejected, rho)
+						continue
+					}
+					if len(w.Terms) == 0 {
+						v.atoms++
+					}
+					if err := mgf.TailScan(w); err != nil {
+						t.Errorf("K=%d rho=%g: Validate accepts W, but %v", k, rho, err)
+					}
+				}
+				return v, nil
+			})
+			rejected, atoms := 0, 0
+			h := fnv.New64a()
+			for j, v := range perK {
+				for _, rho := range v.rejected {
+					fmt.Fprintf(h, "%d %v\n", j+1, rho)
+				}
+				rejected += len(v.rejected)
+				atoms += v.atoms
+			}
+			if rejected != queue.rejected || h.Sum64() != queue.digest {
+				t.Errorf("%d laws rejected (digest %#x), want %d (%#x)", rejected, h.Sum64(), queue.rejected, queue.digest)
+			}
+			t.Logf("%d laws, %d rejected, %d the unit atom", 200*len(loads), rejected, atoms)
+		})
+	}
 }
 
 // paperSum is the compiled delay law of the Figure 3 scenario at Erlang

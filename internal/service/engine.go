@@ -112,10 +112,15 @@ type RTTResult struct {
 // bool reports whether the answer arrived without computing (a cache hit or
 // a joined in-flight computation).
 func (e *Engine) RTT(sc scenario.Scenario) (RTTResult, bool, error) {
+	return e.rtt(sc, sc.Canonical())
+}
+
+// rtt is RTT for the scenario whose canonical key is key, so that Batch,
+// which keys its items anyway, does not key them twice.
+func (e *Engine) rtt(sc scenario.Scenario, key string) (RTTResult, bool, error) {
 	if err := sc.Validate(); err != nil {
 		return RTTResult{}, false, err
 	}
-	key := sc.Canonical()
 	v, shared, err := e.cache.Do("rtt|"+key, func() (any, error) { return e.computeRTT(sc, key) })
 	if err != nil {
 		return RTTResult{}, false, err
@@ -388,7 +393,7 @@ func (e *Engine) Batch(scs []scenario.Scenario) BatchResult {
 	}
 	evals, _ := runner.TryMap(len(order), runner.Options{Workers: e.jobs},
 		func(j int) (eval, error) {
-			res, cached, err := e.RTT(scs[order[j]])
+			res, cached, err := e.rtt(scs[order[j]], keys[order[j]])
 			return eval{res: res, cached: cached, err: err}, nil
 		})
 	byKey := make(map[string]eval, len(order))

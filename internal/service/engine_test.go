@@ -290,6 +290,21 @@ func TestMetricsRender(t *testing.T) {
 	}
 }
 
+// TestBatchCachedAllocs pins the allocations of a cached 16-item batch on
+// a one-worker engine at 112: each item's canonical key is built once, in
+// Batch, and handed to the evaluation.
+func TestBatchCachedAllocs(t *testing.T) {
+	scs := make([]scenario.Scenario, 16)
+	for i := range scs {
+		scs[i] = testScenario(0.05 + 0.05*float64(i))
+	}
+	e := NewEngine(1, 0)
+	e.Batch(scs)
+	if n := testing.AllocsPerRun(20, func() { e.Batch(scs) }); n != 112 {
+		t.Errorf("a cached 16-item batch makes %v allocations, want 112", n)
+	}
+}
+
 // TestBatchLarge exercises the fan-out path with more scenarios than
 // workers, all distinct, at several worker counts.
 func TestBatchLarge(t *testing.T) {
